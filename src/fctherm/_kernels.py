@@ -1,17 +1,15 @@
-"""Hot numerical kernels, each in a numba and a pure-numpy variant.
+"""Hot numerical kernels, each a single BLAS matrix product.
 
-Three primitives dominate the run time of the library:
+Two level-pair sums dominate the run time of the expansion machinery:
 
-* a cyclic Jacobi eigensolver for complex Hermitian matrices,
 * gap-resolved imaginary-time integrals  G[a, b] = sum_j c_j exp(u_j (E_b - E_a)),
 * eigenbasis correlation sums  sigma[n, j] = sum_k |S_nk|^2 exp(-u_j (E_k - E_n)).
 
-Each exists as ``*_numba`` (compiled with ``@njit``) and ``*_numpy``
-(vectorised fallback).  The module-level dispatchers (``jacobi_eigh``,
-``gap_integrals``, ``sigma_nodes``) pick the compiled variant when numba is
-importable and the environment variable ``FCTHERM_PURE_NUMPY`` is not set to
-``1``/``true``/``yes``/``on``.  Both variants are always importable so they
-can be benchmarked against each other.
+Both factor into exponentials of one level index times one node, so each is
+one GEMM between two node x level (or level x node) exponential tables.
+
+The module also keeps the cyclic Jacobi eigensolver that LAPACK replaced; the
+library no longer calls it (see :func:`jacobi_eigh`).
 
 Exponents are shifted so that the largest factor is exp(beta * spectral_width);
 beyond ~700 in that exponent the quantities overflow in float64, which is far
@@ -21,34 +19,30 @@ outside any regime where second-order perturbation theory is meaningful.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
+def gap_integrals(energies, u_nodes, coeffs):
+    """G[a, b] = sum_j coeffs[j] * exp(u_nodes[j] * (E_b - E_a)).
 
-    def _njit(*args, **kwargs):  # type: ignore[misc]
-        def _wrap(fn):
-            return fn
-
-        return _wrap
-
-
-def _pure_numpy_requested() -> bool:
-    return os.environ.get("FCTHERM_PURE_NUMPY", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
+    ``coeffs`` already contains quadrature weights times any node-dependent
+    kernel factor.  Energies are centred before exponentiation so each factor
+    stays within float range as long as u_max * width/2 < ~700.
+    """
+    e = np.asarray(energies, dtype=float)
+    mid = 0.5 * (e.max() + e.min()) if e.size else 0.0
+    ue = np.multiply.outer(np.asarray(u_nodes, dtype=float), e - mid)  # ue[j, a] = u_j E'_a
+    down = np.exp(-ue) * np.asarray(coeffs, dtype=float)[:, None]
+    return down.T @ np.exp(ue)
 
 
-USE_NUMBA = HAVE_NUMBA and not _pure_numpy_requested()
+def sigma_nodes(energies, abs_s_sq, u_nodes):
+    """sigma[n, j] = sum_k abs_s_sq[n, k] * exp(-u_nodes[j] * (E_k - E_n))."""
+    e = np.asarray(energies, dtype=float)
+    es = e - e.min() if e.size else e
+    eu = np.multiply.outer(es, np.asarray(u_nodes, dtype=float))  # eu[n, j] = E''_n u_j
+    return np.exp(eu) * (np.asarray(abs_s_sq, dtype=float) @ np.exp(-eu))
 
 
 # ----------------------------------------------------------------------------
@@ -63,11 +57,16 @@ USE_NUMBA = HAVE_NUMBA and not _pure_numpy_requested()
 # tol_rel * ||A||_F.
 
 
-def jacobi_eigh_numpy(H, tol_rel: float = 1e-14, max_sweeps: int = 60):
+def jacobi_eigh(H, tol_rel: float = 1e-14, max_sweeps: int = 60):
     """Diagonalise a complex Hermitian matrix by cyclic Jacobi rotations.
 
     Returns ``(evals, V, sweeps)`` with ``A = V diag(evals) V^dag`` up to the
     convergence threshold.  Eigenvalues are unsorted (diagonal order).
+
+    The library diagonalises with LAPACK (:func:`fctherm.linalg.eigendecompose`)
+    and never calls this solver.  It stays only while the benchmark's tracer
+    smoke test (``perfbench/test_perfbench_smoke.py``) expects every trace
+    target, this one included, to exist.
     """
     A = np.array(H, dtype=np.complex128)
     d = A.shape[0]
@@ -121,201 +120,3 @@ def jacobi_eigh_numpy(H, tol_rel: float = 1e-14, max_sweeps: int = 60):
                 V[:, q] = vp * wpq + vq * wqq
     evals = np.real(np.diag(A)).copy()
     return evals, V, sweeps
-
-
-@_njit(cache=True)
-def _jacobi_eigh_numba_impl(H, tol_rel, max_sweeps):  # pragma: no cover - compiled
-    d = H.shape[0]
-    A = H.copy()
-    V = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return np.array([A[0, 0].real]), V, 0
-    scale = 0.0
-    for i in range(d):
-        for j in range(d):
-            scale += abs(A[i, j]) ** 2
-    scale = math.sqrt(scale)
-    if scale == 0.0:
-        return np.zeros(d), V, 0
-    thresh = tol_rel * scale
-    skip = 0.1 * thresh / d
-    sweeps = 0
-    for _sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                off += abs(A[i, j]) ** 2
-        if math.sqrt(2.0 * off) <= thresh:
-            break
-        sweeps += 1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                bmag = abs(apq)
-                if bmag <= skip:
-                    continue
-                ph = np.exp(0.5j * math.atan2(apq.imag, apq.real))
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * bmag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                wpp = c * ph
-                wpq = s * ph
-                wqp = -s * np.conj(ph)
-                wqq = c * np.conj(ph)
-                for i in range(d):
-                    cp = A[i, p]
-                    cq = A[i, q]
-                    A[i, p] = cp * wpp + cq * wqp
-                    A[i, q] = cp * wpq + cq * wqq
-                for j in range(d):
-                    rp = A[p, j]
-                    rq = A[q, j]
-                    A[p, j] = np.conj(wpp) * rp + np.conj(wqp) * rq
-                    A[q, j] = np.conj(wpq) * rp + np.conj(wqq) * rq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = complex(A[p, p].real, 0.0)
-                A[q, q] = complex(A[q, q].real, 0.0)
-                for i in range(d):
-                    vp = V[i, p]
-                    vq = V[i, q]
-                    V[i, p] = vp * wpp + vq * wqp
-                    V[i, q] = vp * wpq + vq * wqq
-    evals = np.zeros(d)
-    for i in range(d):
-        evals[i] = A[i, i].real
-    return evals, V, sweeps
-
-
-def jacobi_eigh_numba(H, tol_rel: float = 1e-14, max_sweeps: int = 60):
-    """Compiled twin of :func:`jacobi_eigh_numpy` (falls back if numba absent)."""
-    A = np.ascontiguousarray(H, dtype=np.complex128)
-    return _jacobi_eigh_numba_impl(A, tol_rel, max_sweeps)
-
-
-def jacobi_eigh(H, tol_rel: float = 1e-14, max_sweeps: int = 60):
-    if USE_NUMBA:
-        return jacobi_eigh_numba(H, tol_rel, max_sweeps)
-    return jacobi_eigh_numpy(H, tol_rel, max_sweeps)
-
-
-# ----------------------------------------------------------------------------
-# gap-resolved imaginary-time integrals
-# ----------------------------------------------------------------------------
-
-
-def gap_integrals_numpy(energies, u_nodes, coeffs):
-    """G[a, b] = sum_j coeffs[j] * exp(u_nodes[j] * (E_b - E_a)).
-
-    ``coeffs`` already contains quadrature weights times any node-dependent
-    kernel factor.  Energies are centred before exponentiation so each factor
-    stays within float range as long as u_max * width/2 < ~700.
-    """
-    e = np.asarray(energies, dtype=float)
-    mid = 0.5 * (e.max() + e.min()) if e.size else 0.0
-    es = e - mid
-    d = es.size
-    out = np.zeros((d, d))
-    for j, uj in enumerate(np.asarray(u_nodes, dtype=float)):
-        down = np.exp(-uj * es)
-        up = np.exp(uj * es)
-        out += coeffs[j] * np.outer(down, up)
-    return out
-
-
-@_njit(cache=True)
-def gap_integrals_numba_impl(es, u_nodes, coeffs):  # pragma: no cover - compiled
-    d = es.size
-    nu = u_nodes.size
-    out = np.zeros((d, d))
-    for j in range(nu):
-        uj = u_nodes[j]
-        cj = coeffs[j]
-        for a in range(d):
-            fa = math.exp(-uj * es[a])
-            for b in range(d):
-                out[a, b] += cj * fa * math.exp(uj * es[b])
-    return out
-
-
-def gap_integrals_numba(energies, u_nodes, coeffs):
-    e = np.ascontiguousarray(energies, dtype=np.float64)
-    mid = 0.5 * (e.max() + e.min()) if e.size else 0.0
-    return gap_integrals_numba_impl(
-        e - mid,
-        np.ascontiguousarray(u_nodes, dtype=np.float64),
-        np.ascontiguousarray(coeffs, dtype=np.float64),
-    )
-
-
-def gap_integrals(energies, u_nodes, coeffs):
-    if USE_NUMBA:
-        return gap_integrals_numba(energies, u_nodes, coeffs)
-    return gap_integrals_numpy(energies, u_nodes, coeffs)
-
-
-# ----------------------------------------------------------------------------
-# eigenbasis correlation sums
-# ----------------------------------------------------------------------------
-
-
-def sigma_nodes_numpy(energies, abs_s_sq, u_nodes):
-    """sigma[n, j] = sum_k abs_s_sq[n, k] * exp(-u_nodes[j] * (E_k - E_n))."""
-    e = np.asarray(energies, dtype=float)
-    es = e - e.min() if e.size else e
-    u = np.asarray(u_nodes, dtype=float)
-    d = es.size
-    out = np.zeros((d, u.size))
-    for j, uj in enumerate(u):
-        out[:, j] = np.exp(uj * es) * (abs_s_sq @ np.exp(-uj * es))
-    return out
-
-
-@_njit(cache=True)
-def sigma_nodes_numba_impl(es, abs_s_sq, u_nodes):  # pragma: no cover - compiled
-    d = es.size
-    nu = u_nodes.size
-    out = np.zeros((d, nu))
-    for j in range(nu):
-        uj = u_nodes[j]
-        for n in range(d):
-            acc = 0.0
-            for k in range(d):
-                acc += abs_s_sq[n, k] * math.exp(-uj * (es[k] - es[n]))
-            out[n, j] = acc
-    return out
-
-
-def sigma_nodes_numba(energies, abs_s_sq, u_nodes):
-    e = np.ascontiguousarray(energies, dtype=np.float64)
-    es = e - e.min() if e.size else e
-    return sigma_nodes_numba_impl(
-        es,
-        np.ascontiguousarray(abs_s_sq, dtype=np.float64),
-        np.ascontiguousarray(u_nodes, dtype=np.float64),
-    )
-
-
-def sigma_nodes(energies, abs_s_sq, u_nodes):
-    if USE_NUMBA:
-        return sigma_nodes_numba(energies, abs_s_sq, u_nodes)
-    return sigma_nodes_numpy(energies, abs_s_sq, u_nodes)
-
-
-def warmup() -> bool:
-    """Trigger JIT compilation of all kernels on tiny inputs.
-
-    Returns True when the compiled path is active.  Useful before timing.
-    """
-    h = np.array([[1.0, 0.3 + 0.1j], [0.3 - 0.1j, -0.5]], dtype=np.complex128)
-    jacobi_eigh(h)
-    e = np.array([0.0, 1.0])
-    u = np.array([0.0, 0.5])
-    c = np.array([0.2, 0.3])
-    gap_integrals(e, u, c)
-    sigma_nodes(e, np.eye(2), u)
-    return USE_NUMBA

@@ -7,7 +7,7 @@ pins down the conventions once:
   lexicographic comparison of their (real, imag) entries, and every column's
   phase is fixed so its largest-magnitude entry is real and positive.  The
   decomposition of a given matrix is therefore reproducible bit-for-bit across
-  runs and across the compiled / pure-numpy kernel paths up to rounding.
+  runs.
 * thermal populations are computed from shifted energies, exp(-beta(E - E_min)),
   so no intermediate overflows for any beta.
 """
@@ -15,11 +15,11 @@ pins down the conventions once:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import laguerre, legendre
 
-from . import _kernels
 from .errors import SingularSupportError
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -47,7 +47,6 @@ class SpectralDecomposition:
     evals: np.ndarray
     evecs: np.ndarray
     matrix: np.ndarray
-    sweeps: int = 0
 
     @property
     def dim(self) -> int:
@@ -93,16 +92,13 @@ def _tie_break(evals: np.ndarray, evecs: np.ndarray, cluster_rel: float):
 
 
 def eigendecompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
-    """Diagonalise a Hermitian matrix with the in-package cyclic Jacobi solver.
+    """Diagonalise a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Raises ValueError if the input is not Hermitian or if the result fails the
     unitarity / reconstruction checks.
     """
     m = require_hermitian(matrix, tol)
-    w, v, sweeps = _kernels.jacobi_eigh(m, tol.eig_offdiag_rel)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh(m)  # ascending eigenvalues
     w, v = _tie_break(w, v, tol.eig_cluster_rel)
     d = w.size
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
@@ -112,7 +108,7 @@ def eigendecompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectra
     rec = float(np.max(np.abs((v * w) @ v.conj().T - m)))
     if rec > tol.eig_reconstruction * scale:
         raise ValueError(f"spectral reconstruction failed: deviation {rec:.3e}")
-    return SpectralDecomposition(evals=w, evecs=v, matrix=m, sweeps=sweeps)
+    return SpectralDecomposition(evals=w, evecs=v, matrix=m)
 
 
 @dataclass
@@ -130,8 +126,7 @@ class DensityOperator:
         self.matrix = m
 
     def min_eigenvalue(self) -> float:
-        w, _, _ = _kernels.jacobi_eigh(self.matrix)
-        return float(np.min(w))
+        return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def check_positive(self, floor: float | None = None) -> float:
         """Return the minimum eigenvalue; raise if it is below the floor."""
@@ -247,11 +242,29 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=128)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    return _read_only(*legendre.leggauss(n))
+
+
+@lru_cache(maxsize=128)
+def _laggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes and weights, built once per n."""
+    return _read_only(*laguerre.laggauss(n))
+
+
 def quad_finite(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule with n nodes on [a, b]; exact for degree <= 2n-1."""
     if n < 1:
         raise ValueError("need at least one node")
-    x, w = legendre.leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return QuadratureRule(
         nodes=half * x + 0.5 * (a + b),
@@ -358,7 +371,7 @@ def quad_semiinfinite(n: int, scale: float = 1.0) -> QuadratureRule:
         )
     if scale <= 0:
         raise ValueError("scale must be positive")
-    x, w = laguerre.laggauss(n)
+    x, w = _laggauss(n)
     return QuadratureRule(
         nodes=scale * x,
         weights=scale * w * np.exp(x),

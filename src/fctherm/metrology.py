@@ -339,31 +339,6 @@ def xi_via_spectral_kernel(
 # high-temperature asymptotes
 # ----------------------------------------------------------------------------
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_function(x: float) -> float:
-    """Gamma function by the Lanczos approximation (g = 7, 9 coefficients)."""
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_function(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
 
 def high_T_asymptote(
     probe: ProbeModel, bath: ContinuumBath, beta: float, mass: float = 1.0
@@ -379,7 +354,7 @@ def high_T_asymptote(
     """
     if bath.s <= 0:
         raise ValueError("asymptote requires a positive low-frequency exponent")
-    g = gamma_function(bath.s)
+    g = math.gamma(bath.s)
     if probe.kind == "qubit":
         eps = probe.params["epsilon"]
         th = probe.params["theta"]

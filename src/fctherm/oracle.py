@@ -29,6 +29,7 @@ from .linalg import (
     qfi_from_sld,
     sld_solve,
 )
+from .metrology import cfi_energy_general
 from .models import DiscreteBath, ProbeModel, probe_custom
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -117,22 +118,6 @@ def trace_distance(a: np.ndarray | DensityOperator, b: np.ndarray | DensityOpera
 # ----------------------------------------------------------------------------
 
 
-def _population_fisher(
-    dec: SpectralDecomposition, rho: np.ndarray, drho: np.ndarray
-) -> float:
-    """Classical Fisher information of the level populations in basis ``dec``."""
-    p = np.real(np.diag(dec.to_eigenbasis(rho)))
-    dp = np.real(np.diag(dec.to_eigenbasis(drho)))
-    out = 0.0
-    for pn, dpn in zip(p, dp):
-        if pn <= 1e-300:
-            if abs(dpn) > 1e-14:
-                raise ValueError("population vanishes while its derivative does not")
-            continue
-        out += dpn * dpn / pn
-    return float(out)
-
-
 def _state_derivative(joint: JointModel, beta: float, h: float):
     """Reduced state and its Richardson-refined inverse-temperature derivative.
 
@@ -179,7 +164,7 @@ def exact_fishers(
     def fishers(drho: np.ndarray) -> tuple[float, float]:
         sld = sld_solve(rho, drho, tol)
         f = qfi_from_sld(rho, sld)
-        i = _population_fisher(joint.probe.decomp, rho, drho)
+        i = cfi_energy_general(joint.probe.decomp, rho, drho)
         return f, i
 
     f_h, i_h = fishers(d_h)

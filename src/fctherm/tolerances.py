@@ -26,7 +26,6 @@ class Tolerances:
     hermit_drift: float = 1e-12       # symmetrization drift flagged on assembled states
 
     # --- eigensolver ---
-    eig_offdiag_rel: float = 1e-14    # Jacobi convergence: off-norm relative to ||H||
     eig_reconstruction: float = 1e-10 # ||V w V^dag - H|| check
     eig_unitarity: float = 1e-10      # ||V^dag V - 1|| check
     eig_cluster_rel: float = 1e-12    # relative gap below which eigenvalues are tied
@@ -40,13 +39,7 @@ class Tolerances:
     degeneracy_rel: float = 1e-10     # |gap| < this * ||H_S|| uses the degenerate limit
     fd_step_rel: float = 1e-5         # finite-difference step h = fd_step_rel * beta
     deriv_cross_rel: float = 1e-6     # analytic vs finite-difference dX/dbeta agreement
-    traceless_x: float = 1e-10        # |tr(pi_S X_S)| invariant
     kms: float = 1e-10                # correlation-function KMS symmetry invariant
-
-    # --- metrology cross-checks ---
-    dual_formula_rel: float = 1e-7    # integral-route vs sum-route Fisher coefficient
-    cfi_qfi_pert: float = 1e-14       # perturbative classical == quantum coefficient
-    kernel_route_rel: float = 1e-6    # spectral-kernel route vs direct coefficient
 
     # --- oracle ---
     richardson_rel: float = 1e-8      # step-halving consistency of exact derivatives

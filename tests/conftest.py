@@ -1,10 +1,4 @@
-"""Shared fixtures: compile the hot kernels once per session.
-
-Runtime-limited tests below measure algorithm time, not JIT compilation, so
-the kernels are warmed before anything else runs.  With the pure-numpy
-fallback active (FCTHERM_PURE_NUMPY=1) the warmup is a no-op and every test
-still has to pass.
-"""
+"""Shared fixtures."""
 
 from __future__ import annotations
 
@@ -12,15 +6,8 @@ from pathlib import Path
 
 import pytest
 
-import fctherm
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    fctherm.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -175,6 +175,13 @@ def test_exit_2_on_bad_worker_count(tmp_path):
     assert main(["report", "--config", cfg, "--workers", "0"]) == 2
 
 
+def test_exit_2_on_removed_tolerance_field(tmp_path, capsys):
+    # the Jacobi convergence knob went with the Jacobi solver
+    cfg = write_config(tmp_path, dict(QUBIT_OHMIC, tolerances={"eig_offdiag_rel": 1e-14}))
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "tolerances.eig_offdiag_rel: unknown tolerance name" in capsys.readouterr().err
+
+
 def test_exit_3_on_numerical_failure(tmp_path, config_dir, capsys):
     # a projector-coupled environment has a non-zero coupling mean, which the
     # second-order report machinery refuses mid-computation

@@ -1,25 +1,18 @@
-"""Hot kernels: compiled and pure-numpy variants must agree bit-for-bit-ish."""
+"""Kernels: GEMM level-pair sums against brute-force loops, Jacobi against LAPACK."""
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from fctherm import _kernels as K
+from fctherm import quad_imaginary_time
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return 0.5 * (m + m.conj().T)
-
-
-needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +23,7 @@ needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
 @pytest.mark.parametrize("d", [2, 3, 8, 17])
 def test_jacobi_numpy_against_reference(d):
     m = random_hermitian(d, d)
-    evals, vecs, sweeps = K.jacobi_eigh_numpy(m)
+    evals, vecs, sweeps = K.jacobi_eigh(m)
     ref = np.linalg.eigvalsh(m)
     assert np.max(np.abs(np.sort(evals) - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
     rec = (vecs * evals) @ vecs.conj().T
@@ -38,20 +31,8 @@ def test_jacobi_numpy_against_reference(d):
     assert 0 < sweeps < 60
 
 
-@needs_numba
-@pytest.mark.parametrize("d", [2, 8, 17])
-def test_jacobi_variants_agree(d):
-    m = random_hermitian(d, 100 + d)
-    e1, v1, _ = K.jacobi_eigh_numpy(m)
-    e2, v2, _ = K.jacobi_eigh_numba(m)
-    assert np.max(np.abs(np.sort(e1) - np.sort(e2))) < 1e-12
-    for v, e in ((v1, e1), (v2, e2)):
-        rec = (v * e) @ v.conj().T
-        assert np.max(np.abs(rec - m)) < 1e-12 * max(1.0, np.max(np.abs(m)))
-
-
 def test_jacobi_identity_converges_in_one_sweep():
-    evals, vecs, sweeps = K.jacobi_eigh_numpy(np.eye(4, dtype=complex))
+    evals, vecs, sweeps = K.jacobi_eigh(np.eye(4, dtype=complex))
     assert np.allclose(evals, 1.0)
     assert sweeps <= 1
 
@@ -76,20 +57,9 @@ def test_gap_integrals_numpy_against_brute_force():
     energies = np.sort(rng.uniform(-2, 2, size=5))
     u = np.linspace(0.0, 1.5, 9)
     c = rng.uniform(0.1, 1.0, size=9)
-    got = K.gap_integrals_numpy(energies, u, c)
+    got = K.gap_integrals(energies, u, c)
     ref = brute_gap_integrals(energies, u, c)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
-
-
-@needs_numba
-def test_gap_integrals_variants_agree():
-    rng = np.random.default_rng(2)
-    energies = np.sort(rng.uniform(-3, 3, size=7))
-    u = np.linspace(0.0, 2.0, 33)
-    c = rng.uniform(0.05, 0.5, size=33)
-    a = K.gap_integrals_numpy(energies, u, c)
-    b = K.gap_integrals_numba(energies, u, c)
-    assert np.max(np.abs(a - b)) < 1e-13 * np.max(np.abs(a))
 
 
 def test_gap_integrals_survive_shifted_spectra():
@@ -98,7 +68,7 @@ def test_gap_integrals_survive_shifted_spectra():
     energies = np.array([1000.0, 1000.5, 1001.0])
     u = np.linspace(0.0, 1.0, 5)
     c = np.ones(5)
-    out = K.gap_integrals_numpy(energies, u, c)
+    out = K.gap_integrals(energies, u, c)
     assert np.all(np.isfinite(out))
     ref = brute_gap_integrals(energies - 1000.5, u, c)
     assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
@@ -125,54 +95,30 @@ def test_sigma_nodes_numpy_against_brute_force():
     s = rng.uniform(0, 1, size=(4, 4))
     abs_s_sq = 0.5 * (s + s.T)
     u = np.linspace(0.0, 1.0, 6)
-    got = K.sigma_nodes_numpy(energies, abs_s_sq, u)
+    got = K.sigma_nodes(energies, abs_s_sq, u)
     ref = brute_sigma_nodes(energies, abs_s_sq, u)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
-@needs_numba
-def test_sigma_nodes_variants_agree():
-    rng = np.random.default_rng(4)
-    energies = np.sort(rng.uniform(-1, 4, size=6))
-    s = rng.uniform(0, 1, size=(6, 6))
+# ---------------------------------------------------------------------------
+# oscillator-sized case on the graded imaginary-time rule
+# ---------------------------------------------------------------------------
+
+
+def test_kernels_match_triple_loop_on_oscillator_ladder():
+    # d = 40 ladder: exponents reach u * width / 2 = 195 (gap_integrals) and
+    # u * width = 390 (sigma_nodes), so the entries span hundreds of decades
+    rule = quad_imaginary_time(64, 10.0, 0.01)
+    u = rule.nodes
+    c = rule.weights * (1.0 + u)
+    energies = np.arange(40, dtype=float)
+    rng = np.random.default_rng(6)
+    s = rng.uniform(0.0, 1.0, size=(40, 40))
     abs_s_sq = 0.5 * (s + s.T)
-    u = np.linspace(0.0, 3.0, 17)
-    a = K.sigma_nodes_numpy(energies, abs_s_sq, u)
-    b = K.sigma_nodes_numba(energies, abs_s_sq, u)
-    assert np.max(np.abs(a - b)) < 1e-13 * np.max(np.abs(a))
 
-
-# ---------------------------------------------------------------------------
-# dispatch and the pure-numpy escape hatch
-# ---------------------------------------------------------------------------
-
-
-def test_warmup_reports_dispatch_state():
-    assert K.warmup() is K.USE_NUMBA
-    if K.HAVE_NUMBA and not K._pure_numpy_requested():
-        assert K.USE_NUMBA
-
-
-def test_pure_numpy_env_flag_in_subprocess():
-    """FCTHERM_PURE_NUMPY=1 must force the numpy path and give the same numbers."""
-    script = (
-        "import json, numpy as np\n"
-        "from fctherm import _kernels as K\n"
-        "rng = np.random.default_rng(5)\n"
-        "m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))\n"
-        "m = 0.5 * (m + m.conj().T)\n"
-        "evals, vecs, _ = K.jacobi_eigh(m)\n"
-        "print(json.dumps({'use_numba': K.USE_NUMBA, 'evals': sorted(evals.tolist())}))\n"
-    )
-    env = dict(os.environ, FCTHERM_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    payload = json.loads(out.stdout.strip().splitlines()[-1])
-    assert payload["use_numba"] is False
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    m = 0.5 * (m + m.conj().T)
-    here, _, _ = K.jacobi_eigh(m)
-    assert np.max(np.abs(np.sort(here) - np.array(payload["evals"]))) < 1e-12
+    ref_g = brute_gap_integrals(energies, u, c)
+    ref_s = brute_sigma_nodes(energies, abs_s_sq, u)
+    got_g = K.gap_integrals(energies, u, c)
+    got_s = K.sigma_nodes(energies, abs_s_sq, u)
+    assert np.max(np.abs(got_g - ref_g) / ref_g) < 1e-12
+    assert np.max(np.abs(got_s - ref_s) / ref_s) < 1e-12

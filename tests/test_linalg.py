@@ -1,8 +1,4 @@
-"""Eigensolver, thermal states, logarithmic derivatives, quadrature rules.
-
-numpy.linalg.eigh appears here purely as an independent reference for the
-in-package Jacobi solver; library code never calls it.
-"""
+"""Eigensolver, thermal states, logarithmic derivatives, quadrature rules."""
 
 from __future__ import annotations
 
@@ -25,7 +21,7 @@ from fctherm import (
     require_hermitian,
     sld_solve,
 )
-from fctherm.linalg import MAX_LAGUERRE_NODES
+from fctherm.linalg import MAX_LAGUERRE_NODES, _laggauss, _leggauss
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
@@ -79,6 +75,24 @@ def test_eigendecompose_is_reproducible_with_degeneracies():
     assert np.array_equal(d1.evecs, d2.evecs)
     rec = (d1.evecs * d1.evals) @ d1.evecs.conj().T
     assert np.max(np.abs(rec - m)) < 1e-10
+
+
+def test_eigendecompose_d128_with_degenerate_cluster_is_bit_reproducible():
+    # 3-fold cluster at 0.5 inside an otherwise random spectrum
+    rng = np.random.default_rng(128)
+    levels = np.sort(rng.uniform(-4.0, 4.0, size=128))
+    levels[60:63] = 0.5
+    u = eigendecompose(random_hermitian(128, 11)).evecs
+    m = (u * levels) @ u.conj().T
+    m = 0.5 * (m + m.conj().T)
+    d1 = eigendecompose(m)
+    d2 = eigendecompose(m.copy())
+    assert np.array_equal(d1.evals, d2.evals)
+    assert np.array_equal(d1.evecs, d2.evecs)
+    assert np.max(np.abs(d1.evals - np.sort(levels))) < 1e-12
+    rec = (d1.evecs * d1.evals) @ d1.evecs.conj().T
+    assert np.max(np.abs(rec - m)) < 1e-12
+    assert np.max(np.abs(d1.evecs.conj().T @ d1.evecs - np.eye(128))) < 1e-12
 
 
 def test_eigenbasis_round_trip():
@@ -216,6 +230,21 @@ def test_quad_semiinfinite_exactness_and_cap():
         quad_semiinfinite(MAX_LAGUERRE_NODES + 1)
     with pytest.raises(ValueError):
         quad_semiinfinite(8, scale=0.0)
+
+
+def test_memoised_base_rules_are_read_only():
+    ref_leg = quad_finite(7, 0.0, 2.0).nodes.copy()
+    ref_lag = quad_semiinfinite(9, scale=3.0).nodes.copy()
+    for rule in (quad_finite(7, 0.0, 2.0), quad_semiinfinite(9, scale=3.0)):
+        rule.nodes[:] = -1.0
+        rule.weights[:] = -1.0
+    assert np.array_equal(quad_finite(7, 0.0, 2.0).nodes, ref_leg)
+    assert np.array_equal(quad_semiinfinite(9, scale=3.0).nodes, ref_lag)
+    for x, w in (_leggauss(7), _laggauss(9)):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
 
 
 def test_quad_thermal_frequency_warm_branch():
