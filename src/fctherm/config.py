@@ -18,14 +18,16 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import (
+    PROBE_DIM_EXPONENTS,
     ContinuumBath,
     DiscreteBath,
     ProbeModel,
     load_operator_pair,
+    paired_bath_exponent,
     probe_custom,
     probe_oscillator,
     probe_qubit,
-    validate_pairing,
+    validate_dim_exponent,
 )
 from .tolerances import DEFAULT_TOL, TOLERANCE_FIELDS, Tolerances
 
@@ -164,16 +166,20 @@ class RunConfig:
         h, s, mu = load_operator_pair(self._resolve(params["path"]))
         return probe_custom(h, s, dim_exponent=mu)
 
+    def probe_dim_exponent(self) -> float | None:
+        """Energy dimension of the probe coupling, read without building the probe."""
+        if self.probe_kind in PROBE_DIM_EXPONENTS:
+            return PROBE_DIM_EXPONENTS[self.probe_kind]
+        return load_operator_pair(self._resolve(self.probe_params["path"]))[2]
+
     def build_bath(self):
         if self.bath_kind == "ohmic":
-            probe = self.build_probe(beta=1.0)
-            a = self.bath_params.get("a")
-            if a is None:
-                a = 1.0 - 2.0 * probe.dim_exponent if probe.dim_exponent is not None else 1.0
+            mu = self.probe_dim_exponent()
+            a = self.bath_params.get("a", paired_bath_exponent(mu))
             bath = ContinuumBath(
                 s=self.bath_params["s"], cutoff=self.bath_params["Omega"], dim_exponent=a
             )
-            validate_pairing(probe, bath)
+            validate_dim_exponent(mu, bath)
             return bath
         h, b, _ = load_operator_pair(self._resolve(self.bath_params["path"]))
         return DiscreteBath(h, b, label=Path(self.bath_params["path"]).stem)
@@ -372,10 +378,11 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
         base_dir=base_dir,
     )
     # materialisation errors (bad matrix files, dimension mismatches) should
-    # surface as configuration problems, not numerical ones
+    # surface as configuration problems, not numerical ones; the probe is
+    # checked at the hottest grid point, where a fixed truncation is tightest
     try:
         cfg.tolerances()
-        cfg.build_probe(beta=1.0)
+        cfg.build_probe(beta=beta_grid.min)
         cfg.build_bath()
     except ConfigError:
         raise

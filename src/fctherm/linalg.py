@@ -42,7 +42,11 @@ def require_hermitian(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL, name: s
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix."""
+    """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix.
+
+    ``evecs`` is float64 when the matrix has zero imaginary part, complex128
+    otherwise; ``matrix`` is the validated complex input.
+    """
 
     evals: np.ndarray
     evecs: np.ndarray
@@ -66,14 +70,15 @@ def _tie_break(evals: np.ndarray, evecs: np.ndarray, cluster_rel: float):
     if d == 0:
         return evals, evecs
     scale = max(1.0, float(np.max(np.abs(evals))))
-    # phase gauge first so the lexicographic comparison is gauge-independent
-    for j in range(d):
-        col = evecs[:, j]
-        i = int(np.argmax(np.abs(col)))
-        piv = col[i]
-        if abs(piv) > 0:
-            evecs[:, j] = col * (np.conj(piv) / abs(piv))
-            evecs[i, j] = abs(evecs[i, j])  # force exactly real
+    # phase gauge first so the lexicographic comparison is gauge-independent;
+    # a zero pivot (zero column) is divided by 1, not 0, since 0/0 would slip
+    # a NaN past the comparisons below
+    cols = np.arange(d)
+    mags = np.abs(evecs)
+    rows = np.argmax(mags, axis=0)
+    mag = mags[rows, cols]
+    evecs *= np.conj(evecs[rows, cols]) / np.where(mag > 0, mag, 1.0)
+    evecs[rows, cols] = np.abs(evecs[rows, cols])  # force exactly real
     # group near-equal eigenvalues and sort columns within each group
     start = 0
     while start < d:
@@ -91,21 +96,31 @@ def _tie_break(evals: np.ndarray, evecs: np.ndarray, cluster_rel: float):
     return evals, evecs
 
 
+def _lapack_operand(m: np.ndarray) -> np.ndarray:
+    """The real part of a Hermitian matrix whose imaginary part is all zero
+    (a real-symmetric LAPACK solver then does the work), else the matrix."""
+    return m if np.any(m.imag) else m.real
+
+
 def eigendecompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Diagonalise a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
+
+    A matrix with zero imaginary part is diagonalised in real arithmetic, so
+    its ``evecs`` are float64; otherwise they are complex128.
 
     Raises ValueError if the input is not Hermitian or if the result fails the
     unitarity / reconstruction checks.
     """
     m = require_hermitian(matrix, tol)
-    w, v = np.linalg.eigh(m)  # ascending eigenvalues
+    a = _lapack_operand(m)
+    w, v = np.linalg.eigh(a)  # ascending eigenvalues
     w, v = _tie_break(w, v, tol.eig_cluster_rel)
     d = w.size
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     uni = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
     if uni > tol.eig_unitarity:
         raise ValueError(f"eigenvector matrix not unitary: deviation {uni:.3e}")
-    rec = float(np.max(np.abs((v * w) @ v.conj().T - m)))
+    rec = float(np.max(np.abs((v * w) @ v.conj().T - a)))
     if rec > tol.eig_reconstruction * scale:
         raise ValueError(f"spectral reconstruction failed: deviation {rec:.3e}")
     return SpectralDecomposition(evals=w, evecs=v, matrix=m)
@@ -126,7 +141,7 @@ class DensityOperator:
         self.matrix = m
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(np.linalg.eigvalsh(_lapack_operand(self.matrix))[0])
 
     def check_positive(self, floor: float | None = None) -> float:
         """Return the minimum eigenvalue; raise if it is below the floor."""
@@ -184,7 +199,7 @@ def dephase(op: np.ndarray, decomp: SpectralDecomposition) -> np.ndarray:
 
 
 def sld_solve(
-    rho: np.ndarray | DensityOperator,
+    rho: np.ndarray | DensityOperator | SpectralDecomposition,
     drho: np.ndarray,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
@@ -195,9 +210,15 @@ def sld_solve(
     the derivative has weight above ``tol.sld_kernel_drho`` there the equation
     has no solution on the support and :class:`SingularSupportError` is raised;
     otherwise those components are set to zero.
+
+    ``rho`` may also be given as its spectral decomposition, so that several
+    derivatives of one state share a single diagonalisation.
     """
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
-    dec = eigendecompose(mat, tol)
+    if isinstance(rho, SpectralDecomposition):
+        dec = rho
+    else:
+        mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
+        dec = eigendecompose(mat, tol)
     drho = require_hermitian(drho, tol, name="state derivative")
     tr_d = abs(complex(np.trace(drho)))
     if tr_d > 1e-10 * max(1.0, float(np.linalg.norm(drho))):

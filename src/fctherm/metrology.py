@@ -340,13 +340,11 @@ def xi_via_spectral_kernel(
 # ----------------------------------------------------------------------------
 
 
-def high_T_asymptote(
-    probe: ProbeModel, bath: ContinuumBath, beta: float, mass: float = 1.0
-) -> float:
+def high_T_asymptote(probe: ProbeModel, bath: ContinuumBath, beta: float) -> float:
     """Leading high-temperature closed form for xi (built-in probes only).
 
     qubit:       -2 sin^2(theta) epsilon^2 cutoff^a Gamma(s) beta^3 / (3 pi)
-    oscillator:  -cutoff^a Gamma(s) beta^2 / (6 mass pi)
+    oscillator:  -cutoff^a Gamma(s) beta^2 / (6 pi)   (unit mass, as built)
 
     with a = ``bath.dim_exponent``.  Since int_0^beta C_B du = (2/pi) int J/w dw
     does not depend on beta, any u-independent part of the probe correlator
@@ -363,5 +361,5 @@ def high_T_asymptote(
         th = probe.params["theta"]
         return -2.0 * math.sin(th) ** 2 * eps**2 * weight * beta**3 / (3.0 * math.pi)
     if probe.kind == "oscillator":
-        return -weight * beta**2 / (6.0 * mass * math.pi)
+        return -weight * beta**2 / (6.0 * math.pi)
     raise ValueError(f"no high-temperature closed form for probe kind {probe.kind!r}")

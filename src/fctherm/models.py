@@ -119,6 +119,11 @@ def bath_mode(omega_b: float = 1.0, n_levels: int = 20) -> DiscreteBath:
 # probes
 # ----------------------------------------------------------------------------
 
+# energy dimension of the built-in probes' coupling operators: a spin
+# coupling is dimensionless, a unit-mass position x = (a + a^dag)/sqrt(2 omega0)
+# has dimension energy^(-1/2)
+PROBE_DIM_EXPONENTS = {"qubit": 0.0, "oscillator": -0.5}
+
 
 @dataclass
 class ProbeModel:
@@ -155,7 +160,7 @@ def probe_qubit(epsilon: float = 1.0, theta: float = 0.0) -> ProbeModel:
         hamiltonian=h,
         coupling=s,
         params={"epsilon": epsilon, "theta": theta},
-        dim_exponent=0.0,
+        dim_exponent=PROBE_DIM_EXPONENTS["qubit"],
         decomp=eigendecompose(h),
     )
 
@@ -226,7 +231,7 @@ def probe_oscillator(
         hamiltonian=h,
         coupling=x,
         params={"omega0": omega0, "n_trunc": n_trunc},
-        dim_exponent=-0.5,
+        dim_exponent=PROBE_DIM_EXPONENTS["oscillator"],
         decomp=eigendecompose(h),
     )
 
@@ -271,16 +276,27 @@ def load_operator_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray, float 
     return build("H"), build("S"), (None if mu is None else float(mu))
 
 
-def validate_pairing(probe: ProbeModel, bath: ContinuumBath) -> None:
-    """Check the bath's dimension exponent against the probe coupling dimension."""
-    if probe.dim_exponent is None:
+def paired_bath_exponent(dim_exponent: float | None) -> float:
+    """The bath ``dim_exponent`` a = 1 - 2 mu that keeps J * S^2 an energy
+    squared for a probe coupling of energy dimension mu (1 when mu is None)."""
+    return 1.0 if dim_exponent is None else 1.0 - 2.0 * dim_exponent
+
+
+def validate_dim_exponent(dim_exponent: float | None, bath: ContinuumBath) -> None:
+    """Check the bath's dimension exponent against a probe coupling dimension."""
+    if dim_exponent is None:
         return
-    expected = 1.0 - 2.0 * probe.dim_exponent
+    expected = paired_bath_exponent(dim_exponent)
     if abs(bath.dim_exponent - expected) > 1e-12:
         raise ValueError(
             f"bath dim_exponent {bath.dim_exponent} incompatible with probe "
-            f"coupling dimension {probe.dim_exponent} (expected {expected})"
+            f"coupling dimension {dim_exponent} (expected {expected})"
         )
+
+
+def validate_pairing(probe: ProbeModel, bath: ContinuumBath) -> None:
+    """Check the bath's dimension exponent against the probe coupling dimension."""
+    validate_dim_exponent(probe.dim_exponent, bath)
 
 
 # ----------------------------------------------------------------------------

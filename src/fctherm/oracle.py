@@ -90,12 +90,18 @@ def partial_trace_bath(matrix: np.ndarray, dim_probe: int, dim_bath: int) -> np.
 
 
 def _reduced_thermal(joint: JointModel, beta: float) -> np.ndarray:
-    """Reduced state of the joint Gibbs state (raw matrix, original basis)."""
+    """Reduced state of the joint Gibbs state (raw matrix, original basis).
+
+    tr_B sum_k p_k |v_k><v_k| without forming the joint state: row i of the
+    eigenvectors reshaped to (d_S, d_B * d) lists <i, b|v_k> over (b, k), so
+    one (d_S x d_B d) product contracts the bath index and the sum over k.
+    """
     dec = joint.decomp
     p, _ = gibbs_populations(dec.evals, beta)
-    rho_joint = (dec.evecs * p) @ dec.evecs.conj().T
     ds, db = joint.dims
-    red = partial_trace_bath(rho_joint, ds, db)
+    v = dec.evecs.reshape(ds, db * dec.dim)
+    vp = (dec.evecs * p).reshape(ds, db * dec.dim)
+    red = vp @ v.conj().T
     return 0.5 * (red + red.conj().T)
 
 
@@ -160,9 +166,10 @@ def exact_fishers(
     """
     step = h if h is not None else tol.fd_step_rel * beta
     rho, dr, d_h, d_half = _state_derivative(joint, beta, step)
+    rho_dec = eigendecompose(rho, tol)
 
     def fishers(drho: np.ndarray) -> tuple[float, float]:
-        sld = sld_solve(rho, drho, tol)
+        sld = sld_solve(rho_dec, drho, tol)
         f = qfi_from_sld(rho, sld)
         i = cfi_energy_general(joint.probe.decomp, rho, drho)
         return f, i

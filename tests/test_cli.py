@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -45,6 +46,24 @@ def test_report_csv_layout(tmp_path):
         assert row[14] in ("true", "false")
         for cell in row[:14]:
             float(cell)  # every numeric cell must parse
+
+
+def test_fixed_truncation_is_checked_at_the_hottest_grid_point(tmp_path, capsys):
+    # five levels are valid at beta = 10 and 20, though not at beta = 1
+    doc = {
+        "probe": {"kind": "oscillator", "params": {"omega0": 1.0, "n_trunc": 5}},
+        "bath": {"kind": "ohmic", "s": 1.0, "Omega": 10.0},
+        "gamma": 0.05,
+        "beta_grid": {"min": 10.0, "max": 20.0, "n": 2},
+    }
+    out = tmp_path / "cold.csv"
+    assert main(["report", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 2
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[:14])
+    doc["beta_grid"]["min"] = 1.0
+    assert main(["report", "--config", write_config(tmp_path, doc)]) == 2
+    assert "inverse temperature 1.0; increase n_trunc" in capsys.readouterr().err
 
 
 def test_report_values_round_trip_through_text(tmp_path):
@@ -256,6 +275,22 @@ def test_scaling_dissipative_statuses(tmp_path, config_dir):
     assert by_q["F_-_F_pert"][-1] == "skipped (first-order term present; expansion refused)"
     assert by_q["state_distance"][-1] == "PASS"
     assert 0.9 <= float(by_q["state_distance"][2]) <= 1.1
+
+
+def test_scaling_oscillator_probe_against_truncated_mode(tmp_path, config_dir, capsys):
+    # oscillator probe (14 levels) x one 12-level mode, joint d = 168; the
+    # oracle and the expansion share the truncated probe, so the truncation
+    # warning at beta = 1 does not enter the comparison
+    out = tmp_path / "om.csv"
+    with pytest.warns(UserWarning, match="top-level population"):
+        rc = main(["scaling", "--config", str(config_dir / "scaling_oscillator_mode.json"),
+                   "--out", str(out)])
+    assert rc == 0
+    assert "zero-mean environment: yes" in capsys.readouterr().out
+    by_q = scaling_statuses(out)
+    assert set(by_q) == {"F_-_I", "F_-_F_pert", "state_distance"}
+    for name, parts in by_q.items():
+        assert parts[-1] == "PASS", (name, parts)
 
 
 def test_scaling_requires_discrete_bath(tmp_path):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from fctherm import ConfigError, GridSpec, load_config, parse_config
+from fctherm import ConfigError, GridSpec, RunConfig, load_config, parse_config
 
 BASE = {
     "probe": {"kind": "qubit", "params": {"epsilon": 1.0, "theta": 0.5}},
@@ -159,6 +159,36 @@ def test_mismatched_exponent_is_a_config_error():
     doc = cfg_with(bath={"kind": "ohmic", "s": 1.0, "Omega": 100.0, "a": 2.0})
     with pytest.raises(ConfigError, match="failed to materialise"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "probe, a",
+    [
+        ({"kind": "oscillator", "params": {"n_trunc": 60}}, 1.0),
+        ({"kind": "custom-matrix-file", "params": {"path": "probe_qubit_z.json"}}, 2.0),
+    ],
+)
+def test_mismatched_exponent_without_a_probe_build(tmp_path, config_dir, probe, a):
+    (tmp_path / "probe_qubit_z.json").write_text((config_dir / "probe_qubit_z.json").read_text())
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg_with(probe=probe,
+                                        bath={"kind": "ohmic", "s": 1.0, "Omega": 10.0, "a": a})))
+    with pytest.raises(ConfigError, match="failed to materialise.*dim_exponent"):
+        load_config(path)
+
+
+def test_build_bath_reads_the_coupling_dimension_without_a_probe(monkeypatch):
+    cfgs = [parse_config(cfg_with(probe=probe)) for probe in (
+        BASE["probe"], {"kind": "oscillator", "params": {"omega0": 1.0}})]
+    built = [cfg.build_probe(beta=1.0).dim_exponent for cfg in cfgs]
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("build_bath built a probe")
+
+    monkeypatch.setattr(RunConfig, "build_probe", no_probe)
+    for cfg, mu in zip(cfgs, built):
+        assert cfg.probe_dim_exponent() == mu
+        assert cfg.build_bath().dim_exponent == 1.0 - 2.0 * mu
 
 
 def test_tolerance_overrides_apply():

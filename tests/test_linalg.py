@@ -21,7 +21,7 @@ from fctherm import (
     require_hermitian,
     sld_solve,
 )
-from fctherm.linalg import MAX_LAGUERRE_NODES, _laggauss, _leggauss
+from fctherm.linalg import MAX_LAGUERRE_NODES, _laggauss, _leggauss, _tie_break
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
@@ -93,6 +93,77 @@ def test_eigendecompose_d128_with_degenerate_cluster_is_bit_reproducible():
     rec = (d1.evecs * d1.evals) @ d1.evecs.conj().T
     assert np.max(np.abs(rec - m)) < 1e-12
     assert np.max(np.abs(d1.evecs.conj().T @ d1.evecs - np.eye(128))) < 1e-12
+
+
+def test_eigendecompose_real_symmetric_input_runs_in_real_arithmetic():
+    # a real-symmetric matrix stored as complex, with a 2-fold cluster
+    rng = np.random.default_rng(31)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    levels = np.sort(rng.uniform(-3.0, 3.0, size=12))
+    levels[4:6] = 0.25
+    m = ((q * levels) @ q.T).astype(complex)
+    m = 0.5 * (m + m.conj().T)
+    dec = eigendecompose(m)
+    assert dec.evecs.dtype == np.float64
+    assert np.max(np.abs((dec.evecs * dec.evals) @ dec.evecs.T - m)) < 1e-12
+    assert np.max(np.abs(dec.evecs.T @ dec.evecs - np.eye(12))) < 1e-12
+    # phase gauge: each column's largest-magnitude entry is positive
+    assert np.all(np.abs(dec.evecs).argmax(axis=0) == dec.evecs.argmax(axis=0))
+    # the complex path on the same matrix plus a sigma_y-type (i * real
+    # antisymmetric) perturbation that goes to 0; it splits the cluster at
+    # first order in eps and moves the simple levels at second order
+    a = rng.standard_normal((12, 12))
+    scale = float(np.max(np.abs(levels)))
+    for eps in (1e-15, 1e-100, 1e-300):
+        near = eigendecompose(m + 1j * eps * (a - a.T))
+        assert near.evecs.dtype == np.complex128
+        assert np.max(np.abs(near.evals - dec.evals)) < 1e-12 * scale
+
+
+def test_eigendecompose_complex_hermitian_keeps_complex_eigenvectors():
+    m = random_hermitian(6, 5)
+    dec = eigendecompose(m)
+    assert dec.evecs.dtype == np.complex128
+    rows = np.abs(dec.evecs).argmax(axis=0)
+    pivots = dec.evecs[rows, np.arange(6)]
+    assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
+
+
+def _phase_gauge_loop(evecs: np.ndarray) -> np.ndarray:
+    """Column-by-column reference for the phase gauge in ``_tie_break``."""
+    out = evecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        i = int(np.argmax(np.abs(col)))
+        piv = col[i]
+        if abs(piv) > 0:
+            out[:, j] = col * (np.conj(piv) / abs(piv))
+            out[i, j] = abs(out[i, j])
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_tie_break_phase_gauge_matches_column_loop(dtype):
+    # distinct eigenvalues, so only the phase gauge acts; a zero column keeps
+    # its (absent) phase instead of turning into NaN
+    rng = np.random.default_rng(77)
+    v = rng.standard_normal((9, 9))
+    if dtype is np.complex128:
+        v = v + 1j * rng.standard_normal((9, 9))
+    v[:, 4] = 0.0
+    expected = _phase_gauge_loop(v)
+    _, got = _tie_break(np.arange(9.0), v.copy(), DEFAULT_TOL.eig_cluster_rel)
+    assert got.dtype == dtype
+    assert np.all(np.isfinite(got)) and not np.any(got[:, 4])
+    if dtype is np.float64:
+        # real moduli are exact, so the phases are the same signs
+        assert np.array_equal(got, expected)
+    else:
+        # numpy's vectorised complex abs may round the modulus differently
+        # in the last bit from the scalar abs the loop uses
+        assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps * np.max(np.abs(v))
+        pivots = got[np.abs(got).argmax(axis=0), np.arange(9)]
+        assert not np.any(pivots.imag)
 
 
 def test_eigenbasis_round_trip():
@@ -191,6 +262,24 @@ def test_sld_solve_ignores_negligible_null_weight():
     drho = np.diag([-1e-13, 1e-13]).astype(complex)
     sld = sld_solve(rho, drho)
     assert np.all(np.isfinite(sld))
+
+
+def test_sld_solve_reuses_a_decomposition_of_the_state():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    rho = a @ a.conj().T
+    rho = rho / np.trace(rho).real
+    drho = random_hermitian(5, 20)
+    drho -= np.trace(drho).real / 5.0 * np.eye(5)
+    dec = eigendecompose(rho)
+    assert np.array_equal(sld_solve(dec, drho), sld_solve(rho, drho))
+    with pytest.raises(ValueError, match="trace-preserving"):
+        sld_solve(dec, drho + 1e-6 * np.eye(5))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        sld_solve(dec, drho + 1e-6j * np.eye(5))
+    null = eigendecompose(np.diag([1.0, 0.0]).astype(complex))
+    with pytest.raises(SingularSupportError):
+        sld_solve(null, np.diag([-1e-3, 1e-3]).astype(complex))
 
 
 def test_qfi_matches_thermal_variance():

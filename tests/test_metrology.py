@@ -203,9 +203,9 @@ def test_high_T_asymptote_closed_forms():
     assert got == pytest.approx(3.0 * exact, rel=1e-12)
 
     osc = probe_oscillator(1.0, beta_design=1.0)
-    got = high_T_asymptote(osc, bath, beta, mass=2.0)
-    # cutoff ** dim_exponent = 3 on this bath, mass 2
-    exact = -3.0 * math.gamma(1.5) * beta**2 / (12.0 * math.pi)
+    got = high_T_asymptote(osc, bath, beta)
+    # cutoff ** dim_exponent = 3 on this bath; the probe's position is unit-mass
+    exact = -3.0 * math.gamma(1.5) * beta**2 / (6.0 * math.pi)
     assert got == pytest.approx(exact, rel=1e-12)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fctherm import (
+    DiscreteBath,
     JointModel,
     bath_mode,
     bath_qubit,
@@ -20,12 +21,16 @@ from fctherm import (
     order_fit,
     partial_trace_bath,
     pauli_coefficient,
+    probe_custom,
+    probe_oscillator,
     probe_qubit,
     reference_two_qubit_models,
     refine_linear,
     refine_quadratic,
     trace_distance,
 )
+from fctherm.linalg import gibbs_populations
+from fctherm.oracle import _reduced_thermal
 from fctherm.tolerances import DEFAULT_TOL
 
 
@@ -67,6 +72,32 @@ def test_joint_dimension_limit():
     big = bath_mode(1.0, n_levels=2100)  # 2 * 2100 > 4096
     with pytest.raises(ValueError, match="4096"):
         JointModel(probe, big, 0.01)
+
+
+SY = np.array([[0.0, -1j], [1j, 0.0]])
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "joint, evecs_dtype",
+    [
+        # real joint Hamiltonian: oscillator probe x truncated mode, d = 48
+        (JointModel(probe_oscillator(1.0, n_trunc=8), bath_mode(0.45, n_levels=6), 0.07),
+         np.float64),
+        # imaginary coupling sigma_y (x) sigma_x: the complex path
+        (JointModel(probe_custom(SZ, SY), DiscreteBath(0.6 * SZ, SX), 0.3), np.complex128),
+    ],
+    ids=["real-oscillator-mode", "sigma_y-coupling"],
+)
+def test_reduced_thermal_equals_partial_trace_of_joint_gibbs_state(joint, evecs_dtype):
+    dec = joint.decomp
+    assert dec.evecs.dtype == evecs_dtype
+    for beta in (0.3, 1.0, 4.0):
+        p, _ = gibbs_populations(dec.evals, beta)
+        rho_joint = (dec.evecs * p) @ dec.evecs.conj().T
+        full = partial_trace_bath(rho_joint, *joint.dims)
+        assert np.max(np.abs(_reduced_thermal(joint, beta) - full)) < 1e-14
 
 
 def test_exact_mfg_at_zero_coupling_is_bare():
