@@ -11,9 +11,13 @@ one GEMM between two node x level (or level x node) exponential tables.
 The module also keeps the cyclic Jacobi eigensolver that LAPACK replaced; the
 library no longer calls it (see :func:`jacobi_eigh`).
 
-Exponents are shifted so that the largest factor is exp(beta * spectral_width);
-beyond ~700 in that exponent the quantities overflow in float64, which is far
-outside any regime where second-order perturbation theory is meaningful.
+Energies are shifted before exponentiation, but a level-pair sum still
+reaches exp(u * (E_max - E_min)) with u up to beta: sigma_nodes has that
+factor in one table, and in gap_integrals it is the product of two factors
+of at most exp(u * width / 2) each.  Both therefore overflow float64 once
+beta * (E_max - E_min) exceeds ~709.  Cold, wide spectra reach that: a
+40-level oscillator probe (width 39) does at beta ~ 18.2, where the report
+rows turn NaN.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ def gap_integrals(energies, u_nodes, coeffs):
     """G[a, b] = sum_j coeffs[j] * exp(u_nodes[j] * (E_b - E_a)).
 
     ``coeffs`` already contains quadrature weights times any node-dependent
-    kernel factor.  Energies are centred before exponentiation so each factor
-    stays within float range as long as u_max * width/2 < ~700.
+    kernel factor.  Energies are centred before exponentiation, so each table
+    entry stays within float range while u_max * width / 2 < ~709; their
+    products, the summands, overflow once u_max * width > ~709.
     """
     e = np.asarray(energies, dtype=float)
     mid = 0.5 * (e.max() + e.min()) if e.size else 0.0

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, load_config, parse_config
-from .errors import ConfigError, CouplingTooStrongError
+from .errors import ConfigError, CouplingTooStrongError, FcthermError, TruncationWarning
 from .linalg import gibbs_state
 from .metrology import qfi_perturbative_integral, snr_bound
 from .models import zero_mean_ok
@@ -157,7 +158,11 @@ def cmd_sweep(cfg: RunConfig, out: str | None, workers: int) -> int:
 def _scaling_rows(cfg: RunConfig, beta: float) -> list[dict]:
     """Order-of-scaling fits for one inverse temperature."""
     tol = cfg.tolerances()
-    probe = cfg.build_probe(beta=beta)
+    # The oracle and the expansion share this truncated probe, so truncation
+    # error cancels from every comparison below and the warning would be false.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        probe = cfg.build_probe(beta=beta)
     bath = cfg.build_bath()
     if not hasattr(bath, "hamiltonian"):
         raise ConfigError("scaling: requires a discrete-file bath (exact reference needed)")
@@ -277,10 +282,17 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # e.g. an --out path that is a directory or read-only
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
     except CouplingTooStrongError as exc:
         print(f"perturbative-regime violation: {exc}", file=sys.stderr)
         return 4
-    except Exception as exc:  # numerical failures: singular solves, non-convergence, ...
+    # the library's numerical failures: singular solves (FcthermError),
+    # refused or non-converged computations (ValueError, including numpy's
+    # LinAlgError, and RuntimeError), floating-point errors (ArithmeticError);
+    # anything else is a programming error and propagates with its traceback
+    except (FcthermError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, TruncationWarning
 from .models import (
     PROBE_DIM_EXPONENTS,
     ContinuumBath,
@@ -379,10 +380,14 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
     )
     # materialisation errors (bad matrix files, dimension mismatches) should
     # surface as configuration problems, not numerical ones; the probe is
-    # checked at the hottest grid point, where a fixed truncation is tightest
+    # checked at the hottest grid point, where a fixed truncation is tightest.
+    # Its truncation warning is left to the commands, which build the probe
+    # again at that point and know whether truncation error can matter.
     try:
         cfg.tolerances()
-        cfg.build_probe(beta=beta_grid.min)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            cfg.build_probe(beta=beta_grid.min)
         cfg.build_bath()
     except ConfigError:
         raise

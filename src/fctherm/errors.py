@@ -25,3 +25,9 @@ class CouplingTooStrongError(FcthermError):
 
 class ConfigError(FcthermError):
     """A run configuration failed validation."""
+
+
+class TruncationWarning(UserWarning):
+    """A truncated probe leaves more thermal population in its top level than
+    the tail budget allows, so truncation error may dominate a comparison
+    against the untruncated model."""

@@ -32,23 +32,23 @@ from .linalg import (
     eigendecompose,
     gibbs_populations,
     quad_imaginary_time,
-    quad_thermal_frequency,
     sld_solve,
 )
 from .models import (
     DEFAULT_FREQ_NODES,
     ContinuumBath,
+    ContinuumBathCorrelation,
     CorrelationFn,
     ProbeModel,
-    bath_correlation,
     probe_correlation,
     spectral_density,
-    zero_mean_ok,
 )
 from .perturbation import (
     DEFAULT_TIME_NODES,
     MeanForceExpansion,
     SldExpansion,
+    _as_bath_correlation,
+    _require_beta,
     sld_second_order,
     x_matrix,
 )
@@ -63,14 +63,14 @@ def energy_variance(probe: ProbeModel, beta: float) -> float:
     return float(np.dot(p, (e - mean) ** 2))
 
 
-def _correlators(probe, bath, beta, n_omega, probe_corr, bath_corr):
+def _as_probe_correlation(
+    probe: ProbeModel, beta: float, probe_corr: CorrelationFn | None
+) -> CorrelationFn:
+    """The probe correlator at ``beta``: the eigenbasis form, or a ready-made
+    correlator checked against ``beta``."""
     if probe_corr is None:
-        probe_corr = probe_correlation(probe, beta, "eigenbasis")
-    if bath_corr is None:
-        bath_corr = bath_correlation(bath, beta, n_omega) if not isinstance(
-            bath, CorrelationFn
-        ) else bath
-    return probe_corr, bath_corr
+        return probe_correlation(probe, beta, "eigenbasis")
+    return _require_beta(probe_corr, beta, "probe")
 
 
 def qfi_perturbative_integral(
@@ -86,14 +86,16 @@ def qfi_perturbative_integral(
 
     F2 = int_0^beta du [ (beta-u) C_B * C_S'' + 2 (C_B + (beta-u) C_B') C_S' ]
 
-    where primes are beta-derivatives at fixed u.
+    where primes are beta-derivatives at fixed u.  Ready-made correlators
+    (``bath`` itself, ``bath_corr`` or ``probe_corr``) must have been built
+    for ``beta``; ValueError otherwise.
     """
-    probe_corr, bath_corr = _correlators(probe, bath, beta, n_omega, probe_corr, bath_corr)
+    probe_corr = _as_probe_correlation(probe, beta, probe_corr)
+    bath_corr = _as_bath_correlation(bath if bath_corr is None else bath_corr, beta, n_omega)
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
     u = rule.nodes
     tail = beta - u
-    phi_b = np.asarray(bath_corr.value(u), dtype=float)
-    dphi_b = np.asarray(bath_corr.dbeta(u), dtype=float)
+    phi_b, dphi_b = (np.asarray(c, dtype=float) for c in bath_corr.value_and_dbeta(u))
     dphi_s = np.asarray(probe_corr.dbeta(u), dtype=float)
     d2phi_s = np.asarray(probe_corr.d2beta(u), dtype=float)
     integrand = tail * phi_b * d2phi_s + 2.0 * (phi_b + tail * dphi_b) * dphi_s
@@ -251,11 +253,9 @@ def snr_bound(
     expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol, with_dbeta=True)
     sldexp = sld_second_order(probe, bath, beta, n_u, n_omega, tol, expansion=expansion)
     probe_corr = probe_correlation(probe, beta, "eigenbasis")
-    bath_corr = bath if isinstance(bath, CorrelationFn) else bath_correlation(
-        bath, beta, n_omega
-    )
+    bath_corr = _as_bath_correlation(bath, beta, n_omega)
     f0, f2 = qfi_perturbative_integral(
-        probe, bath, beta, n_u, n_omega, probe_corr=probe_corr, bath_corr=bath_corr
+        probe, bath_corr, beta, n_u, n_omega, probe_corr=probe_corr
     )
     _, i2 = cfi_energy_perturbative(
         probe, bath, beta, n_u, n_omega, tol, expansion=expansion
@@ -264,7 +264,9 @@ def snr_bound(
     xi = beta**2 * f2
     mean_sq_s = float(probe_corr.value(0.0))
     mean_sq_b = float(bath_corr.value(0.0))
-    zero_mean = True if isinstance(bath, ContinuumBath) else zero_mean_ok(bath, beta, tol)
+    # x_matrix has already refused a mean above the threshold; a correlator
+    # without a ``mean`` is taken as zero-mean there too
+    zero_mean = abs(getattr(bath_corr, "mean", 0.0)) <= tol.assumption_mean
     d = expansion.evals.size
     x01 = complex(expansion.x[0, 1]) if d > 1 else 0j
     a01 = complex(sldexp.alpha[0, 1]) if d > 1 else 0j
@@ -320,18 +322,24 @@ def snr_kernel(
 
 def xi_via_spectral_kernel(
     probe: ProbeModel,
-    bath: ContinuumBath,
+    bath: ContinuumBath | ContinuumBathCorrelation,
     beta: float,
     n_u: int = DEFAULT_TIME_NODES,
     n_omega: int = DEFAULT_FREQ_NODES,
     probe_corr: CorrelationFn | None = None,
 ) -> float:
-    """xi by integrating the sensitivity kernel against the spectral density."""
-    if probe_corr is None:
-        probe_corr = probe_correlation(probe, beta, "eigenbasis")
-    rule = quad_thermal_frequency(n_omega, bath.cutoff, beta)
-    f_vals = snr_kernel(probe_corr, beta, rule.nodes, n_u, layer=1.0 / bath.cutoff)
-    j_vals = spectral_density(bath, rule.nodes)
+    """xi by integrating the sensitivity kernel against the spectral density.
+
+    The frequency rule is the bath correlator's own; a ready-made correlator
+    (``bath`` or ``probe_corr``) must have been built for ``beta``.
+    """
+    probe_corr = _as_probe_correlation(probe, beta, probe_corr)
+    bath_corr = _as_bath_correlation(bath, beta, n_omega)
+    if not isinstance(bath_corr, ContinuumBathCorrelation):
+        raise TypeError("the spectral-kernel route needs a continuum bath")
+    rule = bath_corr.rule
+    f_vals = snr_kernel(probe_corr, beta, rule.nodes, n_u, layer=bath_corr.layer_width)
+    j_vals = spectral_density(bath_corr.bath, rule.nodes)
     return rule.integrate(j_vals * f_vals)
 
 

@@ -14,7 +14,8 @@ at large beta or large frequency.
 
 Each correlator exposes ``value``, ``dbeta`` and ``d2beta`` (derivatives at
 fixed u with respect to inverse temperature); ``d2beta`` may raise
-``NotImplementedError`` where it is never needed.
+``NotImplementedError`` where it is never needed.  ``value_and_dbeta``
+returns the first two together, so a correlator can share work between them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from .errors import TruncationWarning
 from .linalg import (
     QuadratureRule,
     SpectralDecomposition,
@@ -218,6 +220,7 @@ def probe_oscillator(
                 warnings.warn(
                     f"top-level population {top:.2e} exceeds {tail:.1e} at inverse "
                     f"temperature {beta_design}; truncation error may dominate",
+                    TruncationWarning,
                     stacklevel=2,
                 )
     k = np.arange(n_trunc)
@@ -322,6 +325,10 @@ class CorrelationFn:
 
     def d2beta(self, u):
         raise NotImplementedError
+
+    def value_and_dbeta(self, u):
+        """``(value(u), dbeta(u))``; overridden where the two share work."""
+        return self.value(u), self.dbeta(u)
 
     def tilde(self, u):
         """The (beta - u)-weighted correlator that appears under the u-integrals."""
@@ -463,13 +470,20 @@ class ContinuumBathCorrelation(CorrelationFn):
         return out if out.ndim else float(out)
 
     def dbeta(self, u):
+        return self.value_and_dbeta(u)[1]
+
+    def value_and_dbeta(self, u):
+        """``value`` and ``dbeta`` from two exponential tables: e^{-u w} and
+        e^{-(beta-u) w} serve both, and e^{-(beta+u) w} is e^{-u w} e^{-beta w}."""
         u = np.asarray(u, dtype=float)
         w = self._w
-        num = np.exp(-np.multiply.outer(self.beta - u, w)) + np.exp(
-            -np.multiply.outer(self.beta + u, w)
-        )
-        out = -num @ (self._jw * w / (1.0 - self._em) ** 2)
-        return out if out.ndim else float(out)
+        near = np.exp(-np.multiply.outer(u, w))
+        far = np.exp(-np.multiply.outer(self.beta - u, w))
+        val = (near + far) @ (self._jw / (1.0 - self._em))
+        dval = -(far + near * self._em) @ (self._jw * w / (1.0 - self._em) ** 2)
+        if val.ndim:
+            return val, dval
+        return float(val), float(dval)
 
     def d2beta(self, u):
         raise NotImplementedError("second beta-derivative of the bath correlator is unused")

@@ -50,11 +50,18 @@ from .tolerances import DEFAULT_TOL, Tolerances
 DEFAULT_TIME_NODES = 64  # imaginary-time rule size
 
 
+def _require_beta(corr: CorrelationFn, beta: float, role: str) -> CorrelationFn:
+    """Return ``corr``; raise if it was built for another inverse temperature."""
+    if abs(corr.beta - beta) > 1e-15 * max(1.0, beta):
+        raise ValueError(f"{role} correlator was built for a different beta")
+    return corr
+
+
 def _as_bath_correlation(bath, beta: float, n_omega: int) -> CorrelationFn:
+    """The bath correlator at ``beta``: built from a bath specification, or a
+    ready-made correlator checked against ``beta``."""
     if isinstance(bath, CorrelationFn):
-        if abs(bath.beta - beta) > 1e-15 * max(1.0, beta):
-            raise ValueError("bath correlator was built for a different beta")
-        return bath
+        return _require_beta(bath, beta, "bath")
     if isinstance(bath, (ContinuumBath, DiscreteBath)):
         return bath_correlation(bath, beta, n_omega)
     raise TypeError(f"unsupported bath specification: {type(bath).__name__}")
@@ -62,7 +69,11 @@ def _as_bath_correlation(bath, beta: float, n_omega: int) -> CorrelationFn:
 
 @dataclass
 class MeanForceExpansion:
-    """Second-order reduced-state expansion in the probe eigenbasis."""
+    """Second-order reduced-state expansion in the probe eigenbasis.
+
+    ``x`` and ``x_dbeta`` are float64 when the probe's eigenvectors and
+    coupling are real (every built-in probe), complex128 otherwise.
+    """
 
     beta: float
     evals: np.ndarray
@@ -102,7 +113,10 @@ def _assemble_x(
     abs_sq = np.abs(s_eig) ** 2
     p, _ = gibbs_populations(evals, beta)
 
-    phi_b = np.asarray(corr_b.value(u), dtype=float)
+    if want_dbeta:
+        phi_b, dphi_b = (np.asarray(c, dtype=float) for c in corr_b.value_and_dbeta(u))
+    else:
+        phi_b = np.asarray(corr_b.value(u), dtype=float)
     sigma = _kernels.sigma_nodes(evals, abs_sq, u)
     phi_s = p @ sigma  # probe correlator as the same level sum
 
@@ -130,7 +144,6 @@ def _assemble_x(
 
     x_dbeta = None
     if want_dbeta:
-        dphi_b = np.asarray(corr_b.dbeta(u), dtype=float)
         dphi_s = (-p * (evals - float(np.dot(p, evals)))) @ sigma
         kern2 = w * (phi_b + (beta - u) * dphi_b)
         dx_diag = (sigma - phi_s[None, :]) @ kern2 - float(np.dot(wtilde, dphi_s))
@@ -267,7 +280,7 @@ def mfg_second_order(
             "symmetrised",
             stacklevel=2,
         )
-    rho_eig = np.diag(exp.populations).astype(complex) + gamma**2 * exp.weighted_x()
+    rho_eig = np.diag(exp.populations) + gamma**2 * exp.weighted_x()
     rho_eig = 0.5 * (rho_eig + rho_eig.conj().T)
     rho = probe.decomp.from_eigenbasis(rho_eig)
     rho = 0.5 * (rho + rho.conj().T)
@@ -317,7 +330,8 @@ def p1_operator(
 @dataclass
 class SldExpansion:
     """Logarithmic-derivative expansion L = L0 + gamma^2 A for the inverse
-    temperature, in the probe eigenbasis."""
+    temperature, in the probe eigenbasis (``alpha`` has the dtype of the
+    expansion's ``x``)."""
 
     beta: float
     evals: np.ndarray

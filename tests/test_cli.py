@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 
+from fctherm import TruncationWarning, cli
 from fctherm.cli import CSV_COLUMNS, main
 
 QUBIT_OHMIC = {
@@ -201,6 +203,12 @@ def test_exit_2_on_removed_tolerance_field(tmp_path, capsys):
     assert "tolerances.eig_offdiag_rel: unknown tolerance name" in capsys.readouterr().err
 
 
+def test_exit_2_on_unwritable_output_path(tmp_path, capsys):
+    cfg = write_config(tmp_path, QUBIT_OHMIC)
+    assert main(["report", "--config", cfg, "--out", str(tmp_path)]) == 2  # a directory
+    assert "I/O error" in capsys.readouterr().err
+
+
 def test_exit_3_on_numerical_failure(tmp_path, config_dir, capsys):
     # a projector-coupled environment has a non-zero coupling mean, which the
     # second-order report machinery refuses mid-computation
@@ -212,6 +220,17 @@ def test_exit_3_on_numerical_failure(tmp_path, config_dir, capsys):
     assert main(["report", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "p1_operator" in err
+
+
+def test_programming_errors_are_not_reported_as_numerical_failures(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TypeError("snr_bound() got an unexpected keyword argument")
+
+    monkeypatch.setattr(cli, "snr_bound", broken)
+    cfg = write_config(tmp_path, QUBIT_OHMIC)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        main(["report", "--config", cfg])
+    assert "numerical failure" not in capsys.readouterr().err
 
 
 def test_exit_4_when_coupling_leaves_perturbative_regime(tmp_path, config_dir, capsys):
@@ -279,18 +298,31 @@ def test_scaling_dissipative_statuses(tmp_path, config_dir):
 
 def test_scaling_oscillator_probe_against_truncated_mode(tmp_path, config_dir, capsys):
     # oscillator probe (14 levels) x one 12-level mode, joint d = 168; the
-    # oracle and the expansion share the truncated probe, so the truncation
-    # warning at beta = 1 does not enter the comparison
+    # oracle and the expansion share the truncated probe, so truncation error
+    # does not enter the comparison and no truncation warning is raised
     out = tmp_path / "om.csv"
-    with pytest.warns(UserWarning, match="top-level population"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["scaling", "--config", str(config_dir / "scaling_oscillator_mode.json"),
                    "--out", str(out)])
+    assert not [w for w in caught if issubclass(w.category, TruncationWarning)]
     assert rc == 0
     assert "zero-mean environment: yes" in capsys.readouterr().out
     by_q = scaling_statuses(out)
     assert set(by_q) == {"F_-_I", "F_-_F_pert", "state_distance"}
     for name, parts in by_q.items():
         assert parts[-1] == "PASS", (name, parts)
+
+
+def test_report_still_warns_about_a_tight_truncation(tmp_path, config_dir):
+    # the same 14-level probe in a report is compared with nothing truncated
+    # alike, so there the warning stands (once, from the row at beta = 1)
+    out = tmp_path / "om_report.csv"
+    with pytest.warns(TruncationWarning, match="top-level population") as caught:
+        rc = main(["report", "--config", str(config_dir / "scaling_oscillator_mode.json"),
+                   "--out", str(out)])
+    assert rc == 0
+    assert len([w for w in caught if issubclass(w.category, TruncationWarning)]) == 1
 
 
 def test_scaling_requires_discrete_bath(tmp_path):

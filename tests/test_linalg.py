@@ -129,6 +129,58 @@ def test_eigendecompose_complex_hermitian_keeps_complex_eigenvectors():
     assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
 
 
+def _counting_eigh(monkeypatch) -> list:
+    calls = []
+    solver = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_eigendecompose_diagonal_input_skips_lapack(monkeypatch, dtype):
+    # unsorted, with a tied pair at -1 and a zero level
+    levels = np.array([3.0, -1.0, 2.0, 0.0, -1.0, 0.5, -2.5])
+    m = np.diag(levels).astype(dtype)
+    ref_w, ref_v = _tie_break(*np.linalg.eigh(m.real), DEFAULT_TOL.eig_cluster_rel)
+    calls = _counting_eigh(monkeypatch)
+    dec = eigendecompose(m)
+    again = eigendecompose(m.copy())
+    assert calls == []
+    assert dec.evecs.dtype == np.float64
+    assert np.array_equal(dec.evals, np.sort(levels))
+    assert np.array_equal(dec.evals, ref_w)
+    assert np.array_equal(dec.evecs, ref_v)
+    assert np.array_equal(dec.evals, again.evals) and np.array_equal(dec.evecs, again.evecs)
+    # a single off-diagonal entry, however small, goes to the solver
+    near = m.copy()
+    near[1, 5] = near[5, 1] = 1e-300
+    dec_near = eigendecompose(near)
+    assert calls == [m.shape]
+    assert np.max(np.abs(dec_near.evals - dec.evals)) < 1e-15
+
+
+def test_eigendecompose_diagonal_input_keeps_its_checks():
+    diag = np.diag([2.0, -1.0, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigendecompose(diag + 1e-6j * np.eye(3))
+    with pytest.raises(ValueError, match="square"):
+        eigendecompose(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="not unitary"):
+        eigendecompose(diag, DEFAULT_TOL.replaced(eig_unitarity=-1.0))
+    with pytest.raises(ValueError, match="reconstruction failed"):
+        eigendecompose(diag, DEFAULT_TOL.replaced(eig_reconstruction=-1.0))
+    # a complex diagonal whose imaginary part is within the hermiticity
+    # tolerance keeps complex unit eigenvectors, as LAPACK's complex solver does
+    dec = eigendecompose(diag + 1e-14j * np.eye(3))
+    assert dec.evecs.dtype == np.complex128
+    assert np.array_equal(dec.evals, [-1.0, 0.5, 2.0])
+
+
 def _phase_gauge_loop(evecs: np.ndarray) -> np.ndarray:
     """Column-by-column reference for the phase gauge in ``_tie_break``."""
     out = evecs.copy()

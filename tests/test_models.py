@@ -156,6 +156,9 @@ def test_correlator_beta_derivatives_match_finite_differences():
         (lambda b: QubitCorrelation(1.3, 0.8, b), 1.1),
         (lambda b: OscillatorCorrelation(0.9, b), 1.1),
         (lambda b: bath_correlation(bath_qubit(0.8), b), 1.1),
+        # continuum baths on both frequency rules: beta*cutoff = 110 is cold, 3.3 warm
+        (lambda b: bath_correlation(ContinuumBath(1.0, 100.0), b), 1.1),
+        (lambda b: bath_correlation(ContinuumBath(1.5, 3.0, dim_exponent=2.0), b), 1.1),
     ]
     for make, beta in cases:
         got = make(beta).dbeta(u)
@@ -177,6 +180,26 @@ def test_tilde_forms_are_consistent():
     assert np.allclose(
         corr.tilde_dbeta(u), corr.value(u) + (beta - u) * corr.dbeta(u), rtol=0, atol=1e-15
     )
+
+
+@pytest.mark.parametrize("beta", [0.1, 2.0, 25.0])  # 25 takes the cold frequency rule
+def test_value_and_dbeta_matches_the_separate_evaluations(beta):
+    # the continuum dbeta is the fused method's second value; its finite-difference
+    # check is in test_correlator_beta_derivatives_match_finite_differences
+    u = np.concatenate([[0.0], np.linspace(0.0, beta, 13)[1:-1], [beta]])
+    for corr in (
+        bath_correlation(ContinuumBath(1.0, 100.0), beta),
+        bath_correlation(ContinuumBath(1.5, 3.0, dim_exponent=2.0), beta),
+        bath_correlation(bath_qubit(0.8), beta),  # the CorrelationFn default
+        QubitCorrelation(1.3, 0.8, beta),
+    ):
+        val, dval = corr.value_and_dbeta(u)
+        for got, ref in ((val, corr.value(u)), (dval, corr.dbeta(u))):
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), type(corr).__name__
+        val0, dval0 = corr.value_and_dbeta(0.3 * beta)
+        assert isinstance(val0, float) and isinstance(dval0, float)
+        assert val0 == pytest.approx(corr.value(0.3 * beta), rel=1e-13)
+        assert dval0 == pytest.approx(corr.dbeta(0.3 * beta), rel=1e-13)
 
 
 def test_continuum_correlator_refuses_second_derivative():

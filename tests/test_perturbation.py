@@ -19,6 +19,7 @@ from fctherm import (
     probe_oscillator,
     probe_qubit,
     sld_second_order,
+    snr_bound,
     x_diag,
     x_matrix,
     x_matrix_fd_dbeta,
@@ -253,3 +254,65 @@ def test_sld_solves_the_expanded_lyapunov_equation():
     )
     rhs = (p * l0)[:, None] * exp.x + p[:, None] * exp.x_dbeta
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * max(1.0, np.max(np.abs(rhs)))
+
+
+# ---------------------------------------------------------------------------
+# real and complex arithmetic
+# ---------------------------------------------------------------------------
+
+REAL_PAIRS = [
+    (probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0)),
+    (probe_oscillator(1.0, n_trunc=12), ContinuumBath(1.0, 100.0, dim_exponent=2.0)),
+    (probe_qubit(0.7, 0.3), bath_mode(1.0, 8)),
+]
+
+
+def _complexified(probe, where: str):
+    """The probe with i eps (A - A^T), eps = 1e-300, added to its Hamiltonian
+    or its coupling: the same model to every printed digit, but with a
+    non-zero imaginary part, so it runs the complex path."""
+    a = np.random.default_rng(probe.dim).standard_normal((probe.dim, probe.dim))
+    tiny = 1j * 1e-300 * (a - a.T)
+    h, s = probe.hamiltonian, probe.coupling
+    if where == "hamiltonian":
+        h = h + tiny
+    else:
+        s = s + tiny
+    return probe_custom(h, s, dim_exponent=probe.dim_exponent)
+
+
+def _assert_close(got, ref, scale):
+    assert np.max(np.abs(np.asarray(got) - np.asarray(ref))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("where", ["hamiltonian", "coupling"])
+@pytest.mark.parametrize("probe, bath", REAL_PAIRS)
+def test_real_probes_run_in_real_arithmetic(probe, bath, where):
+    beta = 1.3
+    twin = _complexified(probe, where)
+    assert probe.decomp.evecs.dtype == np.float64
+    assert twin.decomp.evecs.dtype == (np.complex128 if where == "hamiltonian" else np.float64)
+
+    real, cplx = x_matrix(probe, bath, beta), x_matrix(twin, bath, beta)
+    for name in ("x", "x_dbeta"):
+        r, c = getattr(real, name), getattr(cplx, name)
+        assert r.dtype == np.float64 and c.dtype == np.complex128, name
+        # compared as pi X and pi dX: row n of X carries e^{beta (E_n - E_m)},
+        # so the complex solver's O(eps) eigenvector mixing reaches 1e-12 of
+        # max|X| in the rows of the nearly empty top oscillator levels, while
+        # the state correction pi X it enters is unaffected
+        p = real.populations[:, None]
+        _assert_close(p * c, p * r, np.max(np.abs(p * r)))
+
+    sld_r = sld_second_order(probe, bath, beta, expansion=real)
+    sld_c = sld_second_order(twin, bath, beta, expansion=cplx)
+    assert sld_r.alpha.dtype == np.float64 and sld_c.alpha.dtype == np.complex128
+    _assert_close(sld_c.alpha, sld_r.alpha, np.max(np.abs(sld_r.alpha)))
+
+    rep_r, rep_c = snr_bound(probe, bath, 0.1, beta), snr_bound(twin, bath, 0.1, beta)
+    for name in ("f0", "f2", "i2", "xi"):
+        r = getattr(rep_r, name)
+        _assert_close(getattr(rep_c, name), r, abs(r))
+    # the oscillator's X01 and A01 vanish; measure them against their matrices
+    _assert_close(rep_c.x01, rep_r.x01, np.max(np.abs(real.x)))
+    _assert_close(rep_c.alpha01, rep_r.alpha01, np.max(np.abs(sld_r.alpha)))
