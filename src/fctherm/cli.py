@@ -290,9 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     # the library's numerical failures: singular solves (FcthermError),
     # refused or non-converged computations (ValueError, including numpy's
-    # LinAlgError, and RuntimeError), floating-point errors (ArithmeticError);
-    # anything else is a programming error and propagates with its traceback
-    except (FcthermError, ValueError, RuntimeError, ArithmeticError) as exc:
+    # LinAlgError), floating-point errors (ArithmeticError); anything else is
+    # a programming error and propagates with its traceback
+    except (FcthermError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -330,14 +330,6 @@ class CorrelationFn:
         """``(value(u), dbeta(u))``; overridden where the two share work."""
         return self.value(u), self.dbeta(u)
 
-    def tilde(self, u):
-        """The (beta - u)-weighted correlator that appears under the u-integrals."""
-        return (self.beta - np.asarray(u)) * self.value(u)
-
-    def tilde_dbeta(self, u):
-        """beta-derivative of ``tilde`` at fixed u (product rule: C + (beta-u) C')."""
-        return self.value(u) + (self.beta - np.asarray(u)) * self.dbeta(u)
-
 
 class EigenbasisCorrelation(CorrelationFn):
     """Correlator evaluated as an explicit double sum over energy levels.

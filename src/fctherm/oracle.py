@@ -2,10 +2,10 @@
 
 Everything here works directly on the joint probe+environment Hamiltonian by
 brute-force diagonalisation: the reduced thermal state is an exact partial
-trace, and temperature derivatives are central finite differences with
-Richardson step-halving.  Nothing in this module touches the series-expansion
-machinery, so agreement between the two is a genuine cross-check rather than
-a tautology.
+trace, and its temperature derivative is exact too, because only the Gibbs
+weights of the fixed joint eigenbasis depend on inverse temperature.  Nothing
+in this module touches the series-expansion machinery, so agreement between
+the two is a genuine cross-check rather than a tautology.
 
 The module also ships two exactly solvable two-qubit models with non-zero
 environment mean, together with evaluators for their closed-form expansion
@@ -89,20 +89,39 @@ def partial_trace_bath(matrix: np.ndarray, dim_probe: int, dim_bath: int) -> np.
     return np.einsum("ibjb->ij", r)
 
 
-def _reduced_thermal(joint: JointModel, beta: float) -> np.ndarray:
-    """Reduced state of the joint Gibbs state (raw matrix, original basis).
+def _reduced_weighted(joint: JointModel, weights: np.ndarray) -> np.ndarray:
+    """tr_B sum_k w_k |v_k><v_k| over the joint eigenvectors (raw matrix, original basis).
 
-    tr_B sum_k p_k |v_k><v_k| without forming the joint state: row i of the
-    eigenvectors reshaped to (d_S, d_B * d) lists <i, b|v_k> over (b, k), so
-    one (d_S x d_B d) product contracts the bath index and the sum over k.
+    Never forms a joint operator: row i of the eigenvectors reshaped to
+    (d_S, d_B * d) lists <i, b|v_k> over (b, k), so one (d_S x d_B d) product
+    contracts the bath index and the sum over k.
     """
     dec = joint.decomp
-    p, _ = gibbs_populations(dec.evals, beta)
     ds, db = joint.dims
     v = dec.evecs.reshape(ds, db * dec.dim)
-    vp = (dec.evecs * p).reshape(ds, db * dec.dim)
-    red = vp @ v.conj().T
+    vw = (dec.evecs * weights).reshape(ds, db * dec.dim)
+    red = vw @ v.conj().T
     return 0.5 * (red + red.conj().T)
+
+
+def _reduced_thermal(joint: JointModel, beta: float) -> np.ndarray:
+    """Reduced state of the joint Gibbs state (raw matrix, original basis)."""
+    p, _ = gibbs_populations(joint.decomp.evals, beta)
+    return _reduced_weighted(joint, p)
+
+
+def _reduced_thermal_and_dbeta(joint: JointModel, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced state and its exact inverse-temperature derivative.
+
+    The joint eigenvectors do not depend on beta, so only the Gibbs weights
+    move: d p_k / d beta = p_k (<H> - E_k).  Energies are measured from the
+    ground level, which leaves the weights unchanged and keeps <H> - E_k free
+    of cancellation against a large spectral offset.
+    """
+    e = joint.decomp.evals - joint.decomp.evals.min()
+    p, _ = gibbs_populations(e, beta)
+    dp = p * (np.dot(p, e) - e)
+    return _reduced_weighted(joint, p), _reduced_weighted(joint, dp)
 
 
 def exact_mfg(joint: JointModel, beta: float, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
@@ -120,69 +139,29 @@ def trace_distance(a: np.ndarray | DensityOperator, b: np.ndarray | DensityOpera
 
 
 # ----------------------------------------------------------------------------
-# exact Fisher informations by finite differences
+# exact Fisher informations
 # ----------------------------------------------------------------------------
 
 
-def _state_derivative(joint: JointModel, beta: float, h: float):
-    """Reduced state and its Richardson-refined inverse-temperature derivative.
-
-    Returns (rho, drho_refined, drho_h, drho_half) so callers can check the
-    step-halving consistency themselves.
-    """
-    rho = _reduced_thermal(joint, beta)
-    d_h = (_reduced_thermal(joint, beta + h) - _reduced_thermal(joint, beta - h)) / (2.0 * h)
-    d_half = (
-        _reduced_thermal(joint, beta + 0.5 * h) - _reduced_thermal(joint, beta - 0.5 * h)
-    ) / h
-    return rho, (4.0 * d_half - d_h) / 3.0, d_h, d_half
-
-
-def exact_sld(
-    joint: JointModel,
-    beta: float,
-    h: float | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def exact_sld(joint: JointModel, beta: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Symmetric logarithmic derivative of the exact reduced state (original basis)."""
-    step = h if h is not None else tol.fd_step_rel * beta
-    rho, dr, _, _ = _state_derivative(joint, beta, step)
-    return sld_solve(rho, dr, tol)
+    rho, drho = _reduced_thermal_and_dbeta(joint, beta)
+    return sld_solve(rho, drho, tol)
 
 
 def exact_fishers(
-    joint: JointModel,
-    beta: float,
-    h: float | None = None,
-    tol: Tolerances = DEFAULT_TOL,
+    joint: JointModel, beta: float, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[float, float]:
     """(F, I): quantum Fisher information of the exact reduced state, and the
     classical Fisher information of probe-energy measurements on it.
 
-    The inverse-temperature derivative is a central finite difference with
-    step ``h`` (default ``tol.fd_step_rel * beta``); the step-halved estimate
-    must agree to ``tol.richardson_rel`` or a RuntimeError is raised, and the
-    Richardson combination of the two is what enters the returned values.
+    Both use the exact inverse-temperature derivative of the reduced state,
+    tr_B sum_k p_k (<H> - E_k) |v_k><v_k| over the joint eigenpairs, so no
+    state is evaluated at a shifted beta.
     """
-    step = h if h is not None else tol.fd_step_rel * beta
-    rho, dr, d_h, d_half = _state_derivative(joint, beta, step)
-    rho_dec = eigendecompose(rho, tol)
-
-    def fishers(drho: np.ndarray) -> tuple[float, float]:
-        sld = sld_solve(rho_dec, drho, tol)
-        f = qfi_from_sld(rho, sld)
-        i = cfi_energy_general(joint.probe.decomp, rho, drho)
-        return f, i
-
-    f_h, i_h = fishers(d_h)
-    f_2, i_2 = fishers(d_half)
-    for name, v1, v2 in (("quantum", f_h, f_2), ("classical", i_h, i_2)):
-        if abs(v1 - v2) > tol.richardson_rel * max(1.0, abs(v2)):
-            raise RuntimeError(
-                f"finite-difference {name} Fisher information did not converge under "
-                f"step halving: {v1!r} vs {v2!r} at beta={beta}, h={step:.3e}"
-            )
-    return fishers(dr)
+    rho, drho = _reduced_thermal_and_dbeta(joint, beta)
+    sld = sld_solve(rho, drho, tol)
+    return qfi_from_sld(rho, sld), cfi_energy_general(joint.probe.decomp, rho, drho)
 
 
 # ----------------------------------------------------------------------------
@@ -263,8 +242,8 @@ def order_fit(
 def default_gamma_grid(n: int = 8, lo: float = 1e-2, hi: float = 1e-1) -> np.ndarray:
     """Log-spaced couplings for order fits.
 
-    Below ~1e-2 the deviations approach differencing noise; above ~1e-1 higher
-    orders contaminate the fit.
+    The default window keeps fourth-order deviations (gamma^4 >= 1e-8) far
+    above rounding; above ~1e-1 higher orders contaminate the fit.
     """
     return np.logspace(math.log10(lo), math.log10(hi), n)
 

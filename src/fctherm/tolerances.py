@@ -33,16 +33,12 @@ class Tolerances:
     # --- symmetric logarithmic derivative ---
     sld_support: float = 1e-14        # eigenvalue-pair sum treated as a null direction
     sld_kernel_drho: float = 1e-12    # |drho_ij| allowed on a null direction
-    sld_residual: float = 1e-10       # ||(L rho + rho L)/2 - drho|| invariant
 
     # --- perturbation theory ---
     degeneracy_rel: float = 1e-10     # |gap| < this * ||H_S|| uses the degenerate limit
     fd_step_rel: float = 1e-5         # finite-difference step h = fd_step_rel * beta
-    deriv_cross_rel: float = 1e-6     # analytic vs finite-difference dX/dbeta agreement
-    kms: float = 1e-10                # correlation-function KMS symmetry invariant
 
     # --- oracle ---
-    richardson_rel: float = 1e-8      # step-halving consistency of exact derivatives
     order_floor_factor: float = 1e3   # deviations below factor*eps*scale are noise
 
     # --- model construction ---

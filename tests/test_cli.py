@@ -196,11 +196,13 @@ def test_exit_2_on_bad_worker_count(tmp_path):
     assert main(["report", "--config", cfg, "--workers", "0"]) == 2
 
 
-def test_exit_2_on_removed_tolerance_field(tmp_path, capsys):
-    # the Jacobi convergence knob went with the Jacobi solver
-    cfg = write_config(tmp_path, dict(QUBIT_OHMIC, tolerances={"eig_offdiag_rel": 1e-14}))
+# the Jacobi convergence knob went with the Jacobi solver, the step-halving
+# knob with the oracle's finite differences, and the KMS knob was never read
+@pytest.mark.parametrize("name", ["eig_offdiag_rel", "richardson_rel", "kms"])
+def test_exit_2_on_removed_tolerance_field(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, dict(QUBIT_OHMIC, tolerances={name: 1e-14}))
     assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
-    assert "tolerances.eig_offdiag_rel: unknown tolerance name" in capsys.readouterr().err
+    assert f"tolerances.{name}: unknown tolerance name" in capsys.readouterr().err
 
 
 def test_exit_2_on_unwritable_output_path(tmp_path, capsys):

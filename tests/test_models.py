@@ -172,16 +172,6 @@ def test_correlator_beta_derivatives_match_finite_differences():
         assert np.max(np.abs(got - ref)) < 1e-5 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_tilde_forms_are_consistent():
-    beta = 1.4
-    corr = QubitCorrelation(1.0, 0.5, beta)
-    u = np.linspace(0.0, beta, 9)
-    assert np.allclose(corr.tilde(u), (beta - u) * corr.value(u), rtol=0, atol=1e-15)
-    assert np.allclose(
-        corr.tilde_dbeta(u), corr.value(u) + (beta - u) * corr.dbeta(u), rtol=0, atol=1e-15
-    )
-
-
 @pytest.mark.parametrize("beta", [0.1, 2.0, 25.0])  # 25 takes the cold frequency rule
 def test_value_and_dbeta_matches_the_separate_evaluations(beta):
     # the continuum dbeta is the fused method's second value; its finite-difference

@@ -1,4 +1,4 @@
-"""Exact small-system reference: joint states, FD Fisher data, scaling fits."""
+"""Exact small-system reference: joint states, exact Fisher data, scaling fits."""
 
 from __future__ import annotations
 
@@ -24,14 +24,14 @@ from fctherm import (
     probe_custom,
     probe_oscillator,
     probe_qubit,
+    qfi_perturbative_integral,
     reference_two_qubit_models,
     refine_linear,
     refine_quadratic,
     trace_distance,
 )
 from fctherm.linalg import gibbs_populations
-from fctherm.oracle import _reduced_thermal
-from fctherm.tolerances import DEFAULT_TOL
+from fctherm.oracle import _reduced_thermal, _reduced_thermal_and_dbeta
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
@@ -141,8 +141,8 @@ def test_exact_sld_solves_its_defining_equation():
     jm = JointModel(probe, bath, 0.08)
     sld = exact_sld(jm, beta)
     rho = exact_mfg(jm, beta).matrix
-    # recompute the derivative at the same default step for the residual check
-    h = DEFAULT_TOL.fd_step_rel * beta
+    # a Richardson-refined central difference, independent of the oracle's derivative
+    h = 1e-5 * beta
     rp = exact_mfg(jm, beta + h).matrix
     rm = exact_mfg(jm, beta - h).matrix
     rp2 = exact_mfg(jm, beta + 0.5 * h).matrix
@@ -160,11 +160,41 @@ def test_exact_fishers_ordering_and_positivity():
     assert f >= i >= 0.0
 
 
-def test_exact_fishers_richardson_guard():
+@pytest.mark.parametrize(
+    "probe, bath, gamma, beta",
+    [
+        (probe_qubit(1.0, np.pi / 4.0), bath_qubit(1.0), 0.1, 1.0),
+        (probe_oscillator(1.0, n_trunc=10), bath_mode(0.7, 10), 0.05, 1.3),
+    ],
+    ids=["qubit-qubit", "oscillator-mode-d100"],
+)
+def test_exact_state_derivative_matches_central_difference(probe, bath, gamma, beta):
+    jm = JointModel(probe, bath, gamma)
+    rho, drho = _reduced_thermal_and_dbeta(jm, beta)
+    assert np.array_equal(rho, _reduced_thermal(jm, beta))
+    h = 1e-5 * beta
+    fd = (_reduced_thermal(jm, beta + h) - _reduced_thermal(jm, beta - h)) / (2.0 * h)
+    assert np.max(np.abs(drho - fd)) <= 1e-8 * np.max(np.abs(fd))
+    # a trace-preserving family to rounding, far inside sld_solve's 1e-10 limit
+    assert abs(np.trace(drho)) <= 1e-14
+
+
+def test_exact_fishers_resolve_fourth_order_at_weak_coupling():
+    # below gamma = 1e-2 the gamma^4 truncation of F is smaller than the
+    # rounding noise of a finite-difference beta-derivative, so this window
+    # resolves only with the exact one
     probe, bath = probe_qubit(1.0, np.pi / 4.0), bath_qubit(1.0)
-    strict = DEFAULT_TOL.replaced(richardson_rel=1e-18)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        exact_fishers(JointModel(probe, bath, 0.1), 1.0, tol=strict)
+    beta = 1.0
+    f0, f2 = qfi_perturbative_integral(probe, bath, beta)
+    gammas = default_gamma_grid(8, 1e-3, 1e-2)
+    f_vals, trunc = [], []
+    for g in gammas:
+        f, _ = exact_fishers(JointModel(probe, bath, float(g)), beta)
+        f_vals.append(f)
+        trunc.append(abs(f - (f0 + g**2 * f2)))
+    fit = order_fit(gammas, trunc, scale=max(f_vals))
+    assert 3.8 <= fit.slope <= 4.2
+    assert fit.r_squared > 0.9999
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from fctherm import (
     x_matrix_fd_dbeta,
     x_offdiag,
 )
-from fctherm.tolerances import DEFAULT_TOL
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PROJ_UP = np.diag([1.0, 0.0]).astype(complex)
@@ -115,7 +114,7 @@ def test_analytic_dbeta_matches_finite_differences(probe, bath, beta):
     exp = x_matrix(probe, bath, beta)
     fd = x_matrix_fd_dbeta(probe, bath, beta)
     scale = max(1.0, float(np.max(np.abs(fd))))
-    assert np.max(np.abs(exp.x_dbeta - fd)) < DEFAULT_TOL.deriv_cross_rel * scale
+    assert np.max(np.abs(exp.x_dbeta - fd)) < 1e-6 * scale
 
 
 def test_fd_path_rejects_fixed_beta_correlators():
