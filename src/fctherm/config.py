@@ -163,6 +163,7 @@ class RunConfig:
                 params.get("omega0", 1.0),
                 n_trunc=params.get("n_trunc"),
                 beta_design=params.get("beta_design", beta),
+                tail=self.tolerances().tail_population,
             )
         h, s, mu = load_operator_pair(self._resolve(params["path"]))
         return probe_custom(h, s, dim_exponent=mu)

@@ -80,18 +80,17 @@ def qfi_perturbative_integral(
     n_u: int = DEFAULT_TIME_NODES,
     n_omega: int = DEFAULT_FREQ_NODES,
     probe_corr: CorrelationFn | None = None,
-    bath_corr: CorrelationFn | None = None,
 ) -> tuple[float, float]:
     """(F0, F2) with F2 from the imaginary-time integral route:
 
     F2 = int_0^beta du [ (beta-u) C_B * C_S'' + 2 (C_B + (beta-u) C_B') C_S' ]
 
     where primes are beta-derivatives at fixed u.  Ready-made correlators
-    (``bath`` itself, ``bath_corr`` or ``probe_corr``) must have been built
-    for ``beta``; ValueError otherwise.
+    (``bath`` itself or ``probe_corr``) must have been built for ``beta``;
+    ValueError otherwise.
     """
     probe_corr = _as_probe_correlation(probe, beta, probe_corr)
-    bath_corr = _as_bath_correlation(bath if bath_corr is None else bath_corr, beta, n_omega)
+    bath_corr = _as_bath_correlation(bath, beta, n_omega)
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
     u = rule.nodes
     tail = beta - u
@@ -117,7 +116,7 @@ def qfi_perturbative_sum(
     F2 = sum_n p_n dE_n^2 X_nn - 2 sum_n p_n dE_n A_nn,   dE_n = E_n - <H>.
     """
     if expansion is None:
-        expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol, with_dbeta=True)
+        expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     if sld is None:
         sld = sld_second_order(probe, bath, beta, n_u, n_omega, tol, expansion=expansion)
     p = expansion.populations
@@ -148,7 +147,7 @@ def cfi_energy_perturbative(
     to the optimal bound is achieved by the bare energy measurement.
     """
     if expansion is None:
-        expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol, with_dbeta=True)
+        expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     p = expansion.populations
     e = expansion.evals
     de = e - float(np.dot(p, e))
@@ -250,9 +249,9 @@ def snr_bound(
     tol: Tolerances = DEFAULT_TOL,
 ) -> MetrologyReport:
     """Optimal relative-error bound (dT/T)^-2 <= beta^2 F to second order."""
-    expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol, with_dbeta=True)
+    expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     sldexp = sld_second_order(probe, bath, beta, n_u, n_omega, tol, expansion=expansion)
-    probe_corr = probe_correlation(probe, beta, "eigenbasis")
+    probe_corr = expansion.probe_corr
     bath_corr = _as_bath_correlation(bath, beta, n_omega)
     f0, f2 = qfi_perturbative_integral(
         probe, bath_corr, beta, n_u, n_omega, probe_corr=probe_corr

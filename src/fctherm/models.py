@@ -336,6 +336,9 @@ class EigenbasisCorrelation(CorrelationFn):
 
     This is the exact level-sum form used by the expansion machinery: using it
     there makes trace identities hold to rounding even for truncated spectra.
+    It owns the level data those sums need: the rotated coupling
+    ``coupling_eig``, the Gibbs ``populations`` and their beta-derivative
+    ``dpopulations = -p (E - <E>)``, and the per-level sums ``sigma(u)``.
     """
 
     def __init__(self, decomp: SpectralDecomposition, coupling: np.ndarray, beta: float):
@@ -343,21 +346,23 @@ class EigenbasisCorrelation(CorrelationFn):
             raise ValueError("beta must be positive")
         self.beta = float(beta)
         self.evals = decomp.evals
-        a_eig = decomp.to_eigenbasis(coupling)
-        self.abs_sq = np.abs(a_eig) ** 2
+        self.coupling_eig = decomp.to_eigenbasis(coupling)
+        self.abs_sq = np.abs(self.coupling_eig) ** 2
         self.populations, self.log_z = gibbs_populations(self.evals, beta)
         self.mean_energy = float(np.dot(self.populations, self.evals))
+        self.dpopulations = -self.populations * (self.evals - self.mean_energy)
         self.energy_var = float(
             np.dot(self.populations, (self.evals - self.mean_energy) ** 2)
         )
-        self.mean = float(np.real(np.dot(self.populations, np.diag(a_eig))))
+        self.mean = float(np.real(np.dot(self.populations, np.diag(self.coupling_eig))))
 
-    def _sigma(self, u) -> np.ndarray:
+    def sigma(self, u) -> np.ndarray:
+        """sigma_n(u) = sum_k |A_nk|^2 e^{-u (E_k - E_n)}, shape (levels, nodes)."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         return _kernels.sigma_nodes(self.evals, self.abs_sq, u_arr)
 
     def _weighted(self, u, weights):
-        sig = self._sigma(u)
+        sig = self.sigma(u)
         out = weights @ sig
         return out if np.ndim(u) else float(out[0])
 
@@ -365,8 +370,7 @@ class EigenbasisCorrelation(CorrelationFn):
         return self._weighted(u, self.populations)
 
     def dbeta(self, u):
-        w = -self.populations * (self.evals - self.mean_energy)
-        return self._weighted(u, w)
+        return self._weighted(u, self.dpopulations)
 
     def d2beta(self, u):
         centered = self.evals - self.mean_energy

@@ -15,8 +15,11 @@ populations p_n, coupling matrix S_nk):
 
 where sigma_n(u) = sum_k |S_nk|^2 e^{-u (E_k - E_n)} and C_S = sum_n p_n
 sigma_n is the probe correlator.  Near-degenerate pairs use the analytic
-limit of the second line.  The beta-derivative of X, needed for estimation
-theory, is available both analytically and by finite differences.
+limit of the second line.  The probe's level data (rotated coupling,
+populations, sigma_n) come from one EigenbasisCorrelation per point, which the
+expansion carries.  The beta-derivative of X, needed for estimation theory,
+is always assembled alongside X; a finite-difference version is kept for
+cross-validation.
 
 When the environment mean is non-zero there is also a first-order term,
 handled by :func:`p1_operator`.
@@ -31,17 +34,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import CouplingTooStrongError
-from .linalg import (
-    DensityOperator,
-    QuadratureRule,
-    gibbs_populations,
-    quad_imaginary_time,
-)
+from .linalg import DensityOperator, QuadratureRule, quad_imaginary_time
 from .models import (
     DEFAULT_FREQ_NODES,
     ContinuumBath,
     CorrelationFn,
     DiscreteBath,
+    EigenbasisCorrelation,
     ProbeModel,
     bath_correlation,
 )
@@ -73,18 +72,19 @@ class MeanForceExpansion:
 
     ``x`` and ``x_dbeta`` are float64 when the probe's eigenvectors and
     coupling are real (every built-in probe), complex128 otherwise.
+    ``probe_corr`` is the probe correlator the expansion was assembled from.
     """
 
     beta: float
     evals: np.ndarray
     populations: np.ndarray
     x: np.ndarray                    # correction matrix, probe eigenbasis
-    x_dbeta: np.ndarray | None       # analytic d X / d beta (same basis)
+    x_dbeta: np.ndarray              # analytic d X / d beta (same basis)
     rule: QuadratureRule
+    probe_corr: EigenbasisCorrelation
     hermiticity_drift: float = 0.0   # max |pi X - (pi X)^dag| before symmetrisation
     gamma: float | None = None
     state: DensityOperator | None = None  # assembled state, original basis
-    p1: np.ndarray | None = None     # first-order term, set only for non-zero-mean baths
     trace_renormalised: bool = False
 
     def weighted_x(self) -> np.ndarray:
@@ -96,68 +96,58 @@ class MeanForceExpansion:
         return float(np.real(np.trace(self.weighted_x())))
 
 
+def _pair_sums(s_eig: np.ndarray, g: np.ndarray, g_deg: np.ndarray):
+    """Off-diagonal level-pair sums S (S o G), (S o G^T) S and S (S o G_deg)."""
+    return s_eig @ (s_eig * g), (s_eig * g.T) @ s_eig, s_eig @ (s_eig * g_deg)
+
+
 def _assemble_x(
     probe: ProbeModel,
     corr_b: CorrelationFn,
     beta: float,
     n_u: int,
     tol: Tolerances,
-    want_dbeta: bool,
 ):
-    """Shared assembly for X and (optionally) its analytic beta-derivative."""
+    """Shared assembly for X and its analytic beta-derivative."""
     rule = quad_imaginary_time(n_u, beta, corr_b.layer_width)
     u = rule.nodes
     w = rule.weights
-    evals = probe.decomp.evals
-    s_eig = probe.decomp.to_eigenbasis(probe.coupling)
-    abs_sq = np.abs(s_eig) ** 2
-    p, _ = gibbs_populations(evals, beta)
+    probe_corr = EigenbasisCorrelation(probe.decomp, probe.coupling, beta)
+    evals, p, s_eig = probe_corr.evals, probe_corr.populations, probe_corr.coupling_eig
 
-    if want_dbeta:
-        phi_b, dphi_b = (np.asarray(c, dtype=float) for c in corr_b.value_and_dbeta(u))
-    else:
-        phi_b = np.asarray(corr_b.value(u), dtype=float)
-    sigma = _kernels.sigma_nodes(evals, abs_sq, u)
-    phi_s = p @ sigma  # probe correlator as the same level sum
+    phi_b, dphi_b = (np.asarray(c, dtype=float) for c in corr_b.value_and_dbeta(u))
+    sigma = probe_corr.sigma(u)
+    phi_s = p @ sigma  # probe correlator and its beta-derivative as level sums
+    dphi_s = probe_corr.dpopulations @ sigma
 
-    # diagonal: sum_j w_j (beta-u_j) C_B [sigma_n - C_S]
+    # diagonal: sum_j w_j (beta-u_j) C_B [sigma_n - C_S], and its derivative
     wtilde = w * (beta - u) * phi_b
-    x_diag = (sigma - phi_s[None, :]) @ wtilde
+    kern2 = w * (phi_b + (beta - u) * dphi_b)
+    centred = sigma - phi_s[None, :]
+    x_diag = centred @ wtilde
+    dx_diag = centred @ kern2 - float(np.dot(wtilde, dphi_s))
 
     # off-diagonal via gap-resolved integrals and two matrix products
-    d = evals.size
     gap = evals[:, None] - evals[None, :]  # gap[n, m] = E_n - E_m
     scale = max(float(np.max(np.abs(evals))), float(evals.max() - evals.min()), 1e-300)
     degen = np.abs(gap) < tol.degeneracy_rel * scale
+    safe_gap = np.where(degen, 1.0, gap)
+    exp_bgap = np.exp(beta * gap)
 
     g_phi = _kernels.gap_integrals(evals, u, w * phi_b)     # G[a,b] ~ e^{u(E_b-E_a)}
     g_phi_w = _kernels.gap_integrals(evals, u, wtilde)      # with (beta-u) C_B weight
-    exp_bgap = np.exp(beta * gap)
+    g_dphi = _kernels.gap_integrals(evals, u, w * dphi_b)
+    g_kern2 = _kernels.gap_integrals(evals, u, kern2)
 
-    a1 = s_eig @ (s_eig * g_phi)
-    a2 = (s_eig * g_phi.T) @ s_eig
-    safe_gap = np.where(degen, 1.0, gap)
-    x_reg = (exp_bgap * a1 - a2) / safe_gap
-    x_deg = s_eig @ (s_eig * g_phi_w)
-    x = np.where(degen, x_deg, x_reg)
+    a1, a2, x_deg = _pair_sums(s_eig, g_phi, g_phi_w)
+    x = np.where(degen, x_deg, (exp_bgap * a1 - a2) / safe_gap)
     np.fill_diagonal(x, x_diag)
 
-    x_dbeta = None
-    if want_dbeta:
-        dphi_s = (-p * (evals - float(np.dot(p, evals)))) @ sigma
-        kern2 = w * (phi_b + (beta - u) * dphi_b)
-        dx_diag = (sigma - phi_s[None, :]) @ kern2 - float(np.dot(wtilde, dphi_s))
+    a1d, a2d, dx_deg = _pair_sums(s_eig, g_dphi, g_kern2)
+    x_dbeta = np.where(degen, dx_deg, (exp_bgap * a1d - a2d) / safe_gap + exp_bgap * a1)
+    np.fill_diagonal(x_dbeta, dx_diag)
 
-        g_dphi = _kernels.gap_integrals(evals, u, w * dphi_b)
-        g_kern2 = _kernels.gap_integrals(evals, u, kern2)
-        a1d = s_eig @ (s_eig * g_dphi)
-        a2d = (s_eig * g_dphi.T) @ s_eig
-        dx_reg = (exp_bgap * a1d - a2d) / safe_gap + exp_bgap * a1
-        dx_deg = s_eig @ (s_eig * g_kern2)
-        x_dbeta = np.where(degen, dx_deg, dx_reg)
-        np.fill_diagonal(x_dbeta, dx_diag)
-
-    return evals, p, x, x_dbeta, rule
+    return probe_corr, x, x_dbeta, rule
 
 
 def x_matrix(
@@ -167,9 +157,8 @@ def x_matrix(
     n_u: int = DEFAULT_TIME_NODES,
     n_omega: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
-    with_dbeta: bool = True,
 ) -> MeanForceExpansion:
-    """Second-order state-correction matrix X (and analytic dX/dbeta).
+    """Second-order state-correction matrix X and its analytic dX/dbeta.
 
     ``bath`` may be a bath specification or a ready-made correlator.  The
     expansion is derived under a zero-mean environment coupling; a bath whose
@@ -185,16 +174,18 @@ def x_matrix(
             "expansion assumes a zero-mean coupling — handle the first-order term "
             "with p1_operator or centre the coupling operator"
         )
-    evals, p, x, dx, rule = _assemble_x(probe, corr_b, beta, n_u, tol, with_dbeta)
+    probe_corr, x, dx, rule = _assemble_x(probe, corr_b, beta, n_u, tol)
+    p = probe_corr.populations
     weighted = p[:, None] * x
     drift = float(np.max(np.abs(weighted - weighted.conj().T)))
     return MeanForceExpansion(
         beta=beta,
-        evals=evals,
+        evals=probe_corr.evals,
         populations=p,
         x=x,
         x_dbeta=dx,
         rule=rule,
+        probe_corr=probe_corr,
         hermiticity_drift=drift,
     )
 
@@ -208,7 +199,7 @@ def x_diag(
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Diagonal of the second-order correction in the probe eigenbasis."""
-    exp = x_matrix(probe, bath, beta, n_u, n_omega, tol, with_dbeta=False)
+    exp = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     return np.real(np.diag(exp.x)).copy()
 
 
@@ -221,7 +212,7 @@ def x_offdiag(
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Off-diagonal part of the second-order correction (diagonal zeroed)."""
-    exp = x_matrix(probe, bath, beta, n_u, n_omega, tol, with_dbeta=False)
+    exp = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     out = exp.x.copy()
     np.fill_diagonal(out, 0.0)
     return out
@@ -234,26 +225,22 @@ def x_matrix_fd_dbeta(
     n_u: int = DEFAULT_TIME_NODES,
     n_omega: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
-    step_rel: float | None = None,
-    richardson: bool = True,
 ) -> np.ndarray:
     """Finite-difference dX/dbeta for cross-validation of the analytic path.
 
-    Central differences with step h = step_rel * beta; with ``richardson`` the
-    h and h/2 estimates are combined to fourth order.
+    Central differences with steps h = tol.fd_step_rel * beta and h/2,
+    combined by Richardson extrapolation to fourth order.
     """
     if isinstance(bath, CorrelationFn):
         raise ValueError(
             "finite-difference path needs a bath specification, not a fixed-beta correlator"
         )
-    h = (step_rel if step_rel is not None else tol.fd_step_rel) * beta
+    h = tol.fd_step_rel * beta
 
     def x_at(b: float) -> np.ndarray:
-        return x_matrix(probe, bath, b, n_u, n_omega, tol, with_dbeta=False).x
+        return x_matrix(probe, bath, b, n_u, n_omega, tol).x
 
     d1 = (x_at(beta + h) - x_at(beta - h)) / (2.0 * h)
-    if not richardson:
-        return d1
     d2 = (x_at(beta + 0.5 * h) - x_at(beta - 0.5 * h)) / h
     return (4.0 * d2 - d1) / 3.0
 
@@ -273,7 +260,7 @@ def mfg_second_order(
     eigenvalue below ``tol.psd_mean_force`` (the expansion left its regime).
     Warns when symmetrising away more than ``tol.hermit_drift``.
     """
-    exp = x_matrix(probe, bath, beta, n_u, n_omega, tol, with_dbeta=True)
+    exp = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     if exp.hermiticity_drift > tol.hermit_drift:
         warnings.warn(
             f"state correction drifted from Hermitian by {exp.hermiticity_drift:.3e}; "
@@ -311,11 +298,9 @@ def p1_operator(
     Returns the matrix in the probe eigenbasis (or the original basis with
     ``basis="original"``).  Identically zero when ``mean_b == 0``.
     """
-    evals = probe.decomp.evals
-    p, _ = gibbs_populations(evals, beta)
-    s_eig = probe.decomp.to_eigenbasis(probe.coupling)
-    mean_s = float(np.real(np.dot(p, np.diag(s_eig))))
-    s_bar = s_eig - mean_s * np.eye(evals.size)
+    corr = EigenbasisCorrelation(probe.decomp, probe.coupling, beta)
+    evals, p = corr.evals, corr.populations
+    s_bar = corr.coupling_eig - corr.mean * np.eye(evals.size)
     gap = evals[:, None] - evals[None, :]
     small = np.abs(gap) < 1e-300
     tau = np.where(small, beta, np.expm1(beta * np.where(small, 1.0, gap)) / np.where(small, 1.0, gap))
@@ -364,10 +349,8 @@ def sld_second_order(
     symmetrised and the drift recorded.
     """
     exp = expansion if expansion is not None else x_matrix(
-        probe, bath, beta, n_u, n_omega, tol, with_dbeta=True
+        probe, bath, beta, n_u, n_omega, tol
     )
-    if exp.x_dbeta is None:
-        raise ValueError("expansion must carry the beta-derivative of X")
     p = exp.populations
     evals = exp.evals
     pair = p[:, None] + p[None, :]

@@ -146,6 +146,18 @@ def test_build_oscillator_sizes_truncation_from_beta():
     assert colder.dim > cold.dim  # warmer target needs more levels
 
 
+def test_tail_population_override_sizes_the_oscillator():
+    # the top-level population bound comes from the config's tolerances:
+    # at beta = 0.1, 1e-3 needs 47 levels where the default 1e-8 needs 162
+    probe = {"kind": "oscillator", "params": {"omega0": 1.0}}
+    bath = {"kind": "ohmic", "s": 1.0, "Omega": 100.0, "a": 2.0}
+    loose = parse_config(cfg_with(probe=probe, bath=bath,
+                                  tolerances={"tail_population": 1e-3}))
+    default = parse_config(cfg_with(probe=probe, bath=bath))
+    assert loose.build_probe(beta=0.1).dim == 47
+    assert default.build_probe(beta=0.1).dim == 162
+
+
 def test_ohmic_exponent_defaults_from_probe_dimension():
     qubit_cfg = parse_config(cfg_with())
     assert qubit_cfg.build_bath().dim_exponent == 1.0

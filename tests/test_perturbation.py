@@ -9,12 +9,14 @@ from fctherm import (
     ContinuumBath,
     CouplingTooStrongError,
     DiscreteBath,
+    SpectralDecomposition,
     bath_correlation,
     bath_mode,
     bath_qubit,
     gibbs_state,
     mfg_second_order,
     p1_operator,
+    probe_correlation,
     probe_custom,
     probe_oscillator,
     probe_qubit,
@@ -59,7 +61,7 @@ def test_weighted_correction_is_nearly_hermitian(probe, bath):
 
 def test_diag_offdiag_wrappers_split_x():
     probe, bath = MODEL_PAIRS[0]
-    exp = x_matrix(probe, bath, 1.3, with_dbeta=False)
+    exp = x_matrix(probe, bath, 1.3)
     d = x_diag(probe, bath, 1.3)
     od = x_offdiag(probe, bath, 1.3)
     assert np.allclose(np.diag(exp.x).real, d, rtol=0, atol=1e-15)
@@ -87,6 +89,32 @@ def test_x_matrix_refuses_nonzero_mean_coupling():
         x_matrix(probe, proj_bath, 1.0)
 
 
+@pytest.mark.parametrize("probe, bath", [MODEL_PAIRS[1], MODEL_PAIRS[3]])
+def test_expansion_carries_the_probe_correlator(probe, bath):
+    # the level sums X is assembled from are the probe correlator's own: the
+    # carried correlator evaluates exactly as a freshly built one
+    beta = 1.3
+    carried = x_matrix(probe, bath, beta).probe_corr
+    fresh = probe_correlation(probe, beta)
+    u = np.linspace(0.0, beta, 7)
+    for name in ("value", "dbeta", "d2beta"):
+        assert np.array_equal(getattr(carried, name)(u), getattr(fresh, name)(u))
+
+
+def test_snr_bound_rotates_the_probe_coupling_once(monkeypatch):
+    probe, bath = MODEL_PAIRS[3]
+    rotated = []
+    original = SpectralDecomposition.to_eigenbasis
+
+    def counting(self, op):
+        rotated.append(self)
+        return original(self, op)
+
+    monkeypatch.setattr(SpectralDecomposition, "to_eigenbasis", counting)
+    snr_bound(probe, bath, 0.1, 1.0)
+    assert len(rotated) == 1 and rotated[0] is probe.decomp
+
+
 def test_near_degenerate_gaps_are_continuous():
     # the off-diagonal kernel has a removable singularity at E_n = E_m; closing
     # a small splitting must change the state correction smoothly.  Compare in
@@ -97,7 +125,7 @@ def test_near_degenerate_gaps_are_continuous():
     def weighted_x_original(delta: float) -> np.ndarray:
         h = np.diag([0.5, 0.5 + delta, -1.0]).astype(complex)
         probe = probe_custom(h, s)
-        exp = x_matrix(probe, bath_qubit(1.0), 1.0, with_dbeta=False)
+        exp = x_matrix(probe, bath_qubit(1.0), 1.0)
         return probe.decomp.from_eigenbasis(exp.weighted_x())
 
     base = weighted_x_original(0.0)
@@ -225,13 +253,6 @@ def test_sld_total_is_hermitian_and_reuses_expansion():
     total = sld.total(0.1)
     assert np.max(np.abs(total - total.conj().T)) == 0.0
     assert sld.hermiticity_drift < 1e-10
-
-
-def test_sld_requires_beta_derivative():
-    probe, bath = MODEL_PAIRS[0]
-    exp = x_matrix(probe, bath, 1.0, with_dbeta=False)
-    with pytest.raises(ValueError, match="beta-derivative"):
-        sld_second_order(probe, bath, 1.0, expansion=exp)
 
 
 def test_sld_solves_the_expanded_lyapunov_equation():
