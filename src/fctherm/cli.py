@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config, parse_config
+from .config import RunConfig, ScalingSpec, load_config
 from .errors import ConfigError, CouplingTooStrongError, FcthermError, TruncationWarning
 from .linalg import gibbs_state
 from .metrology import qfi_perturbative_integral, snr_bound
@@ -51,6 +51,9 @@ CSV_COLUMNS = (
     "alpha01_im",
     "assumption2_ok",
 )
+
+SCALING_COLUMNS = ("beta", "quantity", "slope", "intercept", "r_squared",
+                   "expected_min", "expected_max", "status")
 
 SLOPE_WINDOWS = {
     "second_order": (3.8, 4.2),   # zero-mean environment: corrections start at gamma^4
@@ -86,28 +89,21 @@ def _compute_row(cfg: RunConfig, beta: float, gamma: float, theta: float | None)
     ]
 
 
-def _worker(payload) -> list[str]:
-    raw, base_dir, beta, gamma, theta = payload
-    cfg = parse_config(raw, base_dir=base_dir)
-    return _compute_row(cfg, beta, gamma, theta)
-
-
 def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], workers: int) -> list[list[str]]:
     """Evaluate (beta, gamma, theta) points, preserving input order."""
     if workers <= 1:
         return [_compute_row(cfg, b, g, t) for b, g, t in points]
-    raw = cfg.to_dict()
-    payloads = [(raw, cfg.base_dir, b, g, t) for b, g, t in points]
+    betas, gammas, thetas = zip(*points)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, payloads))
+        return list(pool.map(_compute_row, [cfg] * len(points), betas, gammas, thetas))
 
 
-def _write_csv(path: str, rows: list[list[str]]) -> None:
+def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> None:
     out = Path(path)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
 
@@ -129,7 +125,7 @@ def cmd_report(cfg: RunConfig, out: str | None, workers: int) -> int:
     _print_report_table(rows)
     target = out or cfg.output
     if target:
-        _write_csv(target, rows)
+        _write_csv(target, CSV_COLUMNS, rows)
         print(f"wrote {len(rows)} rows to {target}")
     return 0
 
@@ -149,7 +145,7 @@ def cmd_sweep(cfg: RunConfig, out: str | None, workers: int) -> int:
     rows = _run_grid(cfg, points, workers)
     target = out or cfg.output
     if target:
-        _write_csv(target, rows)
+        _write_csv(target, CSV_COLUMNS, rows)
     print(f"sweep over beta x {axis}: {cfg.beta_grid.n} x {len(inner)} = {len(rows)} rows"
           + (f", written to {target}" if target else ""))
     return 0
@@ -166,8 +162,7 @@ def _scaling_rows(cfg: RunConfig, beta: float) -> list[dict]:
     bath = cfg.build_bath()
     if not hasattr(bath, "hamiltonian"):
         raise ConfigError("scaling: requires a discrete-file bath (exact reference needed)")
-    gammas = (cfg.scaling.points() if cfg.scaling is not None
-              else np.logspace(-2, -1, 8))
+    gammas = (cfg.scaling or ScalingSpec()).points()
     zero_mean = zero_mean_ok(bath, beta, tol)
     pi_s, _ = gibbs_state(probe.decomp, beta, tol)
 
@@ -216,7 +211,7 @@ def _scaling_rows(cfg: RunConfig, beta: float) -> list[dict]:
 
 def cmd_scaling(cfg: RunConfig, out: str | None, workers: int) -> int:
     del workers  # grid is small; the exact reference runs serially
-    all_rows = []
+    csv_rows = []
     for beta in cfg.beta_grid.points():
         rows = _scaling_rows(cfg, float(beta))
         zero_mean = all(r["fit"] is not None for r in rows)
@@ -224,28 +219,18 @@ def cmd_scaling(cfg: RunConfig, out: str | None, workers: int) -> int:
         print(f"  {'quantity':<16} {'slope':>8} {'r^2':>8} {'expected':>12}   status")
         for r in rows:
             fit, window = r["fit"], r["window"]
-            slope = "n/a" if fit is None or fit.indistinguishable else f"{fit.slope:.3f}"
-            r2 = "n/a" if fit is None or fit.indistinguishable else f"{fit.r_squared:.4f}"
+            fitted = fit is not None and not fit.indistinguishable
+            slope = f"{fit.slope:.3f}" if fitted else "n/a"
+            r2 = f"{fit.r_squared:.4f}" if fitted else "n/a"
             exp = "n/a" if window is None else f"[{window[0]}, {window[1]}]"
             print(f"  {r['quantity']:<16} {slope:>8} {r2:>8} {exp:>12}   {r['status']}")
-            all_rows.append((float(beta), r))
+            vals = [_fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.r_squared)] if fitted else ["nan"] * 3
+            bounds = ["nan", "nan"] if window is None else [_fmt(window[0]), _fmt(window[1])]
+            csv_rows.append([_fmt(beta), r["quantity"].replace(" ", "_"), *vals, *bounds,
+                             r["status"].replace(",", ";")])
     target = out or cfg.output
     if target:
-        path = Path(target)
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("beta,quantity,slope,intercept,r_squared,expected_min,expected_max,status\n")
-            for beta, r in all_rows:
-                fit, window = r["fit"], r["window"]
-                vals = (
-                    ["nan", "nan", "nan"]
-                    if fit is None or fit.indistinguishable
-                    else [_fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.r_squared)]
-                )
-                exp = ["nan", "nan"] if window is None else [_fmt(window[0]), _fmt(window[1])]
-                fh.write(",".join([_fmt(beta), r["quantity"].replace(" ", "_"), *vals, *exp,
-                                   r["status"].replace(",", ";")]) + "\n")
+        _write_csv(target, SCALING_COLUMNS, csv_rows)
         print(f"wrote scaling table to {target}")
     return 0
 

@@ -27,15 +27,27 @@ from .tolerances import DEFAULT_TOL, Tolerances
 # abscissa exceeds 700 and that factor overflows float64.
 MAX_LAGUERRE_NODES = 170
 
+# Fixed guards of every decomposition and density operator; "relative" ones
+# scale with max(1, max|M|).
+HERMITICITY_TOL = 1e-12         # max |M - M^dag| allowed on input operators (relative)
+EIG_RECONSTRUCTION_TOL = 1e-10  # max |V w V^dag - H| (relative)
+EIG_UNITARITY_TOL = 1e-10       # max |V^dag V - 1|
+EIG_CLUSTER_REL = 1e-12         # relative eigenvalue gap below which levels are tied
+PSD_STATE_FLOOR = -1e-12        # minimum eigenvalue of an exact density operator
 
-def require_hermitian(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+# beta * cutoff above which quad_thermal_frequency splits off the infrared
+# window [0, THERMAL_SPLIT / beta]; beyond it exp(-beta w) < exp(-THERMAL_SPLIT).
+THERMAL_SPLIT = 30.0
+
+
+def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate and return a square complex Hermitian array."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     drift = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if drift > tol.hermiticity * scale:
+    if drift > HERMITICITY_TOL * scale:
         raise ValueError(f"{name} is not Hermitian: max|M - M^dag| = {drift:.3e}")
     return m
 
@@ -66,7 +78,7 @@ class SpectralDecomposition:
         return self.evecs @ _real_or_complex(op) @ self.evecs.conj().T
 
 
-def _tie_break(evals: np.ndarray, evecs: np.ndarray, cluster_rel: float):
+def _tie_break(evals: np.ndarray, evecs: np.ndarray):
     """Order degenerate clusters lexicographically and fix column phases."""
     d = evals.size
     if d == 0:
@@ -85,7 +97,7 @@ def _tie_break(evals: np.ndarray, evecs: np.ndarray, cluster_rel: float):
     start = 0
     while start < d:
         stop = start + 1
-        while stop < d and evals[stop] - evals[stop - 1] <= cluster_rel * scale:
+        while stop < d and evals[stop] - evals[stop - 1] <= EIG_CLUSTER_REL * scale:
             stop += 1
         if stop - start > 1:
             block = evecs[:, start:stop]
@@ -116,7 +128,7 @@ def _real_or_complex(m) -> np.ndarray:
     return m.real.copy()
 
 
-def eigendecompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Diagonalise a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     A matrix with zero imaginary part is diagonalised in real arithmetic, so
@@ -128,7 +140,7 @@ def eigendecompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectra
     Raises ValueError if the input is not Hermitian or if the result fails the
     unitarity / reconstruction checks.
     """
-    m = require_hermitian(matrix, tol)
+    m = require_hermitian(matrix)
     a = _real_or_complex(m)
     diag = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(diag):
@@ -137,14 +149,14 @@ def eigendecompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectra
         v = np.eye(diag.size, dtype=a.dtype)[:, order]
     else:
         w, v = np.linalg.eigh(a)  # ascending eigenvalues
-    w, v = _tie_break(w, v, tol.eig_cluster_rel)
+    w, v = _tie_break(w, v)
     d = w.size
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     uni = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
-    if uni > tol.eig_unitarity:
+    if uni > EIG_UNITARITY_TOL:
         raise ValueError(f"eigenvector matrix not unitary: deviation {uni:.3e}")
     rec = float(np.max(np.abs((v * w) @ v.conj().T - a)))
-    if rec > tol.eig_reconstruction * scale:
+    if rec > EIG_RECONSTRUCTION_TOL * scale:
         raise ValueError(f"spectral reconstruction failed: deviation {rec:.3e}")
     return SpectralDecomposition(evals=w, evecs=v, matrix=m)
 
@@ -157,7 +169,7 @@ class DensityOperator:
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix, self.tol, name="density operator")
+        m = require_hermitian(self.matrix, name="density operator")
         tr = float(np.real(np.trace(m)))
         if abs(tr - 1.0) > self.tol.unit_trace:
             raise ValueError(f"density operator trace {tr!r} differs from 1")
@@ -167,8 +179,8 @@ class DensityOperator:
         return float(np.linalg.eigvalsh(_real_or_complex(self.matrix))[0])
 
     def check_positive(self, floor: float | None = None) -> float:
-        """Return the minimum eigenvalue; raise if it is below the floor."""
-        lo = self.tol.psd_state if floor is None else floor
+        """Return the minimum eigenvalue; raise if below ``floor`` (default ``PSD_STATE_FLOOR``)."""
+        lo = PSD_STATE_FLOOR if floor is None else floor
         mn = self.min_eigenvalue()
         if mn < lo:
             raise ValueError(f"density operator has eigenvalue {mn:.3e} below {lo:.1e}")
@@ -203,7 +215,7 @@ def gibbs_state(
     decomp = (
         hamiltonian
         if isinstance(hamiltonian, SpectralDecomposition)
-        else eigendecompose(hamiltonian, tol)
+        else eigendecompose(hamiltonian)
     )
     p, log_z = gibbs_populations(decomp.evals, beta)
     rho = (decomp.evecs * p) @ decomp.evecs.conj().T
@@ -241,8 +253,8 @@ def sld_solve(
         dec = rho
     else:
         mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
-        dec = eigendecompose(mat, tol)
-    drho = require_hermitian(drho, tol, name="state derivative")
+        dec = eigendecompose(mat)
+    drho = require_hermitian(drho, name="state derivative")
     tr_d = abs(complex(np.trace(drho)))
     if tr_d > 1e-10 * max(1.0, float(np.linalg.norm(drho))):
         raise ValueError(
@@ -318,33 +330,33 @@ def quad_finite(n: int, a: float, b: float) -> QuadratureRule:
     )
 
 
-def quad_thermal_frequency(n: int, cutoff: float, beta: float, split: float = 30.0) -> QuadratureRule:
+def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule:
     """Frequency rule for integrands weighted by both exp(-w/cutoff) and
     thermal kernels with structure at w ~ 1/beta.
 
-    For beta*cutoff <= split a single Gauss-Laguerre rule at the cutoff scale
-    resolves everything.  In the cold regime the two scales separate and that
-    rule has no nodes in the infrared where the thermal weight lives, so an
-    extra structure is needed:
+    With S = THERMAL_SPLIT: for beta*cutoff <= S a single Gauss-Laguerre rule
+    at the cutoff scale resolves everything.  In the cold regime the two
+    scales separate and that rule has no nodes in the infrared where the
+    thermal weight lives, so an extra structure is needed:
 
-      [0, split/beta]          Gauss-Legendre; all thermal-kernel structure
-                               (features of width ~1/beta) lives here, and
-                               exp(-beta w) < exp(-split) beyond it,
-      [split/beta, 2*cutoff]   Gauss-Legendre; the kernels decay algebraically
-                               (a 1/w series) which a Laguerre rule anchored
-                               this close to the origin resolves only slowly,
-      [2*cutoff, inf)          shifted Gauss-Laguerre; pure exponential decay
-                               times a slowly varying factor.
+      [0, S/beta]          Gauss-Legendre; all thermal-kernel structure
+                           (features of width ~1/beta) lives here, and
+                           exp(-beta w) < exp(-S) beyond it,
+      [S/beta, 2*cutoff]   Gauss-Legendre; the kernels decay algebraically
+                           (a 1/w series) which a Laguerre rule anchored
+                           this close to the origin resolves only slowly,
+      [2*cutoff, inf)      shifted Gauss-Laguerre; pure exponential decay
+                           times a slowly varying factor.
 
     Spectral features tied to a system gap E are resolved provided
-    beta * E <~ split, i.e. for any level the thermal state populates.
+    beta * E <~ S, i.e. for any level the thermal state populates.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if beta * cutoff <= split:
+    if beta * cutoff <= THERMAL_SPLIT:
         # single-scale regime; the Laguerre weight factor caps the node count
         return quad_semiinfinite(min(n, MAX_LAGUERRE_NODES), scale=cutoff)
-    w_split = split / beta
+    w_split = THERMAL_SPLIT / beta
     n_low = max(1, n // 2)
     n_mid = max(8, (n - n_low) * 3 // 5)
     n_tail = max(8, n - n_low - n_mid)

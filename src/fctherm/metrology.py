@@ -55,12 +55,20 @@ from .perturbation import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
+def _population_fisher(p: np.ndarray, evals: np.ndarray, x_nn=None, dx_nn=None) -> tuple[float, float]:
+    """(F0, F2) of energy populations p_n (1 + gamma^2 X_nn), dE_n = E_n - <H>:
+    F0 = sum_n p_n dE_n^2,  F2 = sum_n [p_n dE_n^2 X_nn - 2 p_n dE_n dX_nn], or 0 without X."""
+    de = evals - float(np.dot(p, evals))
+    f0 = float(np.dot(p, de**2))
+    if x_nn is None:
+        return f0, 0.0
+    return f0, float(np.dot(p * de**2, x_nn) - 2.0 * np.dot(p * de, dx_nn))
+
+
 def energy_variance(probe: ProbeModel, beta: float) -> float:
     """Bare-probe Fisher information F0 = Var(H) in the thermal state."""
     p, _ = gibbs_populations(probe.decomp.evals, beta)
-    e = probe.decomp.evals
-    mean = float(np.dot(p, e))
-    return float(np.dot(p, (e - mean) ** 2))
+    return _population_fisher(p, probe.decomp.evals)[0]
 
 
 def _as_probe_correlation(
@@ -119,13 +127,8 @@ def qfi_perturbative_sum(
         expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     if sld is None:
         sld = sld_second_order(probe, bath, beta, n_u, n_omega, tol, expansion=expansion)
-    p = expansion.populations
-    e = expansion.evals
-    de = e - float(np.dot(p, e))
-    x_nn = np.real(np.diag(expansion.x))
-    a_nn = np.real(np.diag(sld.alpha))
-    f2 = float(np.dot(p * de**2, x_nn) - 2.0 * np.dot(p * de, a_nn))
-    return float(np.dot(p, de**2)), f2
+    return _population_fisher(expansion.populations, expansion.evals,
+                              np.real(np.diag(expansion.x)), np.real(np.diag(sld.alpha)))
 
 
 def cfi_energy_perturbative(
@@ -148,13 +151,8 @@ def cfi_energy_perturbative(
     """
     if expansion is None:
         expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
-    p = expansion.populations
-    e = expansion.evals
-    de = e - float(np.dot(p, e))
-    x_nn = np.real(np.diag(expansion.x))
-    dx_nn = np.real(np.diag(expansion.x_dbeta))
-    i2 = float(np.dot(p * de**2, x_nn) - 2.0 * np.dot(p * de, dx_nn))
-    return float(np.dot(p, de**2)), i2
+    return _population_fisher(expansion.populations, expansion.evals,
+                              np.real(np.diag(expansion.x)), np.real(np.diag(expansion.x_dbeta)))
 
 
 def cfi_energy_general(

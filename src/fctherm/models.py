@@ -40,6 +40,24 @@ from .linalg import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 DEFAULT_FREQ_NODES = 128  # semi-infinite rule size for continuum baths
+OSCILLATOR_MIN_LEVELS = 40  # smallest automatic oscillator truncation
+
+# Pauli matrices shared by the two-level models (read-only, so sharing is safe)
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Z.flags.writeable = SIGMA_X.flags.writeable = False
+
+
+def _ladder(omega: float, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated harmonic mode: H = omega (n + 1/2) and the unit-mass position
+    x = (a + a^dag) / sqrt(2 omega), both on the lowest ``n_levels`` Fock states."""
+    k = np.arange(n_levels)
+    h = np.diag(omega * (k + 0.5)).astype(complex)
+    x = np.zeros((n_levels, n_levels), dtype=complex)
+    off = np.sqrt((k[:-1] + 1) / (2.0 * omega))
+    x[k[:-1], k[:-1] + 1] = off
+    x[k[:-1] + 1, k[:-1]] = off
+    return h, x
 
 
 # ----------------------------------------------------------------------------
@@ -101,19 +119,12 @@ class DiscreteBath:
 
 def bath_qubit(omega_b: float = 1.0) -> DiscreteBath:
     """Two-level bath H_B = omega_b sigma_z with transverse coupling sigma_x."""
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return DiscreteBath(omega_b * sz, sx, label="bath-qubit")
+    return DiscreteBath(omega_b * SIGMA_Z, SIGMA_X, label="bath-qubit")
 
 
 def bath_mode(omega_b: float = 1.0, n_levels: int = 20) -> DiscreteBath:
     """Single truncated bosonic mode with position-like coupling."""
-    k = np.arange(n_levels)
-    h = np.diag(omega_b * (k + 0.5)).astype(complex)
-    x = np.zeros((n_levels, n_levels), dtype=complex)
-    off = np.sqrt((k[:-1] + 1) / (2.0 * omega_b))
-    x[k[:-1], k[:-1] + 1] = off
-    x[k[:-1] + 1, k[:-1]] = off
+    h, x = _ladder(omega_b, n_levels)
     return DiscreteBath(h, x, label="bath-mode")
 
 
@@ -153,10 +164,8 @@ def probe_qubit(epsilon: float = 1.0, theta: float = 0.0) -> ProbeModel:
     cos(theta) sigma_z - sin(theta) sigma_x."""
     if epsilon <= 0:
         raise ValueError("level splitting must be positive")
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    h = 0.5 * epsilon * sz
-    s = np.cos(theta) * sz - np.sin(theta) * sx
+    h = 0.5 * epsilon * SIGMA_Z
+    s = np.cos(theta) * SIGMA_Z - np.sin(theta) * SIGMA_X
     return ProbeModel(
         kind="qubit",
         hamiltonian=h,
@@ -167,15 +176,14 @@ def probe_qubit(epsilon: float = 1.0, theta: float = 0.0) -> ProbeModel:
     )
 
 
-def oscillator_levels(
-    omega0: float, beta: float, tail: float = DEFAULT_TOL.tail_population, n_min: int = 40
-) -> int:
-    """Smallest truncation with top-level thermal population below ``tail``."""
+def oscillator_levels(omega0: float, beta: float, tail: float = DEFAULT_TOL.tail_population) -> int:
+    """Smallest truncation, at least ``OSCILLATOR_MIN_LEVELS``, with top-level
+    thermal population below ``tail``."""
     x = np.exp(-beta * omega0)
     if x <= 0.0:
-        return n_min
+        return OSCILLATOR_MIN_LEVELS
     need = int(np.ceil(1.0 + np.log(tail / (1.0 - x)) / np.log(x)))
-    return max(n_min, need)
+    return max(OSCILLATOR_MIN_LEVELS, need)
 
 
 def _top_level_population(omega0: float, beta: float, n_trunc: int) -> float:
@@ -192,7 +200,7 @@ def probe_oscillator(
 ) -> ProbeModel:
     """Truncated harmonic probe H = omega0 (n + 1/2), coupled through position.
 
-    If ``n_trunc`` is not given, the truncation defaults to 40 levels and is
+    If ``n_trunc`` is not given, the truncation is ``OSCILLATOR_MIN_LEVELS``,
     enlarged, when ``beta_design`` is supplied, until the top-level thermal
     population falls below ``tail``.  An explicit ``n_trunc`` that leaves more
     than ``tail`` in the top level at ``beta_design`` triggers a warning, and
@@ -202,9 +210,8 @@ def probe_oscillator(
     if omega0 <= 0:
         raise ValueError("oscillator frequency must be positive")
     if n_trunc is None:
-        n_trunc = (
-            oscillator_levels(omega0, beta_design, tail) if beta_design is not None else 40
-        )
+        n_trunc = (OSCILLATOR_MIN_LEVELS if beta_design is None
+                   else oscillator_levels(omega0, beta_design, tail))
     else:
         n_trunc = int(n_trunc)
         if n_trunc < 2:
@@ -223,12 +230,7 @@ def probe_oscillator(
                     TruncationWarning,
                     stacklevel=2,
                 )
-    k = np.arange(n_trunc)
-    h = np.diag(omega0 * (k + 0.5)).astype(complex)
-    x = np.zeros((n_trunc, n_trunc), dtype=complex)
-    off = np.sqrt((k[:-1] + 1) / (2.0 * omega0))
-    x[k[:-1], k[:-1] + 1] = off
-    x[k[:-1] + 1, k[:-1]] = off
+    h, x = _ladder(omega0, n_trunc)
     return ProbeModel(
         kind="oscillator",
         hamiltonian=h,

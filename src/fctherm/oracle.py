@@ -30,7 +30,7 @@ from .linalg import (
     sld_solve,
 )
 from .metrology import cfi_energy_general
-from .models import DiscreteBath, ProbeModel, probe_custom
+from .models import SIGMA_X, SIGMA_Z, DiscreteBath, ProbeModel, probe_custom
 from .tolerances import DEFAULT_TOL, Tolerances
 
 MAX_JOINT_DIM = 4096  # brute-force diagonalisation budget
@@ -364,20 +364,18 @@ def reference_two_qubit_models() -> dict[str, ReferenceModel]:
       (probe projector, environment sigma_x) keeps the joint Hamiltonian
       block-diagonal over probe levels and so can never generate them.
     """
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     pi_up = np.diag([1.0, 0.0]).astype(complex)
     dephasing = ReferenceModel(
         name="dephasing",
-        probe=probe_custom(sz, sz, dim_exponent=0.0, kind="qubit-z"),
-        bath=DiscreteBath(sz, sz, label="qubit-z"),
+        probe=probe_custom(SIGMA_Z, SIGMA_Z, dim_exponent=0.0, kind="qubit-z"),
+        bath=DiscreteBath(SIGMA_Z, SIGMA_Z, label="qubit-z"),
         coeffs=_dephasing_coeffs,
         coherence_axis="z",
     )
     dissipative = ReferenceModel(
         name="dissipative",
-        probe=probe_custom(sz, sx, dim_exponent=0.0, kind="qubit-x"),
-        bath=DiscreteBath(sz, pi_up, label="qubit-projector"),
+        probe=probe_custom(SIGMA_Z, SIGMA_X, dim_exponent=0.0, kind="qubit-x"),
+        bath=DiscreteBath(SIGMA_Z, pi_up, label="qubit-projector"),
         coeffs=_dissipative_coeffs,
         coherence_axis="x",
     )

@@ -275,7 +275,7 @@ def mfg_second_order(
     if abs(tr - 1.0) > tol.unit_trace:
         rho = rho / tr
         exp.trace_renormalised = True
-    state = DensityOperator(rho, tol.replaced(psd_state=tol.psd_mean_force))
+    state = DensityOperator(rho, tol)
     mn = state.min_eigenvalue()
     if mn < tol.psd_mean_force:
         raise CouplingTooStrongError(

@@ -1,8 +1,11 @@
 """Central numerical-tolerance record.
 
-Every hard-coded threshold used by the library lives here, so a run can be
-tightened or loosened from one place (or from the CLI config) without hunting
-through module code.
+The thresholds a run may want to tighten or loosen live here, so they can be
+set from one place (or from the CLI config) without hunting through module
+code.  The linear-algebra guards that every run shares (hermiticity of
+inputs, eigensolver unitarity, reconstruction and tie clustering, the
+positivity floor of an exact density operator) are constants in
+:mod:`fctherm.linalg`; no run has a reason to move them.
 """
 
 from __future__ import annotations
@@ -12,23 +15,16 @@ from dataclasses import dataclass, replace, fields
 
 @dataclass(frozen=True)
 class Tolerances:
-    """All numerical thresholds used across the library.
+    """The numerical thresholds a run can override.
 
     Values are absolute unless the name says otherwise.
     """
 
-    # --- operator / state validation ---
-    hermiticity: float = 1e-12        # max |M - M^dag| allowed on input operators
+    # --- state validation ---
     unit_trace: float = 1e-12         # |tr(rho) - 1| for density operators
-    psd_state: float = -1e-12         # min eigenvalue floor for exact density operators
     psd_mean_force: float = -1e-8     # floor for the assembled second-order state;
                                       # below this the coupling is too strong
     hermit_drift: float = 1e-12       # symmetrization drift flagged on assembled states
-
-    # --- eigensolver ---
-    eig_reconstruction: float = 1e-10 # ||V w V^dag - H|| check
-    eig_unitarity: float = 1e-10      # ||V^dag V - 1|| check
-    eig_cluster_rel: float = 1e-12    # relative gap below which eigenvalues are tied
 
     # --- symmetric logarithmic derivative ---
     sld_support: float = 1e-14        # eigenvalue-pair sum treated as a null direction

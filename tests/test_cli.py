@@ -197,8 +197,21 @@ def test_exit_2_on_bad_worker_count(tmp_path):
 
 
 # the Jacobi convergence knob went with the Jacobi solver, the step-halving
-# knob with the oracle's finite differences, and the KMS knob was never read
-@pytest.mark.parametrize("name", ["eig_offdiag_rel", "richardson_rel", "kms"])
+# knob with the oracle's finite differences, and the KMS knob was never read;
+# the input and eigensolver guards are fixed constants in fctherm.linalg
+@pytest.mark.parametrize(
+    "name",
+    [
+        "eig_offdiag_rel",
+        "richardson_rel",
+        "kms",
+        "hermiticity",
+        "eig_reconstruction",
+        "eig_unitarity",
+        "eig_cluster_rel",
+        "psd_state",
+    ],
+)
 def test_exit_2_on_removed_tolerance_field(tmp_path, capsys, name):
     cfg = write_config(tmp_path, dict(QUBIT_OHMIC, tolerances={name: 1e-14}))
     assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2

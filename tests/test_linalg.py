@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fctherm import (
-    DEFAULT_TOL,
     DensityOperator,
     SingularSupportError,
     dephase,
@@ -21,6 +20,7 @@ from fctherm import (
     require_hermitian,
     sld_solve,
 )
+from fctherm import linalg
 from fctherm.linalg import MAX_LAGUERRE_NODES, _laggauss, _leggauss, _tie_break
 
 
@@ -43,6 +43,23 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(m + 1e-6 * np.eye(4) * 1j)
     with pytest.raises(ValueError, match="square"):
         require_hermitian(np.ones((2, 3)))
+
+
+def test_linear_algebra_guards_keep_their_values():
+    assert linalg.HERMITICITY_TOL == 1e-12
+    assert linalg.EIG_RECONSTRUCTION_TOL == 1e-10
+    assert linalg.EIG_UNITARITY_TOL == 1e-10
+    assert linalg.EIG_CLUSTER_REL == 1e-12
+    assert linalg.PSD_STATE_FLOOR == -1e-12
+
+
+def test_require_hermitian_reads_the_module_guard(monkeypatch):
+    off = random_hermitian(3, 1)
+    off[0, 1] += 1e-10
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(off)
+    monkeypatch.setattr(linalg, "HERMITICITY_TOL", 1e-6)
+    assert np.array_equal(require_hermitian(off), off)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +163,7 @@ def test_eigendecompose_diagonal_input_skips_lapack(monkeypatch, dtype):
     # unsorted, with a tied pair at -1 and a zero level
     levels = np.array([3.0, -1.0, 2.0, 0.0, -1.0, 0.5, -2.5])
     m = np.diag(levels).astype(dtype)
-    ref_w, ref_v = _tie_break(*np.linalg.eigh(m.real), DEFAULT_TOL.eig_cluster_rel)
+    ref_w, ref_v = _tie_break(*np.linalg.eigh(m.real))
     calls = _counting_eigh(monkeypatch)
     dec = eigendecompose(m)
     again = eigendecompose(m.copy())
@@ -164,16 +181,20 @@ def test_eigendecompose_diagonal_input_skips_lapack(monkeypatch, dtype):
     assert np.max(np.abs(dec_near.evals - dec.evals)) < 1e-15
 
 
-def test_eigendecompose_diagonal_input_keeps_its_checks():
+def test_eigendecompose_diagonal_input_keeps_its_checks(monkeypatch):
     diag = np.diag([2.0, -1.0, 0.5]).astype(complex)
     with pytest.raises(ValueError, match="not Hermitian"):
         eigendecompose(diag + 1e-6j * np.eye(3))
     with pytest.raises(ValueError, match="square"):
         eigendecompose(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="not unitary"):
-        eigendecompose(diag, DEFAULT_TOL.replaced(eig_unitarity=-1.0))
-    with pytest.raises(ValueError, match="reconstruction failed"):
-        eigendecompose(diag, DEFAULT_TOL.replaced(eig_reconstruction=-1.0))
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "EIG_UNITARITY_TOL", -1.0)
+        with pytest.raises(ValueError, match="not unitary"):
+            eigendecompose(diag)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "EIG_RECONSTRUCTION_TOL", -1.0)
+        with pytest.raises(ValueError, match="reconstruction failed"):
+            eigendecompose(diag)
     # a complex diagonal whose imaginary part is within the hermiticity
     # tolerance keeps complex unit eigenvectors, as LAPACK's complex solver does
     dec = eigendecompose(diag + 1e-14j * np.eye(3))
@@ -204,7 +225,7 @@ def test_tie_break_phase_gauge_matches_column_loop(dtype):
         v = v + 1j * rng.standard_normal((9, 9))
     v[:, 4] = 0.0
     expected = _phase_gauge_loop(v)
-    _, got = _tie_break(np.arange(9.0), v.copy(), DEFAULT_TOL.eig_cluster_rel)
+    _, got = _tie_break(np.arange(9.0), v.copy())
     assert got.dtype == dtype
     assert np.all(np.isfinite(got)) and not np.any(got[:, 4])
     if dtype is np.float64:
