@@ -30,9 +30,9 @@ from .config import RunConfig, ScalingSpec, load_config
 from .errors import ConfigError, CouplingTooStrongError, FcthermError, TruncationWarning
 from .linalg import gibbs_state
 from .metrology import qfi_perturbative_integral, snr_bound
-from .models import zero_mean_ok
+from .models import DiscreteBath, zero_mean_ok
 from .oracle import JointModel, exact_fishers, exact_mfg, order_fit, trace_distance
-from .perturbation import mfg_second_order
+from .perturbation import x_matrix
 
 CSV_COLUMNS = (
     "T",
@@ -160,11 +160,15 @@ def _scaling_rows(cfg: RunConfig, beta: float) -> list[dict]:
         warnings.simplefilter("ignore", TruncationWarning)
         probe = cfg.build_probe(beta=beta)
     bath = cfg.build_bath()
-    if not hasattr(bath, "hamiltonian"):
+    if not isinstance(bath, DiscreteBath):
         raise ConfigError("scaling: requires a discrete-file bath (exact reference needed)")
     gammas = (cfg.scaling or ScalingSpec()).points()
     zero_mean = zero_mean_ok(bath, beta, tol)
-    pi_s, _ = gibbs_state(probe.decomp, beta, tol)
+    # X does not depend on the coupling: one expansion serves every gamma
+    if zero_mean:
+        expansion = x_matrix(probe, bath, beta, cfg.n_u, cfg.n_omega, tol)
+    else:
+        pi_s, _ = gibbs_state(probe.decomp, beta, tol)
 
     f_exact = np.empty(gammas.size)
     fi_gap = np.empty(gammas.size)
@@ -175,10 +179,7 @@ def _scaling_rows(cfg: RunConfig, beta: float) -> list[dict]:
         f_exact[k] = f
         fi_gap[k] = abs(f - i)
         reduced = exact_mfg(joint, beta, tol)
-        if zero_mean:
-            predicted = mfg_second_order(probe, bath, float(g), beta, cfg.n_u, cfg.n_omega, tol).state
-        else:
-            predicted = pi_s
+        predicted = expansion.at_coupling(float(g)).state if zero_mean else pi_s
         dist[k] = trace_distance(reduced, predicted)
 
     rows = []

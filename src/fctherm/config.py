@@ -30,6 +30,7 @@ from .models import (
     probe_qubit,
     validate_dim_exponent,
 )
+from .oracle import default_gamma_grid
 from .tolerances import DEFAULT_TOL, TOLERANCE_FIELDS, Tolerances
 
 PROBE_KINDS = ("qubit", "oscillator", "custom-matrix-file")
@@ -117,7 +118,7 @@ class ScalingSpec:
     n: int = 8
 
     def points(self) -> np.ndarray:
-        return np.logspace(math.log10(self.gamma_min), math.log10(self.gamma_max), self.n)
+        return default_gamma_grid(self.n, self.gamma_min, self.gamma_max)
 
 
 @dataclass(frozen=True)

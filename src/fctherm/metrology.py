@@ -46,7 +46,6 @@ from .models import (
 from .perturbation import (
     DEFAULT_TIME_NODES,
     MeanForceExpansion,
-    SldExpansion,
     _as_bath_correlation,
     _require_beta,
     sld_second_order,
@@ -116,30 +115,18 @@ def qfi_perturbative_sum(
     n_u: int = DEFAULT_TIME_NODES,
     n_omega: int = DEFAULT_FREQ_NODES,
     tol: Tolerances = DEFAULT_TOL,
-    expansion: MeanForceExpansion | None = None,
-    sld: SldExpansion | None = None,
 ) -> tuple[float, float]:
     """(F0, F2) with F2 from level sums over X and the log-derivative matrix A:
 
     F2 = sum_n p_n dE_n^2 X_nn - 2 sum_n p_n dE_n A_nn,   dE_n = E_n - <H>.
     """
-    if expansion is None:
-        expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
-    if sld is None:
-        sld = sld_second_order(probe, bath, beta, n_u, n_omega, tol, expansion=expansion)
+    expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
+    a_nn = np.real(np.diag(sld_second_order(expansion).alpha))
     return _population_fisher(expansion.populations, expansion.evals,
-                              np.real(np.diag(expansion.x)), np.real(np.diag(sld.alpha)))
+                              np.real(np.diag(expansion.x)), a_nn)
 
 
-def cfi_energy_perturbative(
-    probe: ProbeModel,
-    bath,
-    beta: float,
-    n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int = DEFAULT_FREQ_NODES,
-    tol: Tolerances = DEFAULT_TOL,
-    expansion: MeanForceExpansion | None = None,
-) -> tuple[float, float]:
+def cfi_energy_perturbative(expansion: MeanForceExpansion) -> tuple[float, float]:
     """(I0, I2) for an energy measurement, from the population expansion.
 
     Populations p_n (1 + gamma^2 X_nn) give, to second order,
@@ -149,8 +136,6 @@ def cfi_energy_perturbative(
     Equal to the quantum coefficient at this order: the coupling correction
     to the optimal bound is achieved by the bare energy measurement.
     """
-    if expansion is None:
-        expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     return _population_fisher(expansion.populations, expansion.evals,
                               np.real(np.diag(expansion.x)), np.real(np.diag(expansion.x_dbeta)))
 
@@ -248,15 +233,13 @@ def snr_bound(
 ) -> MetrologyReport:
     """Optimal relative-error bound (dT/T)^-2 <= beta^2 F to second order."""
     expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
-    sldexp = sld_second_order(probe, bath, beta, n_u, n_omega, tol, expansion=expansion)
+    sldexp = sld_second_order(expansion)
     probe_corr = expansion.probe_corr
     bath_corr = _as_bath_correlation(bath, beta, n_omega)
     f0, f2 = qfi_perturbative_integral(
         probe, bath_corr, beta, n_u, n_omega, probe_corr=probe_corr
     )
-    _, i2 = cfi_energy_perturbative(
-        probe, bath, beta, n_u, n_omega, tol, expansion=expansion
-    )
+    _, i2 = cfi_energy_perturbative(expansion)
     c_bare = beta**2 * f0
     xi = beta**2 * f2
     mean_sq_s = float(probe_corr.value(0.0))

@@ -340,13 +340,15 @@ class EigenbasisCorrelation(CorrelationFn):
     there makes trace identities hold to rounding even for truncated spectra.
     It owns the level data those sums need: the rotated coupling
     ``coupling_eig``, the Gibbs ``populations`` and their beta-derivative
-    ``dpopulations = -p (E - <E>)``, and the per-level sums ``sigma(u)``.
+    ``dpopulations = -p (E - <E>)``, and the per-level sums ``sigma(u)``; it
+    keeps the ``decomp`` it was built from for rotating back.
     """
 
     def __init__(self, decomp: SpectralDecomposition, coupling: np.ndarray, beta: float):
         if beta <= 0:
             raise ValueError("beta must be positive")
         self.beta = float(beta)
+        self.decomp = decomp
         self.evals = decomp.evals
         self.coupling_eig = decomp.to_eigenbasis(coupling)
         self.abs_sq = np.abs(self.coupling_eig) ** 2

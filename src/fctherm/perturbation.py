@@ -28,7 +28,7 @@ handled by :func:`p1_operator`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,20 +72,33 @@ class MeanForceExpansion:
 
     ``x`` and ``x_dbeta`` are float64 when the probe's eigenvectors and
     coupling are real (every built-in probe), complex128 otherwise.
-    ``probe_corr`` is the probe correlator the expansion was assembled from.
+    ``probe_corr`` is the probe correlator the expansion was assembled from;
+    it supplies the inverse temperature, the levels, the populations and the
+    basis the state is rotated back with.  ``tol`` holds the thresholds the
+    expansion was built under, which :meth:`at_coupling` applies too.
     """
 
-    beta: float
-    evals: np.ndarray
-    populations: np.ndarray
     x: np.ndarray                    # correction matrix, probe eigenbasis
     x_dbeta: np.ndarray              # analytic d X / d beta (same basis)
     rule: QuadratureRule
     probe_corr: EigenbasisCorrelation
+    tol: Tolerances = DEFAULT_TOL
     hermiticity_drift: float = 0.0   # max |pi X - (pi X)^dag| before symmetrisation
     gamma: float | None = None
     state: DensityOperator | None = None  # assembled state, original basis
     trace_renormalised: bool = False
+
+    @property
+    def beta(self) -> float:
+        return self.probe_corr.beta
+
+    @property
+    def evals(self) -> np.ndarray:
+        return self.probe_corr.evals
+
+    @property
+    def populations(self) -> np.ndarray:
+        return self.probe_corr.populations
 
     def weighted_x(self) -> np.ndarray:
         """pi X in the eigenbasis (the actual state correction)."""
@@ -94,6 +107,39 @@ class MeanForceExpansion:
     def trace_identity(self) -> float:
         """tr(pi X); vanishes identically for the exact expansion."""
         return float(np.real(np.trace(self.weighted_x())))
+
+    def at_coupling(self, gamma: float) -> MeanForceExpansion:
+        """A copy carrying the assembled state pi (1 + gamma^2 X) at ``gamma``.
+
+        X does not depend on the coupling, so one expansion serves every
+        gamma; it is never modified here.  Raises
+        :class:`CouplingTooStrongError` when the state has an eigenvalue below
+        ``tol.psd_mean_force`` (the expansion left its regime).  Warns when
+        symmetrising away more than ``tol.hermit_drift``.
+        """
+        tol = self.tol
+        if self.hermiticity_drift > tol.hermit_drift:
+            warnings.warn(
+                f"state correction drifted from Hermitian by {self.hermiticity_drift:.3e}; "
+                "symmetrised",
+                stacklevel=2,
+            )
+        rho_eig = np.diag(self.populations) + gamma**2 * self.weighted_x()
+        rho_eig = 0.5 * (rho_eig + rho_eig.conj().T)
+        rho = self.probe_corr.decomp.from_eigenbasis(rho_eig)
+        rho = 0.5 * (rho + rho.conj().T)
+        tr = float(np.real(np.trace(rho)))
+        renormalised = abs(tr - 1.0) > tol.unit_trace
+        if renormalised:
+            rho = rho / tr
+        state = DensityOperator(rho, tol)
+        mn = state.min_eigenvalue()
+        if mn < tol.psd_mean_force:
+            raise CouplingTooStrongError(
+                f"second-order state has eigenvalue {mn:.3e} < {tol.psd_mean_force:.1e}; "
+                f"coupling gamma={gamma} is too strong at beta={self.beta}"
+            )
+        return replace(self, gamma=gamma, state=state, trace_renormalised=renormalised)
 
 
 def _pair_sums(s_eig: np.ndarray, g: np.ndarray, g_deg: np.ndarray):
@@ -175,47 +221,9 @@ def x_matrix(
             "with p1_operator or centre the coupling operator"
         )
     probe_corr, x, dx, rule = _assemble_x(probe, corr_b, beta, n_u, tol)
-    p = probe_corr.populations
-    weighted = p[:, None] * x
+    weighted = probe_corr.populations[:, None] * x
     drift = float(np.max(np.abs(weighted - weighted.conj().T)))
-    return MeanForceExpansion(
-        beta=beta,
-        evals=probe_corr.evals,
-        populations=p,
-        x=x,
-        x_dbeta=dx,
-        rule=rule,
-        probe_corr=probe_corr,
-        hermiticity_drift=drift,
-    )
-
-
-def x_diag(
-    probe: ProbeModel,
-    bath,
-    beta: float,
-    n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Diagonal of the second-order correction in the probe eigenbasis."""
-    exp = x_matrix(probe, bath, beta, n_u, n_omega, tol)
-    return np.real(np.diag(exp.x)).copy()
-
-
-def x_offdiag(
-    probe: ProbeModel,
-    bath,
-    beta: float,
-    n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Off-diagonal part of the second-order correction (diagonal zeroed)."""
-    exp = x_matrix(probe, bath, beta, n_u, n_omega, tol)
-    out = exp.x.copy()
-    np.fill_diagonal(out, 0.0)
-    return out
+    return MeanForceExpansion(x, dx, rule, probe_corr, tol, hermiticity_drift=drift)
 
 
 def x_matrix_fd_dbeta(
@@ -254,37 +262,10 @@ def mfg_second_order(
     n_omega: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> MeanForceExpansion:
-    """Assembled second-order reduced state pi (1 + gamma^2 X).
-
-    Raises :class:`CouplingTooStrongError` when the assembled state has an
-    eigenvalue below ``tol.psd_mean_force`` (the expansion left its regime).
-    Warns when symmetrising away more than ``tol.hermit_drift``.
-    """
-    exp = x_matrix(probe, bath, beta, n_u, n_omega, tol)
-    if exp.hermiticity_drift > tol.hermit_drift:
-        warnings.warn(
-            f"state correction drifted from Hermitian by {exp.hermiticity_drift:.3e}; "
-            "symmetrised",
-            stacklevel=2,
-        )
-    rho_eig = np.diag(exp.populations) + gamma**2 * exp.weighted_x()
-    rho_eig = 0.5 * (rho_eig + rho_eig.conj().T)
-    rho = probe.decomp.from_eigenbasis(rho_eig)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > tol.unit_trace:
-        rho = rho / tr
-        exp.trace_renormalised = True
-    state = DensityOperator(rho, tol)
-    mn = state.min_eigenvalue()
-    if mn < tol.psd_mean_force:
-        raise CouplingTooStrongError(
-            f"second-order state has eigenvalue {mn:.3e} < {tol.psd_mean_force:.1e}; "
-            f"coupling gamma={gamma} is too strong at beta={beta}"
-        )
-    exp.gamma = gamma
-    exp.state = state
-    return exp
+    """Assembled second-order reduced state pi (1 + gamma^2 X): the expansion
+    of :func:`x_matrix` at one coupling, see
+    :meth:`MeanForceExpansion.at_coupling` for its checks."""
+    return x_matrix(probe, bath, beta, n_u, n_omega, tol).at_coupling(gamma)
 
 
 def p1_operator(
@@ -329,15 +310,7 @@ class SldExpansion:
         return np.diag(self.l0_diag).astype(complex) + gamma**2 * self.alpha
 
 
-def sld_second_order(
-    probe: ProbeModel,
-    bath,
-    beta: float,
-    n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    expansion: MeanForceExpansion | None = None,
-) -> SldExpansion:
+def sld_second_order(expansion: MeanForceExpansion) -> SldExpansion:
     """Logarithmic derivative of the second-order state with respect to beta.
 
     Solving (L rho + rho L)/2 = d rho/d beta order by order gives, in the
@@ -346,24 +319,22 @@ def sld_second_order(
         A_nm = [2 p_n dX_nm + p_n (E_m - E_n) X_nm] / (p_n + p_m),
 
     whose diagonal is simply dX_nn.  The assembled matrix is Hermitian; it is
-    symmetrised and the drift recorded.
+    symmetrised and the drift recorded.  Inverse temperature, levels and
+    populations are the expansion's own.
     """
-    exp = expansion if expansion is not None else x_matrix(
-        probe, bath, beta, n_u, n_omega, tol
-    )
-    p = exp.populations
-    evals = exp.evals
+    p = expansion.populations
+    evals = expansion.evals
     pair = p[:, None] + p[None, :]
     gap_mn = evals[None, :] - evals[:, None]  # (E_m - E_n) indexed [n, m]
-    alpha = (2.0 * p[:, None] * exp.x_dbeta + p[:, None] * gap_mn * exp.x) / pair
+    alpha = (2.0 * p[:, None] * expansion.x_dbeta + p[:, None] * gap_mn * expansion.x) / pair
     drift = float(np.max(np.abs(alpha - alpha.conj().T)))
     alpha = 0.5 * (alpha + alpha.conj().T)
     # On the diagonal the solve reduces to A_nn = dX_nn exactly; write it as such
     # so downstream population sums reproduce the derivative without rounding.
-    np.fill_diagonal(alpha, np.real(np.diag(exp.x_dbeta)))
+    np.fill_diagonal(alpha, np.real(np.diag(expansion.x_dbeta)))
     mean_e = float(np.dot(p, evals))
     return SldExpansion(
-        beta=beta,
+        beta=expansion.beta,
         evals=evals,
         populations=p,
         l0_diag=mean_e - evals,

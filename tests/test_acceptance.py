@@ -270,7 +270,7 @@ def test_criterion_5_integral_and_sum_routes_agree():
         for label, probe, bath in builtin_model_pairs(beta):
             f0_a, f2_int = qfi_perturbative_integral(probe, bath, beta)
             f0_b, f2_sum = qfi_perturbative_sum(probe, bath, beta)
-            _, i2 = cfi_energy_perturbative(probe, bath, beta)
+            _, i2 = cfi_energy_perturbative(x_matrix(probe, bath, beta))
             assert f0_a == f0_b
             # relative agreement with an absolute floor: a commuting probe
             # makes both routes identically zero up to rounding
@@ -392,7 +392,7 @@ def test_criterion_8_property_suites():
             dev = float(np.max(np.abs(exp.x_dbeta - fd)))
             assert dev <= 1e-6 * fd_scale, f"{label} at beta={beta}: dX mismatch {dev:.3e}"
             # (e) expanded log-derivative solves its anticommutator equation
-            sld = sld_second_order(probe, bath, beta, expansion=exp)
+            sld = sld_second_order(exp)
             p = exp.populations
             l0 = sld.l0_diag
             pi_x = exp.weighted_x()

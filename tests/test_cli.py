@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from fctherm import TruncationWarning, cli
+from fctherm import TruncationWarning, cli, load_config, perturbation
 from fctherm.cli import CSV_COLUMNS, main
 
 QUBIT_OHMIC = {
@@ -345,3 +345,29 @@ def test_scaling_requires_discrete_bath(tmp_path):
     doc["scaling"] = {"gamma_min": 0.01, "gamma_max": 0.1, "n": 8}
     cfg = write_config(tmp_path, doc)
     assert main(["scaling", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("name", ["scaling_spin_boson.json", "scaling_oscillator_mode.json"])
+def test_scaling_builds_one_expansion_per_beta(tmp_path, config_dir, monkeypatch, name):
+    # X does not depend on the coupling, so every gamma of one beta reads the
+    # same x_matrix
+    betas = []
+    original = perturbation.x_matrix
+
+    def counting(probe, bath, beta, *args, **kwargs):
+        betas.append(beta)
+        return original(probe, bath, beta, *args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "x_matrix", counting)
+    monkeypatch.setattr(cli, "x_matrix", counting, raising=False)
+    path = config_dir / name
+    assert main(["scaling", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+    assert betas == list(load_config(path).beta_grid.points())
+
+
+def test_scaling_output_is_byte_stable(tmp_path, config_dir):
+    cfg = str(config_dir / "scaling_spin_boson.json")
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["scaling", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["scaling", "--config", cfg, "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()

@@ -26,6 +26,7 @@ from fctherm import (
     qfi_perturbative_sum,
     snr_bound,
     snr_kernel,
+    x_matrix,
     xi_via_spectral_kernel,
 )
 
@@ -69,7 +70,7 @@ def test_energy_measurement_saturates_quantum_coefficient():
     probe, bath = probe_qubit(1.0, 1.5 * np.pi), ContinuumBath(1.0, 100.0)
     beta = 2.0
     _, f2 = qfi_perturbative_sum(probe, bath, beta)
-    _, i2 = cfi_energy_perturbative(probe, bath, beta)
+    _, i2 = cfi_energy_perturbative(x_matrix(probe, bath, beta))
     assert i2 == f2
 
 

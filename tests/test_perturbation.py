@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fctherm import (
     bath_correlation,
     bath_mode,
     bath_qubit,
+    cfi_energy_perturbative,
     gibbs_state,
     mfg_second_order,
     p1_operator,
@@ -22,10 +25,8 @@ from fctherm import (
     probe_qubit,
     sld_second_order,
     snr_bound,
-    x_diag,
     x_matrix,
     x_matrix_fd_dbeta,
-    x_offdiag,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -57,16 +58,6 @@ def test_weighted_correction_is_nearly_hermitian(probe, bath):
     exp = x_matrix(probe, bath, 1.0)
     scale = max(1.0, float(np.max(np.abs(exp.weighted_x()))))
     assert exp.hermiticity_drift < 1e-10 * scale
-
-
-def test_diag_offdiag_wrappers_split_x():
-    probe, bath = MODEL_PAIRS[0]
-    exp = x_matrix(probe, bath, 1.3)
-    d = x_diag(probe, bath, 1.3)
-    od = x_offdiag(probe, bath, 1.3)
-    assert np.allclose(np.diag(exp.x).real, d, rtol=0, atol=1e-15)
-    assert np.allclose(np.diag(od), 0.0, rtol=0, atol=0.0)
-    assert np.allclose(exp.x - np.diag(np.diag(exp.x)), od, rtol=0, atol=1e-15)
 
 
 def test_x_matrix_accepts_prebuilt_correlator_with_matching_beta():
@@ -181,6 +172,21 @@ def test_mfg_rejects_coupling_outside_perturbative_regime():
         mfg_second_order(probe, bath, 3.0, 2.0)
 
 
+def test_coupling_step_leaves_the_shared_expansion_unchanged():
+    # one expansion serves a whole coupling grid: each step returns its own
+    # copy and equals the one-shot assembly at that coupling
+    probe, bath = MODEL_PAIRS[0]
+    exp = x_matrix(probe, bath, 1.0)
+    x, dx = exp.x.copy(), exp.x_dbeta.copy()
+    weak, strong = exp.at_coupling(0.05), exp.at_coupling(0.1)
+    assert np.array_equal(exp.x, x) and np.array_equal(exp.x_dbeta, dx)
+    assert exp.gamma is None and exp.state is None and not exp.trace_renormalised
+    assert (weak.gamma, strong.gamma) == (0.05, 0.1)
+    assert not np.array_equal(weak.state.matrix, strong.state.matrix)
+    one_shot = mfg_second_order(probe, bath, 0.1, 1.0)
+    assert np.array_equal(strong.state.matrix, one_shot.state.matrix)
+
+
 # ---------------------------------------------------------------------------
 # first-order term for offset couplings
 # ---------------------------------------------------------------------------
@@ -234,22 +240,31 @@ def test_p1_unknown_basis_raises():
 def test_sld_zeroth_order_is_energy_fluctuation_operator():
     probe, bath = MODEL_PAIRS[0]
     beta = 1.0
-    sld = sld_second_order(probe, bath, beta)
+    sld = sld_second_order(x_matrix(probe, bath, beta))
     mean_e = float(np.dot(sld.populations, sld.evals))
     assert np.allclose(sld.l0_diag, mean_e - sld.evals, rtol=0, atol=1e-14)
+
+
+def test_second_order_consumers_read_only_the_expansion():
+    # beta, levels and populations come from the expansion itself, so an
+    # expansion built for another beta or probe cannot be mislabelled
+    for fn in (sld_second_order, cfi_energy_perturbative):
+        assert list(inspect.signature(fn).parameters) == ["expansion"]
+    sld = sld_second_order(x_matrix(*MODEL_PAIRS[0], 2.0))
+    assert sld.beta == 2.0
 
 
 def test_sld_diagonal_equals_dx_diagonal_exactly():
     probe, bath = MODEL_PAIRS[1]
     exp = x_matrix(probe, bath, 1.0)
-    sld = sld_second_order(probe, bath, 1.0, expansion=exp)
+    sld = sld_second_order(exp)
     assert np.array_equal(np.diag(sld.alpha), np.real(np.diag(exp.x_dbeta)))
 
 
 def test_sld_total_is_hermitian_and_reuses_expansion():
     probe, bath = MODEL_PAIRS[0]
     exp = x_matrix(probe, bath, 1.0)
-    sld = sld_second_order(probe, bath, 1.0, expansion=exp)
+    sld = sld_second_order(exp)
     total = sld.total(0.1)
     assert np.max(np.abs(total - total.conj().T)) == 0.0
     assert sld.hermiticity_drift < 1e-10
@@ -262,7 +277,7 @@ def test_sld_solves_the_expanded_lyapunov_equation():
     probe, bath = MODEL_PAIRS[0]
     beta = 1.0
     exp = x_matrix(probe, bath, beta)
-    sld = sld_second_order(probe, bath, beta, expansion=exp)
+    sld = sld_second_order(exp)
     p = exp.populations
     l0 = sld.l0_diag
     pi_x = exp.weighted_x()
@@ -324,8 +339,8 @@ def test_real_probes_run_in_real_arithmetic(probe, bath, where):
         p = real.populations[:, None]
         _assert_close(p * c, p * r, np.max(np.abs(p * r)))
 
-    sld_r = sld_second_order(probe, bath, beta, expansion=real)
-    sld_c = sld_second_order(twin, bath, beta, expansion=cplx)
+    sld_r = sld_second_order(real)
+    sld_c = sld_second_order(cplx)
     assert sld_r.alpha.dtype == np.float64 and sld_c.alpha.dtype == np.complex128
     _assert_close(sld_c.alpha, sld_r.alpha, np.max(np.abs(sld_r.alpha)))
 
