@@ -29,7 +29,7 @@ import numpy as np
 from .config import RunConfig, ScalingSpec, load_config
 from .errors import ConfigError, CouplingTooStrongError, FcthermError, TruncationWarning
 from .linalg import gibbs_state
-from .metrology import qfi_perturbative_integral, snr_bound
+from .metrology import MetrologyReport, qfi_perturbative_integral, snr_bound
 from .models import DiscreteBath, zero_mean_ok
 from .oracle import JointModel, exact_fishers, exact_mfg, order_fit, trace_distance
 from .perturbation import x_matrix
@@ -66,10 +66,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _compute_row(cfg: RunConfig, beta: float, gamma: float, theta: float | None) -> list[str]:
+def _compute_report(cfg: RunConfig, beta: float, gamma: float, theta: float | None) -> MetrologyReport:
     probe = cfg.build_probe(beta=beta, theta=theta)
     bath = cfg.build_bath()
-    rep = snr_bound(probe, bath, gamma, beta, cfg.n_u, cfg.n_omega, cfg.tolerances())
+    return snr_bound(probe, bath, gamma, beta, cfg.n_u, cfg.n_omega, cfg.tolerances())
+
+
+def _csv_row(rep: MetrologyReport) -> list[str]:
     return [
         _fmt(rep.temperature),
         _fmt(rep.beta),
@@ -89,13 +92,13 @@ def _compute_row(cfg: RunConfig, beta: float, gamma: float, theta: float | None)
     ]
 
 
-def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], workers: int) -> list[list[str]]:
+def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], workers: int) -> list[MetrologyReport]:
     """Evaluate (beta, gamma, theta) points, preserving input order."""
     if workers <= 1:
-        return [_compute_row(cfg, b, g, t) for b, g, t in points]
+        return [_compute_report(cfg, b, g, t) for b, g, t in points]
     betas, gammas, thetas = zip(*points)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_row, [cfg] * len(points), betas, gammas, thetas))
+        return list(pool.map(_compute_report, [cfg] * len(points), betas, gammas, thetas))
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> None:
@@ -108,25 +111,24 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> Non
             fh.write(",".join(row) + "\n")
 
 
-def _print_report_table(rows: list[list[str]]) -> None:
+def _print_report_table(reports: list[MetrologyReport]) -> None:
     print(f"{'beta':>12} {'T':>12} {'C_S':>12} {'xi':>14} {'snr^2 pert':>14} {'snr^2 local':>14}  zero-mean")
-    for row in rows:
-        beta, t, cs, xi = row[1], row[0], row[3], row[4]
-        pert, local, ok = row[5], row[6], row[14]
+    for rep in reports:
         print(
-            f"{float(beta):>12.6g} {float(t):>12.6g} {float(cs):>12.6g} {float(xi):>14.6g} "
-            f"{float(pert):>14.6g} {float(local):>14.6g}  {ok}"
+            f"{rep.beta:>12.6g} {rep.temperature:>12.6g} {rep.c_bare:>12.6g} {rep.xi:>14.6g} "
+            f"{rep.snr_sq_pert:>14.6g} {rep.snr_sq_local:>14.6g}  "
+            f"{'true' if rep.zero_mean else 'false'}"
         )
 
 
 def cmd_report(cfg: RunConfig, out: str | None, workers: int) -> int:
     points = [(float(b), cfg.gamma, None) for b in cfg.beta_grid.points()]
-    rows = _run_grid(cfg, points, workers)
-    _print_report_table(rows)
+    reports = _run_grid(cfg, points, workers)
+    _print_report_table(reports)
     target = out or cfg.output
     if target:
-        _write_csv(target, CSV_COLUMNS, rows)
-        print(f"wrote {len(rows)} rows to {target}")
+        _write_csv(target, CSV_COLUMNS, [_csv_row(r) for r in reports])
+        print(f"wrote {len(reports)} rows to {target}")
     return 0
 
 
@@ -142,7 +144,7 @@ def cmd_sweep(cfg: RunConfig, out: str | None, workers: int) -> int:
                 points.append((float(beta), v, None))
             else:
                 points.append((float(beta), cfg.gamma, v))
-    rows = _run_grid(cfg, points, workers)
+    rows = [_csv_row(r) for r in _run_grid(cfg, points, workers)]
     target = out or cfg.output
     if target:
         _write_csv(target, CSV_COLUMNS, rows)

@@ -151,8 +151,9 @@ class RunConfig:
     def build_probe(self, beta: float | None = None, theta: float | None = None) -> ProbeModel:
         """Instantiate the probe, possibly specialised to a grid point.
 
-        ``beta`` sizes the oscillator truncation when none was pinned in the
-        config; ``theta`` overrides the qubit coupling angle during sweeps.
+        ``beta`` sizes the oscillator truncation, or checks the ``n_trunc``
+        pinned in the config, at that inverse temperature; ``theta`` overrides
+        the qubit coupling angle during sweeps.
         """
         params = dict(self.probe_params)
         if self.probe_kind == "qubit":
@@ -163,7 +164,7 @@ class RunConfig:
             return probe_oscillator(
                 params.get("omega0", 1.0),
                 n_trunc=params.get("n_trunc"),
-                beta_design=params.get("beta_design", beta),
+                beta_design=beta,
                 tail=self.tolerances().tail_population,
             )
         h, s, mu = load_operator_pair(self._resolve(params["path"]))
@@ -255,13 +256,11 @@ def _parse_probe(raw) -> tuple[str, dict]:
         if "theta" in params:
             _expect_number(params["theta"], "probe.params.theta")
     elif kind == "oscillator":
-        _reject_unknown(params, "probe.params", ("omega0", "n_trunc", "beta_design"))
+        _reject_unknown(params, "probe.params", ("omega0", "n_trunc"))
         if "omega0" in params:
             _expect_number(params["omega0"], "probe.params.omega0", positive=True)
         if "n_trunc" in params and params["n_trunc"] is not None:
             _expect_int(params["n_trunc"], "probe.params.n_trunc", minimum=2)
-        if "beta_design" in params:
-            _expect_number(params["beta_design"], "probe.params.beta_design", positive=True)
     else:
         _reject_unknown(params, "probe.params", ("path",))
         if "path" not in params:

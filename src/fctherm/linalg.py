@@ -41,10 +41,12 @@ THERMAL_SPLIT = 30.0
 
 
 def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate and return a square complex Hermitian array."""
+    """Validate and return a square, finite, complex Hermitian array."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():  # a NaN would pass every comparison below
+        raise ValueError(f"{name} has a non-finite entry")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     drift = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if drift > HERMITICITY_TOL * scale:
@@ -57,14 +59,13 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix.
 
     ``evecs`` is float64 when the matrix has zero imaginary part, complex128
-    otherwise; ``matrix`` is the validated complex input.  The basis rotations
-    return float64 when ``evecs`` and the operand are both real (an operand's
-    imaginary part that is all zero counts as real) and complex128 otherwise.
+    otherwise.  The basis rotations return float64 when ``evecs`` and the
+    operand are both real (an operand's imaginary part that is all zero counts
+    as real) and complex128 otherwise.
     """
 
     evals: np.ndarray
     evecs: np.ndarray
-    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -158,7 +159,7 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     rec = float(np.max(np.abs((v * w) @ v.conj().T - a)))
     if rec > EIG_RECONSTRUCTION_TOL * scale:
         raise ValueError(f"spectral reconstruction failed: deviation {rec:.3e}")
-    return SpectralDecomposition(evals=w, evecs=v, matrix=m)
+    return SpectralDecomposition(evals=w, evecs=v)
 
 
 @dataclass

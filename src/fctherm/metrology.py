@@ -29,7 +29,6 @@ from .linalg import (
     DensityOperator,
     SpectralDecomposition,
     dephase,
-    eigendecompose,
     gibbs_populations,
     quad_imaginary_time,
     sld_solve,
@@ -37,17 +36,15 @@ from .linalg import (
 from .models import (
     DEFAULT_FREQ_NODES,
     ContinuumBath,
-    ContinuumBathCorrelation,
     CorrelationFn,
     ProbeModel,
+    bath_correlation,
     probe_correlation,
     spectral_density,
 )
 from .perturbation import (
     DEFAULT_TIME_NODES,
     MeanForceExpansion,
-    _as_bath_correlation,
-    _require_beta,
     sld_second_order,
     x_matrix,
 )
@@ -77,7 +74,9 @@ def _as_probe_correlation(
     correlator checked against ``beta``."""
     if probe_corr is None:
         return probe_correlation(probe, beta, "eigenbasis")
-    return _require_beta(probe_corr, beta, "probe")
+    if abs(probe_corr.beta - beta) > 1e-15 * max(1.0, beta):
+        raise ValueError("probe correlator was built for a different beta")
+    return probe_corr
 
 
 def qfi_perturbative_integral(
@@ -92,12 +91,12 @@ def qfi_perturbative_integral(
 
     F2 = int_0^beta du [ (beta-u) C_B * C_S'' + 2 (C_B + (beta-u) C_B') C_S' ]
 
-    where primes are beta-derivatives at fixed u.  Ready-made correlators
-    (``bath`` itself or ``probe_corr``) must have been built for ``beta``;
-    ValueError otherwise.
+    where primes are beta-derivatives at fixed u.  ``bath`` is a bath
+    specification, whose correlator is built here; a ready-made
+    ``probe_corr`` must have been built for ``beta``, ValueError otherwise.
     """
     probe_corr = _as_probe_correlation(probe, beta, probe_corr)
-    bath_corr = _as_bath_correlation(bath, beta, n_omega)
+    bath_corr = bath_correlation(bath, beta, n_omega)
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
     u = rule.nodes
     tail = beta - u
@@ -194,22 +193,41 @@ def cfi_energy_dephasing(
 
 @dataclass
 class MetrologyReport:
-    """Everything the reporting layer needs for one (beta, gamma) point."""
+    """Everything the reporting layer needs for one (beta, gamma) point.
+
+    Only what :func:`snr_bound` computes is stored; the derived figures are
+    read-only properties, so a report cannot disagree with itself.
+    """
 
     beta: float
-    temperature: float
     gamma: float
     f0: float
     f2: float                     # integral-route coupling coefficient
     i2: float                     # energy-measurement coefficient (sum route)
-    c_bare: float                 # beta^2 F0
-    xi: float                     # beta^2 F2
-    snr_sq_pert: float            # c_bare + gamma^2 xi
-    snr_sq_local: float           # bare-thermometry bound, == c_bare
     x01: complex                  # lowest off-diagonal of X (probe eigenbasis)
     alpha01: complex              # lowest off-diagonal of A
     zero_mean: bool               # bath coupling mean below threshold
     validity_ratio: float         # gamma^2 <S^2><B^2> beta^2 diagnostic
+
+    @property
+    def temperature(self) -> float:
+        return 1.0 / self.beta
+
+    @property
+    def c_bare(self) -> float:
+        return self.beta**2 * self.f0
+
+    @property
+    def xi(self) -> float:
+        return self.beta**2 * self.f2
+
+    @property
+    def snr_sq_pert(self) -> float:
+        return self.c_bare + self.gamma**2 * self.xi
+
+    @property
+    def snr_sq_local(self) -> float:
+        return self.c_bare  # the bare-thermometry bound
 
     @property
     def f_total(self) -> float:
@@ -234,33 +252,22 @@ def snr_bound(
     """Optimal relative-error bound (dT/T)^-2 <= beta^2 F to second order."""
     expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     sldexp = sld_second_order(expansion)
-    probe_corr = expansion.probe_corr
-    bath_corr = _as_bath_correlation(bath, beta, n_omega)
-    f0, f2 = qfi_perturbative_integral(
-        probe, bath_corr, beta, n_u, n_omega, probe_corr=probe_corr
-    )
+    probe_corr, bath_corr = expansion.probe_corr, expansion.bath_corr
+    f0, f2 = qfi_perturbative_integral(probe, bath, beta, n_u, n_omega, probe_corr=probe_corr)
     _, i2 = cfi_energy_perturbative(expansion)
-    c_bare = beta**2 * f0
-    xi = beta**2 * f2
     mean_sq_s = float(probe_corr.value(0.0))
     mean_sq_b = float(bath_corr.value(0.0))
-    # x_matrix has already refused a mean above the threshold; a correlator
-    # without a ``mean`` is taken as zero-mean there too
-    zero_mean = abs(getattr(bath_corr, "mean", 0.0)) <= tol.assumption_mean
+    # x_matrix has already refused a mean above the threshold
+    zero_mean = abs(bath_corr.mean) <= tol.assumption_mean
     d = expansion.evals.size
     x01 = complex(expansion.x[0, 1]) if d > 1 else 0j
     a01 = complex(sldexp.alpha[0, 1]) if d > 1 else 0j
     return MetrologyReport(
         beta=beta,
-        temperature=1.0 / beta,
         gamma=gamma,
         f0=f0,
         f2=f2,
         i2=i2,
-        c_bare=c_bare,
-        xi=xi,
-        snr_sq_pert=c_bare + gamma**2 * xi,
-        snr_sq_local=c_bare,
         x01=x01,
         alpha01=a01,
         zero_mean=zero_mean,
@@ -302,7 +309,7 @@ def snr_kernel(
 
 def xi_via_spectral_kernel(
     probe: ProbeModel,
-    bath: ContinuumBath | ContinuumBathCorrelation,
+    bath: ContinuumBath,
     beta: float,
     n_u: int = DEFAULT_TIME_NODES,
     n_omega: int = DEFAULT_FREQ_NODES,
@@ -310,16 +317,17 @@ def xi_via_spectral_kernel(
 ) -> float:
     """xi by integrating the sensitivity kernel against the spectral density.
 
-    The frequency rule is the bath correlator's own; a ready-made correlator
-    (``bath`` or ``probe_corr``) must have been built for ``beta``.
+    The frequency rule is that of the bath correlator built here at ``beta``
+    with ``n_omega`` nodes; any ``bath`` but a ``ContinuumBath`` raises
+    TypeError.  A ready-made ``probe_corr`` must have been built for ``beta``.
     """
-    probe_corr = _as_probe_correlation(probe, beta, probe_corr)
-    bath_corr = _as_bath_correlation(bath, beta, n_omega)
-    if not isinstance(bath_corr, ContinuumBathCorrelation):
+    if not isinstance(bath, ContinuumBath):
         raise TypeError("the spectral-kernel route needs a continuum bath")
+    probe_corr = _as_probe_correlation(probe, beta, probe_corr)
+    bath_corr = bath_correlation(bath, beta, n_omega)
     rule = bath_corr.rule
     f_vals = snr_kernel(probe_corr, beta, rule.nodes, n_u, layer=bath_corr.layer_width)
-    j_vals = spectral_density(bath_corr.bath, rule.nodes)
+    j_vals = spectral_density(bath, rule.nodes)
     return rule.integrate(j_vals * f_vals)
 
 

@@ -517,10 +517,14 @@ def bath_correlation(
     beta: float,
     n_omega: int = DEFAULT_FREQ_NODES,
 ) -> CorrelationFn:
-    """Correlator of the bath coupling operator in the bath thermal state."""
+    """Correlator of the bath coupling operator in the bath thermal state: the
+    one place a bath specification becomes a correlator (TypeError for
+    anything but a ``ContinuumBath`` or ``DiscreteBath``)."""
     if isinstance(bath, ContinuumBath):
         return ContinuumBathCorrelation(bath, beta, n_omega)
-    return EigenbasisCorrelation(bath.decomp, bath.coupling, beta)
+    if isinstance(bath, DiscreteBath):
+        return EigenbasisCorrelation(bath.decomp, bath.coupling, beta)
+    raise TypeError(f"unsupported bath specification: {type(bath).__name__}")
 
 
 def mean_coupling(bath: ContinuumBath | DiscreteBath, beta: float) -> float:

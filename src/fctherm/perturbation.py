@@ -16,10 +16,11 @@ populations p_n, coupling matrix S_nk):
 where sigma_n(u) = sum_k |S_nk|^2 e^{-u (E_k - E_n)} and C_S = sum_n p_n
 sigma_n is the probe correlator.  Near-degenerate pairs use the analytic
 limit of the second line.  The probe's level data (rotated coupling,
-populations, sigma_n) come from one EigenbasisCorrelation per point, which the
-expansion carries.  The beta-derivative of X, needed for estimation theory,
-is always assembled alongside X; a finite-difference version is kept for
-cross-validation.
+populations, sigma_n) come from one EigenbasisCorrelation per point, and C_B
+from one bath correlator built from a bath specification, never passed in;
+the expansion carries both.  The beta-derivative of X, needed for estimation
+theory, is always assembled alongside X; a finite-difference version is kept
+for cross-validation.
 
 When the environment mean is non-zero there is also a first-order term,
 handled by :func:`p1_operator`.
@@ -37,9 +38,7 @@ from .errors import CouplingTooStrongError
 from .linalg import DensityOperator, QuadratureRule, quad_imaginary_time
 from .models import (
     DEFAULT_FREQ_NODES,
-    ContinuumBath,
     CorrelationFn,
-    DiscreteBath,
     EigenbasisCorrelation,
     ProbeModel,
     bath_correlation,
@@ -47,23 +46,6 @@ from .models import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 DEFAULT_TIME_NODES = 64  # imaginary-time rule size
-
-
-def _require_beta(corr: CorrelationFn, beta: float, role: str) -> CorrelationFn:
-    """Return ``corr``; raise if it was built for another inverse temperature."""
-    if abs(corr.beta - beta) > 1e-15 * max(1.0, beta):
-        raise ValueError(f"{role} correlator was built for a different beta")
-    return corr
-
-
-def _as_bath_correlation(bath, beta: float, n_omega: int) -> CorrelationFn:
-    """The bath correlator at ``beta``: built from a bath specification, or a
-    ready-made correlator checked against ``beta``."""
-    if isinstance(bath, CorrelationFn):
-        return _require_beta(bath, beta, "bath")
-    if isinstance(bath, (ContinuumBath, DiscreteBath)):
-        return bath_correlation(bath, beta, n_omega)
-    raise TypeError(f"unsupported bath specification: {type(bath).__name__}")
 
 
 @dataclass
@@ -74,14 +56,17 @@ class MeanForceExpansion:
     coupling are real (every built-in probe), complex128 otherwise.
     ``probe_corr`` is the probe correlator the expansion was assembled from;
     it supplies the inverse temperature, the levels, the populations and the
-    basis the state is rotated back with.  ``tol`` holds the thresholds the
-    expansion was built under, which :meth:`at_coupling` applies too.
+    basis the state is rotated back with.  ``bath_corr`` is the bath
+    correlator C_B it was assembled against, built for the same beta.
+    ``tol`` holds the thresholds the expansion was built under, which
+    :meth:`at_coupling` applies too.
     """
 
     x: np.ndarray                    # correction matrix, probe eigenbasis
     x_dbeta: np.ndarray              # analytic d X / d beta (same basis)
     rule: QuadratureRule
     probe_corr: EigenbasisCorrelation
+    bath_corr: CorrelationFn
     tol: Tolerances = DEFAULT_TOL
     hermiticity_drift: float = 0.0   # max |pi X - (pi X)^dag| before symmetrisation
     gamma: float | None = None
@@ -201,29 +186,30 @@ def x_matrix(
     bath,
     beta: float,
     n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int | None = None,
+    n_omega: int = DEFAULT_FREQ_NODES,
     tol: Tolerances = DEFAULT_TOL,
 ) -> MeanForceExpansion:
     """Second-order state-correction matrix X and its analytic dX/dbeta.
 
-    ``bath`` may be a bath specification or a ready-made correlator.  The
-    expansion is derived under a zero-mean environment coupling; a bath whose
-    coupling operator has a thermal mean above ``tol.assumption_mean`` is
-    refused, because the reduced state then picks up a first-order term that
-    this routine cannot represent (see :func:`p1_operator`).
+    ``bath`` is a bath specification (``ContinuumBath`` or ``DiscreteBath``);
+    its correlator is built here at ``beta`` with ``n_omega`` frequency nodes
+    and carried as the expansion's ``bath_corr``.  The expansion is derived
+    under a zero-mean environment coupling; a bath whose coupling operator has
+    a thermal mean above ``tol.assumption_mean`` is refused, because the
+    reduced state then picks up a first-order term that this routine cannot
+    represent (see :func:`p1_operator`).
     """
-    corr_b = _as_bath_correlation(bath, beta, n_omega or DEFAULT_FREQ_NODES)
-    mean_b = getattr(corr_b, "mean", None)
-    if mean_b is not None and abs(mean_b) > tol.assumption_mean:
+    bath_corr = bath_correlation(bath, beta, n_omega)
+    if abs(bath_corr.mean) > tol.assumption_mean:
         raise ValueError(
-            f"environment coupling has thermal mean {mean_b:.3e}; the second-order "
+            f"environment coupling has thermal mean {bath_corr.mean:.3e}; the second-order "
             "expansion assumes a zero-mean coupling — handle the first-order term "
             "with p1_operator or centre the coupling operator"
         )
-    probe_corr, x, dx, rule = _assemble_x(probe, corr_b, beta, n_u, tol)
+    probe_corr, x, dx, rule = _assemble_x(probe, bath_corr, beta, n_u, tol)
     weighted = probe_corr.populations[:, None] * x
     drift = float(np.max(np.abs(weighted - weighted.conj().T)))
-    return MeanForceExpansion(x, dx, rule, probe_corr, tol, hermiticity_drift=drift)
+    return MeanForceExpansion(x, dx, rule, probe_corr, bath_corr, tol, hermiticity_drift=drift)
 
 
 def x_matrix_fd_dbeta(
@@ -231,7 +217,7 @@ def x_matrix_fd_dbeta(
     bath,
     beta: float,
     n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int | None = None,
+    n_omega: int = DEFAULT_FREQ_NODES,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Finite-difference dX/dbeta for cross-validation of the analytic path.
@@ -239,10 +225,6 @@ def x_matrix_fd_dbeta(
     Central differences with steps h = tol.fd_step_rel * beta and h/2,
     combined by Richardson extrapolation to fourth order.
     """
-    if isinstance(bath, CorrelationFn):
-        raise ValueError(
-            "finite-difference path needs a bath specification, not a fixed-beta correlator"
-        )
     h = tol.fd_step_rel * beta
 
     def x_at(b: float) -> np.ndarray:
@@ -259,7 +241,7 @@ def mfg_second_order(
     gamma: float,
     beta: float,
     n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int | None = None,
+    n_omega: int = DEFAULT_FREQ_NODES,
     tol: Tolerances = DEFAULT_TOL,
 ) -> MeanForceExpansion:
     """Assembled second-order reduced state pi (1 + gamma^2 X): the expansion

@@ -224,6 +224,32 @@ def test_exit_2_on_unwritable_output_path(tmp_path, capsys):
     assert "I/O error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, source", [("probe", "probe_qubit_x.json"),
+                                             ("bath", "bath_qubit_x.json")])
+def test_exit_2_on_non_finite_operator_entry(tmp_path, config_dir, capsys, section, source):
+    # a NaN once slipped through every Hermiticity and eigensolver check and
+    # came out as nan columns with assumption2_ok = false and exit code 0
+    ops = json.loads((config_dir / source).read_text())
+    ops["H"][0] = [math.nan, 0.0]
+    bad = tmp_path / source
+    bad.write_text(json.dumps(ops))
+    doc = {
+        "probe": {"kind": "qubit", "params": {"epsilon": 1.0, "theta": 0.7853981633974483}},
+        "bath": {"kind": "discrete-file", "path": str(config_dir / "bath_qubit_x.json")},
+        "gamma": 0.05,
+        "beta_grid": {"min": 1.0, "max": 1.0, "n": 1},
+    }
+    if section == "probe":
+        doc["probe"] = {"kind": "custom-matrix-file", "params": {"path": str(bad)}}
+    else:
+        doc["bath"]["path"] = str(bad)
+    cfg = write_config(tmp_path, doc)
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "failed to materialise model" in err and "non-finite" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_exit_3_on_numerical_failure(tmp_path, config_dir, capsys):
     # a projector-coupled environment has a non-zero coupling mean, which the
     # second-order report machinery refuses mid-computation

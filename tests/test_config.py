@@ -38,6 +38,10 @@ def cfg_with(**patch) -> dict:
         (lambda d: d["probe"].update(kind="spin-7"), "probe.kind"),
         (lambda d: d["probe"]["params"].update(epsilon=0.0), "probe.params.epsilon"),
         (lambda d: d["probe"]["params"].update(zeta=2), "probe.params: unknown field"),
+        (
+            lambda d: d.update(probe={"kind": "oscillator", "params": {"beta_design": 1.0}}),
+            "probe.params: unknown field(s) beta_design",
+        ),
         (lambda d: d["bath"].pop("s"), "bath.s: required for an ohmic-family bath"),
         (lambda d: d["bath"].update(Omega=-1.0), "bath.Omega"),
         (lambda d: d["beta_grid"].pop("n"), "beta_grid.n: required"),

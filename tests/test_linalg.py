@@ -45,6 +45,18 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_require_hermitian_refuses_non_finite_entries(bad):
+    # every comparison with NaN is false, so the Hermiticity drift and the
+    # eigensolver's checks would all pass on such a matrix
+    m = random_hermitian(3, 2)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        require_hermitian(m, name="probe Hamiltonian")
+    with pytest.raises(ValueError, match="non-finite"):
+        eigendecompose(m)
+
+
 def test_linear_algebra_guards_keep_their_values():
     assert linalg.HERMITICITY_TOL == 1e-12
     assert linalg.EIG_RECONSTRUCTION_TOL == 1e-10

@@ -9,9 +9,7 @@ import pytest
 
 from fctherm import (
     ContinuumBath,
-    OscillatorCorrelation,
     QubitCorrelation,
-    bath_correlation,
     bath_qubit,
     cfi_energy_dephasing,
     cfi_energy_general,
@@ -109,32 +107,22 @@ def test_cfi_dephasing_differs_with_coherences():
 
 
 def test_correlators_built_for_another_beta_are_refused():
-    # a bath correlator built at beta = 5 once gave F2 = -0.1257 at beta = 2
-    # instead of -0.5570, because only x_matrix checked its beta
+    # a correlator built at beta = 5 once gave F2 = -0.1257 at beta = 2
+    # instead of -0.5570; a bath now always comes as a specification, and a
+    # supplied probe correlator is checked against beta
     probe, bath, beta = probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0), 2.0
     _, f2 = qfi_perturbative_integral(probe, bath, beta)
     assert f2 == pytest.approx(-0.5570253003991168, rel=1e-12)
-    right = bath_correlation(bath, beta)
-    assert qfi_perturbative_integral(probe, right, beta)[1] == f2
-    assert snr_bound(probe, right, 0.1, beta).f2 == f2
-    stale_bath = bath_correlation(bath, 5.0)
+    assert snr_bound(probe, bath, 0.1, beta).f2 == f2
     stale_probe = probe_correlation(probe, 5.0)
-    with pytest.raises(ValueError, match="bath correlator was built for a different beta"):
-        qfi_perturbative_integral(probe, stale_bath, beta)
-    with pytest.raises(ValueError, match="bath correlator was built for a different beta"):
-        snr_bound(probe, stale_bath, 0.1, beta)
     with pytest.raises(ValueError, match="probe correlator was built for a different beta"):
         qfi_perturbative_integral(probe, bath, beta, probe_corr=stale_probe)
     with pytest.raises(ValueError, match="probe correlator was built for a different beta"):
         xi_via_spectral_kernel(probe, bath, beta, probe_corr=stale_probe)
-    with pytest.raises(ValueError, match="bath correlator was built for a different beta"):
-        xi_via_spectral_kernel(probe, stale_bath, beta)
 
 
-def test_spectral_kernel_route_takes_a_continuum_correlator():
-    probe, bath, beta = probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0), 2.0
-    xi = xi_via_spectral_kernel(probe, bath, beta)
-    assert xi_via_spectral_kernel(probe, bath_correlation(bath, beta), beta) == xi
+def test_spectral_kernel_route_needs_a_continuum_bath():
+    probe, beta = probe_qubit(1.0, 0.7), 2.0
     with pytest.raises(TypeError, match="continuum bath"):
         xi_via_spectral_kernel(probe, bath_qubit(1.0), beta)
 

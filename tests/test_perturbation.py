@@ -23,10 +23,14 @@ from fctherm import (
     probe_custom,
     probe_oscillator,
     probe_qubit,
+    qfi_perturbative_integral,
+    qfi_perturbative_sum,
+    quad_thermal_frequency,
     sld_second_order,
     snr_bound,
     x_matrix,
     x_matrix_fd_dbeta,
+    xi_via_spectral_kernel,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -60,17 +64,51 @@ def test_weighted_correction_is_nearly_hermitian(probe, bath):
     assert exp.hermiticity_drift < 1e-10 * scale
 
 
-def test_x_matrix_accepts_prebuilt_correlator_with_matching_beta():
+# every route to F2 (and to X) builds its bath correlator from a specification,
+# so n_omega always applies; a ready-made correlator is not a specification
+BATH_ROUTES = {
+    "x_matrix": lambda p, b: x_matrix(p, b, 1.0),
+    "x_matrix_fd_dbeta": lambda p, b: x_matrix_fd_dbeta(p, b, 1.0),
+    "mfg_second_order": lambda p, b: mfg_second_order(p, b, 0.1, 1.0),
+    "qfi_perturbative_integral": lambda p, b: qfi_perturbative_integral(p, b, 1.0),
+    "qfi_perturbative_sum": lambda p, b: qfi_perturbative_sum(p, b, 1.0),
+    "snr_bound": lambda p, b: snr_bound(p, b, 0.1, 1.0),
+    "xi_via_spectral_kernel": lambda p, b: xi_via_spectral_kernel(p, b, 1.0),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BATH_ROUTES))
+def test_routes_refuse_anything_but_a_bath_specification(route):
     probe, bath = MODEL_PAIRS[1]
-    beta = 1.0
-    corr = bath_correlation(bath, beta)
-    a = x_matrix(probe, corr, beta).x
-    b = x_matrix(probe, bath, beta).x
-    assert np.max(np.abs(a - b)) < 1e-14 * max(1.0, np.max(np.abs(b)))
-    with pytest.raises(ValueError, match="different beta"):
-        x_matrix(probe, corr, 2.0)
-    with pytest.raises(TypeError, match="unsupported bath"):
-        x_matrix(probe, object(), beta)
+    not_specifications = (
+        bath_correlation(bath, 1.0),
+        bath_correlation(bath_qubit(1.0), 1.0),
+        object(),
+    )
+    for wrong in not_specifications:
+        with pytest.raises(TypeError):
+            BATH_ROUTES[route](probe, wrong)
+
+
+def test_expansion_carries_the_bath_correlator_it_built():
+    probe, bath, beta = probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0), 1.3
+    exp = x_matrix(probe, bath, beta, n_omega=48)
+    assert exp.bath_corr.beta == exp.beta == beta
+    rule = quad_thermal_frequency(48, bath.cutoff, beta)
+    assert np.array_equal(exp.bath_corr.rule.nodes, rule.nodes)
+    discrete = x_matrix(probe, bath_qubit(1.0), beta).bath_corr
+    assert discrete.beta == beta and abs(discrete.mean) < 1e-15
+
+
+def test_frequency_rule_size_reaches_x_and_f2():
+    # n_omega once did nothing when the bath came as a ready-made correlator
+    probe, bath, beta = probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0), 1.0
+    x_coarse = x_matrix(probe, bath, beta, n_omega=32).x
+    x_fine = x_matrix(probe, bath, beta, n_omega=256).x
+    assert 1e-7 < np.max(np.abs(x_fine - x_coarse)) < 1e-5
+    f2_coarse = snr_bound(probe, bath, 0.1, beta, n_omega=32).f2
+    f2_fine = snr_bound(probe, bath, 0.1, beta, n_omega=256).f2
+    assert 1e-7 < abs(f2_fine - f2_coarse) < 1e-5
 
 
 def test_x_matrix_refuses_nonzero_mean_coupling():
@@ -134,13 +172,6 @@ def test_analytic_dbeta_matches_finite_differences(probe, bath, beta):
     fd = x_matrix_fd_dbeta(probe, bath, beta)
     scale = max(1.0, float(np.max(np.abs(fd))))
     assert np.max(np.abs(exp.x_dbeta - fd)) < 1e-6 * scale
-
-
-def test_fd_path_rejects_fixed_beta_correlators():
-    probe, bath = MODEL_PAIRS[1]
-    corr = bath_correlation(bath, 1.0)
-    with pytest.raises(ValueError, match="fixed-beta"):
-        x_matrix_fd_dbeta(probe, corr, 1.0)
 
 
 # ---------------------------------------------------------------------------
