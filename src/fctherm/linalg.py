@@ -34,6 +34,7 @@ EIG_RECONSTRUCTION_TOL = 1e-10  # max |V w V^dag - H| (relative)
 EIG_UNITARITY_TOL = 1e-10       # max |V^dag V - 1|
 EIG_CLUSTER_REL = 1e-12         # relative eigenvalue gap below which levels are tied
 PSD_STATE_FLOOR = -1e-12        # minimum eigenvalue of an exact density operator
+SLD_TRACE_TOL = 1e-10           # max |tr drho| in sld_solve, relative to max(1, ||drho||_F)
 
 # beta * cutoff above which quad_thermal_frequency splits off the infrared
 # window [0, THERMAL_SPLIT / beta]; beyond it exp(-beta w) < exp(-THERMAL_SPLIT).
@@ -224,18 +225,8 @@ def gibbs_state(
     return DensityOperator(rho, tol), log_z
 
 
-def dephase(op: np.ndarray, decomp: SpectralDecomposition) -> np.ndarray:
-    """Project an operator onto the diagonal of the given eigenbasis.
-
-    Returns the operator expressed in the *original* basis with all
-    off-diagonal eigenbasis elements removed.
-    """
-    diag = np.real(np.diag(decomp.to_eigenbasis(op)))
-    return (decomp.evecs * diag) @ decomp.evecs.conj().T
-
-
 def sld_solve(
-    rho: np.ndarray | DensityOperator | SpectralDecomposition,
+    rho: np.ndarray | DensityOperator,
     drho: np.ndarray,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
@@ -245,19 +236,15 @@ def sld_solve(
     Directions with lambda_i + lambda_j below ``tol.sld_support`` are null: if
     the derivative has weight above ``tol.sld_kernel_drho`` there the equation
     has no solution on the support and :class:`SingularSupportError` is raised;
-    otherwise those components are set to zero.
-
-    ``rho`` may also be given as its spectral decomposition, so that several
-    derivatives of one state share a single diagonalisation.
+    otherwise those components are set to zero.  A derivative whose trace
+    exceeds ``SLD_TRACE_TOL`` (relative) is not trace-preserving and raises
+    ValueError.
     """
-    if isinstance(rho, SpectralDecomposition):
-        dec = rho
-    else:
-        mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
-        dec = eigendecompose(mat)
+    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
+    dec = eigendecompose(mat)
     drho = require_hermitian(drho, name="state derivative")
     tr_d = abs(complex(np.trace(drho)))
-    if tr_d > 1e-10 * max(1.0, float(np.linalg.norm(drho))):
+    if tr_d > SLD_TRACE_TOL * max(1.0, float(np.linalg.norm(drho))):
         raise ValueError(
             f"state derivative has trace {tr_d:.3e}; a trace-preserving family is required"
         )

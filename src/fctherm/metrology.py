@@ -2,20 +2,21 @@
 
 The inverse-temperature quantum Fisher information of the reduced state expands
 as F = F0 + gamma^2 F2 + O(gamma^4), with F0 the bare energy variance.  F2 is
-available through three independent routes that must agree:
+computed in two discretisations that must agree:
 
 * the *integral* route: an imaginary-time integral of products of probe and
   bath correlators and their beta-derivatives,
-* the *sum* route: level sums over the state correction X and the
-  logarithmic-derivative coefficient A,
 * the *kernel* route: a frequency integral of the spectral density against a
   temperature-dependent kernel (useful for reading off which bath frequencies
   help or hurt thermometry).
 
 At this order the classical Fisher information of an energy measurement has
-the same correction coefficient, so the coupling correction to the optimal
-signal-to-noise ratio is measurement-achievable:  (dT/T)^-2 <= beta^2 F =
-C + gamma^2 xi with C the bare heat-capacity-like term and xi = beta^2 F2.
+the same correction coefficient, I2 = F2: the level-sum form of F2 over X and
+the logarithmic-derivative matrix A reads only A_nn, and A_nn = dX_nn/dbeta,
+so it is I2 term by term.  The coupling correction to the optimal
+signal-to-noise ratio is therefore measurement-achievable:  (dT/T)^-2 <=
+beta^2 F = C + gamma^2 xi with C the bare heat-capacity-like term and
+xi = beta^2 F2.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     SpectralDecomposition,
-    dephase,
     gibbs_populations,
     quad_imaginary_time,
-    sld_solve,
 )
 from .models import (
     DEFAULT_FREQ_NODES,
@@ -115,14 +114,16 @@ def qfi_perturbative_sum(
     n_omega: int = DEFAULT_FREQ_NODES,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[float, float]:
-    """(F0, F2) with F2 from level sums over X and the log-derivative matrix A:
+    """(F0, F2) from level sums over X and the log-derivative matrix A:
 
     F2 = sum_n p_n dE_n^2 X_nn - 2 sum_n p_n dE_n A_nn,   dE_n = E_n - <H>.
+
+    Only the diagonal of A enters, and A_nn = dX_nn (see
+    :func:`sld_second_order`), so this is :func:`cfi_energy_perturbative` on
+    the expansion at ``beta``: the identity F2 = I2, not a separate
+    discretisation.
     """
-    expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
-    a_nn = np.real(np.diag(sld_second_order(expansion).alpha))
-    return _population_fisher(expansion.populations, expansion.evals,
-                              np.real(np.diag(expansion.x)), a_nn)
+    return cfi_energy_perturbative(x_matrix(probe, bath, beta, n_u, n_omega, tol))
 
 
 def cfi_energy_perturbative(expansion: MeanForceExpansion) -> tuple[float, float]:
@@ -140,21 +141,21 @@ def cfi_energy_perturbative(expansion: MeanForceExpansion) -> tuple[float, float
 
 
 def cfi_energy_general(
-    reference: ProbeModel | SpectralDecomposition,
+    reference: SpectralDecomposition,
     rho: np.ndarray | DensityOperator,
     drho: np.ndarray,
 ) -> float:
     """Classical Fisher information of an energy measurement on an arbitrary state.
 
-    I = sum_n (d p_n)^2 / p_n over the populations in the reference eigenbasis.
-    Levels with vanishing population and vanishing derivative are skipped; a
-    vanishing population with finite derivative makes the information diverge
-    and raises ValueError.
+    I = sum_n (d p_n)^2 / p_n over the populations in the eigenbasis of
+    ``reference`` (for a probe, ``probe.decomp``).  Levels with vanishing
+    population and vanishing derivative are skipped; a vanishing population
+    with finite derivative makes the information diverge and raises
+    ValueError.
     """
-    dec = reference.decomp if isinstance(reference, ProbeModel) else reference
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    p = np.real(np.diag(dec.to_eigenbasis(mat)))
-    dp = np.real(np.diag(dec.to_eigenbasis(drho)))
+    p = np.real(np.diag(reference.to_eigenbasis(mat)))
+    dp = np.real(np.diag(reference.to_eigenbasis(drho)))
     out = 0.0
     for pn, dpn in zip(p, dp):
         if pn <= 1e-300:
@@ -163,27 +164,6 @@ def cfi_energy_general(
             continue
         out += dpn * dpn / pn
     return float(out)
-
-
-def cfi_energy_dephasing(
-    reference: ProbeModel | SpectralDecomposition,
-    rho: np.ndarray | DensityOperator,
-    drho: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """tr( D(L)^2 D(rho) ) with L the full-state logarithmic derivative and D
-    the dephasing map in the reference eigenbasis.
-
-    Coincides with :func:`cfi_energy_general` when the state commutes with the
-    reference Hamiltonian; with coherences of order gamma present, the two
-    differ at order gamma^2 and the population form is the operational one.
-    """
-    dec = reference.decomp if isinstance(reference, ProbeModel) else reference
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    l_full = sld_solve(mat, drho, tol)
-    ld = dephase(l_full, dec)
-    rd = dephase(mat, dec)
-    return float(np.real(np.trace(ld @ ld @ rd)))
 
 
 # ----------------------------------------------------------------------------
@@ -203,7 +183,7 @@ class MetrologyReport:
     gamma: float
     f0: float
     f2: float                     # integral-route coupling coefficient
-    i2: float                     # energy-measurement coefficient (sum route)
+    i2: float                     # energy-measurement coefficient
     x01: complex                  # lowest off-diagonal of X (probe eigenbasis)
     alpha01: complex              # lowest off-diagonal of A
     zero_mean: bool               # bath coupling mean below threshold

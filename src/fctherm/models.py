@@ -8,9 +8,9 @@ evaluated at imaginary time -i*u with 0 <= u <= beta (hbar = k_B = 1):
     C(u) = < A(-i u) A >_thermal = sum_{n,k} p_n |A_nk|^2 exp(-u (E_k - E_n)).
 
 They are uncentred; a zero-mean coupling is an *assumption* of the weak
-coupling machinery, tracked separately via ``mean_coupling``.  Every closed
-form below is written with non-positive exponents only, so nothing overflows
-at large beta or large frequency.
+coupling machinery, tracked separately via each correlator's ``mean``.  Every
+closed form below is written with non-positive exponents only, so nothing
+overflows at large beta or large frequency.
 
 Each correlator exposes ``value``, ``dbeta`` and ``d2beta`` (derivatives at
 fixed u with respect to inverse temperature); ``d2beta`` may raise
@@ -299,11 +299,6 @@ def validate_dim_exponent(dim_exponent: float | None, bath: ContinuumBath) -> No
         )
 
 
-def validate_pairing(probe: ProbeModel, bath: ContinuumBath) -> None:
-    """Check the bath's dimension exponent against the probe coupling dimension."""
-    validate_dim_exponent(probe.dim_exponent, bath)
-
-
 # ----------------------------------------------------------------------------
 # correlation functions
 # ----------------------------------------------------------------------------
@@ -488,10 +483,6 @@ class ContinuumBathCorrelation(CorrelationFn):
     def d2beta(self, u):
         raise NotImplementedError("second beta-derivative of the bath correlator is unused")
 
-    def mean_square(self) -> float:
-        """<B^2> = value at u = 0 (useful as a coupling-strength diagnostic)."""
-        return float(self.value(0.0))
-
 
 def probe_correlation(
     probe: ProbeModel, beta: float, form: str = "eigenbasis"
@@ -527,19 +518,9 @@ def bath_correlation(
     raise TypeError(f"unsupported bath specification: {type(bath).__name__}")
 
 
-def mean_coupling(bath: ContinuumBath | DiscreteBath, beta: float) -> float:
-    """Thermal mean of the bath coupling operator.
-
-    Zero by construction for the continuum family (linear in mode operators).
-    """
-    if isinstance(bath, ContinuumBath):
-        return 0.0
-    corr = EigenbasisCorrelation(bath.decomp, bath.coupling, beta)
-    return corr.mean
-
-
 def zero_mean_ok(
     bath: ContinuumBath | DiscreteBath, beta: float, tol: Tolerances = DEFAULT_TOL
 ) -> bool:
-    """Whether the bath coupling satisfies the zero-mean assumption."""
-    return abs(mean_coupling(bath, beta)) <= tol.assumption_mean
+    """Whether the bath coupling's thermal mean (the ``mean`` of its
+    correlator) satisfies the zero-mean assumption."""
+    return abs(bath_correlation(bath, beta).mean) <= tol.assumption_mean

@@ -79,9 +79,6 @@ class JointModel:
             self._decomp = eigendecompose(self.hamiltonian)
         return self._decomp
 
-    def with_gamma(self, gamma: float) -> "JointModel":
-        return JointModel(self.probe, self.bath, gamma)
-
 
 def partial_trace_bath(matrix: np.ndarray, dim_probe: int, dim_bath: int) -> np.ndarray:
     """Trace out the second tensor factor of a (dS*dB) x (dS*dB) matrix."""

@@ -250,16 +250,14 @@ def mfg_second_order(
     return x_matrix(probe, bath, beta, n_u, n_omega, tol).at_coupling(gamma)
 
 
-def p1_operator(
-    probe: ProbeModel, beta: float, mean_b: float, basis: str = "eigen"
-) -> np.ndarray:
+def p1_operator(probe: ProbeModel, beta: float, mean_b: float) -> np.ndarray:
     """First-order state correction present when the environment mean is non-zero.
 
     rho(gamma) = pi + gamma * p1 + O(gamma^2),
     p1 = -<B> pi int_0^beta db1 e^{b1 H} (S - <S>) e^{-b1 H}.
 
-    Returns the matrix in the probe eigenbasis (or the original basis with
-    ``basis="original"``).  Identically zero when ``mean_b == 0``.
+    Returns the matrix in the probe eigenbasis; ``probe.decomp.from_eigenbasis``
+    rotates it back.  Identically zero when ``mean_b == 0``.
     """
     corr = EigenbasisCorrelation(probe.decomp, probe.coupling, beta)
     evals, p = corr.evals, corr.populations
@@ -267,12 +265,7 @@ def p1_operator(
     gap = evals[:, None] - evals[None, :]
     small = np.abs(gap) < 1e-300
     tau = np.where(small, beta, np.expm1(beta * np.where(small, 1.0, gap)) / np.where(small, 1.0, gap))
-    p1 = -mean_b * (p[:, None] * s_bar * tau)
-    if basis == "eigen":
-        return p1
-    if basis == "original":
-        return probe.decomp.from_eigenbasis(p1)
-    raise ValueError(f"unknown basis {basis!r}")
+    return -mean_b * (p[:, None] * s_bar * tau)
 
 
 @dataclass
@@ -312,7 +305,7 @@ def sld_second_order(expansion: MeanForceExpansion) -> SldExpansion:
     drift = float(np.max(np.abs(alpha - alpha.conj().T)))
     alpha = 0.5 * (alpha + alpha.conj().T)
     # On the diagonal the solve reduces to A_nn = dX_nn exactly; write it as such
-    # so downstream population sums reproduce the derivative without rounding.
+    # so the level-sum F2 over A_nn is I2 without rounding.
     np.fill_diagonal(alpha, np.real(np.diag(expansion.x_dbeta)))
     mean_e = float(np.dot(p, evals))
     return SldExpansion(

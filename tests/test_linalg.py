@@ -8,7 +8,6 @@ import pytest
 from fctherm import (
     DensityOperator,
     SingularSupportError,
-    dephase,
     eigendecompose,
     gibbs_populations,
     gibbs_state,
@@ -303,19 +302,6 @@ def test_density_operator_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_dephase_removes_offdiagonals_and_preserves_trace():
-    h = random_hermitian(4, 5)
-    dec = eigendecompose(h)
-    op = random_hermitian(4, 6)
-    d_op = dephase(op, dec)
-    in_eig = dec.to_eigenbasis(d_op)
-    off = in_eig - np.diag(np.diag(in_eig))
-    assert np.max(np.abs(off)) < 1e-13
-    assert abs(np.trace(d_op) - np.trace(op)) < 1e-12
-    # idempotent
-    assert np.max(np.abs(dephase(d_op, dec) - d_op)) < 1e-13
-
-
 def test_sld_solve_residual_and_hermiticity():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -327,6 +313,8 @@ def test_sld_solve_residual_and_hermiticity():
     assert np.max(np.abs(sld - sld.conj().T)) < 1e-12
     resid = 0.5 * (sld @ rho + rho @ sld) - drho
     assert np.max(np.abs(resid)) < 1e-10
+    with pytest.raises(ValueError, match="not Hermitian"):
+        sld_solve(rho, drho + 1e-6j * np.eye(4))
 
 
 def test_sld_solve_requires_traceless_derivative():
@@ -347,24 +335,6 @@ def test_sld_solve_ignores_negligible_null_weight():
     drho = np.diag([-1e-13, 1e-13]).astype(complex)
     sld = sld_solve(rho, drho)
     assert np.all(np.isfinite(sld))
-
-
-def test_sld_solve_reuses_a_decomposition_of_the_state():
-    rng = np.random.default_rng(19)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    rho = a @ a.conj().T
-    rho = rho / np.trace(rho).real
-    drho = random_hermitian(5, 20)
-    drho -= np.trace(drho).real / 5.0 * np.eye(5)
-    dec = eigendecompose(rho)
-    assert np.array_equal(sld_solve(dec, drho), sld_solve(rho, drho))
-    with pytest.raises(ValueError, match="trace-preserving"):
-        sld_solve(dec, drho + 1e-6 * np.eye(5))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        sld_solve(dec, drho + 1e-6j * np.eye(5))
-    null = eigendecompose(np.diag([1.0, 0.0]).astype(complex))
-    with pytest.raises(SingularSupportError):
-        sld_solve(null, np.diag([-1e-3, 1e-3]).astype(complex))
 
 
 def test_qfi_matches_thermal_variance():

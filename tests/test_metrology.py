@@ -11,22 +11,26 @@ from fctherm import (
     ContinuumBath,
     QubitCorrelation,
     bath_qubit,
-    cfi_energy_dephasing,
     cfi_energy_general,
     cfi_energy_perturbative,
+    default_gamma_grid,
     eigendecompose,
     energy_variance,
     high_T_asymptote,
+    order_fit,
     probe_correlation,
     probe_oscillator,
     probe_qubit,
+    qfi_from_sld,
     qfi_perturbative_integral,
     qfi_perturbative_sum,
+    sld_solve,
     snr_bound,
     snr_kernel,
     x_matrix,
     xi_via_spectral_kernel,
 )
+from fctherm.cli import SLOPE_WINDOWS
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +76,38 @@ def test_energy_measurement_saturates_quantum_coefficient():
     assert i2 == f2
 
 
+@pytest.mark.parametrize("beta", [0.7, 1.3, 3.0])
+@pytest.mark.parametrize(
+    "probe, bath",
+    [
+        (probe_qubit(1.0, 0.7), ContinuumBath(1.0, 5.0)),
+        (probe_qubit(1.0, np.pi / 2.0), ContinuumBath(1.0, 5.0)),
+        (probe_oscillator(1.0, n_trunc=12), ContinuumBath(1.0, 5.0, dim_exponent=2.0)),
+    ],
+    ids=["qubit-0.7", "qubit-pi/2", "oscillator-12"],
+)
+def test_assembled_state_qfi_reaches_f2_with_coherences(probe, bath, beta):
+    # the QFI of pi (1 + gamma^2 X), coherences included, from the SLD of the
+    # full state: no population formula enters, so this checks F2 = I2
+    # independently of the level-sum identity A_nn = dX_nn
+    exp = x_matrix(probe, bath, beta)
+    corr = exp.probe_corr
+    p, dp = corr.populations, corr.dpopulations
+    f0, f2 = qfi_perturbative_integral(probe, bath, beta)
+    gammas = default_gamma_grid(8, 1e-3, 3e-2)
+    devs = []
+    for g in gammas:
+        rho = corr.decomp.from_eigenbasis(np.diag(p) + g**2 * p[:, None] * exp.x)
+        drho = corr.decomp.from_eigenbasis(
+            np.diag(dp) + g**2 * (dp[:, None] * exp.x + p[:, None] * exp.x_dbeta)
+        )
+        devs.append(qfi_from_sld(rho, sld_solve(rho, drho)) - (f0 + g**2 * f2))
+    fit = order_fit(gammas, devs, scale=f0)
+    lo, hi = SLOPE_WINDOWS["second_order"]
+    assert not fit.indistinguishable
+    assert lo <= fit.slope <= hi, f"|QFI - F_pert| slope {fit.slope:.4f} outside [{lo}, {hi}]"
+
+
 def test_cfi_energy_general_hand_value():
     dec = eigendecompose(np.diag([-1.0, 1.0]).astype(complex))
     rho = np.diag([0.7, 0.3]).astype(complex)
@@ -86,24 +122,6 @@ def test_cfi_energy_general_divergence_raises():
     drho = np.diag([-1e-3, 1e-3]).astype(complex)
     with pytest.raises(ValueError, match="derivative"):
         cfi_energy_general(dec, rho, drho)
-
-
-def test_cfi_dephasing_matches_general_when_commuting():
-    dec = eigendecompose(np.diag([-1.0, 1.0]).astype(complex))
-    rho = np.diag([0.7, 0.3]).astype(complex)
-    drho = np.diag([-0.1, 0.1]).astype(complex)
-    a = cfi_energy_general(dec, rho, drho)
-    b = cfi_energy_dephasing(dec, rho, drho)
-    assert abs(a - b) < 1e-10
-
-
-def test_cfi_dephasing_differs_with_coherences():
-    dec = eigendecompose(np.diag([-1.0, 1.0]).astype(complex))
-    rho = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
-    drho = np.array([[-0.1, 0.05], [0.05, 0.1]], dtype=complex)
-    a = cfi_energy_general(dec, rho, drho)
-    b = cfi_energy_dephasing(dec, rho, drho)
-    assert abs(a - b) > 1e-4
 
 
 def test_correlators_built_for_another_beta_are_refused():

@@ -19,7 +19,6 @@ from fctherm import (
     bath_mode,
     bath_qubit,
     load_operator_pair,
-    mean_coupling,
     oscillator_levels,
     probe_correlation,
     probe_custom,
@@ -27,9 +26,9 @@ from fctherm import (
     probe_qubit,
     quad_thermal_frequency,
     spectral_density,
-    validate_pairing,
     zero_mean_ok,
 )
+from fctherm.models import validate_dim_exponent
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PROJ_UP = np.diag([1.0, 0.0]).astype(complex)
@@ -74,7 +73,7 @@ def test_spectral_density_total_weight(s, a, tol):
 def test_bath_fluctuation_grows_with_cutoff():
     # <B^2> = Phi_B(0) must increase monotonically with the cutoff
     vals = [
-        ContinuumBathCorrelation(ContinuumBath(1.0, om), beta=1.0).mean_square()
+        ContinuumBathCorrelation(ContinuumBath(1.0, om), beta=1.0).value(0.0)
         for om in (5.0, 20.0, 100.0, 400.0)
     ]
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -211,11 +210,11 @@ def test_continuum_correlator_layer_width():
 
 def test_mean_coupling_closed_forms():
     beta = 0.9
-    assert mean_coupling(ContinuumBath(1.0, 10.0), beta) == 0.0
-    assert abs(mean_coupling(bath_qubit(1.0), beta)) < 1e-15
+    assert bath_correlation(ContinuumBath(1.0, 10.0), beta).mean == 0.0
+    assert abs(bath_correlation(bath_qubit(1.0), beta).mean) < 1e-15
     proj = DiscreteBath(SZ, PROJ_UP, label="projector")
     expected = 0.5 * (1.0 - math.tanh(beta))
-    assert mean_coupling(proj, beta) == pytest.approx(expected, rel=1e-12)
+    assert bath_correlation(proj, beta).mean == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_mean_ok_flags_offset_couplings():
@@ -303,13 +302,13 @@ def test_load_operator_pair_without_exponent(tmp_path):
 def test_validate_pairing_dimension_bookkeeping():
     qubit = probe_qubit(1.0, 0.3)
     osc = probe_oscillator(1.0, beta_design=1.0)
-    validate_pairing(qubit, ContinuumBath(1.0, 100.0, dim_exponent=1.0))
-    validate_pairing(osc, ContinuumBath(1.0, 100.0, dim_exponent=2.0))
+    validate_dim_exponent(qubit.dim_exponent, ContinuumBath(1.0, 100.0, dim_exponent=1.0))
+    validate_dim_exponent(osc.dim_exponent, ContinuumBath(1.0, 100.0, dim_exponent=2.0))
     with pytest.raises(ValueError, match="incompatible"):
-        validate_pairing(qubit, ContinuumBath(1.0, 100.0, dim_exponent=2.0))
+        validate_dim_exponent(qubit.dim_exponent, ContinuumBath(1.0, 100.0, dim_exponent=2.0))
     # probes that opt out of dimensional bookkeeping always pass
     free = probe_custom(SZ, SZ, dim_exponent=None)
-    validate_pairing(free, ContinuumBath(1.0, 100.0, dim_exponent=7.0))
+    validate_dim_exponent(free.dim_exponent, ContinuumBath(1.0, 100.0, dim_exponent=7.0))
 
 
 def test_discrete_bath_shape_validation():

@@ -10,6 +10,7 @@ import pytest
 from fctherm import (
     DiscreteBath,
     JointModel,
+    bath_correlation,
     bath_mode,
     bath_qubit,
     default_gamma_grid,
@@ -17,7 +18,6 @@ from fctherm import (
     exact_mfg,
     exact_sld,
     gibbs_state,
-    mean_coupling,
     order_fit,
     partial_trace_bath,
     pauli_coefficient,
@@ -63,8 +63,6 @@ def test_joint_hamiltonian_assembly():
         + g * np.kron(probe.coupling, bath.coupling)
     )
     assert np.max(np.abs(jm.hamiltonian - expected)) < 1e-14
-    jm2 = jm.with_gamma(0.2)
-    assert jm2.gamma == 0.2 and jm2.probe is jm.probe and jm2.bath is jm.bath
 
 
 def test_joint_dimension_limit():
@@ -296,5 +294,5 @@ def test_reference_env_means_match_bath_thermodynamics():
     for beta in (0.5, 1.0, 2.0):
         for name, model in models.items():
             expected = model.coeffs(beta)["env_mean"]
-            got = mean_coupling(model.bath, beta)
+            got = bath_correlation(model.bath, beta).mean
             assert got == pytest.approx(expected, rel=1e-12), (name, beta)

@@ -248,7 +248,7 @@ def test_p1_matches_exact_state_derivative():
     def reduced(g: float) -> np.ndarray:
         return exact_mfg(JointModel(probe, bath, g), beta).matrix
 
-    got = p1_operator(probe, beta, mean_b, basis="original")
+    got = probe.decomp.from_eigenbasis(p1_operator(probe, beta, mean_b))
     base = reduced(0.0)
     ref = np.empty_like(base)
     for i in range(2):
@@ -256,11 +256,6 @@ def test_p1_matches_exact_state_derivative():
             ref[i, j] = refine_linear(lambda g, i=i, j=j: (reduced(g)[i, j] - base[i, j]).real)
             ref[i, j] += 1j * refine_linear(lambda g, i=i, j=j: (reduced(g)[i, j] - base[i, j]).imag)
     assert np.max(np.abs(got - ref)) < 1e-7
-
-
-def test_p1_unknown_basis_raises():
-    with pytest.raises(ValueError, match="basis"):
-        p1_operator(probe_qubit(), 1.0, 0.1, basis="weird")
 
 
 # ---------------------------------------------------------------------------
