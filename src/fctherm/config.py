@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, TruncationWarning
 from .models import (
+    DEFAULT_FREQ_NODES,
     PROBE_DIM_EXPONENTS,
     ContinuumBath,
     DiscreteBath,
@@ -30,7 +31,8 @@ from .models import (
     probe_qubit,
     validate_dim_exponent,
 )
-from .oracle import default_gamma_grid
+from .oracle import DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_MIN, DEFAULT_GAMMA_POINTS, default_gamma_grid
+from .perturbation import DEFAULT_TIME_NODES
 from .tolerances import DEFAULT_TOL, TOLERANCE_FIELDS, Tolerances
 
 PROBE_KINDS = ("qubit", "oscillator", "custom-matrix-file")
@@ -113,9 +115,9 @@ class SweepSpec:
 class ScalingSpec:
     """Coupling grid for order-of-scaling verification."""
 
-    gamma_min: float = 1e-2
-    gamma_max: float = 1e-1
-    n: int = 8
+    gamma_min: float = DEFAULT_GAMMA_MIN
+    gamma_max: float = DEFAULT_GAMMA_MAX
+    n: int = DEFAULT_GAMMA_POINTS
 
     def points(self) -> np.ndarray:
         return default_gamma_grid(self.n, self.gamma_min, self.gamma_max)
@@ -129,8 +131,8 @@ class RunConfig:
     bath_params: dict
     gamma: float
     beta_grid: GridSpec
-    n_u: int = 64
-    n_omega: int = 128
+    n_u: int = DEFAULT_TIME_NODES
+    n_omega: int = DEFAULT_FREQ_NODES
     tolerance_overrides: dict = field(default_factory=dict)
     output: str | None = None
     sweep: SweepSpec | None = None
@@ -186,7 +188,7 @@ class RunConfig:
             validate_dim_exponent(mu, bath)
             return bath
         h, b, _ = load_operator_pair(self._resolve(self.bath_params["path"]))
-        return DiscreteBath(h, b, label=Path(self.bath_params["path"]).stem)
+        return DiscreteBath(h, b)
 
     # -- serialisation ------------------------------------------------------
 
@@ -317,8 +319,8 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
 
     quad = _expect_mapping(raw.get("quadrature", {}), "quadrature")
     _reject_unknown(quad, "quadrature", ("n_u", "n_omega"))
-    n_u = _expect_int(quad.get("n_u", 64), "quadrature.n_u", minimum=1)
-    n_omega = _expect_int(quad.get("n_omega", 128), "quadrature.n_omega", minimum=1)
+    n_u = _expect_int(quad.get("n_u", DEFAULT_TIME_NODES), "quadrature.n_u", minimum=1)
+    n_omega = _expect_int(quad.get("n_omega", DEFAULT_FREQ_NODES), "quadrature.n_omega", minimum=1)
 
     overrides = _expect_mapping(raw.get("tolerances", {}), "tolerances")
     for key, value in overrides.items():
@@ -357,9 +359,11 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
         sc = _expect_mapping(raw["scaling"], "scaling")
         _reject_unknown(sc, "scaling", ("gamma_min", "gamma_max", "n"))
         scaling = ScalingSpec(
-            gamma_min=_expect_number(sc.get("gamma_min", 1e-2), "scaling.gamma_min", positive=True),
-            gamma_max=_expect_number(sc.get("gamma_max", 1e-1), "scaling.gamma_max", positive=True),
-            n=_expect_int(sc.get("n", 8), "scaling.n", minimum=5),
+            gamma_min=_expect_number(sc.get("gamma_min", DEFAULT_GAMMA_MIN), "scaling.gamma_min",
+                                     positive=True),
+            gamma_max=_expect_number(sc.get("gamma_max", DEFAULT_GAMMA_MAX), "scaling.gamma_max",
+                                     positive=True),
+            n=_expect_int(sc.get("n", DEFAULT_GAMMA_POINTS), "scaling.n", minimum=5),
         )
         if scaling.gamma_max <= scaling.gamma_min:
             raise ConfigError("scaling: gamma_max must exceed gamma_min")

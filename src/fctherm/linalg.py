@@ -276,7 +276,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
-    degree: int  # polynomials integrated exactly (times the natural weight)
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -314,7 +313,6 @@ def quad_finite(n: int, a: float, b: float) -> QuadratureRule:
         nodes=half * x + 0.5 * (a + b),
         weights=half * w,
         kind="gauss-legendre",
-        degree=2 * n - 1,
     )
 
 
@@ -355,7 +353,6 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
         nodes=np.concatenate([low.nodes, mid.nodes, 2.0 * cutoff + tail.nodes]),
         weights=np.concatenate([low.weights, mid.weights, tail.weights]),
         kind="legendre+laguerre",
-        degree=min(low.degree, mid.degree, tail.degree),
     )
 
 
@@ -395,7 +392,6 @@ def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> Quad
         nodes=nodes[order],
         weights=weights[order],
         kind="legendre-graded",
-        degree=2 * m - 1,
     )
 
 
@@ -420,5 +416,4 @@ def quad_semiinfinite(n: int, scale: float = 1.0) -> QuadratureRule:
         nodes=scale * x,
         weights=scale * w * np.exp(x),
         kind="gauss-laguerre",
-        degree=2 * n - 1,
     )

@@ -186,7 +186,6 @@ class MetrologyReport:
     i2: float                     # energy-measurement coefficient
     x01: complex                  # lowest off-diagonal of X (probe eigenbasis)
     alpha01: complex              # lowest off-diagonal of A
-    zero_mean: bool               # bath coupling mean below threshold
     validity_ratio: float         # gamma^2 <S^2><B^2> beta^2 diagnostic
 
     @property
@@ -209,16 +208,6 @@ class MetrologyReport:
     def snr_sq_local(self) -> float:
         return self.c_bare  # the bare-thermometry bound
 
-    @property
-    def f_total(self) -> float:
-        """Quantum Fisher information to second order, F0 + gamma^2 F2."""
-        return self.f0 + self.gamma**2 * self.f2
-
-    @property
-    def i_total(self) -> float:
-        """Energy-measurement Fisher information to second order."""
-        return self.f0 + self.gamma**2 * self.i2
-
 
 def snr_bound(
     probe: ProbeModel,
@@ -229,7 +218,11 @@ def snr_bound(
     n_omega: int = DEFAULT_FREQ_NODES,
     tol: Tolerances = DEFAULT_TOL,
 ) -> MetrologyReport:
-    """Optimal relative-error bound (dT/T)^-2 <= beta^2 F to second order."""
+    """Optimal relative-error bound (dT/T)^-2 <= beta^2 F to second order.
+
+    A bath coupling with a nonzero thermal mean is refused by :func:`x_matrix`
+    (ValueError), so every report describes a zero-mean environment.
+    """
     expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     sldexp = sld_second_order(expansion)
     probe_corr, bath_corr = expansion.probe_corr, expansion.bath_corr
@@ -237,8 +230,6 @@ def snr_bound(
     _, i2 = cfi_energy_perturbative(expansion)
     mean_sq_s = float(probe_corr.value(0.0))
     mean_sq_b = float(bath_corr.value(0.0))
-    # x_matrix has already refused a mean above the threshold
-    zero_mean = abs(bath_corr.mean) <= tol.assumption_mean
     d = expansion.evals.size
     x01 = complex(expansion.x[0, 1]) if d > 1 else 0j
     a01 = complex(sldexp.alpha[0, 1]) if d > 1 else 0j
@@ -250,7 +241,6 @@ def snr_bound(
         i2=i2,
         x01=x01,
         alpha01=a01,
-        zero_mean=zero_mean,
         validity_ratio=gamma**2 * mean_sq_s * mean_sq_b * beta**2,
     )
 

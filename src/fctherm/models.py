@@ -101,7 +101,6 @@ class DiscreteBath:
 
     hamiltonian: np.ndarray
     coupling: np.ndarray
-    label: str = "discrete"
     _decomp: SpectralDecomposition | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -119,13 +118,13 @@ class DiscreteBath:
 
 def bath_qubit(omega_b: float = 1.0) -> DiscreteBath:
     """Two-level bath H_B = omega_b sigma_z with transverse coupling sigma_x."""
-    return DiscreteBath(omega_b * SIGMA_Z, SIGMA_X, label="bath-qubit")
+    return DiscreteBath(omega_b * SIGMA_Z, SIGMA_X)
 
 
 def bath_mode(omega_b: float = 1.0, n_levels: int = 20) -> DiscreteBath:
     """Single truncated bosonic mode with position-like coupling."""
     h, x = _ladder(omega_b, n_levels)
-    return DiscreteBath(h, x, label="bath-mode")
+    return DiscreteBath(h, x)
 
 
 # ----------------------------------------------------------------------------
@@ -347,7 +346,7 @@ class EigenbasisCorrelation(CorrelationFn):
         self.evals = decomp.evals
         self.coupling_eig = decomp.to_eigenbasis(coupling)
         self.abs_sq = np.abs(self.coupling_eig) ** 2
-        self.populations, self.log_z = gibbs_populations(self.evals, beta)
+        self.populations, _ = gibbs_populations(self.evals, beta)
         self.mean_energy = float(np.dot(self.populations, self.evals))
         self.dpopulations = -self.populations * (self.evals - self.mean_energy)
         self.energy_var = float(
@@ -458,11 +457,7 @@ class ContinuumBathCorrelation(CorrelationFn):
         self._em = np.exp(-beta * self._w)  # e^{-beta w}
 
     def value(self, u):
-        u = np.asarray(u, dtype=float)
-        w = self._w
-        num = np.exp(-np.multiply.outer(u, w)) + np.exp(-np.multiply.outer(self.beta - u, w))
-        out = num @ (self._jw / (1.0 - self._em))
-        return out if out.ndim else float(out)
+        return self.value_and_dbeta(u)[0]
 
     def dbeta(self, u):
         return self.value_and_dbeta(u)[1]
@@ -479,9 +474,6 @@ class ContinuumBathCorrelation(CorrelationFn):
         if val.ndim:
             return val, dval
         return float(val), float(dval)
-
-    def d2beta(self, u):
-        raise NotImplementedError("second beta-derivative of the bath correlator is unused")
 
 
 def probe_correlation(

@@ -35,6 +35,11 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 MAX_JOINT_DIM = 4096  # brute-force diagonalisation budget
 
+# default coupling window and size of an order-fit grid (see default_gamma_grid)
+DEFAULT_GAMMA_MIN = 1e-2
+DEFAULT_GAMMA_MAX = 1e-1
+DEFAULT_GAMMA_POINTS = 8
+
 
 # ----------------------------------------------------------------------------
 # joint model and exact reduced states
@@ -170,18 +175,11 @@ def exact_fishers(
 class OrderFit:
     """Log-log least-squares fit of deviation magnitudes against coupling."""
 
-    gammas: np.ndarray
-    deviations: np.ndarray
     kept: np.ndarray              # boolean mask of points above the noise floor
     slope: float
     intercept: float              # log10 of the leading coefficient
     r_squared: float
     indistinguishable: bool       # too few resolvable points to fit an order
-
-    @property
-    def coefficient(self) -> float:
-        """Leading coefficient 10**intercept implied by the fit."""
-        return float(10.0**self.intercept)
 
 
 def order_fit(
@@ -196,7 +194,9 @@ def order_fit(
     as numerical zeros and discarded.  If fewer than three points survive the
     result is flagged ``indistinguishable`` (slope and intercept are NaN);
     that is a report, not an error - a deviation that never rises above the
-    floor is how an identically-vanishing difference shows up.
+    floor is how an identically-vanishing difference shows up.  A NaN or
+    infinite coupling or deviation raises ValueError: it would otherwise be
+    dropped as if below the floor, or poison the fit.
     """
     g = np.asarray(gammas, dtype=float)
     d = np.abs(np.asarray(deviations, dtype=float))
@@ -204,14 +204,14 @@ def order_fit(
         raise ValueError("order fits need at least five coupling values")
     if g.size != d.size:
         raise ValueError("gammas and deviations must have equal length")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(d))):
+        raise ValueError("couplings and deviations must be finite")
     if np.any(g <= 0):
         raise ValueError("couplings must be positive")
     floor = tol.order_floor_factor * np.finfo(float).eps * scale
     kept = d > floor
     if int(kept.sum()) < 3:
         return OrderFit(
-            gammas=g,
-            deviations=d,
             kept=kept,
             slope=float("nan"),
             intercept=float("nan"),
@@ -226,8 +226,6 @@ def order_fit(
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return OrderFit(
-        gammas=g,
-        deviations=d,
         kept=kept,
         slope=float(slope),
         intercept=float(intercept),
@@ -236,7 +234,9 @@ def order_fit(
     )
 
 
-def default_gamma_grid(n: int = 8, lo: float = 1e-2, hi: float = 1e-1) -> np.ndarray:
+def default_gamma_grid(
+    n: int = DEFAULT_GAMMA_POINTS, lo: float = DEFAULT_GAMMA_MIN, hi: float = DEFAULT_GAMMA_MAX
+) -> np.ndarray:
     """Log-spaced couplings for order fits.
 
     The default window keeps fourth-order deviations (gamma^4 >= 1e-8) far
@@ -365,14 +365,14 @@ def reference_two_qubit_models() -> dict[str, ReferenceModel]:
     dephasing = ReferenceModel(
         name="dephasing",
         probe=probe_custom(SIGMA_Z, SIGMA_Z, dim_exponent=0.0, kind="qubit-z"),
-        bath=DiscreteBath(SIGMA_Z, SIGMA_Z, label="qubit-z"),
+        bath=DiscreteBath(SIGMA_Z, SIGMA_Z),
         coeffs=_dephasing_coeffs,
         coherence_axis="z",
     )
     dissipative = ReferenceModel(
         name="dissipative",
         probe=probe_custom(SIGMA_Z, SIGMA_X, dim_exponent=0.0, kind="qubit-x"),
-        bath=DiscreteBath(SIGMA_Z, pi_up, label="qubit-projector"),
+        bath=DiscreteBath(SIGMA_Z, pi_up),
         coeffs=_dissipative_coeffs,
         coherence_axis="x",
     )

@@ -272,11 +272,9 @@ def p1_operator(probe: ProbeModel, beta: float, mean_b: float) -> np.ndarray:
 class SldExpansion:
     """Logarithmic-derivative expansion L = L0 + gamma^2 A for the inverse
     temperature, in the probe eigenbasis (``alpha`` has the dtype of the
-    expansion's ``x``)."""
+    expansion's ``x``).  Inverse temperature, levels and populations are read
+    from the expansion it was built from."""
 
-    beta: float
-    evals: np.ndarray
-    populations: np.ndarray
     l0_diag: np.ndarray          # zeroth order: <H> - E_n on the diagonal
     alpha: np.ndarray            # second-order coefficient matrix A
     hermiticity_drift: float = 0.0
@@ -308,11 +306,4 @@ def sld_second_order(expansion: MeanForceExpansion) -> SldExpansion:
     # so the level-sum F2 over A_nn is I2 without rounding.
     np.fill_diagonal(alpha, np.real(np.diag(expansion.x_dbeta)))
     mean_e = float(np.dot(p, evals))
-    return SldExpansion(
-        beta=expansion.beta,
-        evals=evals,
-        populations=p,
-        l0_diag=mean_e - evals,
-        alpha=alpha,
-        hermiticity_drift=drift,
-    )
+    return SldExpansion(l0_diag=mean_e - evals, alpha=alpha, hermiticity_drift=drift)

@@ -209,7 +209,7 @@ def test_criterion_3_first_order_gap_without_zero_mean():
     assert 1.9 <= fit.slope <= 2.1, f"F - I slope {fit.slope:.4f} outside [1.9, 2.1]"
     gap = dissipative_sld_slope(beta) ** 2
     assert_close(
-        fit.coefficient, gap, 0.05,
+        10.0**fit.intercept, gap, 0.05,
         f"dissipative fisher-gap leading coefficient at beta={beta}",
     )
 
@@ -226,7 +226,7 @@ def test_criterion_3_companion_gap_coefficient_rederived():
     fit = order_fit(gammas, gaps, scale=max(f_vals))
     derived = dissipative_sld_slope(beta) ** 2
     assert_close(
-        fit.coefficient, derived, 0.05,
+        10.0**fit.intercept, derived, 0.05,
         f"dissipative fisher-gap leading coefficient (rederived) at beta={beta}",
     )
 

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from fctherm import ConfigError, GridSpec, RunConfig, load_config, parse_config
+from fctherm import ConfigError, GridSpec, RunConfig, default_gamma_grid, load_config, parse_config
+from fctherm.models import DEFAULT_FREQ_NODES
+from fctherm.perturbation import DEFAULT_TIME_NODES
 
 BASE = {
     "probe": {"kind": "qubit", "params": {"epsilon": 1.0, "theta": 0.5}},
@@ -124,6 +126,11 @@ def test_scaling_defaults():
     pts = cfg.scaling.points()
     assert pts.size == 8
     assert pts[0] == pytest.approx(1e-2) and pts[-1] == pytest.approx(1e-1)
+    assert np.array_equal(pts, default_gamma_grid())
+    # a config with no quadrature section, or an empty one, gets the library's rule sizes
+    for doc in (cfg_with(), cfg_with(quadrature={})):
+        cfg = parse_config(doc)
+        assert (cfg.n_u, cfg.n_omega) == (DEFAULT_TIME_NODES, DEFAULT_FREQ_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +232,6 @@ def test_discrete_file_bath_with_relative_path(tmp_path, config_dir):
     cfg = load_config(path)
     bath = cfg.build_bath()
     assert bath.hamiltonian.shape == (2, 2)
-    assert bath.label == "bath_qubit_x"
 
 
 def test_custom_probe_from_file(tmp_path, config_dir):

@@ -355,9 +355,9 @@ def test_qfi_matches_thermal_variance():
 
 
 def test_quad_finite_exact_to_declared_degree():
+    # n Gauss-Legendre nodes integrate every polynomial of degree <= 2n - 1
     rule = quad_finite(6, -1.5, 2.5)
-    assert rule.degree == 11
-    for k in range(rule.degree + 1):
+    for k in range(2 * 6):
         exact = (2.5 ** (k + 1) - (-1.5) ** (k + 1)) / (k + 1)
         got = rule.integrate(rule.nodes**k)
         assert abs(got - exact) < 1e-12 * max(1.0, abs(exact)), k
@@ -452,4 +452,4 @@ def test_quadrature_rejects_nonpositive_weights():
     from fctherm import QuadratureRule
 
     with pytest.raises(ValueError, match="positive"):
-        QuadratureRule(np.array([0.5]), np.array([-1.0]), "bad", 1)
+        QuadratureRule(np.array([0.5]), np.array([-1.0]), "bad")

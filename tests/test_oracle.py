@@ -204,7 +204,7 @@ def test_order_fit_recovers_synthetic_power_law():
     g = default_gamma_grid()
     fit = order_fit(g, 0.37 * g**4, scale=1.0)
     assert fit.slope == pytest.approx(4.0, abs=1e-10)
-    assert fit.coefficient == pytest.approx(0.37, rel=1e-10)
+    assert 10.0**fit.intercept == pytest.approx(0.37, rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.kept.all()
 
@@ -235,6 +235,21 @@ def test_order_fit_input_validation():
     bad[0] = -bad[0]
     with pytest.raises(ValueError, match="positive"):
         order_fit(bad, g)
+    # NaN or inf in either input is refused, neither dropped as if below the
+    # noise floor nor passed to the fit
+    d = 0.3 * g**4
+    cases = []
+    for at, val in (([2, 5], np.nan), ([4], np.inf)):
+        bad_d = d.copy()
+        bad_d[at] = val
+        cases.append((g, bad_d))
+    for val in (np.nan, np.inf):
+        bad_g = g.copy()
+        bad_g[1] = val
+        cases.append((bad_g, d))
+    for gam, dev in cases:
+        with pytest.raises(ValueError, match="finite"):
+            order_fit(gam, dev)
 
 
 def test_default_gamma_grid_shape():

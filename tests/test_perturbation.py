@@ -113,7 +113,7 @@ def test_frequency_rule_size_reaches_x_and_f2():
 
 def test_x_matrix_refuses_nonzero_mean_coupling():
     probe = probe_qubit(1.0, np.pi / 2.0)
-    proj_bath = DiscreteBath(SZ, PROJ_UP, label="projector")
+    proj_bath = DiscreteBath(SZ, PROJ_UP)
     with pytest.raises(ValueError, match="p1_operator"):
         x_matrix(probe, proj_bath, 1.0)
 
@@ -241,7 +241,7 @@ def test_p1_matches_exact_state_derivative():
     from fctherm import JointModel, exact_mfg, refine_linear
 
     probe = probe_qubit(1.0, np.pi / 2.0)
-    bath = DiscreteBath(SZ, PROJ_UP, label="projector")
+    bath = DiscreteBath(SZ, PROJ_UP)
     beta = 1.1
     mean_b = float(np.exp(-beta) / (2.0 * np.cosh(beta)))
 
@@ -266,9 +266,10 @@ def test_p1_matches_exact_state_derivative():
 def test_sld_zeroth_order_is_energy_fluctuation_operator():
     probe, bath = MODEL_PAIRS[0]
     beta = 1.0
-    sld = sld_second_order(x_matrix(probe, bath, beta))
-    mean_e = float(np.dot(sld.populations, sld.evals))
-    assert np.allclose(sld.l0_diag, mean_e - sld.evals, rtol=0, atol=1e-14)
+    exp = x_matrix(probe, bath, beta)
+    sld = sld_second_order(exp)
+    mean_e = float(np.dot(exp.populations, exp.evals))
+    assert np.allclose(sld.l0_diag, mean_e - exp.evals, rtol=0, atol=1e-14)
 
 
 def test_second_order_consumers_read_only_the_expansion():
@@ -276,8 +277,9 @@ def test_second_order_consumers_read_only_the_expansion():
     # expansion built for another beta or probe cannot be mislabelled
     for fn in (sld_second_order, cfi_energy_perturbative):
         assert list(inspect.signature(fn).parameters) == ["expansion"]
-    sld = sld_second_order(x_matrix(*MODEL_PAIRS[0], 2.0))
-    assert sld.beta == 2.0
+    exp = x_matrix(*MODEL_PAIRS[0], 2.0)
+    sld = sld_second_order(exp)
+    assert np.array_equal(sld.l0_diag, np.dot(exp.populations, exp.evals) - exp.evals)
 
 
 def test_sld_diagonal_equals_dx_diagonal_exactly():
