@@ -27,10 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, ScalingSpec, load_config
-from .errors import ConfigError, CouplingTooStrongError, FcthermError, TruncationWarning
+from .errors import (
+    ConfigError,
+    CouplingTooStrongError,
+    FcthermError,
+    NonzeroMeanError,
+    TruncationWarning,
+)
 from .linalg import gibbs_state
-from .metrology import MetrologyReport, qfi_perturbative_integral, snr_bound
-from .models import DiscreteBath, zero_mean_ok
+from .metrology import MetrologyReport, _f2_integral, snr_bound
+from .models import DiscreteBath
 from .oracle import JointModel, exact_fishers, exact_mfg, order_fit, trace_distance
 from .perturbation import x_matrix
 
@@ -165,12 +171,14 @@ def _scaling_rows(cfg: RunConfig, beta: float) -> tuple[bool, list[dict]]:
     if not isinstance(bath, DiscreteBath):
         raise ConfigError("scaling: requires a discrete-file bath (exact reference needed)")
     gammas = (cfg.scaling or ScalingSpec()).points()
-    zero_mean = zero_mean_ok(bath, beta, tol)
-    # X does not depend on the coupling: one expansion serves every gamma
-    if zero_mean:
+    # X does not depend on the coupling: one expansion serves every gamma, and
+    # x_matrix alone decides whether the bath mean allows one
+    try:
         expansion = x_matrix(probe, bath, beta, cfg.n_u, cfg.n_omega, tol)
-    else:
+    except NonzeroMeanError:
+        expansion = None
         pi_s, _ = gibbs_state(probe.decomp, beta, tol)
+    zero_mean = expansion is not None
 
     f_exact = np.empty(gammas.size)
     fi_gap = np.empty(gammas.size)
@@ -190,8 +198,8 @@ def _scaling_rows(cfg: RunConfig, beta: float) -> tuple[bool, list[dict]]:
     rows.append({"quantity": "F - I", "fit": order_fit(gammas, fi_gap, scale=f_scale, tol=tol),
                  "window": gap_window})
     if zero_mean:
-        f0, f2 = qfi_perturbative_integral(probe, bath, beta, cfg.n_u, cfg.n_omega,
-                                           probe_corr=expansion.probe_corr)
+        f0 = expansion.probe_corr.energy_var
+        f2 = _f2_integral(beta, expansion.rule, expansion.bath_corr, expansion.probe_corr)
         trunc = np.abs(f_exact - (f0 + gammas**2 * f2))
         rows.append({"quantity": "F - F_pert", "fit": order_fit(gammas, trunc, scale=f_scale, tol=tol),
                      "window": SLOPE_WINDOWS["second_order"]})

@@ -161,14 +161,10 @@ class RunConfig:
         if self.probe_kind == "qubit":
             if theta is not None:
                 params["theta"] = theta
-            return probe_qubit(params.get("epsilon", 1.0), params.get("theta", 0.0))
+            return probe_qubit(**params)
         if self.probe_kind == "oscillator":
-            return probe_oscillator(
-                params.get("omega0", 1.0),
-                n_trunc=params.get("n_trunc"),
-                beta_design=beta,
-                tail=self.tolerances().tail_population,
-            )
+            return probe_oscillator(**params, beta_design=beta,
+                                    tail=self.tolerances().tail_population)
         h, s, mu = load_operator_pair(self._resolve(params["path"]))
         return probe_custom(h, s, dim_exponent=mu)
 

@@ -23,6 +23,11 @@ class CouplingTooStrongError(FcthermError):
     """
 
 
+class NonzeroMeanError(FcthermError, ValueError):
+    """The bath coupling has a thermal mean, which the second-order expansion
+    assumes away: the reduced state then has a first-order term."""
+
+
 class ConfigError(FcthermError):
     """A run configuration failed validation."""
 

@@ -33,7 +33,6 @@ HERMITICITY_TOL = 1e-12         # max |M - M^dag| allowed on input operators (re
 EIG_RECONSTRUCTION_TOL = 1e-10  # max |V w V^dag - H| (relative)
 EIG_UNITARITY_TOL = 1e-10       # max |V^dag V - 1|
 EIG_CLUSTER_REL = 1e-12         # relative eigenvalue gap below which levels are tied
-PSD_STATE_FLOOR = -1e-12        # minimum eigenvalue of an exact density operator
 SLD_TRACE_TOL = 1e-10           # max |tr drho| in sld_solve, relative to max(1, ||drho||_F)
 
 # beta * cutoff above which quad_thermal_frequency splits off the infrared
@@ -165,7 +164,8 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
 
 @dataclass
 class DensityOperator:
-    """A validated density matrix."""
+    """A density matrix checked for Hermiticity and unit trace; positivity is
+    gated by callers whose floor means something (see ``tol.psd_mean_force``)."""
 
     matrix: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
@@ -179,14 +179,6 @@ class DensityOperator:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(_real_or_complex(self.matrix))[0])
-
-    def check_positive(self, floor: float | None = None) -> float:
-        """Return the minimum eigenvalue; raise if below ``floor`` (default ``PSD_STATE_FLOOR``)."""
-        lo = PSD_STATE_FLOOR if floor is None else floor
-        mn = self.min_eigenvalue()
-        if mn < lo:
-            raise ValueError(f"density operator has eigenvalue {mn:.3e} below {lo:.1e}")
-        return mn
 
 
 def gibbs_populations(evals: np.ndarray, beta: float):
@@ -335,7 +327,8 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
                            times a slowly varying factor.
 
     Spectral features tied to a system gap E are resolved provided
-    beta * E <~ S, i.e. for any level the thermal state populates.
+    beta * E <~ S, i.e. for any level the thermal state populates.  Either
+    Laguerre rule is capped at MAX_LAGUERRE_NODES nodes.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -345,7 +338,7 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
     w_split = THERMAL_SPLIT / beta
     n_low = max(1, n // 2)
     n_mid = max(8, (n - n_low) * 3 // 5)
-    n_tail = max(8, n - n_low - n_mid)
+    n_tail = min(max(8, n - n_low - n_mid), MAX_LAGUERRE_NODES)
     low = quad_finite(n_low, 0.0, w_split)
     mid = quad_finite(n_mid, w_split, 2.0 * cutoff)
     tail = quad_semiinfinite(n_tail, scale=cutoff)

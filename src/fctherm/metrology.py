@@ -28,6 +28,7 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
+    QuadratureRule,
     SpectralDecomposition,
     gibbs_populations,
     quad_imaginary_time,
@@ -97,13 +98,21 @@ def qfi_perturbative_integral(
     probe_corr = _as_probe_correlation(probe, beta, probe_corr)
     bath_corr = bath_correlation(bath, beta, n_omega)
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
+    return energy_variance(probe, beta), _f2_integral(beta, rule, bath_corr, probe_corr)
+
+
+def _f2_integral(
+    beta: float, rule: QuadratureRule, bath_corr: CorrelationFn, probe_corr: CorrelationFn
+) -> float:
+    """The integral-route F2 on ``rule`` from correlators built for ``beta``
+    (see :func:`qfi_perturbative_integral`)."""
     u = rule.nodes
     tail = beta - u
     phi_b, dphi_b = (np.asarray(c, dtype=float) for c in bath_corr.value_and_dbeta(u))
     dphi_s = np.asarray(probe_corr.dbeta(u), dtype=float)
     d2phi_s = np.asarray(probe_corr.d2beta(u), dtype=float)
     integrand = tail * phi_b * d2phi_s + 2.0 * (phi_b + tail * dphi_b) * dphi_s
-    return energy_variance(probe, beta), rule.integrate(integrand)
+    return rule.integrate(integrand)
 
 
 def qfi_perturbative_sum(
@@ -221,7 +230,8 @@ def snr_bound(
     """Optimal relative-error bound (dT/T)^-2 <= beta^2 F to second order.
 
     A bath coupling with a nonzero thermal mean is refused by :func:`x_matrix`
-    (ValueError), so every report describes a zero-mean environment.
+    (:class:`NonzeroMeanError`, a ValueError), so every report describes a
+    zero-mean environment.
     """
     expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
     sldexp = sld_second_order(expansion)

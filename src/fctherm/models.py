@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .linalg import (
     quad_thermal_frequency,
     require_hermitian,
 )
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 DEFAULT_FREQ_NODES = 128  # semi-infinite rule size for continuum baths
 OSCILLATOR_MIN_LEVELS = 40  # smallest automatic oscillator truncation
@@ -101,7 +102,6 @@ class DiscreteBath:
 
     hamiltonian: np.ndarray
     coupling: np.ndarray
-    _decomp: SpectralDecomposition | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.hamiltonian = require_hermitian(self.hamiltonian, name="bath Hamiltonian")
@@ -109,11 +109,9 @@ class DiscreteBath:
         if self.hamiltonian.shape != self.coupling.shape:
             raise ValueError("bath Hamiltonian and coupling must have equal shapes")
 
-    @property
+    @cached_property
     def decomp(self) -> SpectralDecomposition:
-        if self._decomp is None:
-            self._decomp = eigendecompose(self.hamiltonian)
-        return self._decomp
+        return eigendecompose(self.hamiltonian)
 
 
 def bath_qubit(omega_b: float = 1.0) -> DiscreteBath:
@@ -508,11 +506,3 @@ def bath_correlation(
     if isinstance(bath, DiscreteBath):
         return EigenbasisCorrelation(bath.decomp, bath.coupling, beta)
     raise TypeError(f"unsupported bath specification: {type(bath).__name__}")
-
-
-def zero_mean_ok(
-    bath: ContinuumBath | DiscreteBath, beta: float, tol: Tolerances = DEFAULT_TOL
-) -> bool:
-    """Whether the bath coupling's thermal mean (the ``mean`` of its
-    correlator) satisfies the zero-mean assumption."""
-    return abs(bath_correlation(bath, beta).mean) <= tol.assumption_mean

@@ -16,7 +16,8 @@ expansion deliberately refuses to handle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,8 +54,6 @@ class JointModel:
     probe: ProbeModel
     bath: DiscreteBath
     gamma: float
-    _hamiltonian: np.ndarray | None = field(default=None, repr=False)
-    _decomp: SpectralDecomposition | None = field(default=None, repr=False)
 
     def __post_init__(self):
         d = self.probe.dim * self.bath.hamiltonian.shape[0]
@@ -67,22 +66,18 @@ class JointModel:
     def dims(self) -> tuple[int, int]:
         return self.probe.dim, self.bath.hamiltonian.shape[0]
 
-    @property
+    @cached_property
     def hamiltonian(self) -> np.ndarray:
-        if self._hamiltonian is None:
-            ds, db = self.dims
-            self._hamiltonian = (
-                np.kron(self.probe.hamiltonian, np.eye(db))
-                + np.kron(np.eye(ds), self.bath.hamiltonian)
-                + self.gamma * np.kron(self.probe.coupling, self.bath.coupling)
-            )
-        return self._hamiltonian
+        ds, db = self.dims
+        return (
+            np.kron(self.probe.hamiltonian, np.eye(db))
+            + np.kron(np.eye(ds), self.bath.hamiltonian)
+            + self.gamma * np.kron(self.probe.coupling, self.bath.coupling)
+        )
 
-    @property
+    @cached_property
     def decomp(self) -> SpectralDecomposition:
-        if self._decomp is None:
-            self._decomp = eigendecompose(self.hamiltonian)
-        return self._decomp
+        return eigendecompose(self.hamiltonian)
 
 
 def partial_trace_bath(matrix: np.ndarray, dim_probe: int, dim_bath: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .errors import CouplingTooStrongError
+from .errors import CouplingTooStrongError, NonzeroMeanError
 from .linalg import DensityOperator, QuadratureRule, quad_imaginary_time
 from .models import (
     DEFAULT_FREQ_NODES,
@@ -195,13 +195,14 @@ def x_matrix(
     its correlator is built here at ``beta`` with ``n_omega`` frequency nodes
     and carried as the expansion's ``bath_corr``.  The expansion is derived
     under a zero-mean environment coupling; a bath whose coupling operator has
-    a thermal mean above ``tol.assumption_mean`` is refused, because the
-    reduced state then picks up a first-order term that this routine cannot
-    represent (see :func:`p1_operator`).
+    a thermal mean above ``tol.assumption_mean`` is refused with
+    :class:`NonzeroMeanError`, because the reduced state then picks up a
+    first-order term that this routine cannot represent (see
+    :func:`p1_operator`).  This is the one place the assumption is checked.
     """
     bath_corr = bath_correlation(bath, beta, n_omega)
     if abs(bath_corr.mean) > tol.assumption_mean:
-        raise ValueError(
+        raise NonzeroMeanError(
             f"environment coupling has thermal mean {bath_corr.mean:.3e}; the second-order "
             "expansion assumes a zero-mean coupling — handle the first-order term "
             "with p1_operator or centre the coupling operator"

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 
 import pytest
 
-from fctherm import TruncationWarning, cli, load_config, perturbation
+from fctherm import TruncationWarning, cli, load_config
 from fctherm.cli import CSV_COLUMNS, main
 
 QUBIT_OHMIC = {
@@ -261,6 +262,20 @@ def test_exit_3_on_numerical_failure(tmp_path, config_dir, capsys):
     assert main(["report", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "p1_operator" in err
+    assert "NonzeroMeanError" in err
+
+
+def test_cold_rows_survive_a_large_frequency_rule(tmp_path):
+    # beta * cutoff reaches 1000, where the cold frequency rule splits off a
+    # Laguerre tail panel; with n_omega = 1000 that panel is capped like the
+    # single-scale rule instead of overflowing partway through the grid
+    doc = dict(QUBIT_OHMIC, beta_grid={"min": 0.1, "max": 10.0, "n": 4, "spacing": "log"},
+               quadrature={"n_omega": 1000, "n_u": 64})
+    out = tmp_path / "r.csv"
+    assert main(["report", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 4
+    assert all(math.isfinite(float(v)) for row in rows for v in row[:-1])
 
 
 def test_programming_errors_are_not_reported_as_numerical_failures(tmp_path, monkeypatch, capsys):
@@ -376,19 +391,27 @@ def test_scaling_requires_discrete_bath(tmp_path):
 @pytest.mark.parametrize("name", ["scaling_spin_boson.json", "scaling_oscillator_mode.json"])
 def test_scaling_builds_one_expansion_per_beta(tmp_path, config_dir, monkeypatch, name):
     # X does not depend on the coupling, so every gamma of one beta reads the
-    # same x_matrix
-    betas = []
-    original = perturbation.x_matrix
+    # same x_matrix, and the F - F_pert row takes the expansion's bath
+    # correlator and imaginary-time rule instead of building its own
+    beta_position = {"x_matrix": 2, "bath_correlation": 1, "quad_imaginary_time": 1}
+    betas = {fname: [] for fname in beta_position}
 
-    def counting(probe, bath, beta, *args, **kwargs):
-        betas.append(beta)
-        return original(probe, bath, beta, *args, **kwargs)
+    def recording(original, fname):
+        def wrapper(*args, **kwargs):
+            betas[fname].append(args[beta_position[fname]])
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(perturbation, "x_matrix", counting)
-    monkeypatch.setattr(cli, "x_matrix", counting, raising=False)
+    modules = [m for n, m in list(sys.modules.items())
+               if n == "fctherm" or n.startswith("fctherm.")]
+    for module in modules:
+        for fname in beta_position:
+            if hasattr(module, fname):
+                monkeypatch.setattr(module, fname, recording(getattr(module, fname), fname))
     path = config_dir / name
     assert main(["scaling", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 0
-    assert betas == list(load_config(path).beta_grid.points())
+    grid = list(load_config(path).beta_grid.points())
+    assert betas == {fname: grid for fname in beta_position}
 
 
 def test_scaling_output_is_byte_stable(tmp_path, config_dir):

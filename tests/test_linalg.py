@@ -61,7 +61,6 @@ def test_linear_algebra_guards_keep_their_values():
     assert linalg.EIG_RECONSTRUCTION_TOL == 1e-10
     assert linalg.EIG_UNITARITY_TOL == 1e-10
     assert linalg.EIG_CLUSTER_REL == 1e-12
-    assert linalg.PSD_STATE_FLOOR == -1e-12
 
 
 def test_require_hermitian_reads_the_module_guard(monkeypatch):
@@ -292,9 +291,6 @@ def test_gibbs_state_rejects_negative_beta():
 def test_density_operator_validation():
     with pytest.raises(ValueError, match="trace"):
         DensityOperator(np.diag([0.7, 0.7]).astype(complex))
-    rho = DensityOperator(np.diag([1.2, -0.2]).astype(complex))
-    with pytest.raises(ValueError, match="eigenvalue"):
-        rho.check_positive()
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +398,16 @@ def test_quad_thermal_frequency_warm_branch():
 
 def test_quad_thermal_frequency_cold_branch_resolves_infrared():
     # beta*cutoff = 1000: thermal weight exp(-beta w) lives far below the
-    # cutoff scale, where a single Laguerre rule has no nodes at all
+    # cutoff scale, where a single Laguerre rule has no nodes at all; at
+    # n = 1000 the tail panel is capped like the single-scale rule
     beta, cutoff = 10.0, 100.0
-    rule = quad_thermal_frequency(128, cutoff, beta)
-    assert rule.kind == "legendre+laguerre"
-    assert np.all(rule.weights > 0)
-    got = rule.integrate(rule.nodes * np.exp(-rule.nodes / cutoff) * np.exp(-beta * rule.nodes))
     exact = 1.0 / (beta + 1.0 / cutoff) ** 2  # Gamma(2)/(beta + 1/cutoff)^2
-    assert got == pytest.approx(exact, rel=1e-10)
+    for n in (128, 1000):
+        rule = quad_thermal_frequency(n, cutoff, beta)
+        assert rule.kind == "legendre+laguerre"
+        assert np.all(rule.weights > 0)
+        got = rule.integrate(rule.nodes * np.exp(-rule.nodes / cutoff) * np.exp(-beta * rule.nodes))
+        assert got == pytest.approx(exact, rel=1e-10)
     with pytest.raises(ValueError, match="beta"):
         quad_thermal_frequency(64, cutoff, 0.0)
 

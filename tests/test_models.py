@@ -13,6 +13,7 @@ from fctherm import (
     ContinuumBathCorrelation,
     DiscreteBath,
     EigenbasisCorrelation,
+    NonzeroMeanError,
     OscillatorCorrelation,
     QubitCorrelation,
     bath_correlation,
@@ -26,7 +27,7 @@ from fctherm import (
     probe_qubit,
     quad_thermal_frequency,
     spectral_density,
-    zero_mean_ok,
+    x_matrix,
 )
 from fctherm.models import validate_dim_exponent
 
@@ -218,11 +219,13 @@ def test_mean_coupling_closed_forms():
     assert bath_correlation(proj, beta).mean == pytest.approx(expected, rel=1e-12)
 
 
-def test_zero_mean_ok_flags_offset_couplings():
-    beta = 1.0
-    assert zero_mean_ok(ContinuumBath(1.0, 10.0), beta)
-    assert zero_mean_ok(bath_qubit(1.0), beta)
-    assert not zero_mean_ok(DiscreteBath(SZ, PROJ_UP), beta)
+def test_x_matrix_flags_offset_couplings():
+    # x_matrix is the one judge of the zero-mean assumption
+    beta, probe = 1.0, probe_qubit(1.0, 0.7)
+    x_matrix(probe, ContinuumBath(1.0, 10.0), beta)
+    x_matrix(probe, bath_qubit(1.0), beta)
+    with pytest.raises(NonzeroMeanError, match="p1_operator"):
+        x_matrix(probe, DiscreteBath(SZ, PROJ_UP), beta)
 
 
 # ---------------------------------------------------------------------------

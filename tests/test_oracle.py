@@ -65,6 +65,23 @@ def test_joint_hamiltonian_assembly():
     assert np.max(np.abs(jm.hamiltonian - expected)) < 1e-14
 
 
+def test_cached_operators_are_not_constructor_keywords():
+    # a joint model or discrete bath builds and diagonalises its own
+    # Hamiltonian once; neither takes one from outside
+    probe, bath = probe_qubit(1.0, 0.7), bath_qubit(1.0)
+    other = JointModel(probe_qubit(1.0, 0.2), bath, 0.3)
+    with pytest.raises(TypeError):
+        JointModel(probe, bath, 0.1, _hamiltonian=other.hamiltonian)
+    with pytest.raises(TypeError):
+        JointModel(probe, bath, 0.1, _decomp=other.decomp)
+    with pytest.raises(TypeError):
+        DiscreteBath(bath.hamiltonian, bath.coupling, _decomp=other.decomp)
+    joint = JointModel(probe, bath, 0.1)
+    assert joint.hamiltonian is joint.hamiltonian
+    assert joint.decomp is joint.decomp
+    assert bath.decomp is bath.decomp
+
+
 def test_joint_dimension_limit():
     probe = probe_qubit(1.0, 0.1)
     big = bath_mode(1.0, n_levels=2100)  # 2 * 2100 > 4096
