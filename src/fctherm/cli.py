@@ -177,7 +177,7 @@ def _scaling_rows(cfg: RunConfig, beta: float) -> tuple[bool, list[dict]]:
         expansion = x_matrix(probe, bath, beta, cfg.n_u, cfg.n_omega, tol)
     except NonzeroMeanError:
         expansion = None
-        pi_s, _ = gibbs_state(probe.decomp, beta, tol)
+        pi_s = gibbs_state(probe.decomp, beta, tol)
     zero_mean = expansion is not None
 
     f_exact = np.empty(gammas.size)

@@ -41,8 +41,21 @@ THERMAL_SPLIT = 30.0
 
 
 def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate and return a square, finite, complex Hermitian array."""
-    m = np.asarray(matrix, dtype=np.complex128)
+    """Validate a square, finite, Hermitian array and return it in the one
+    dtype every later step keeps: a contiguous float64 copy when its imaginary
+    part is all zero, complex128 otherwise.
+
+    Every operator enters the library through here (probe and bath
+    operators, decompositions, density operators, state derivatives), so a
+    real-symmetric model runs LAPACK's real-symmetric solver and real GEMMs
+    from then on.  The copy is contiguous because numpy's matmul does not
+    hand a strided view (such as the real part of a complex array) to BLAS.
+    """
+    m = np.asarray(matrix)
+    if m.dtype.kind not in "biuf":  # complex entries, or entries numpy must convert
+        m = m.astype(np.complex128, copy=False)
+    if m.dtype.kind != "c" or not m.imag.any():
+        m = np.array(m.real, dtype=np.float64, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():  # a NaN would pass every comparison below
@@ -58,10 +71,10 @@ def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix.
 
-    ``evecs`` is float64 when the matrix has zero imaginary part, complex128
-    otherwise.  The basis rotations return float64 when ``evecs`` and the
-    operand are both real (an operand's imaginary part that is all zero counts
-    as real) and complex128 otherwise.
+    ``evecs`` has the dtype :func:`require_hermitian` chose for the matrix:
+    float64 for a real one, complex128 otherwise.  The basis rotations take
+    the operand as it is, so they run in float64 when ``evecs`` and the
+    operand are both real.
     """
 
     evals: np.ndarray
@@ -73,10 +86,10 @@ class SpectralDecomposition:
 
     def to_eigenbasis(self, op: np.ndarray) -> np.ndarray:
         """Rotate an operator from the original basis into this eigenbasis."""
-        return self.evecs.conj().T @ _real_or_complex(op) @ self.evecs
+        return self.evecs.conj().T @ op @ self.evecs
 
     def from_eigenbasis(self, op: np.ndarray) -> np.ndarray:
-        return self.evecs @ _real_or_complex(op) @ self.evecs.conj().T
+        return self.evecs @ op @ self.evecs.conj().T
 
 
 def _tie_break(evals: np.ndarray, evecs: np.ndarray):
@@ -111,38 +124,19 @@ def _tie_break(evals: np.ndarray, evecs: np.ndarray):
     return evals, evecs
 
 
-def _real_or_complex(m) -> np.ndarray:
-    """``m`` as float64 when its imaginary part is all zero, else as complex128.
-
-    Every built-in probe, bath and joint Hamiltonian is real-symmetric but
-    stored as complex; narrowing it here lets LAPACK's real-symmetric solver
-    and real GEMMs do the work.  The real part is copied to a contiguous
-    array, because numpy's matmul does not hand a strided view to BLAS.  The
-    checks are array methods, not numpy functions: on the oracle's 10 x 10
-    matrices the call overhead is a measurable share of a rotation.
-    """
-    m = np.asarray(m)
-    if m.dtype.kind != "c":
-        return m.astype(np.float64, copy=False)
-    if m.imag.any():
-        return m.astype(np.complex128, copy=False)
-    return m.real.copy()
-
-
 def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Diagonalise a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
-    A matrix with zero imaginary part is diagonalised in real arithmetic, so
-    its ``evecs`` are float64; otherwise they are complex128.  A matrix whose
-    off-diagonal entries are all exactly zero needs no solver: its eigenvalues
-    are the stably sorted diagonal and its eigenvectors the matching unit
-    vectors.
+    A matrix with zero imaginary part is diagonalised in real arithmetic (see
+    :func:`require_hermitian`), so its ``evecs`` are float64; otherwise they
+    are complex128.  A matrix whose off-diagonal entries are all exactly zero
+    needs no solver: its eigenvalues are the stably sorted diagonal and its
+    eigenvectors the matching unit vectors.
 
     Raises ValueError if the input is not Hermitian or if the result fails the
     unitarity / reconstruction checks.
     """
-    m = require_hermitian(matrix)
-    a = _real_or_complex(m)
+    a = require_hermitian(matrix)
     diag = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(diag):
         order = np.argsort(diag.real, kind="stable")
@@ -152,7 +146,7 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
         w, v = np.linalg.eigh(a)  # ascending eigenvalues
     w, v = _tie_break(w, v)
     d = w.size
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
+    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     uni = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
     if uni > EIG_UNITARITY_TOL:
         raise ValueError(f"eigenvector matrix not unitary: deviation {uni:.3e}")
@@ -178,50 +172,32 @@ class DensityOperator:
         self.matrix = m
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(_real_or_complex(self.matrix))[0])
+        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-def gibbs_populations(evals: np.ndarray, beta: float):
-    """Thermal populations and log partition function for a given spectrum.
-
-    Uses shifted energies so the largest Boltzmann factor is exactly 1.
-    Returns ``(populations, log_z)``.
-    """
+def gibbs_populations(evals: np.ndarray, beta: float) -> np.ndarray:
+    """Thermal populations of a given spectrum, from shifted energies so the
+    largest Boltzmann factor is exactly 1."""
     e = np.asarray(evals, dtype=float)
-    shifted = e - e.min()
-    q = np.exp(-beta * shifted)
-    z = q.sum()
-    return q / z, float(np.log(z) - beta * e.min())
+    q = np.exp(-beta * (e - e.min()))
+    return q / q.sum()
 
 
 def gibbs_state(
-    hamiltonian: np.ndarray | SpectralDecomposition,
-    beta: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[DensityOperator, float]:
-    """Thermal state exp(-beta H)/Z and its log partition function.
-
-    Accepts either a Hermitian matrix or an existing spectral decomposition.
-    ``beta`` must be >= 0; beta == 0 gives the maximally mixed state.
-    """
+    decomp: SpectralDecomposition, beta: float, tol: Tolerances = DEFAULT_TOL
+) -> DensityOperator:
+    """Thermal state exp(-beta H)/Z of the Hamiltonian with spectral
+    decomposition ``decomp``.  ``beta`` must be >= 0; beta == 0 gives the
+    maximally mixed state."""
     if beta < 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta}")
-    decomp = (
-        hamiltonian
-        if isinstance(hamiltonian, SpectralDecomposition)
-        else eigendecompose(hamiltonian)
-    )
-    p, log_z = gibbs_populations(decomp.evals, beta)
+    p = gibbs_populations(decomp.evals, beta)
     rho = (decomp.evecs * p) @ decomp.evecs.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityOperator(rho, tol), log_z
+    return DensityOperator(rho, tol)
 
 
-def sld_solve(
-    rho: np.ndarray | DensityOperator,
-    drho: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def sld_solve(rho: np.ndarray, drho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve (L rho + rho L)/2 = drho for the symmetric logarithmic derivative.
 
     Works in the eigenbasis of ``rho``:  L_ij = 2 drho_ij / (lambda_i + lambda_j).
@@ -232,10 +208,9 @@ def sld_solve(
     exceeds ``SLD_TRACE_TOL`` (relative) is not trace-preserving and raises
     ValueError.
     """
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
-    dec = eigendecompose(mat)
+    dec = eigendecompose(rho)
     drho = require_hermitian(drho, name="state derivative")
-    tr_d = abs(complex(np.trace(drho)))
+    tr_d = float(abs(np.trace(drho)))
     if tr_d > SLD_TRACE_TOL * max(1.0, float(np.linalg.norm(drho))):
         raise ValueError(
             f"state derivative has trace {tr_d:.3e}; a trace-preserving family is required"
@@ -255,10 +230,9 @@ def sld_solve(
     return dec.from_eigenbasis(l_eig)
 
 
-def qfi_from_sld(rho: np.ndarray | DensityOperator, sld: np.ndarray) -> float:
+def qfi_from_sld(rho: np.ndarray, sld: np.ndarray) -> float:
     """Quantum Fisher information tr(L^2 rho)."""
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
-    return float(np.real(np.trace(sld @ sld @ mat)))
+    return float(np.real(np.trace(sld @ sld @ rho)))
 
 
 @dataclass(frozen=True)

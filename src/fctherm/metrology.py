@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DensityOperator,
     QuadratureRule,
     SpectralDecomposition,
     gibbs_populations,
@@ -51,20 +50,11 @@ from .perturbation import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
-def _population_fisher(p: np.ndarray, evals: np.ndarray, x_nn=None, dx_nn=None) -> tuple[float, float]:
-    """(F0, F2) of energy populations p_n (1 + gamma^2 X_nn), dE_n = E_n - <H>:
-    F0 = sum_n p_n dE_n^2,  F2 = sum_n [p_n dE_n^2 X_nn - 2 p_n dE_n dX_nn], or 0 without X."""
-    de = evals - float(np.dot(p, evals))
-    f0 = float(np.dot(p, de**2))
-    if x_nn is None:
-        return f0, 0.0
-    return f0, float(np.dot(p * de**2, x_nn) - 2.0 * np.dot(p * de, dx_nn))
-
-
 def energy_variance(probe: ProbeModel, beta: float) -> float:
     """Bare-probe Fisher information F0 = Var(H) in the thermal state."""
-    p, _ = gibbs_populations(probe.decomp.evals, beta)
-    return _population_fisher(p, probe.decomp.evals)[0]
+    e = probe.decomp.evals
+    p = gibbs_populations(e, beta)
+    return float(np.dot(p, (e - float(np.dot(p, e))) ** 2))
 
 
 def _as_probe_correlation(
@@ -138,21 +128,23 @@ def qfi_perturbative_sum(
 def cfi_energy_perturbative(expansion: MeanForceExpansion) -> tuple[float, float]:
     """(I0, I2) for an energy measurement, from the population expansion.
 
-    Populations p_n (1 + gamma^2 X_nn) give, to second order,
+    Populations p_n (1 + gamma^2 X_nn) give I0 = Var(H) and, to second order,
 
-    I2 = sum_n [ p_n dE_n^2 X_nn - 2 p_n dE_n dX_nn ].
+    I2 = sum_n [ p_n dE_n^2 X_nn - 2 p_n dE_n dX_nn ],   dE_n = E_n - <H>,
 
-    Equal to the quantum coefficient at this order: the coupling correction
-    to the optimal bound is achieved by the bare energy measurement.
+    with the levels, populations and Var(H) read from the expansion's probe
+    correlator.  Equal to the quantum coefficient at this order: the coupling
+    correction to the optimal bound is achieved by the bare energy
+    measurement.
     """
-    return _population_fisher(expansion.populations, expansion.evals,
-                              np.real(np.diag(expansion.x)), np.real(np.diag(expansion.x_dbeta)))
+    corr = expansion.probe_corr
+    p, de = corr.populations, corr.evals - corr.mean_energy
+    x_nn, dx_nn = np.real(np.diag(expansion.x)), np.real(np.diag(expansion.x_dbeta))
+    return corr.energy_var, float(np.dot(p * de**2, x_nn) - 2.0 * np.dot(p * de, dx_nn))
 
 
 def cfi_energy_general(
-    reference: SpectralDecomposition,
-    rho: np.ndarray | DensityOperator,
-    drho: np.ndarray,
+    reference: SpectralDecomposition, rho: np.ndarray, drho: np.ndarray
 ) -> float:
     """Classical Fisher information of an energy measurement on an arbitrary state.
 
@@ -162,8 +154,7 @@ def cfi_energy_general(
     with finite derivative makes the information diverge and raises
     ValueError.
     """
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    p = np.real(np.diag(reference.to_eigenbasis(mat)))
+    p = np.real(np.diag(reference.to_eigenbasis(rho)))
     dp = np.real(np.diag(reference.to_eigenbasis(drho)))
     out = 0.0
     for pn, dpn in zip(p, dp):

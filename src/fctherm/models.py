@@ -44,8 +44,8 @@ DEFAULT_FREQ_NODES = 128  # semi-infinite rule size for continuum baths
 OSCILLATOR_MIN_LEVELS = 40  # smallest automatic oscillator truncation
 
 # Pauli matrices shared by the two-level models (read-only, so sharing is safe)
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Z = np.diag([1.0, -1.0])
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z.flags.writeable = SIGMA_X.flags.writeable = False
 
 
@@ -53,8 +53,8 @@ def _ladder(omega: float, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated harmonic mode: H = omega (n + 1/2) and the unit-mass position
     x = (a + a^dag) / sqrt(2 omega), both on the lowest ``n_levels`` Fock states."""
     k = np.arange(n_levels)
-    h = np.diag(omega * (k + 0.5)).astype(complex)
-    x = np.zeros((n_levels, n_levels), dtype=complex)
+    h = np.diag(omega * (k + 0.5))
+    x = np.zeros((n_levels, n_levels))
     off = np.sqrt((k[:-1] + 1) / (2.0 * omega))
     x[k[:-1], k[:-1] + 1] = off
     x[k[:-1] + 1, k[:-1]] = off
@@ -344,7 +344,7 @@ class EigenbasisCorrelation(CorrelationFn):
         self.evals = decomp.evals
         self.coupling_eig = decomp.to_eigenbasis(coupling)
         self.abs_sq = np.abs(self.coupling_eig) ** 2
-        self.populations, _ = gibbs_populations(self.evals, beta)
+        self.populations = gibbs_populations(self.evals, beta)
         self.mean_energy = float(np.dot(self.populations, self.evals))
         self.dpopulations = -self.populations * (self.evals - self.mean_energy)
         self.energy_var = float(

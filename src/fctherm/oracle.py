@@ -103,7 +103,7 @@ def _reduced_weighted(joint: JointModel, weights: np.ndarray) -> np.ndarray:
 
 def _reduced_thermal(joint: JointModel, beta: float) -> np.ndarray:
     """Reduced state of the joint Gibbs state (raw matrix, original basis)."""
-    p, _ = gibbs_populations(joint.decomp.evals, beta)
+    p = gibbs_populations(joint.decomp.evals, beta)
     return _reduced_weighted(joint, p)
 
 
@@ -116,7 +116,7 @@ def _reduced_thermal_and_dbeta(joint: JointModel, beta: float) -> tuple[np.ndarr
     of cancellation against a large spectral offset.
     """
     e = joint.decomp.evals - joint.decomp.evals.min()
-    p, _ = gibbs_populations(e, beta)
+    p = gibbs_populations(e, beta)
     dp = p * (np.dot(p, e) - e)
     return _reduced_weighted(joint, p), _reduced_weighted(joint, dp)
 
@@ -126,11 +126,9 @@ def exact_mfg(joint: JointModel, beta: float, tol: Tolerances = DEFAULT_TOL) -> 
     return DensityOperator(_reduced_thermal(joint, beta), tol)
 
 
-def trace_distance(a: np.ndarray | DensityOperator, b: np.ndarray | DensityOperator) -> float:
+def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) sum of absolute eigenvalues of the Hermitian difference a - b."""
-    ma = a.matrix if isinstance(a, DensityOperator) else np.asarray(a, dtype=complex)
-    mb = b.matrix if isinstance(b, DensityOperator) else np.asarray(b, dtype=complex)
-    diff = ma - mb
+    diff = a.matrix - b.matrix
     diff = 0.5 * (diff + diff.conj().T)
     return 0.5 * float(np.sum(np.abs(eigendecompose(diff).evals)))
 
@@ -356,7 +354,7 @@ def reference_two_qubit_models() -> dict[str, ReferenceModel]:
       (probe projector, environment sigma_x) keeps the joint Hamiltonian
       block-diagonal over probe levels and so can never generate them.
     """
-    pi_up = np.diag([1.0, 0.0]).astype(complex)
+    pi_up = np.diag([1.0, 0.0])
     dephasing = ReferenceModel(
         name="dephasing",
         probe=probe_custom(SIGMA_Z, SIGMA_Z, dim_exponent=0.0, kind="qubit-z"),

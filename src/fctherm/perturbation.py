@@ -132,21 +132,39 @@ def _pair_sums(s_eig: np.ndarray, g: np.ndarray, g_deg: np.ndarray):
     return s_eig @ (s_eig * g), (s_eig * g.T) @ s_eig, s_eig @ (s_eig * g_deg)
 
 
-def _assemble_x(
+def x_matrix(
     probe: ProbeModel,
-    corr_b: CorrelationFn,
+    bath,
     beta: float,
-    n_u: int,
-    tol: Tolerances,
-):
-    """Shared assembly for X and its analytic beta-derivative."""
-    rule = quad_imaginary_time(n_u, beta, corr_b.layer_width)
+    n_u: int = DEFAULT_TIME_NODES,
+    n_omega: int = DEFAULT_FREQ_NODES,
+    tol: Tolerances = DEFAULT_TOL,
+) -> MeanForceExpansion:
+    """Second-order state-correction matrix X and its analytic dX/dbeta.
+
+    ``bath`` is a bath specification (``ContinuumBath`` or ``DiscreteBath``);
+    its correlator is built here at ``beta`` with ``n_omega`` frequency nodes
+    and carried as the expansion's ``bath_corr``.  The expansion is derived
+    under a zero-mean environment coupling; a bath whose coupling operator has
+    a thermal mean above ``tol.assumption_mean`` is refused with
+    :class:`NonzeroMeanError`, because the reduced state then picks up a
+    first-order term that this routine cannot represent (see
+    :func:`p1_operator`).  This is the one place the assumption is checked.
+    """
+    bath_corr = bath_correlation(bath, beta, n_omega)
+    if abs(bath_corr.mean) > tol.assumption_mean:
+        raise NonzeroMeanError(
+            f"environment coupling has thermal mean {bath_corr.mean:.3e}; the second-order "
+            "expansion assumes a zero-mean coupling — handle the first-order term "
+            "with p1_operator or centre the coupling operator"
+        )
+    rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
     u = rule.nodes
     w = rule.weights
     probe_corr = EigenbasisCorrelation(probe.decomp, probe.coupling, beta)
     evals, p, s_eig = probe_corr.evals, probe_corr.populations, probe_corr.coupling_eig
 
-    phi_b, dphi_b = (np.asarray(c, dtype=float) for c in corr_b.value_and_dbeta(u))
+    phi_b, dphi_b = (np.asarray(c, dtype=float) for c in bath_corr.value_and_dbeta(u))
     sigma = probe_corr.sigma(u)
     phi_s = p @ sigma  # probe correlator and its beta-derivative as level sums
     dphi_s = probe_corr.dpopulations @ sigma
@@ -178,39 +196,9 @@ def _assemble_x(
     x_dbeta = np.where(degen, dx_deg, (exp_bgap * a1d - a2d) / safe_gap + exp_bgap * a1)
     np.fill_diagonal(x_dbeta, dx_diag)
 
-    return probe_corr, x, x_dbeta, rule
-
-
-def x_matrix(
-    probe: ProbeModel,
-    bath,
-    beta: float,
-    n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int = DEFAULT_FREQ_NODES,
-    tol: Tolerances = DEFAULT_TOL,
-) -> MeanForceExpansion:
-    """Second-order state-correction matrix X and its analytic dX/dbeta.
-
-    ``bath`` is a bath specification (``ContinuumBath`` or ``DiscreteBath``);
-    its correlator is built here at ``beta`` with ``n_omega`` frequency nodes
-    and carried as the expansion's ``bath_corr``.  The expansion is derived
-    under a zero-mean environment coupling; a bath whose coupling operator has
-    a thermal mean above ``tol.assumption_mean`` is refused with
-    :class:`NonzeroMeanError`, because the reduced state then picks up a
-    first-order term that this routine cannot represent (see
-    :func:`p1_operator`).  This is the one place the assumption is checked.
-    """
-    bath_corr = bath_correlation(bath, beta, n_omega)
-    if abs(bath_corr.mean) > tol.assumption_mean:
-        raise NonzeroMeanError(
-            f"environment coupling has thermal mean {bath_corr.mean:.3e}; the second-order "
-            "expansion assumes a zero-mean coupling — handle the first-order term "
-            "with p1_operator or centre the coupling operator"
-        )
-    probe_corr, x, dx, rule = _assemble_x(probe, bath_corr, beta, n_u, tol)
-    weighted = probe_corr.populations[:, None] * x
+    weighted = p[:, None] * x
     drift = float(np.max(np.abs(weighted - weighted.conj().T)))
-    return MeanForceExpansion(x, dx, rule, probe_corr, bath_corr, tol, hermiticity_drift=drift)
+    return MeanForceExpansion(x, x_dbeta, rule, probe_corr, bath_corr, tol, hermiticity_drift=drift)
 
 
 def x_matrix_fd_dbeta(
@@ -281,7 +269,7 @@ class SldExpansion:
     hermiticity_drift: float = 0.0
 
     def total(self, gamma: float) -> np.ndarray:
-        return np.diag(self.l0_diag).astype(complex) + gamma**2 * self.alpha
+        return np.diag(self.l0_diag) + gamma**2 * self.alpha
 
 
 def sld_second_order(expansion: MeanForceExpansion) -> SldExpansion:

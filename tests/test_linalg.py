@@ -34,6 +34,11 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _real_symmetric(d: int, seed: int) -> np.ndarray:
+    m = np.random.default_rng(seed).standard_normal((d, d))
+    return 0.5 * (m + m.T)
+
+
 def test_require_hermitian_accepts_and_rejects():
     m = random_hermitian(4, 0)
     out = require_hermitian(m)
@@ -42,6 +47,26 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(m + 1e-6 * np.eye(4) * 1j)
     with pytest.raises(ValueError, match="square"):
         require_hermitian(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "m, dtype",
+    [
+        (_real_symmetric(4, 0), np.float64),
+        (_real_symmetric(4, 0).astype(complex), np.float64),
+        (random_hermitian(4, 0), np.complex128),
+    ],
+    ids=["float64", "complex-zero-imag", "complex"],
+)
+def test_require_hermitian_chooses_dtype(m, dtype):
+    # the one place an operator's dtype is chosen: float64 when the imaginary
+    # part is all zero (a contiguous copy of a complex input), else complex128
+    out = require_hermitian(m)
+    assert out.dtype == dtype
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, m)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(m + 1e-6 * np.eye(4) * 1j)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -265,27 +290,26 @@ def test_eigenbasis_round_trip():
 def test_gibbs_populations_qubit_closed_form():
     evals = np.array([-0.5, 0.5])
     for beta in (0.0, 0.7, 5.0):
-        p, log_z = gibbs_populations(evals, beta)
+        p = gibbs_populations(evals, beta)
         z = np.exp(0.5 * beta) + np.exp(-0.5 * beta)
         assert abs(p[0] - np.exp(0.5 * beta) / z) < 1e-15
         assert abs(p.sum() - 1.0) < 1e-15
-        assert abs(log_z - np.log(z)) < 1e-12
 
 
 def test_gibbs_populations_no_overflow_at_large_beta():
-    p, log_z = gibbs_populations(np.array([0.0, 1.0, 2.0]), 1e4)
+    p = gibbs_populations(np.array([0.0, 1.0, 2.0]), 1e4)
     assert p[0] == pytest.approx(1.0)
-    assert np.all(np.isfinite(p)) and np.isfinite(log_z)
+    assert np.all(np.isfinite(p))
 
 
 def test_gibbs_state_beta_zero_is_maximally_mixed():
-    rho, _ = gibbs_state(random_hermitian(4, 11), 0.0)
+    rho = gibbs_state(eigendecompose(random_hermitian(4, 11)), 0.0)
     assert np.max(np.abs(rho.matrix - np.eye(4) / 4.0)) < 1e-13
 
 
 def test_gibbs_state_rejects_negative_beta():
     with pytest.raises(ValueError, match=">= 0"):
-        gibbs_state(np.diag([0.0, 1.0]).astype(complex), -0.1)
+        gibbs_state(eigendecompose(np.diag([0.0, 1.0])), -0.1)
 
 
 def test_density_operator_validation():
@@ -337,7 +361,7 @@ def test_qfi_matches_thermal_variance():
     # for the bare thermal family the QFI equals Var(H): check on a qubit
     eps, beta = 1.3, 0.8
     h = np.diag([0.5 * eps, -0.5 * eps]).astype(complex)
-    rho, _ = gibbs_state(h, beta)
+    rho = gibbs_state(eigendecompose(h), beta).matrix
     x = 0.5 * beta * eps
     drho_diag = np.array([-1.0, 1.0]) * 0.5 * eps / (2.0 * np.cosh(x) ** 2)
     sld = sld_solve(rho, np.diag(drho_diag).astype(complex))

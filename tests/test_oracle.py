@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fctherm import (
+    DensityOperator,
     DiscreteBath,
     JointModel,
     bath_correlation,
@@ -109,7 +110,7 @@ def test_reduced_thermal_equals_partial_trace_of_joint_gibbs_state(joint, evecs_
     dec = joint.decomp
     assert dec.evecs.dtype == evecs_dtype
     for beta in (0.3, 1.0, 4.0):
-        p, _ = gibbs_populations(dec.evals, beta)
+        p = gibbs_populations(dec.evals, beta)
         rho_joint = (dec.evecs * p) @ dec.evecs.conj().T
         full = partial_trace_bath(rho_joint, *joint.dims)
         assert np.max(np.abs(_reduced_thermal(joint, beta) - full)) < 1e-14
@@ -119,13 +120,13 @@ def test_exact_mfg_at_zero_coupling_is_bare():
     probe, bath = probe_qubit(1.0, 0.9), bath_qubit(1.0)
     beta = 1.2
     rho = exact_mfg(JointModel(probe, bath, 0.0), beta)
-    bare, _ = gibbs_state(probe.decomp, beta)
+    bare = gibbs_state(probe.decomp, beta)
     assert trace_distance(rho, bare) < 1e-14
 
 
 def test_trace_distance_basics():
-    p = np.diag([0.7, 0.3]).astype(complex)
-    q = np.diag([0.4, 0.6]).astype(complex)
+    p = DensityOperator(np.diag([0.7, 0.3]))
+    q = DensityOperator(np.diag([0.4, 0.6]))
     assert trace_distance(p, p) == 0.0
     assert trace_distance(p, q) == pytest.approx(0.3, rel=1e-14)
     assert trace_distance(p, q) == pytest.approx(trace_distance(q, p), rel=1e-14)
@@ -139,7 +140,7 @@ def test_trace_distance_basics():
 def test_exact_state_deviates_from_bare_at_second_order():
     probe, bath = probe_qubit(1.0, np.pi / 4.0), bath_qubit(1.0)
     beta = 1.0
-    bare, _ = gibbs_state(probe.decomp, beta)
+    bare = gibbs_state(probe.decomp, beta)
     gammas = default_gamma_grid()
     devs = [
         trace_distance(exact_mfg(JointModel(probe, bath, g), beta), bare) for g in gammas

@@ -11,11 +11,14 @@ from fctherm import (
     ContinuumBath,
     CouplingTooStrongError,
     DiscreteBath,
+    JointModel,
     SpectralDecomposition,
     bath_correlation,
     bath_mode,
     bath_qubit,
     cfi_energy_perturbative,
+    exact_fishers,
+    exact_mfg,
     gibbs_state,
     mfg_second_order,
     p1_operator,
@@ -183,7 +186,7 @@ def test_mfg_at_zero_coupling_is_the_bare_state():
     probe, bath = MODEL_PAIRS[0]
     beta = 1.0
     exp = mfg_second_order(probe, bath, 0.0, beta)
-    bare, _ = gibbs_state(probe.decomp, beta)
+    bare = gibbs_state(probe.decomp, beta)
     assert np.max(np.abs(exp.state.matrix - bare.matrix)) < 1e-14
     assert exp.gamma == 0.0
 
@@ -250,7 +253,7 @@ def test_p1_matches_exact_state_derivative():
 
     got = probe.decomp.from_eigenbasis(p1_operator(probe, beta, mean_b))
     base = reduced(0.0)
-    ref = np.empty_like(base)
+    ref = np.empty_like(base, dtype=complex)
     for i in range(2):
         for j in range(2):
             ref[i, j] = refine_linear(lambda g, i=i, j=j: (reduced(g)[i, j] - base[i, j]).real)
@@ -379,3 +382,35 @@ def test_real_probes_run_in_real_arithmetic(probe, bath, where):
     # the oscillator's X01 and A01 vanish; measure them against their matrices
     _assert_close(rep_c.x01, rep_r.x01, np.max(np.abs(real.x)))
     _assert_close(rep_c.alpha01, rep_r.alpha01, np.max(np.abs(sld_r.alpha)))
+
+
+def test_real_models_reach_rotations_and_solvers_as_float64(monkeypatch):
+    # require_hermitian chooses the dtype where an operator enters the
+    # library; for real-symmetric models nothing downstream widens it, so
+    # every basis rotation and every LAPACK call runs in real arithmetic
+    seen = []
+    to_eig, from_eig = SpectralDecomposition.to_eigenbasis, SpectralDecomposition.from_eigenbasis
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def recorded(name, fn):
+        # a rotation's operands are its eigenvectors and the operator
+        def wrapper(*args):
+            seen.append((name, [np.asarray(getattr(a, "evecs", a)).dtype for a in args]))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(SpectralDecomposition, "to_eigenbasis", recorded("to", to_eig))
+    monkeypatch.setattr(SpectralDecomposition, "from_eigenbasis", recorded("from", from_eig))
+    monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded("eigvalsh", eigvalsh))
+
+    beta = 1.3
+    snr_bound(probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0), 0.1, beta)
+    probe, bath = probe_qubit(1.0, 0.7), bath_qubit(1.0)
+    joint = JointModel(probe, bath, 0.1)
+    exact_fishers(joint, beta)
+    exact_mfg(joint, beta)
+    x_matrix(probe, bath, beta).at_coupling(0.1)
+
+    assert {name for name, _ in seen} == {"to", "from", "eigh", "eigvalsh"}
+    assert all(dt == np.float64 for _, dts in seen for dt in dts), seen
