@@ -269,17 +269,20 @@ def _laggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(*laguerre.laggauss(n))
 
 
+def _legendre_panels(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule on every panel
+    [a_k, b_k], panel after panel: the one place Legendre nodes are mapped."""
+    x, w = _leggauss(n)
+    a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
+    half = 0.5 * (b - a)
+    return (half * x + 0.5 * (a + b)).ravel(), (half * w).ravel()
+
+
 def quad_finite(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule with n nodes on [a, b]; exact for degree <= 2n-1."""
     if n < 1:
         raise ValueError("need at least one node")
-    x, w = _leggauss(n)
-    half = 0.5 * (b - a)
-    return QuadratureRule(
-        nodes=half * x + 0.5 * (a + b),
-        weights=half * w,
-        kind="gauss-legendre",
-    )
+    return QuadratureRule(*_legendre_panels(n, a, b), kind="gauss-legendre")
 
 
 def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule:
@@ -304,6 +307,8 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
     beta * E <~ S, i.e. for any level the thermal state populates.  Either
     Laguerre rule is capped at MAX_LAGUERRE_NODES nodes.
     """
+    if n < 1:
+        raise ValueError("need at least one node")
     if beta <= 0:
         raise ValueError("beta must be positive")
     if beta * cutoff <= THERMAL_SPLIT:
@@ -313,12 +318,12 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
     n_low = max(1, n // 2)
     n_mid = max(8, (n - n_low) * 3 // 5)
     n_tail = min(max(8, n - n_low - n_mid), MAX_LAGUERRE_NODES)
-    low = quad_finite(n_low, 0.0, w_split)
-    mid = quad_finite(n_mid, w_split, 2.0 * cutoff)
+    low_x, low_w = _legendre_panels(n_low, 0.0, w_split)
+    mid_x, mid_w = _legendre_panels(n_mid, w_split, 2.0 * cutoff)
     tail = quad_semiinfinite(n_tail, scale=cutoff)
     return QuadratureRule(
-        nodes=np.concatenate([low.nodes, mid.nodes, 2.0 * cutoff + tail.nodes]),
-        weights=np.concatenate([low.weights, mid.weights, tail.weights]),
+        nodes=np.concatenate([low_x, mid_x, 2.0 * cutoff + tail.nodes]),
+        weights=np.concatenate([low_w, mid_w, tail.weights]),
         kind="legendre+laguerre",
     )
 
@@ -335,6 +340,8 @@ def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> Quad
     intermediate scale between layer and beta is resolved.  With no layer (or
     one comparable to beta) it reduces to the plain rule.
     """
+    if n < 1:
+        raise ValueError("need at least one node")
     if beta <= 0:
         raise ValueError("beta must be positive")
     if layer is None or not 0.0 < layer < 0.125 * beta:
@@ -346,20 +353,10 @@ def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> Quad
         b *= 4.0
     edges.append(0.5 * beta)
     m = max(10, int(n) // (2 * (len(edges) - 1)))
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        panel = quad_finite(m, lo, hi)
-        mirror = quad_finite(m, beta - hi, beta - lo)
-        nodes.extend((panel.nodes, mirror.nodes))
-        weights.extend((panel.weights, mirror.weights))
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    order = np.argsort(nodes)
-    return QuadratureRule(
-        nodes=nodes[order],
-        weights=weights[order],
-        kind="legendre-graded",
-    )
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    # mirrors run from the middle outward, so panels and nodes both ascend
+    panels = np.concatenate([lo, beta - hi[::-1]]), np.concatenate([hi, beta - lo[::-1]])
+    return QuadratureRule(*_legendre_panels(m, *panels), kind="legendre-graded")
 
 
 def quad_semiinfinite(n: int, scale: float = 1.0) -> QuadratureRule:

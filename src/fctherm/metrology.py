@@ -29,13 +29,13 @@ import numpy as np
 from .linalg import (
     QuadratureRule,
     SpectralDecomposition,
-    gibbs_populations,
     quad_imaginary_time,
 )
 from .models import (
     DEFAULT_FREQ_NODES,
     ContinuumBath,
     CorrelationFn,
+    EigenbasisCorrelation,
     ProbeModel,
     bath_correlation,
     probe_correlation,
@@ -48,13 +48,6 @@ from .perturbation import (
     x_matrix,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
-
-
-def energy_variance(probe: ProbeModel, beta: float) -> float:
-    """Bare-probe Fisher information F0 = Var(H) in the thermal state."""
-    e = probe.decomp.evals
-    p = gibbs_populations(e, beta)
-    return float(np.dot(p, (e - float(np.dot(p, e))) ** 2))
 
 
 def _as_probe_correlation(
@@ -75,20 +68,24 @@ def qfi_perturbative_integral(
     beta: float,
     n_u: int = DEFAULT_TIME_NODES,
     n_omega: int = DEFAULT_FREQ_NODES,
-    probe_corr: CorrelationFn | None = None,
+    probe_corr: EigenbasisCorrelation | None = None,
 ) -> tuple[float, float]:
-    """(F0, F2) with F2 from the imaginary-time integral route:
+    """(F0, F2) with F0 = Var(H) the probe correlator's energy variance and F2
+    from the imaginary-time integral route:
 
     F2 = int_0^beta du [ (beta-u) C_B * C_S'' + 2 (C_B + (beta-u) C_B') C_S' ]
 
     where primes are beta-derivatives at fixed u.  ``bath`` is a bath
     specification, whose correlator is built here; a ready-made
-    ``probe_corr`` must have been built for ``beta``, ValueError otherwise.
+    ``probe_corr`` must be an :class:`EigenbasisCorrelation` (TypeError
+    otherwise) built for ``beta`` (ValueError otherwise).
     """
+    if probe_corr is not None and not isinstance(probe_corr, EigenbasisCorrelation):
+        raise TypeError("F0 needs the level-sum probe correlator (EigenbasisCorrelation)")
     probe_corr = _as_probe_correlation(probe, beta, probe_corr)
     bath_corr = bath_correlation(bath, beta, n_omega)
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
-    return energy_variance(probe, beta), _f2_integral(beta, rule, bath_corr, probe_corr)
+    return probe_corr.energy_var, _f2_integral(beta, rule, bath_corr, probe_corr)
 
 
 def _f2_integral(

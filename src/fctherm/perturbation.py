@@ -268,9 +268,6 @@ class SldExpansion:
     alpha: np.ndarray            # second-order coefficient matrix A
     hermiticity_drift: float = 0.0
 
-    def total(self, gamma: float) -> np.ndarray:
-        return np.diag(self.l0_diag) + gamma**2 * self.alpha
-
 
 def sld_second_order(expansion: MeanForceExpansion) -> SldExpansion:
     """Logarithmic derivative of the second-order state with respect to beta.
@@ -294,5 +291,5 @@ def sld_second_order(expansion: MeanForceExpansion) -> SldExpansion:
     # On the diagonal the solve reduces to A_nn = dX_nn exactly; write it as such
     # so the level-sum F2 over A_nn is I2 without rounding.
     np.fill_diagonal(alpha, np.real(np.diag(expansion.x_dbeta)))
-    mean_e = float(np.dot(p, evals))
+    mean_e = expansion.probe_corr.mean_energy
     return SldExpansion(l0_diag=mean_e - evals, alpha=alpha, hermiticity_drift=drift)

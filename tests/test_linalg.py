@@ -470,6 +470,91 @@ def test_quad_imaginary_time_resolves_boundary_layers():
     assert err_graded < 1e-8
 
 
+def _reference_panel(n, a, b):
+    # Gauss-Legendre on one panel, in the arithmetic every rule uses
+    x, w = _leggauss(n)
+    half = 0.5 * (b - a)
+    return half * x + 0.5 * (a + b), half * w
+
+
+def _reference_graded(n, beta, layer):
+    # each panel and its mirror as a separate rule, then concatenated and sorted
+    edges = [0.0]
+    b = float(layer)
+    while b < 0.5 * beta:
+        edges.append(b)
+        b *= 4.0
+    edges.append(0.5 * beta)
+    m = max(10, n // (2 * (len(edges) - 1)))
+    parts = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        parts += [_reference_panel(m, lo, hi), _reference_panel(m, beta - hi, beta - lo)]
+    nodes = np.concatenate([p[0] for p in parts])
+    weights = np.concatenate([p[1] for p in parts])
+    order = np.argsort(nodes)
+    return nodes[order], weights[order]
+
+
+def _reference_frequency(n, cutoff, beta):
+    if beta * cutoff <= linalg.THERMAL_SPLIT:
+        rule = quad_semiinfinite(min(n, MAX_LAGUERRE_NODES), scale=cutoff)
+        return rule.nodes, rule.weights
+    w_split = linalg.THERMAL_SPLIT / beta
+    n_low = max(1, n // 2)
+    n_mid = max(8, (n - n_low) * 3 // 5)
+    n_tail = min(max(8, n - n_low - n_mid), MAX_LAGUERRE_NODES)
+    low = _reference_panel(n_low, 0.0, w_split)
+    mid = _reference_panel(n_mid, w_split, 2.0 * cutoff)
+    tail = quad_semiinfinite(n_tail, scale=cutoff)
+    return (
+        np.concatenate([low[0], mid[0], 2.0 * cutoff + tail.nodes]),
+        np.concatenate([low[1], mid[1], tail.weights]),
+    )
+
+
+def test_composite_rules_match_panel_by_panel_construction():
+    # mapping every panel in one step, mirrors listed from the middle outward,
+    # gives bit for bit the rule assembled one panel at a time and sorted
+    for n in (1, 10, 64, 100, 512):
+        for beta in np.logspace(-2.0, 2.0, 17):
+            beta = float(beta)
+            cases = [(quad_finite(n, 0.0, beta), _reference_panel(n, 0.0, beta))]
+            for layer in (None, 1e-5, 1e-2, 0.2, beta / 8.0 * (1.0 - 1e-9)):
+                rule = quad_imaginary_time(n, beta, layer)
+                graded = layer is not None and layer < 0.125 * beta
+                ref = _reference_graded(n, beta, layer) if graded else _reference_panel(n, 0.0, beta)
+                cases.append((rule, ref))
+            for cutoff in (1.0, 100.0):
+                cases.append((quad_thermal_frequency(n, cutoff, beta), _reference_frequency(n, cutoff, beta)))
+            for rule, (nodes, weights) in cases:
+                assert np.array_equal(rule.nodes, nodes), (n, beta, rule.kind)
+                assert np.array_equal(rule.weights, weights), (n, beta, rule.kind)
+                assert np.all(np.diff(rule.nodes) > 0), (n, beta, rule.kind)
+
+
+def test_graded_rule_builds_only_the_rule_it_returns(monkeypatch, built_rules):
+    def no_call(*args, **kwargs):
+        raise AssertionError("quad_finite called by a composite rule")
+
+    monkeypatch.setattr(linalg, "quad_finite", no_call)
+    assert quad_imaginary_time(64, 10.0, 0.01).kind == "legendre-graded"
+    assert built_rules == ["legendre-graded"]
+    built_rules.clear()
+    assert quad_thermal_frequency(128, 100.0, 10.0).kind == "legendre+laguerre"
+    assert built_rules == ["gauss-laguerre", "legendre+laguerre"]  # the tail, then the rule
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_composite_rules_need_a_node_in_every_regime(n):
+    beta = 3.0
+    for layer in (None, 0.01):  # plain and graded
+        with pytest.raises(ValueError, match="at least one node"):
+            quad_imaginary_time(n, beta, layer)
+    for cutoff in (1.0, 100.0):  # single Laguerre and split
+        with pytest.raises(ValueError, match="at least one node"):
+            quad_thermal_frequency(n, cutoff, beta)
+
+
 def test_quadrature_rejects_nonpositive_weights():
     from fctherm import QuadratureRule
 

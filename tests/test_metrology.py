@@ -15,7 +15,6 @@ from fctherm import (
     cfi_energy_perturbative,
     default_gamma_grid,
     eigendecompose,
-    energy_variance,
     high_T_asymptote,
     order_fit,
     probe_correlation,
@@ -40,14 +39,14 @@ from fctherm.cli import SLOPE_WINDOWS
 
 def test_energy_variance_qubit_closed_form():
     eps, beta = 1.4, 0.9
-    got = energy_variance(probe_qubit(eps, 0.3), beta)
+    got = probe_correlation(probe_qubit(eps, 0.3), beta).energy_var
     exact = (eps / 2.0) ** 2 / math.cosh(beta * eps / 2.0) ** 2
     assert got == pytest.approx(exact, rel=1e-13)
 
 
 def test_energy_variance_oscillator_closed_form():
     omega0, beta = 1.0, 1.5
-    got = energy_variance(probe_oscillator(omega0, beta_design=beta), beta)
+    got = probe_correlation(probe_oscillator(omega0, beta_design=beta), beta).energy_var
     exact = omega0**2 / (4.0 * math.sinh(beta * omega0 / 2.0) ** 2)
     assert got == pytest.approx(exact, rel=1e-12)
 
@@ -137,6 +136,19 @@ def test_correlators_built_for_another_beta_are_refused():
         qfi_perturbative_integral(probe, bath, beta, probe_corr=stale_probe)
     with pytest.raises(ValueError, match="probe correlator was built for a different beta"):
         xi_via_spectral_kernel(probe, bath, beta, probe_corr=stale_probe)
+
+
+def test_integral_route_reads_f0_from_the_level_sum_correlator():
+    # F0 is the energy variance the eigenbasis correlator already holds; a
+    # closed-form correlator carries no levels, so it is refused there while
+    # the kernel route still takes it
+    probe, bath, beta = probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0), 2.0
+    f0, _ = qfi_perturbative_integral(probe, bath, beta)
+    assert f0 == probe_correlation(probe, beta).energy_var
+    closed = probe_correlation(probe, beta, "closed")
+    with pytest.raises(TypeError, match="EigenbasisCorrelation"):
+        qfi_perturbative_integral(probe, bath, beta, probe_corr=closed)
+    assert math.isfinite(xi_via_spectral_kernel(probe, bath, beta, probe_corr=closed))
 
 
 def test_spectral_kernel_route_needs_a_continuum_bath():

@@ -292,12 +292,27 @@ def test_sld_diagonal_equals_dx_diagonal_exactly():
     assert np.array_equal(np.diag(sld.alpha), np.real(np.diag(exp.x_dbeta)))
 
 
-def test_sld_total_is_hermitian_and_reuses_expansion():
+def test_expansion_refuses_an_empty_time_rule():
+    # n_u = 0 reaches the graded time rule, which gives each panel at least 10 nodes
+    with pytest.raises(ValueError, match="at least one node"):
+        x_matrix(probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0), 3.0, 0, 128)
+
+
+def test_snr_bound_builds_few_quadrature_rules(built_rules):
+    # one frequency rule (plus its Laguerre tail past the split) and one
+    # imaginary-time rule for each of x_matrix and the integral route
+    probe, bath = MODEL_PAIRS[1]
+    for beta in (0.1, 1.0, 10.0):  # beta * cutoff below and above the split
+        built_rules.clear()
+        snr_bound(probe, bath, 0.1, beta)
+        assert len(built_rules) <= 6, (beta, built_rules)
+
+
+def test_sld_alpha_is_exactly_hermitian():
     probe, bath = MODEL_PAIRS[0]
     exp = x_matrix(probe, bath, 1.0)
     sld = sld_second_order(exp)
-    total = sld.total(0.1)
-    assert np.max(np.abs(total - total.conj().T)) == 0.0
+    assert np.array_equal(sld.alpha, sld.alpha.conj().T)
     assert sld.hermiticity_drift < 1e-10
 
 
