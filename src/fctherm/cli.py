@@ -22,6 +22,7 @@ import argparse
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .linalg import gibbs_state
 from .metrology import MetrologyReport, _f2_integral, snr_bound
-from .models import DiscreteBath
+from .models import DiscreteBath, ProbeModel
 from .oracle import JointModel, exact_fishers, exact_mfg, order_fit, trace_distance
 from .perturbation import x_matrix
 
@@ -72,9 +73,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _compute_report(cfg: RunConfig, beta: float, gamma: float, theta: float | None) -> MetrologyReport:
+def _compute_report(cfg: RunConfig, bath, beta: float, gamma: float, theta: float | None) -> MetrologyReport:
     probe = cfg.build_probe(beta=beta, theta=theta)
-    bath = cfg.build_bath()
     return snr_bound(probe, bath, gamma, beta, cfg.n_u, cfg.n_omega, cfg.tolerances())
 
 
@@ -99,12 +99,15 @@ def _csv_row(rep: MetrologyReport) -> list[str]:
 
 
 def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], workers: int) -> list[MetrologyReport]:
-    """Evaluate (beta, gamma, theta) points, preserving input order."""
+    """Evaluate (beta, gamma, theta) points, preserving input order.  One bath
+    serves every point; the probe is built per point (its truncation follows
+    beta, its angle theta)."""
+    bath = cfg.build_bath()
     if workers <= 1:
-        return [_compute_report(cfg, b, g, t) for b, g, t in points]
+        return [_compute_report(cfg, bath, b, g, t) for b, g, t in points]
     betas, gammas, thetas = zip(*points)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_report, [cfg] * len(points), betas, gammas, thetas))
+        return list(pool.map(_compute_report, repeat(cfg), repeat(bath), betas, gammas, thetas))
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> None:
@@ -158,19 +161,12 @@ def cmd_sweep(cfg: RunConfig, out: str | None, workers: int) -> int:
     return 0
 
 
-def _scaling_rows(cfg: RunConfig, beta: float) -> tuple[bool, list[dict]]:
+def _scaling_rows(cfg: RunConfig, probe: ProbeModel, bath: DiscreteBath,
+                  joints: list[JointModel], beta: float) -> tuple[bool, list[dict]]:
     """Whether the bath mean vanishes at ``beta``, and the order-of-scaling
-    fits for that inverse temperature."""
+    fits for that inverse temperature over the couplings of ``joints``."""
     tol = cfg.tolerances()
-    # The oracle and the expansion share this truncated probe, so truncation
-    # error cancels from every comparison below and the warning would be false.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        probe = cfg.build_probe(beta=beta)
-    bath = cfg.build_bath()
-    if not isinstance(bath, DiscreteBath):
-        raise ConfigError("scaling: requires a discrete-file bath (exact reference needed)")
-    gammas = (cfg.scaling or ScalingSpec()).points()
+    gammas = np.array([joint.gamma for joint in joints])
     # X does not depend on the coupling: one expansion serves every gamma, and
     # x_matrix alone decides whether the bath mean allows one
     try:
@@ -183,13 +179,12 @@ def _scaling_rows(cfg: RunConfig, beta: float) -> tuple[bool, list[dict]]:
     f_exact = np.empty(gammas.size)
     fi_gap = np.empty(gammas.size)
     dist = np.empty(gammas.size)
-    for k, g in enumerate(gammas):
-        joint = JointModel(probe, bath, float(g))
+    for k, joint in enumerate(joints):
         f, i = exact_fishers(joint, beta, tol=tol)
         f_exact[k] = f
         fi_gap[k] = abs(f - i)
         reduced = exact_mfg(joint, beta, tol)
-        predicted = expansion.at_coupling(float(g)).state if zero_mean else pi_s
+        predicted = expansion.at_coupling(joint.gamma).state if zero_mean else pi_s
         dist[k] = trace_distance(reduced, predicted)
 
     rows = []
@@ -223,9 +218,21 @@ def _scaling_rows(cfg: RunConfig, beta: float) -> tuple[bool, list[dict]]:
 
 def cmd_scaling(cfg: RunConfig, out: str | None, workers: int) -> int:
     del workers  # grid is small; the exact reference runs serially
+    bath = cfg.build_bath()
+    if not isinstance(bath, DiscreteBath):
+        raise ConfigError("scaling: requires a discrete-file bath (exact reference needed)")
+    # One probe serves every beta, built at the hottest, where a truncation is
+    # tightest; the oracle and the expansion share it, so truncation error
+    # cancels from every comparison and the warning would be false.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        probe = cfg.build_probe(beta=cfg.beta_grid.min)
+    # the joint Hamiltonian does not depend on beta either: each coupling is
+    # diagonalised once per run
+    joints = [JointModel(probe, bath, float(g)) for g in (cfg.scaling or ScalingSpec()).points()]
     csv_rows = []
     for beta in cfg.beta_grid.points():
-        zero_mean, rows = _scaling_rows(cfg, float(beta))
+        zero_mean, rows = _scaling_rows(cfg, probe, bath, joints, float(beta))
         print(f"beta = {beta:.6g}   zero-mean environment: {'yes' if zero_mean else 'no'}")
         print(f"  {'quantity':<16} {'slope':>8} {'r^2':>8} {'expected':>12}   status")
         for r in rows:

@@ -352,6 +352,10 @@ def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> Quad
         edges.append(b)
         b *= 4.0
     edges.append(0.5 * beta)
+    # a last panel far thinner than its neighbour would only hold tied nodes
+    # with vanishing weights: it joins the neighbour
+    if edges[-1] - edges[-2] < 1e-10 * (edges[-2] - edges[-3]):
+        del edges[-2]
     m = max(10, int(n) // (2 * (len(edges) - 1)))
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     # mirrors run from the middle outward, so panels and nodes both ascend

@@ -130,7 +130,7 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) sum of absolute eigenvalues of the Hermitian difference a - b."""
     diff = a.matrix - b.matrix
     diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.sum(np.abs(eigendecompose(diff).evals)))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 # ----------------------------------------------------------------------------
@@ -236,49 +236,6 @@ def default_gamma_grid(
     above rounding; above ~1e-1 higher orders contaminate the fit.
     """
     return np.logspace(math.log10(lo), math.log10(hi), n)
-
-
-# ----------------------------------------------------------------------------
-# coefficient extraction by coupling refinement
-# ----------------------------------------------------------------------------
-
-
-def refine_linear(fn: Callable[[float], float], gamma: float = 1e-3) -> float:
-    """Linear coefficient of fn at 0, with the next order cancelled.
-
-    Evaluates (fn(g) - fn(0))/g at g and g/2 and combines the two estimates so
-    the quadratic contamination drops out.
-    """
-    f0 = fn(0.0)
-    c1 = (fn(gamma) - f0) / gamma
-    c2 = (fn(0.5 * gamma) - f0) / (0.5 * gamma)
-    return 2.0 * c2 - c1
-
-
-def refine_quadratic(fn: Callable[[float], float], gamma: float = 1e-3) -> float:
-    """Quadratic coefficient of fn at 0 from even differences at two steps."""
-    f0 = fn(0.0)
-
-    def even(g: float) -> float:
-        return (fn(g) + fn(-g) - 2.0 * f0) / (2.0 * g * g)
-
-    q1 = even(gamma)
-    q2 = even(0.5 * gamma)
-    return (4.0 * q2 - q1) / 3.0
-
-
-def pauli_coefficient(matrix: np.ndarray, which: str) -> float:
-    """Coefficient of a Pauli matrix (or identity) in a 2x2 Hermitian operator."""
-    m = np.asarray(matrix)
-    if which == "x":
-        return float(np.real(m[0, 1] + m[1, 0])) / 2.0
-    if which == "y":
-        return float(np.imag(m[1, 0] - m[0, 1])) / 2.0
-    if which == "z":
-        return float(np.real(m[0, 0] - m[1, 1])) / 2.0
-    if which == "i":
-        return float(np.real(m[0, 0] + m[1, 1])) / 2.0
-    raise ValueError(f"unknown component {which!r}")
 
 
 # ----------------------------------------------------------------------------

@@ -29,21 +29,19 @@ from fctherm import (
     exact_sld,
     high_T_asymptote,
     order_fit,
-    pauli_coefficient,
     probe_correlation,
     probe_oscillator,
     probe_qubit,
     qfi_perturbative_integral,
     qfi_perturbative_sum,
     reference_two_qubit_models,
-    refine_linear,
-    refine_quadratic,
     sld_second_order,
     x_matrix,
     x_matrix_fd_dbeta,
     xi_via_spectral_kernel,
 )
 from fctherm.cli import CSV_COLUMNS, main
+from refinement import pauli_coefficient, refine_linear, refine_quadratic
 
 BETAS_REFERENCE = (0.5, 1.0, 2.0)
 

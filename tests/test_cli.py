@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from fctherm import TruncationWarning, cli, load_config
+from fctherm import TruncationWarning, cli, load_config, oracle
 from fctherm.cli import CSV_COLUMNS, main
 
 QUBIT_OHMIC = {
@@ -412,6 +412,48 @@ def test_scaling_builds_one_expansion_per_beta(tmp_path, config_dir, monkeypatch
     assert main(["scaling", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 0
     grid = list(load_config(path).beta_grid.points())
     assert betas == {fname: grid for fname in beta_position}
+
+
+def test_scaling_diagonalises_each_coupling_once_per_run(tmp_path, config_dir, monkeypatch):
+    # the joint Hamiltonian does not depend on beta: a 2-beta x 8-coupling
+    # run builds and diagonalises one joint model per coupling, not per point
+    doc = json.loads((config_dir / "scaling_spin_boson.json").read_text())
+    doc["bath"]["path"] = str(config_dir / doc["bath"]["path"])
+    doc["beta_grid"] = {"min": 1.0, "max": 2.0, "n": 2}
+    built, diagonalised = [], []
+    post_init = oracle.JointModel.__post_init__
+    eigendecompose = oracle.eigendecompose
+
+    def counting_post_init(joint):
+        built.append(joint.gamma)
+        post_init(joint)
+
+    def counting_eigendecompose(matrix, *args, **kwargs):
+        diagonalised.append(matrix.shape[0])
+        return eigendecompose(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.JointModel, "__post_init__", counting_post_init)
+    monkeypatch.setattr(oracle, "eigendecompose", counting_eigendecompose)
+    assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(built) == len(set(built)) == 8
+    assert diagonalised == [4] * 8  # qubit probe x two-level bath
+
+
+def test_scaling_rows_of_a_beta_grid_equal_one_beta_runs(tmp_path, config_dir):
+    # a pinned truncation gives the same probe at every beta, so a two-beta
+    # table is the two one-beta tables, byte for byte
+    doc = json.loads((config_dir / "scaling_oscillator_mode.json").read_text())
+    doc["bath"]["path"] = str(config_dir / doc["bath"]["path"])
+    tables = []
+    for grid in ({"min": 1.0, "max": 1.5, "n": 2}, {"min": 1.0, "max": 1.0, "n": 1},
+                 {"min": 1.5, "max": 1.5, "n": 1}):
+        doc["beta_grid"] = grid
+        out = tmp_path / f"s{len(tables)}.csv"
+        assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        tables.append(out.read_text().splitlines(keepends=True))
+    both, first, second = tables
+    assert len(both) == 7
+    assert "".join(both) == "".join(first + second[1:])
 
 
 def test_scaling_output_is_byte_stable(tmp_path, config_dir):

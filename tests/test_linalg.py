@@ -532,6 +532,24 @@ def test_composite_rules_match_panel_by_panel_construction():
                 assert np.all(np.diff(rule.nodes) > 0), (n, beta, rule.kind)
 
 
+def test_graded_rule_absorbs_a_sliver_last_panel():
+    # a layer just under beta / (8 * 4^k) leaves a last graded panel only ulps
+    # wide; it joins its neighbour, so nodes stay distinct and weights positive
+    for beta in (0.3, 1.0, 7.0, 100.0):
+        for k in range(4):
+            top = beta / (8.0 * 4.0**k)
+            layers = [np.nextafter(top, 0.0)] + [top * (1.0 - 10.0**-e) for e in range(3, 17)]
+            for layer in layers:
+                for n in (10, 64):
+                    rule = quad_imaginary_time(n, beta, layer)
+                    assert np.all(np.diff(rule.nodes) > 0), (beta, k, layer, n)
+                    assert np.all(rule.weights > 0), (beta, k, layer, n)
+                    for j in range(8):
+                        exact = beta ** (j + 1) / (j + 1)
+                        got = rule.integrate(rule.nodes**j)
+                        assert abs(got - exact) <= 1e-13 * exact, (beta, k, layer, n, j)
+
+
 def test_graded_rule_builds_only_the_rule_it_returns(monkeypatch, built_rules):
     def no_call(*args, **kwargs):
         raise AssertionError("quad_finite called by a composite rule")

@@ -15,20 +15,19 @@ from fctherm import (
     bath_mode,
     bath_qubit,
     default_gamma_grid,
+    eigendecompose,
     exact_fishers,
     exact_mfg,
     exact_sld,
     gibbs_state,
+    oracle,
     order_fit,
     partial_trace_bath,
-    pauli_coefficient,
     probe_custom,
     probe_oscillator,
     probe_qubit,
     qfi_perturbative_integral,
     reference_two_qubit_models,
-    refine_linear,
-    refine_quadratic,
     trace_distance,
 )
 from fctherm.linalg import gibbs_populations
@@ -130,6 +129,32 @@ def test_trace_distance_basics():
     assert trace_distance(p, p) == 0.0
     assert trace_distance(p, q) == pytest.approx(0.3, rel=1e-14)
     assert trace_distance(p, q) == pytest.approx(trace_distance(q, p), rel=1e-14)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_trace_distance_reads_only_eigenvalues(field, monkeypatch):
+    # LAPACK's eigenvalues alone give the half-sum that the full checked
+    # decomposition of the difference gives, and no eigenvectors are formed
+    rng = np.random.default_rng(11)
+    cases = []
+    for d in (2, 3, 5, 8, 16):
+        states = []
+        for _ in range(2):
+            m = rng.standard_normal((d, d))
+            if field == "complex":
+                m = m + 1j * rng.standard_normal((d, d))
+            rho = m @ m.conj().T
+            states.append(DensityOperator(rho / np.trace(rho).real))
+        diff = states[0].matrix - states[1].matrix
+        want = 0.5 * float(np.sum(np.abs(eigendecompose(0.5 * (diff + diff.conj().T)).evals)))
+        cases.append((states, want))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trace_distance formed eigenvectors")
+
+    monkeypatch.setattr(oracle, "eigendecompose", refuse)
+    for states, want in cases:
+        assert abs(trace_distance(*states) - want) <= 1e-15, (field, states[0].matrix.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -275,35 +300,6 @@ def test_default_gamma_grid_shape():
     assert g.size == 8
     assert g[0] == pytest.approx(1e-2) and g[-1] == pytest.approx(1e-1)
     assert np.allclose(np.diff(np.log(g)), np.log(g[1] / g[0]), rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# coefficient refinement and Pauli decomposition
-# ---------------------------------------------------------------------------
-
-
-def test_refine_extracts_taylor_coefficients():
-    def f(g: float) -> float:
-        return 2.0 + 3.0 * g + 5.0 * g**2 + 7.0 * g**3 + 11.0 * g**4 + 13.0 * g**5
-
-    # the linear refinement cancels the quadratic term; the cubic one leaks
-    # back in at -c3 * gamma^2 / 2 = -3.5e-6 for the default step
-    assert refine_linear(f) == pytest.approx(3.0, abs=1e-5)
-    # even differences drop odd orders, Richardson drops the quartic
-    assert refine_quadratic(f) == pytest.approx(5.0, abs=1e-9)
-
-
-def test_pauli_coefficient_round_trip():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    m = 0.3 * np.eye(2) + 0.5 * sx - 0.2 * sy + 1.7 * sz
-    assert pauli_coefficient(m, "i") == pytest.approx(0.3, rel=1e-14)
-    assert pauli_coefficient(m, "x") == pytest.approx(0.5, rel=1e-14)
-    assert pauli_coefficient(m, "y") == pytest.approx(-0.2, rel=1e-14)
-    assert pauli_coefficient(m, "z") == pytest.approx(1.7, rel=1e-14)
-    with pytest.raises(ValueError, match="component"):
-        pauli_coefficient(m, "w")
 
 
 # ---------------------------------------------------------------------------

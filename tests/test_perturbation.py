@@ -241,7 +241,8 @@ def test_p1_is_traceless_and_hermitian_weighted():
 def test_p1_matches_exact_state_derivative():
     # qubit probe, projector-coupled bath qubit: the joint model is small
     # enough to differentiate the exact reduced state in gamma directly
-    from fctherm import JointModel, exact_mfg, refine_linear
+    from fctherm import JointModel, exact_mfg
+    from refinement import refine_linear
 
     probe = probe_qubit(1.0, np.pi / 2.0)
     bath = DiscreteBath(SZ, PROJ_UP)
