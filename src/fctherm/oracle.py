@@ -66,7 +66,7 @@ class JointModel:
     def dims(self) -> tuple[int, int]:
         return self.probe.dim, self.bath.hamiltonian.shape[0]
 
-    @cached_property
+    @property
     def hamiltonian(self) -> np.ndarray:
         ds, db = self.dims
         return (

@@ -14,8 +14,7 @@ populations p_n, coupling matrix S_nk):
                                       - e^{u (E_n - E_k)} ],  n != m
 
 where sigma_n(u) = sum_k |S_nk|^2 e^{-u (E_k - E_n)} and C_S = sum_n p_n
-sigma_n is the probe correlator.  Near-degenerate pairs use the analytic
-limit of the second line.  The probe's level data (rotated coupling,
+sigma_n is the probe correlator.  The probe's level data (rotated coupling,
 populations, sigma_n) come from one EigenbasisCorrelation per point, and C_B
 from one bath correlator built from a bath specification, never passed in;
 the expansion carries both.  The beta-derivative of X, needed for estimation
@@ -46,6 +45,7 @@ from .models import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 DEFAULT_TIME_NODES = 64  # imaginary-time rule size
+MIDPOINT_BETA_GAP = 3e-4  # |beta (E_n - E_m)| below which X_nm takes the midpoint form
 
 
 @dataclass
@@ -127,9 +127,9 @@ class MeanForceExpansion:
         return replace(self, gamma=gamma, state=state, trace_renormalised=renormalised)
 
 
-def _pair_sums(s_eig: np.ndarray, g: np.ndarray, g_deg: np.ndarray):
-    """Off-diagonal level-pair sums S (S o G), (S o G^T) S and S (S o G_deg)."""
-    return s_eig @ (s_eig * g), (s_eig * g.T) @ s_eig, s_eig @ (s_eig * g_deg)
+def _midpoint(s_eig: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Level-pair sum (1/2)[S (S o G) + (S o G^T) S]: both end levels averaged."""
+    return 0.5 * (s_eig @ (s_eig * g) + (s_eig * g.T) @ s_eig)
 
 
 def x_matrix(
@@ -176,24 +176,29 @@ def x_matrix(
     x_diag = centred @ wtilde
     dx_diag = centred @ kern2 - float(np.dot(wtilde, dphi_s))
 
-    # off-diagonal via gap-resolved integrals and two matrix products
+    # off-diagonal via gap-resolved integrals and matrix products; the
+    # difference form (e^{beta D} a1 - a2)/D cancels two sums equal to O(beta D),
+    # so near pairs take the midpoint form, exact to O((beta D)^2) (README)
     gap = evals[:, None] - evals[None, :]  # gap[n, m] = E_n - E_m
-    scale = max(float(np.max(np.abs(evals))), float(evals.max() - evals.min()), 1e-300)
-    degen = np.abs(gap) < tol.degeneracy_rel * scale
-    safe_gap = np.where(degen, 1.0, gap)
+    near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
+    safe_gap = np.where(near, 1.0, gap)
     exp_bgap = np.exp(beta * gap)
 
     g_phi = _kernels.gap_integrals(evals, u, w * phi_b)     # G[a,b] ~ e^{u(E_b-E_a)}
     g_phi_w = _kernels.gap_integrals(evals, u, wtilde)      # with (beta-u) C_B weight
     g_dphi = _kernels.gap_integrals(evals, u, w * dphi_b)
-    g_kern2 = _kernels.gap_integrals(evals, u, kern2)
+    g_dphi_w = _kernels.gap_integrals(evals, u, w * (beta - u) * dphi_b)
 
-    a1, a2, x_deg = _pair_sums(s_eig, g_phi, g_phi_w)
-    x = np.where(degen, x_deg, (exp_bgap * a1 - a2) / safe_gap)
+    a1, a2 = s_eig @ (s_eig * g_phi), (s_eig * g_phi.T) @ s_eig
+    a1d, a2d = s_eig @ (s_eig * g_dphi), (s_eig * g_dphi.T) @ s_eig
+    x = (exp_bgap * a1 - a2) / safe_gap
+    x_dbeta = (exp_bgap * a1d - a2d) / safe_gap + exp_bgap * a1
+    np.fill_diagonal(near, False)
+    if near.any():
+        exp_half = np.exp(0.5 * beta * gap)
+        x = np.where(near, exp_half * _midpoint(s_eig, g_phi_w), x)
+        x_dbeta = np.where(near, exp_half * _midpoint(s_eig, g_dphi_w) + exp_bgap * a1, x_dbeta)
     np.fill_diagonal(x, x_diag)
-
-    a1d, a2d, dx_deg = _pair_sums(s_eig, g_dphi, g_kern2)
-    x_dbeta = np.where(degen, dx_deg, (exp_bgap * a1d - a2d) / safe_gap + exp_bgap * a1)
     np.fill_diagonal(x_dbeta, dx_diag)
 
     weighted = p[:, None] * x

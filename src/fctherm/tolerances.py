@@ -31,7 +31,6 @@ class Tolerances:
     sld_kernel_drho: float = 1e-12    # |drho_ij| allowed on a null direction
 
     # --- perturbation theory ---
-    degeneracy_rel: float = 1e-10     # |gap| < this * ||H_S|| uses the degenerate limit
     fd_step_rel: float = 1e-5         # finite-difference step h = fd_step_rel * beta
 
     # --- oracle ---

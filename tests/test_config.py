@@ -52,6 +52,11 @@ def cfg_with(**patch) -> dict:
         (lambda d: d["beta_grid"].update(spacing="cubic"), "beta_grid.spacing"),
         (lambda d: d.update(quadrature={"n_u": 0}), "quadrature.n_u"),
         (lambda d: d.update(tolerances={"bogus": 1e-9}), "tolerances.bogus: unknown tolerance name"),
+        (
+            # x_matrix picks its near-degenerate form from beta * gap, not from a knob
+            lambda d: d.update(tolerances={"degeneracy_rel": 1e-10}),
+            "tolerances.degeneracy_rel: unknown tolerance name",
+        ),
         (lambda d: d.update(tolerances={"unit_trace": "tight"}), "tolerances.unit_trace: expected"),
         (lambda d: d.update(output=7), "output: expected a path string"),
         (lambda d: d.update(sweep={"axis": "phi", "values": [1.0]}), "sweep.axis"),
@@ -90,7 +95,7 @@ def test_theta_sweep_requires_qubit_probe():
 def test_parse_serialize_parse_is_identity():
     doc = cfg_with(
         quadrature={"n_u": 32, "n_omega": 96},
-        tolerances={"degeneracy_rel": 1e-9},
+        tolerances={"order_floor_factor": 1e2},
         output="out.csv",
         sweep={"axis": "gamma", "min": 0.01, "max": 0.1, "n": 4, "spacing": "log"},
         scaling={"gamma_min": 0.02, "gamma_max": 0.2, "n": 6},
@@ -215,9 +220,9 @@ def test_build_bath_reads_the_coupling_dimension_without_a_probe(monkeypatch):
 
 
 def test_tolerance_overrides_apply():
-    cfg = parse_config(cfg_with(tolerances={"degeneracy_rel": 1e-9, "fd_step_rel": 1e-4}))
+    cfg = parse_config(cfg_with(tolerances={"order_floor_factor": 1e2, "fd_step_rel": 1e-4}))
     tol = cfg.tolerances()
-    assert tol.degeneracy_rel == 1e-9 and tol.fd_step_rel == 1e-4
+    assert tol.order_floor_factor == 1e2 and tol.fd_step_rel == 1e-4
 
 
 def test_discrete_file_bath_with_relative_path(tmp_path, config_dir):

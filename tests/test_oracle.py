@@ -66,8 +66,8 @@ def test_joint_hamiltonian_assembly():
 
 
 def test_cached_operators_are_not_constructor_keywords():
-    # a joint model or discrete bath builds and diagonalises its own
-    # Hamiltonian once; neither takes one from outside
+    # a joint model or discrete bath diagonalises its own Hamiltonian once;
+    # neither takes one from outside
     probe, bath = probe_qubit(1.0, 0.7), bath_qubit(1.0)
     other = JointModel(probe_qubit(1.0, 0.2), bath, 0.3)
     with pytest.raises(TypeError):
@@ -77,8 +77,9 @@ def test_cached_operators_are_not_constructor_keywords():
     with pytest.raises(TypeError):
         DiscreteBath(bath.hamiltonian, bath.coupling, _decomp=other.decomp)
     joint = JointModel(probe, bath, 0.1)
-    assert joint.hamiltonian is joint.hamiltonian
     assert joint.decomp is joint.decomp
+    # only the decomposition is kept: a run holds one per coupling
+    assert "hamiltonian" not in vars(joint)
     assert bath.decomp is bath.decomp
 
 

@@ -168,6 +168,97 @@ def test_near_degenerate_gaps_are_continuous():
     assert np.max(np.abs(weighted_x_original(1e-6) - base)) < 1e-7
 
 
+def per_pair_reference(exp):
+    """Off-diagonal X and dX/dbeta on the expansion's own nodes, pair by pair.
+
+    [e^{u(E_m-E_k)} e^{beta D} - e^{u(E_n-E_k)}] / D equals
+    e^{u(E_n-E_k)} expm1((beta-u) D) / D with D = E_n - E_m: a divided
+    difference formed node by node, so no two level sums cancel.  Its beta
+    derivative at fixed u is e^{u(E_n-E_k)} e^{(beta-u) D}.
+    """
+    u, w = exp.rule.nodes, exp.rule.weights
+    phi, dphi = exp.bath_corr.value_and_dbeta(u)
+    e, s, beta = exp.evals, exp.probe_corr.coupling_eig, exp.beta
+    x = np.zeros_like(exp.x)
+    dx = np.zeros_like(exp.x_dbeta)
+    for n in range(e.size):
+        for m in range(e.size):
+            if n == m:
+                continue
+            gap = e[n] - e[m]
+            div = np.expm1((beta - u) * gap) / gap if gap != 0.0 else beta - u
+            for k in range(e.size):
+                lead = s[n, k] * s[k, m] * w * np.exp(u * (e[n] - e[k]))
+                x[n, m] += np.sum(lead * phi * div)
+                dx[n, m] += np.sum(lead * (dphi * div + phi * np.exp((beta - u) * gap)))
+    return x, dx
+
+
+RNG_COUPLINGS = np.random.default_rng(11)
+REAL_S = RNG_COUPLINGS.standard_normal((3, 3))
+COMPLEX_S = REAL_S + 1j * RNG_COUPLINGS.standard_normal((3, 3))
+CLOSING_COUPLINGS = {"real": REAL_S + REAL_S.T, "complex": COMPLEX_S + COMPLEX_S.conj().T}
+
+
+def closing_pair_probe(delta: float, coupling: str):
+    return probe_custom(np.diag([0.0, 1.0, 1.0 + delta]), CLOSING_COUPLINGS[coupling])
+
+
+def test_small_splitting_qubit_x01_is_linear_in_the_splitting():
+    # X01 and alpha01 of a qubit vanish linearly with its splitting eps, where
+    # the difference form cancels two O(1) sums that agree to O(beta eps).  The
+    # line is anchored at eps = 1e-3 and 1e-4 and extrapolates to 0.652841 as
+    # eps -> 0.  Below eps ~ 1e-10 the sum over the intermediate level cancels
+    # too (S00 = -S11), which no per-pair form on these tables removes.
+    bath = ContinuumBath(1.0, 5.0)
+    x_1e3, x_1e4, alpha_0 = 0.652189, 0.652776, 0.5251205
+
+    def line(eps: float) -> float:
+        return x_1e4 + (x_1e3 - x_1e4) * (eps - 1e-4) / (1e-3 - 1e-4)
+
+    for eps in np.logspace(-10, -5, 11):
+        rep = snr_bound(probe_qubit(eps, np.pi / 4), bath, 0.1, 2.0, 64, 128)
+        assert abs(rep.x01 / eps - line(eps)) <= 1e-5, (eps, rep.x01 / eps)
+        assert abs(rep.alpha01 / eps - alpha_0) <= 1e-5, (eps, rep.alpha01 / eps)
+
+
+@pytest.mark.parametrize("coupling", ["real", "complex"])
+@pytest.mark.parametrize("beta", [0.5, 2.0, 10.0])
+def test_off_diagonals_match_a_per_pair_divided_difference(coupling, beta):
+    # across the midpoint crossover in beta * delta and far from it
+    for delta in np.logspace(-12, -2, 21):
+        exp = x_matrix(closing_pair_probe(delta, coupling), ContinuumBath(1.0, 5.0), beta)
+        ref_x, ref_dx = per_pair_reference(exp)
+        off = ~np.eye(3, dtype=bool)
+        for got, ref in ((exp.x, ref_x), (exp.x_dbeta, ref_dx)):
+            rel = np.max(np.abs(got[off] - ref[off]) / np.abs(ref[off]))
+            assert rel <= 5e-8, (delta, rel)
+
+
+@pytest.mark.parametrize("coupling", ["real", "complex"])
+@pytest.mark.parametrize("beta", [0.5, 2.0, 10.0])
+def test_closing_pair_moves_x_by_its_slope_only(coupling, beta):
+    # X and dX/dbeta are smooth functions of H, so as a pair closes they move
+    # by at most their slope times the splitting; rounding may add 1e-11 of
+    # their size.  Compared in the original basis: inside a tied cluster the
+    # eigenvector order flips.
+    bath = ContinuumBath(1.0, 5.0)
+
+    def original(delta: float):
+        probe = closing_pair_probe(delta, coupling)
+        exp = x_matrix(probe, bath, beta)
+        assert exp.hermiticity_drift <= 1e-11 * np.max(np.abs(exp.weighted_x())), delta
+        return np.array([probe.decomp.from_eigenbasis(exp.x),
+                         probe.decomp.from_eigenbasis(exp.x_dbeta)])
+
+    base = original(0.0)
+    slope = np.max(np.abs(original(1e-4) - original(1e-5)), axis=(1, 2)) / 9e-5
+    size = np.max(np.abs(base), axis=(1, 2))
+    for delta in np.logspace(-14, -4, 41):
+        moved = np.max(np.abs(original(delta) - base), axis=(1, 2))
+        assert np.all(moved <= 2.0 * slope * delta + 1e-11 * size), (delta, moved / (slope * delta))
+
+
 @pytest.mark.parametrize("probe, bath", MODEL_PAIRS)
 @pytest.mark.parametrize("beta", [0.5, 2.0])
 def test_analytic_dbeta_matches_finite_differences(probe, bath, beta):

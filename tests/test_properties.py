@@ -18,12 +18,17 @@ stays finite where F2 passes through zero.  For F0 = sum_n p_n dE_n^2 it adds
 2 sqrt(F0) ||H||, the first-order move of F0 under a relative error of the
 levels (sum_n p_n |dE_n| <= sqrt(F0)): a cold probe whose populated levels lie
 within 1e-4 of each other knows dE_n only to eps ||H||, whatever the code does.
+
+The QFI of the assembled state pi (1 + gamma^2 X), coherences included, obeys
+the same three invariances.  X and dX/dbeta themselves, rotated back to the
+original basis, are smooth in H, so they must move continuously as a cluster
+of levels closes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fctherm import (
@@ -32,8 +37,10 @@ from fctherm import (
     cfi_energy_perturbative,
     probe_correlation,
     probe_custom,
+    qfi_from_sld,
     qfi_perturbative_integral,
     quad_imaginary_time,
+    sld_solve,
     x_matrix,
     xi_via_spectral_kernel,
 )
@@ -105,6 +112,16 @@ def term_scale(h, s, bath, beta) -> np.ndarray:
     return np.array([f0 + 2.0 * np.sqrt(f0) * np.linalg.norm(h, 2), f2_scale, f2_scale, f2_scale])
 
 
+def invariance_transforms(h, s, rng, complex_field: bool) -> dict:
+    """(H, S) under an energy shift, a joint random unitary rotation and S -> -S."""
+    u = random_unitary(rng, h.shape[0], complex_field)
+    return {
+        "shift": (h + float(rng.uniform(-2.0, 2.0)) * np.eye(h.shape[0]), s),
+        "rotation": (hermitian_part(u @ h @ u.conj().T), hermitian_part(u @ s @ u.conj().T)),
+        "sign": (h, -s),
+    }
+
+
 @PROPERTY_SETTINGS
 @given(cases())
 def test_routes_are_invariant_under_shift_rotation_and_sign(case):
@@ -112,12 +129,7 @@ def test_routes_are_invariant_under_shift_rotation_and_sign(case):
     base = routes(h, s, bath, beta)
     bound = INVARIANCE_RTOL * term_scale(h, s, bath, beta)
     assert abs(base[1] - base[2]) <= bound[1], ("F2 = I2", base)
-    u = random_unitary(rng, h.shape[0], complex_field)
-    transformed = {
-        "shift": (h + float(rng.uniform(-2.0, 2.0)) * np.eye(h.shape[0]), s),
-        "rotation": (hermitian_part(u @ h @ u.conj().T), hermitian_part(u @ s @ u.conj().T)),
-        "sign": (h, -s),
-    }
+    transformed = invariance_transforms(h, s, rng, complex_field)
     for name, (h2, s2) in transformed.items():
         moved = routes(h2, s2, bath, beta)
         moved_bound = np.maximum(bound, INVARIANCE_RTOL * term_scale(h2, s2, bath, beta))
@@ -134,3 +146,100 @@ def test_routes_scale_as_an_energy_squared(case, lam):
     scaled = routes(lam * h, s, scaled_bath, beta / lam)
     bound = SCALING_RTOL * lam**2 * term_scale(h, s, bath, beta)
     assert np.all(np.abs(scaled - lam**2 * base) <= bound), (lam, base, scaled / lam**2)
+
+
+@st.composite
+def closing_clusters(draw):
+    """(H(shifts), offsets, S, bath, beta): levels in [0, 1], 2 to d - 1 of them
+    a cluster at centre + shifts, rotated by one random unitary.  The cluster
+    closes along shifts = delta * offsets, with offsets spanning [0, 1]."""
+    d = draw(st.integers(3, 6))
+    size = draw(st.integers(2, d - 1))
+    complex_field = draw(st.booleans())
+    beta = draw(st.floats(0.1, 30.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    others = rng.uniform(0.0, 1.0, d - size)
+    centre = rng.uniform(0.0, 1.0)
+    offsets = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size - 2)])
+    v = random_unitary(rng, d, complex_field)
+    s = rng.standard_normal((d, d))
+    if complex_field:
+        s = s + 1j * rng.standard_normal((d, d))
+    s = hermitian_part(s)
+    s = s / np.linalg.norm(s, 2)
+    bath = ContinuumBath(s=float(rng.uniform(0.5, 3.0)), cutoff=float(10.0 ** rng.uniform(0.0, 2.0)))
+
+    def hamiltonian(shifts: np.ndarray) -> np.ndarray:
+        levels = np.concatenate([others, centre + shifts])
+        return hermitian_part((v * levels) @ v.conj().T)
+
+    return hamiltonian, offsets, s, bath, beta
+
+
+@PROPERTY_SETTINGS
+@given(closing_clusters())
+def test_closing_cluster_moves_x_by_its_slope_only(case):
+    # X and dX/dbeta are smooth in H, so as a cluster of width delta closes
+    # they move by at most their slope times delta; rounding may add 1e-11 of
+    # their size.  Compared in the original basis, which a tied cluster leaves
+    # well defined.  Below 1e-12 of the spectrum eigendecompose ties the
+    # cluster and may pair its levels with one another's eigenvectors, which
+    # is X at a permutation of the shifts, so the slope is that of moving each
+    # member alone, summed over the members.
+    hamiltonian, offsets, s, bath, beta = case
+
+    def original(shifts: np.ndarray) -> np.ndarray:
+        probe = probe_custom(hamiltonian(shifts), s)
+        exp = x_matrix(probe, bath, beta, N_U, N_OMEGA)
+        return np.array([probe.decomp.from_eigenbasis(exp.x),
+                         probe.decomp.from_eigenbasis(exp.x_dbeta)])
+
+    base = original(np.zeros_like(offsets))
+    slope = sum(np.max(np.abs(original(1e-4 * e) - original(1e-5 * e)), axis=(1, 2)) / 9e-5
+                for e in np.eye(offsets.size))
+    size = np.max(np.abs(base), axis=(1, 2))
+    for delta in np.logspace(-14, -4, 11):
+        moved = np.max(np.abs(original(delta * offsets) - base), axis=(1, 2))
+        assert np.all(moved <= 2.0 * slope * delta + 1e-11 * size), (delta, moved, slope * delta)
+
+
+ASSEMBLED_GAMMA = 1e-2
+
+
+def assembled_qfi(h, s, bath, beta) -> float:
+    """QFI of pi (1 + gamma^2 X) at ASSEMBLED_GAMMA, coherences included, from
+    the SLD of the full state and the analytic beta-derivative of the state."""
+    exp = x_matrix(probe_custom(h, s), bath, beta, N_U, N_OMEGA)
+    corr = exp.probe_corr
+    p, dp, g2 = corr.populations, corr.dpopulations, ASSEMBLED_GAMMA**2
+    rho = corr.decomp.from_eigenbasis(np.diag(p) + g2 * p[:, None] * exp.x)
+    drho = corr.decomp.from_eigenbasis(
+        np.diag(dp) + g2 * (dp[:, None] * exp.x + p[:, None] * exp.x_dbeta)
+    )
+    # a cold probe's smallest population can be below what the coherences take
+    # from it at this gamma; the matrix is then not a state and has no QFI
+    assume(np.linalg.eigvalsh(rho)[0] > 0.0)
+    return qfi_from_sld(rho, sld_solve(rho, drho))
+
+
+def assembled_scale(h, s, bath, beta) -> float:
+    """Rounding scale of assembled_qfi: the F0 and F2 scales of term_scale at
+    ASSEMBLED_GAMMA, plus ||L0||^2.  A rounding d rho of the state moves the QFI
+    by -tr(d rho L^2), and the SLD is L0 = <H> - H up to O(gamma^2)."""
+    f0_scale, f2_scale = term_scale(h, s, bath, beta)[:2]
+    corr = probe_correlation(probe_custom(h, s), beta)
+    sld0 = float(np.max(np.abs(corr.evals - corr.mean_energy)))
+    return f0_scale + ASSEMBLED_GAMMA**2 * f2_scale + sld0**2
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_assembled_state_qfi_is_invariant_under_shift_rotation_and_sign(case):
+    h, s, bath, beta, rng, complex_field = case
+    base = assembled_qfi(h, s, bath, beta)
+    bound = INVARIANCE_RTOL * assembled_scale(h, s, bath, beta)
+    transformed = invariance_transforms(h, s, rng, complex_field)
+    for name, (h2, s2) in transformed.items():
+        moved = assembled_qfi(h2, s2, bath, beta)
+        moved_bound = max(bound, INVARIANCE_RTOL * assembled_scale(h2, s2, bath, beta))
+        assert abs(moved - base) <= moved_bound, (name, base, moved)
