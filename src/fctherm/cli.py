@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, ScalingSpec, load_config
+from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
     CouplingTooStrongError,
@@ -37,9 +37,10 @@ from .errors import (
 )
 from .linalg import gibbs_state
 from .metrology import MetrologyReport, _f2_integral, snr_bound
-from .models import DiscreteBath, ProbeModel
-from .oracle import JointModel, exact_fishers, exact_mfg, order_fit, trace_distance
+from .models import DiscreteBath
+from .oracle import JointModel, default_gamma_grid, exact_fishers, exact_mfg, order_fit, trace_distance
 from .perturbation import x_matrix
+from .tolerances import Tolerances
 
 CSV_COLUMNS = (
     "T",
@@ -161,49 +162,25 @@ def cmd_sweep(cfg: RunConfig, out: str | None, workers: int) -> int:
     return 0
 
 
-def _scaling_rows(cfg: RunConfig, probe: ProbeModel, bath: DiscreteBath,
-                  joints: list[JointModel], beta: float) -> tuple[bool, list[dict]]:
-    """Whether the bath mean vanishes at ``beta``, and the order-of-scaling
-    fits for that inverse temperature over the couplings of ``joints``."""
-    tol = cfg.tolerances()
-    gammas = np.array([joint.gamma for joint in joints])
-    # X does not depend on the coupling: one expansion serves every gamma, and
-    # x_matrix alone decides whether the bath mean allows one
-    try:
-        expansion = x_matrix(probe, bath, beta, cfg.n_u, cfg.n_omega, tol)
-    except NonzeroMeanError:
-        expansion = None
-        pi_s = gibbs_state(probe.decomp, beta, tol)
-    zero_mean = expansion is not None
-
-    f_exact = np.empty(gammas.size)
-    fi_gap = np.empty(gammas.size)
-    dist = np.empty(gammas.size)
-    for k, joint in enumerate(joints):
-        f, i = exact_fishers(joint, beta, tol=tol)
-        f_exact[k] = f
-        fi_gap[k] = abs(f - i)
-        reduced = exact_mfg(joint, beta, tol)
-        predicted = expansion.at_coupling(joint.gamma).state if zero_mean else pi_s
-        dist[k] = trace_distance(reduced, predicted)
-
-    rows = []
+def _scaling_rows(gammas: np.ndarray, f_exact: np.ndarray, fi_gap: np.ndarray, dist: np.ndarray,
+                  f_pert: np.ndarray | None, tol: Tolerances) -> list[dict]:
+    """Order-of-scaling fits of one inverse temperature's exact deviations over
+    the couplings ``gammas``.  ``f_pert`` is F0 + gamma^2 F2 on the same
+    couplings, or None where the bath mean does not vanish and the expansion
+    was refused; then first-order windows apply."""
+    zero_mean = f_pert is not None
+    second = SLOPE_WINDOWS["second_order"]
     f_scale = float(np.max(f_exact))
-    gap_window = SLOPE_WINDOWS["second_order"] if zero_mean else SLOPE_WINDOWS["first_order_gap"]
-    rows.append({"quantity": "F - I", "fit": order_fit(gammas, fi_gap, scale=f_scale, tol=tol),
-                 "window": gap_window})
+    rows = [{"quantity": "F - I", "fit": order_fit(gammas, fi_gap, scale=f_scale, tol=tol),
+             "window": second if zero_mean else SLOPE_WINDOWS["first_order_gap"]}]
     if zero_mean:
-        f0 = expansion.probe_corr.energy_var
-        f2 = _f2_integral(beta, expansion.rule, expansion.bath_corr, expansion.probe_corr)
-        trunc = np.abs(f_exact - (f0 + gammas**2 * f2))
-        rows.append({"quantity": "F - F_pert", "fit": order_fit(gammas, trunc, scale=f_scale, tol=tol),
-                     "window": SLOPE_WINDOWS["second_order"]})
+        rows.append({"quantity": "F - F_pert",
+                     "fit": order_fit(gammas, np.abs(f_exact - f_pert), scale=f_scale, tol=tol),
+                     "window": second})
     else:
         rows.append({"quantity": "F - F_pert", "fit": None, "window": None})
-    dist_window = (SLOPE_WINDOWS["second_order"] if zero_mean
-                   else SLOPE_WINDOWS["first_order_state"])
     rows.append({"quantity": "state distance", "fit": order_fit(gammas, dist, scale=1.0, tol=tol),
-                 "window": dist_window})
+                 "window": second if zero_mean else SLOPE_WINDOWS["first_order_state"]})
     for row in rows:
         fit = row["fit"]
         if fit is None:
@@ -213,7 +190,7 @@ def _scaling_rows(cfg: RunConfig, probe: ProbeModel, bath: DiscreteBath,
         else:
             lo, hi = row["window"]
             row["status"] = "PASS" if lo <= fit.slope <= hi else "FAIL"
-    return zero_mean, rows
+    return rows
 
 
 def cmd_scaling(cfg: RunConfig, out: str | None, workers: int) -> int:
@@ -227,13 +204,42 @@ def cmd_scaling(cfg: RunConfig, out: str | None, workers: int) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         probe = cfg.build_probe(beta=cfg.beta_grid.min)
-    # the joint Hamiltonian does not depend on beta either: each coupling is
-    # diagonalised once per run
-    joints = [JointModel(probe, bath, float(g)) for g in (cfg.scaling or ScalingSpec()).points()]
+    tol = cfg.tolerances()
+    betas = [float(b) for b in cfg.beta_grid.points()]
+    gammas = cfg.scaling.points() if cfg.scaling else default_gamma_grid()
+    # X does not depend on the coupling: one expansion per beta serves every
+    # gamma, and x_matrix alone decides whether the bath mean allows one;
+    # where it does not, the prediction is the bare Gibbs state
+    expansions = []
+    for beta in betas:
+        try:
+            expansions.append(x_matrix(probe, bath, beta, cfg.n_u, cfg.n_omega, tol))
+        except NonzeroMeanError:
+            expansions.append(None)
+    bare = [gibbs_state(probe.decomp, b, tol) if e is None else None for b, e in zip(betas, expansions)]
+
+    # Evaluate.  The joint Hamiltonian does not depend on beta: each coupling
+    # is diagonalised once, and its eigenvectors (d^2 numbers) are dropped
+    # before the next coupling's are built.
+    f_exact, fi_gap, dist = (np.empty((len(betas), gammas.size)) for _ in range(3))
+    for k, gamma in enumerate(gammas):
+        joint = JointModel(probe, bath, float(gamma))
+        for j, (beta, expansion) in enumerate(zip(betas, expansions)):
+            f, i = exact_fishers(joint, beta, tol=tol)
+            f_exact[j, k], fi_gap[j, k] = f, abs(f - i)
+            predicted = bare[j] if expansion is None else expansion.at_coupling(joint.gamma).state
+            dist[j, k] = trace_distance(exact_mfg(joint, beta, tol), predicted)
+        del joint
+
+    # Fit.
     csv_rows = []
-    for beta in cfg.beta_grid.points():
-        zero_mean, rows = _scaling_rows(cfg, probe, bath, joints, float(beta))
-        print(f"beta = {beta:.6g}   zero-mean environment: {'yes' if zero_mean else 'no'}")
+    for j, (beta, expansion) in enumerate(zip(betas, expansions)):
+        f_pert = None
+        if expansion is not None:
+            f2 = _f2_integral(beta, expansion.rule, expansion.bath_corr, expansion.probe_corr)
+            f_pert = expansion.probe_corr.energy_var + gammas**2 * f2
+        rows = _scaling_rows(gammas, f_exact[j], fi_gap[j], dist[j], f_pert, tol)
+        print(f"beta = {beta:.6g}   zero-mean environment: {'no' if expansion is None else 'yes'}")
         print(f"  {'quantity':<16} {'slope':>8} {'r^2':>8} {'expected':>12}   status")
         for r in rows:
             fit, window = r["fit"], r["window"]

@@ -31,7 +31,7 @@ from .models import (
     probe_qubit,
     validate_dim_exponent,
 )
-from .oracle import DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_MIN, DEFAULT_GAMMA_POINTS, default_gamma_grid
+from .oracle import DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_MIN, DEFAULT_GAMMA_POINTS
 from .perturbation import DEFAULT_TIME_NODES
 from .tolerances import DEFAULT_TOL, TOLERANCE_FIELDS, Tolerances
 
@@ -112,18 +112,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class ScalingSpec:
-    """Coupling grid for order-of-scaling verification."""
-
-    gamma_min: float = DEFAULT_GAMMA_MIN
-    gamma_max: float = DEFAULT_GAMMA_MAX
-    n: int = DEFAULT_GAMMA_POINTS
-
-    def points(self) -> np.ndarray:
-        return default_gamma_grid(self.n, self.gamma_min, self.gamma_max)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     probe_kind: str
     probe_params: dict
@@ -136,7 +124,7 @@ class RunConfig:
     tolerance_overrides: dict = field(default_factory=dict)
     output: str | None = None
     sweep: SweepSpec | None = None
-    scaling: ScalingSpec | None = None
+    scaling: GridSpec | None = None  # log-spaced couplings for order fits
     base_dir: str | None = None  # directory the config was read from, for relative paths
 
     # -- materialisation ----------------------------------------------------
@@ -215,8 +203,8 @@ class RunConfig:
             out["sweep"] = sw
         if self.scaling is not None:
             out["scaling"] = {
-                "gamma_min": self.scaling.gamma_min,
-                "gamma_max": self.scaling.gamma_max,
+                "gamma_min": self.scaling.min,
+                "gamma_max": self.scaling.max,
                 "n": self.scaling.n,
             }
         return out
@@ -354,14 +342,15 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
     if "scaling" in raw:
         sc = _expect_mapping(raw["scaling"], "scaling")
         _reject_unknown(sc, "scaling", ("gamma_min", "gamma_max", "n"))
-        scaling = ScalingSpec(
-            gamma_min=_expect_number(sc.get("gamma_min", DEFAULT_GAMMA_MIN), "scaling.gamma_min",
-                                     positive=True),
-            gamma_max=_expect_number(sc.get("gamma_max", DEFAULT_GAMMA_MAX), "scaling.gamma_max",
-                                     positive=True),
+        scaling = GridSpec(
+            min=_expect_number(sc.get("gamma_min", DEFAULT_GAMMA_MIN), "scaling.gamma_min",
+                               positive=True),
+            max=_expect_number(sc.get("gamma_max", DEFAULT_GAMMA_MAX), "scaling.gamma_max",
+                               positive=True),
             n=_expect_int(sc.get("n", DEFAULT_GAMMA_POINTS), "scaling.n", minimum=5),
+            spacing="log",
         )
-        if scaling.gamma_max <= scaling.gamma_min:
+        if scaling.max <= scaling.min:
             raise ConfigError("scaling: gamma_max must exceed gamma_min")
 
     cfg = RunConfig(

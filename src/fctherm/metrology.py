@@ -2,13 +2,17 @@
 
 The inverse-temperature quantum Fisher information of the reduced state expands
 as F = F0 + gamma^2 F2 + O(gamma^4), with F0 the bare energy variance.  F2 is
-computed in two discretisations that must agree:
+computed by two routes that must agree to rounding:
 
 * the *integral* route: an imaginary-time integral of products of probe and
   bath correlators and their beta-derivatives,
 * the *kernel* route: a frequency integral of the spectral density against a
   temperature-dependent kernel (useful for reading off which bath frequencies
   help or hurt thermometry).
+
+The two share their imaginary-time and frequency nodes: they are one
+discretisation summed in two orders, so their agreement checks the algebra,
+not the quadrature.
 
 At this order the classical Fisher information of an energy measurement has
 the same correction coefficient, I2 = F2: the level-sum form of F2 over X and
@@ -245,7 +249,6 @@ def snr_bound(
 
 def snr_kernel(
     probe_corr: CorrelationFn,
-    beta: float,
     omega,
     n_u: int = DEFAULT_TIME_NODES,
     layer: float | None = None,
@@ -254,8 +257,10 @@ def snr_kernel(
 
     xi = int_0^inf J(omega) f(T, omega) d omega.  Built from the per-frequency
     bath kernel K_w(u) = [e^{-u w} + e^{-(beta-u) w}] / (1 - e^{-beta w}) and
-    its beta-derivative; all exponents non-positive.
+    its beta-derivative; all exponents non-positive.  The inverse temperature
+    is the probe correlator's.
     """
+    beta = probe_corr.beta
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     rule = quad_imaginary_time(n_u, beta, layer)
     u = rule.nodes
@@ -294,7 +299,7 @@ def xi_via_spectral_kernel(
     probe_corr = _as_probe_correlation(probe, beta, probe_corr)
     bath_corr = bath_correlation(bath, beta, n_omega)
     rule = bath_corr.rule
-    f_vals = snr_kernel(probe_corr, beta, rule.nodes, n_u, layer=bath_corr.layer_width)
+    f_vals = snr_kernel(probe_corr, rule.nodes, n_u, layer=bath_corr.layer_width)
     j_vals = spectral_density(bath, rule.nodes)
     return rule.integrate(j_vals * f_vals)
 

@@ -101,12 +101,6 @@ def _reduced_weighted(joint: JointModel, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (red + red.conj().T)
 
 
-def _reduced_thermal(joint: JointModel, beta: float) -> np.ndarray:
-    """Reduced state of the joint Gibbs state (raw matrix, original basis)."""
-    p = gibbs_populations(joint.decomp.evals, beta)
-    return _reduced_weighted(joint, p)
-
-
 def _reduced_thermal_and_dbeta(joint: JointModel, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Reduced state and its exact inverse-temperature derivative.
 
@@ -123,7 +117,7 @@ def _reduced_thermal_and_dbeta(joint: JointModel, beta: float) -> tuple[np.ndarr
 
 def exact_mfg(joint: JointModel, beta: float, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     """Exact reduced thermal state tr_env exp(-beta H)/Z of the joint model."""
-    return DensityOperator(_reduced_thermal(joint, beta), tol)
+    return DensityOperator(_reduced_weighted(joint, gibbs_populations(joint.decomp.evals, beta)), tol)
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
 import warnings
+import weakref
 
+import numpy as np
 import pytest
 
-from fctherm import TruncationWarning, cli, load_config, oracle
-from fctherm.cli import CSV_COLUMNS, main
+from fctherm import DEFAULT_TOL, TruncationWarning, cli, default_gamma_grid, load_config, oracle
+from fctherm.cli import CSV_COLUMNS, SLOPE_WINDOWS, main
 
 QUBIT_OHMIC = {
     "probe": {"kind": "qubit", "params": {"epsilon": 1.0, "theta": 4.71238898038469}},
@@ -415,12 +418,17 @@ def test_scaling_builds_one_expansion_per_beta(tmp_path, config_dir, monkeypatch
     assert betas == {fname: grid for fname in beta_position}
 
 
-def test_scaling_diagonalises_each_coupling_once_per_run(tmp_path, config_dir, monkeypatch):
-    # the joint Hamiltonian does not depend on beta: a 2-beta x 8-coupling
-    # run builds and diagonalises one joint model per coupling, not per point
+def two_beta_spin_boson(tmp_path, config_dir):
+    """The bundled spin-boson scaling config on a 2-beta x 8-coupling grid."""
     doc = json.loads((config_dir / "scaling_spin_boson.json").read_text())
     doc["bath"]["path"] = str(config_dir / doc["bath"]["path"])
     doc["beta_grid"] = {"min": 1.0, "max": 2.0, "n": 2}
+    return write_config(tmp_path, doc)
+
+
+def test_scaling_diagonalises_each_coupling_once_per_run(tmp_path, config_dir, monkeypatch):
+    # the joint Hamiltonian does not depend on beta: a 2-beta x 8-coupling
+    # run builds and diagonalises one joint model per coupling, not per point
     built, diagonalised = [], []
     post_init = oracle.JointModel.__post_init__
     eigendecompose = oracle.eigendecompose
@@ -435,9 +443,28 @@ def test_scaling_diagonalises_each_coupling_once_per_run(tmp_path, config_dir, m
 
     monkeypatch.setattr(oracle.JointModel, "__post_init__", counting_post_init)
     monkeypatch.setattr(oracle, "eigendecompose", counting_eigendecompose)
-    assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "s.csv")]) == 0
+    cfg = two_beta_spin_boson(tmp_path, config_dir)
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
     assert len(built) == len(set(built)) == 8
     assert diagonalised == [4] * 8  # qubit probe x two-level bath
+
+
+def test_scaling_keeps_one_joint_model_alive(tmp_path, config_dir, monkeypatch):
+    # couplings are the outer loop: each model (its decomposition holds d^2
+    # eigenvector entries) is released before the next coupling's is built
+    models, alive = [], []
+    post_init = oracle.JointModel.__post_init__
+
+    def tracking_post_init(joint):
+        post_init(joint)
+        models.append(weakref.ref(joint))
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in models))
+
+    monkeypatch.setattr(oracle.JointModel, "__post_init__", tracking_post_init)
+    cfg = two_beta_spin_boson(tmp_path, config_dir)
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    assert alive == [1] * 8
 
 
 def test_scaling_rows_of_a_beta_grid_equal_one_beta_runs(tmp_path, config_dir):
@@ -463,3 +490,35 @@ def test_scaling_output_is_byte_stable(tmp_path, config_dir):
     assert main(["scaling", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["scaling", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def statuses_and_windows(rows):
+    return {r["quantity"]: (r["status"], r["window"]) for r in rows}
+
+
+def test_scaling_fit_reads_the_order_of_synthetic_power_laws():
+    g = default_gamma_grid()
+    f_exact = np.full(g.size, 2.0)
+    second = SLOPE_WINDOWS["second_order"]
+    for power, status in ((4, "PASS"), (3, "FAIL")):
+        dev = 0.3 * g**power
+        rows = cli._scaling_rows(g, f_exact, dev, dev, f_exact - dev, DEFAULT_TOL)
+        assert statuses_and_windows(rows) == {
+            "F - I": (status, second), "F - F_pert": (status, second), "state distance": (status, second),
+        }
+        for row in rows:
+            assert row["fit"].slope == pytest.approx(power, abs=1e-6)
+
+    # deviations below order_floor_factor * eps * scale are numerical zeros
+    floor = DEFAULT_TOL.order_floor_factor * np.finfo(float).eps
+    below = 0.5 * floor * (g / g.max()) ** 4
+    rows = cli._scaling_rows(g, f_exact, 2.0 * below, below, f_exact - 2.0 * below, DEFAULT_TOL)
+    assert {r["status"] for r in rows} == {"indistinguishable-from-zero"}
+
+    # a refused expansion: no F_pert row, first-order windows for the others
+    rows = cli._scaling_rows(g, f_exact, 0.3 * g**2, 0.3 * g, None, DEFAULT_TOL)
+    assert statuses_and_windows(rows) == {
+        "F - I": ("PASS", SLOPE_WINDOWS["first_order_gap"]),
+        "F - F_pert": ("skipped (first-order term present; expansion refused)", None),
+        "state distance": ("PASS", SLOPE_WINDOWS["first_order_state"]),
+    }

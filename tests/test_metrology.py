@@ -196,12 +196,37 @@ def test_validity_ratio_scales_with_coupling_squared():
 def test_snr_kernel_scalar_and_vector_forms_agree():
     corr = QubitCorrelation(1.0, 0.8, 1.2)
     omegas = np.array([0.3, 1.0, 4.0])
-    vec = snr_kernel(corr, 1.2, omegas)
+    vec = snr_kernel(corr, omegas)
     assert isinstance(vec, np.ndarray) and vec.shape == (3,)
     for i, w in enumerate(omegas):
-        single = snr_kernel(corr, 1.2, float(w))
+        single = snr_kernel(corr, float(w))
         assert isinstance(single, float)
         assert single == pytest.approx(vec[i], rel=1e-14)
+
+
+def direct_kernel(corr, beta, omega, n=400):
+    """f(T, omega) transcribed on its own Gauss-Legendre rule over [0, beta]."""
+    x, wx = np.polynomial.legendre.leggauss(n)
+    u, wu = 0.5 * beta * (x + 1.0), 0.5 * beta * wx
+    tail = beta - u
+    den = -np.expm1(-beta * omega)
+    k = (np.exp(-u * omega) + np.exp(-tail * omega)) / den
+    dk = -omega * (np.exp(-tail * omega) + np.exp(-(beta + u) * omega)) / den**2
+    integrand = tail * k * corr.d2beta(u) + 2.0 * (k + tail * dk) * corr.dbeta(u)
+    return beta**2 / np.pi * float(np.dot(wu, integrand))
+
+
+def test_snr_kernel_takes_beta_from_its_correlator():
+    # the kernel has no beta of its own to disagree with the correlator's
+    omegas = np.array([0.3, 1.0, 4.0])
+    kernels = {}
+    for beta in (1.0, 2.0):
+        corr = QubitCorrelation(1.0, 0.7, beta)
+        kernels[beta] = snr_kernel(corr, omegas)
+        for w, f in zip(omegas, kernels[beta]):
+            assert f == pytest.approx(direct_kernel(corr, beta, w), rel=1e-11)
+    # at omega = 1 the two temperatures give -0.0658 and -0.261
+    assert np.all(np.abs(kernels[2.0] - kernels[1.0]) > 0.1 * np.abs(kernels[2.0]))
 
 
 def test_kernel_integral_reproduces_direct_route():

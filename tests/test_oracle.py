@@ -31,7 +31,7 @@ from fctherm import (
     trace_distance,
 )
 from fctherm.linalg import gibbs_populations
-from fctherm.oracle import _reduced_thermal, _reduced_thermal_and_dbeta
+from fctherm.oracle import _reduced_thermal_and_dbeta
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
@@ -113,7 +113,7 @@ def test_reduced_thermal_equals_partial_trace_of_joint_gibbs_state(joint, evecs_
         p = gibbs_populations(dec.evals, beta)
         rho_joint = (dec.evecs * p) @ dec.evecs.conj().T
         full = partial_trace_bath(rho_joint, *joint.dims)
-        assert np.max(np.abs(_reduced_thermal(joint, beta) - full)) < 1e-14
+        assert np.max(np.abs(exact_mfg(joint, beta).matrix - full)) < 1e-14
 
 
 def test_exact_mfg_at_zero_coupling_is_bare():
@@ -213,9 +213,9 @@ def test_exact_fishers_ordering_and_positivity():
 def test_exact_state_derivative_matches_central_difference(probe, bath, gamma, beta):
     jm = JointModel(probe, bath, gamma)
     rho, drho = _reduced_thermal_and_dbeta(jm, beta)
-    assert np.array_equal(rho, _reduced_thermal(jm, beta))
+    assert np.array_equal(rho, exact_mfg(jm, beta).matrix)
     h = 1e-5 * beta
-    fd = (_reduced_thermal(jm, beta + h) - _reduced_thermal(jm, beta - h)) / (2.0 * h)
+    fd = (exact_mfg(jm, beta + h).matrix - exact_mfg(jm, beta - h).matrix) / (2.0 * h)
     assert np.max(np.abs(drho - fd)) <= 1e-8 * np.max(np.abs(fd))
     # a trace-preserving family to rounding, far inside sld_solve's 1e-10 limit
     assert abs(np.trace(drho)) <= 1e-14
