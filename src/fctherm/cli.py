@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, default_gamma_grid, load_config
 from .errors import (
     ConfigError,
     CouplingTooStrongError,
@@ -38,7 +38,7 @@ from .errors import (
 from .linalg import gibbs_state
 from .metrology import MetrologyReport, _f2_integral, snr_bound
 from .models import DiscreteBath
-from .oracle import JointModel, default_gamma_grid, exact_fishers, exact_mfg, order_fit, trace_distance
+from .oracle import JointModel, exact_fishers, exact_mfg, order_fit, trace_distance
 from .perturbation import x_matrix
 from .tolerances import Tolerances
 
@@ -236,7 +236,7 @@ def cmd_scaling(cfg: RunConfig, out: str | None, workers: int) -> int:
     for j, (beta, expansion) in enumerate(zip(betas, expansions)):
         f_pert = None
         if expansion is not None:
-            f2 = _f2_integral(beta, expansion.rule, expansion.bath_corr, expansion.probe_corr)
+            f2 = _f2_integral(expansion.rule, expansion.bath_corr, expansion.probe_corr)
             f_pert = expansion.probe_corr.energy_var + gammas**2 * f2
         rows = _scaling_rows(gammas, f_exact[j], fi_gap[j], dist[j], f_pert, tol)
         print(f"beta = {beta:.6g}   zero-mean environment: {'no' if expansion is None else 'yes'}")

@@ -31,7 +31,6 @@ from .models import (
     probe_qubit,
     validate_dim_exponent,
 )
-from .oracle import DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_MIN, DEFAULT_GAMMA_POINTS
 from .perturbation import DEFAULT_TIME_NODES
 from .tolerances import DEFAULT_TOL, TOLERANCE_FIELDS, Tolerances
 
@@ -39,6 +38,11 @@ PROBE_KINDS = ("qubit", "oscillator", "custom-matrix-file")
 BATH_KINDS = ("ohmic", "discrete-file")
 SPACINGS = ("linear", "log")
 SWEEP_AXES = ("gamma", "theta")
+
+# default coupling window and size of an order-fit grid (see default_gamma_grid)
+DEFAULT_GAMMA_MIN = 1e-2
+DEFAULT_GAMMA_MAX = 1e-1
+DEFAULT_GAMMA_POINTS = 8
 
 
 def _expect_mapping(value, path: str) -> dict:
@@ -95,6 +99,17 @@ class GridSpec:
         if self.spacing == "log":
             return np.logspace(math.log10(self.min), math.log10(self.max), self.n)
         return np.linspace(self.min, self.max, self.n)
+
+
+def default_gamma_grid(
+    n: int = DEFAULT_GAMMA_POINTS, lo: float = DEFAULT_GAMMA_MIN, hi: float = DEFAULT_GAMMA_MAX
+) -> np.ndarray:
+    """Log-spaced couplings for order fits.
+
+    The default window keeps fourth-order deviations (gamma^4 >= 1e-8) far
+    above rounding; above ~1e-1 higher orders contaminate the fit.
+    """
+    return GridSpec(lo, hi, n, "log").points()
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ computed by two routes that must agree to rounding:
   temperature-dependent kernel (useful for reading off which bath frequencies
   help or hurt thermometry).
 
-The two share their imaginary-time and frequency nodes: they are one
-discretisation summed in two orders, so their agreement checks the algebra,
-not the quadrature.
+F2 is linear in the bath correlator, so the kernel at omega is the integral
+route against one harmonic bath mode at omega: the routes share nodes and
+integrand, one discretisation summed in two orders, so their agreement checks
+the algebra, not the quadrature.
 
 At this order the classical Fisher information of an energy measurement has
 the same correction coefficient, I2 = F2: the level-sum form of F2 over X and
@@ -40,6 +41,7 @@ from .models import (
     ContinuumBath,
     CorrelationFn,
     EigenbasisCorrelation,
+    OscillatorCorrelation,
     ProbeModel,
     bath_correlation,
     probe_correlation,
@@ -89,21 +91,20 @@ def qfi_perturbative_integral(
     probe_corr = _as_probe_correlation(probe, beta, probe_corr)
     bath_corr = bath_correlation(bath, beta, n_omega)
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
-    return probe_corr.energy_var, _f2_integral(beta, rule, bath_corr, probe_corr)
+    return probe_corr.energy_var, float(_f2_integral(rule, bath_corr, probe_corr))
 
 
-def _f2_integral(
-    beta: float, rule: QuadratureRule, bath_corr: CorrelationFn, probe_corr: CorrelationFn
-) -> float:
-    """The integral-route F2 on ``rule`` from correlators built for ``beta``
-    (see :func:`qfi_perturbative_integral`)."""
+def _f2_integral(rule: QuadratureRule, bath_corr: CorrelationFn, probe_corr: CorrelationFn):
+    """The integral-route F2 on ``rule`` at the probe correlator's beta (see
+    :func:`qfi_perturbative_integral`).  The node axis is contracted last, so a
+    bath correlator built over a column of frequencies gives one F2 per mode."""
     u = rule.nodes
-    tail = beta - u
+    tail = probe_corr.beta - u
     phi_b, dphi_b = (np.asarray(c, dtype=float) for c in bath_corr.value_and_dbeta(u))
     dphi_s = np.asarray(probe_corr.dbeta(u), dtype=float)
     d2phi_s = np.asarray(probe_corr.d2beta(u), dtype=float)
     integrand = tail * phi_b * d2phi_s + 2.0 * (phi_b + tail * dphi_b) * dphi_s
-    return rule.integrate(integrand)
+    return integrand @ rule.weights
 
 
 def qfi_perturbative_sum(
@@ -255,28 +256,16 @@ def snr_kernel(
 ) -> np.ndarray:
     """Frequency-resolved sensitivity kernel f(T, omega).
 
-    xi = int_0^inf J(omega) f(T, omega) d omega.  Built from the per-frequency
-    bath kernel K_w(u) = [e^{-u w} + e^{-(beta-u) w}] / (1 - e^{-beta w}) and
-    its beta-derivative; all exponents non-positive.  The inverse temperature
-    is the probe correlator's.
+    xi = int_0^inf J(omega) f(T, omega) d omega, and f is 2 omega beta^2 / pi
+    times the F2 of one unit-mass mode at omega, whose bath kernel
+    [e^{-u w} + e^{-(beta-u) w}] / (1 - e^{-beta w}) is 2 w <x(-iu) x>.  The
+    inverse temperature is the probe correlator's; omega <= 0 raises ValueError.
     """
     beta = probe_corr.beta
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     rule = quad_imaginary_time(n_u, beta, layer)
-    u = rule.nodes
-    tail = beta - u
-    dphi_s = np.asarray(probe_corr.dbeta(u), dtype=float)
-    d2phi_s = np.asarray(probe_corr.d2beta(u), dtype=float)
-    den = 1.0 - np.exp(-beta * w)
-    k_w = (np.exp(-np.multiply.outer(u, w)) + np.exp(-np.multiply.outer(tail, w))) / den
-    dk_w = -w * (
-        np.exp(-np.multiply.outer(tail, w)) + np.exp(-np.multiply.outer(beta + u, w))
-    ) / den**2
-    integrand = (
-        tail[:, None] * k_w * d2phi_s[:, None]
-        + 2.0 * (k_w + tail[:, None] * dk_w) * dphi_s[:, None]
-    )
-    out = beta**2 / np.pi * (rule.weights @ integrand)
+    modes = OscillatorCorrelation(w[:, None], beta)
+    out = 2.0 * w * beta**2 / np.pi * _f2_integral(rule, modes, probe_corr)
     return out if np.ndim(omega) else float(out[0])
 
 

@@ -311,6 +311,11 @@ class CorrelationFn:
     # to this scale.
     layer_width: float | None = None
 
+    def __init__(self, beta: float):
+        if not beta > 0:
+            raise ValueError("beta must be positive")
+        self.beta = float(beta)
+
     def value(self, u):
         raise NotImplementedError
 
@@ -337,9 +342,7 @@ class EigenbasisCorrelation(CorrelationFn):
     """
 
     def __init__(self, decomp: SpectralDecomposition, coupling: np.ndarray, beta: float):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        self.beta = float(beta)
+        super().__init__(beta)
         self.decomp = decomp
         self.evals = decomp.evals
         self.coupling_eig = decomp.to_eigenbasis(coupling)
@@ -378,10 +381,10 @@ class QubitCorrelation(CorrelationFn):
     """Closed-form correlator of the two-level probe."""
 
     def __init__(self, epsilon: float, theta: float, beta: float):
+        super().__init__(beta)
         self.epsilon = epsilon
         self.theta = theta
-        self.beta = beta
-        self._c = 0.5 * beta * epsilon
+        self._c = 0.5 * self.beta * epsilon
 
     def _ratios(self, u):
         # sinh(a)/cosh(c), cosh(a)/cosh(c), tanh(c), all with exponents <= 0
@@ -409,12 +412,16 @@ class QubitCorrelation(CorrelationFn):
 
 
 class OscillatorCorrelation(CorrelationFn):
-    """Closed-form position autocorrelation of the harmonic probe."""
+    """Closed-form position autocorrelation of a unit-mass harmonic mode (the
+    probe, or a bath mode in ``snr_kernel``).  ``omega0`` > 0 may be a column
+    of frequencies, shape (n, 1), giving one row per mode."""
 
-    def __init__(self, omega0: float, beta: float):
+    def __init__(self, omega0, beta: float):
+        super().__init__(beta)
+        if not np.all(np.asarray(omega0) > 0):
+            raise ValueError("oscillator frequency must be positive")
         self.omega0 = omega0
-        self.beta = beta
-        self._q = np.exp(-beta * omega0)  # e^{-beta omega0} < 1
+        self._q = np.exp(-self.beta * omega0)  # e^{-beta omega0} < 1
 
     def value(self, u):
         w, b = self.omega0, self.beta
@@ -444,15 +451,13 @@ class ContinuumBathCorrelation(CorrelationFn):
     mean = 0.0  # a continuum coupling field has zero thermal mean by construction
 
     def __init__(self, bath: ContinuumBath, beta: float, n_omega: int = DEFAULT_FREQ_NODES):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
+        super().__init__(beta)
         self.bath = bath
-        self.beta = beta
         self.layer_width = 1.0 / bath.cutoff
-        self.rule: QuadratureRule = quad_thermal_frequency(n_omega, bath.cutoff, beta)
+        self.rule: QuadratureRule = quad_thermal_frequency(n_omega, bath.cutoff, self.beta)
         self._w = self.rule.nodes
         self._jw = spectral_density(bath, self._w) * self.rule.weights / np.pi
-        self._em = np.exp(-beta * self._w)  # e^{-beta w}
+        self._em = np.exp(-self.beta * self._w)  # e^{-beta w}
 
     def value(self, u):
         return self.value_and_dbeta(u)[0]

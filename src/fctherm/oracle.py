@@ -36,11 +36,6 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 MAX_JOINT_DIM = 4096  # brute-force diagonalisation budget
 
-# default coupling window and size of an order-fit grid (see default_gamma_grid)
-DEFAULT_GAMMA_MIN = 1e-2
-DEFAULT_GAMMA_MAX = 1e-1
-DEFAULT_GAMMA_POINTS = 8
-
 
 # ----------------------------------------------------------------------------
 # joint model and exact reduced states
@@ -219,17 +214,6 @@ def order_fit(
         r_squared=r2,
         indistinguishable=False,
     )
-
-
-def default_gamma_grid(
-    n: int = DEFAULT_GAMMA_POINTS, lo: float = DEFAULT_GAMMA_MIN, hi: float = DEFAULT_GAMMA_MAX
-) -> np.ndarray:
-    """Log-spaced couplings for order fits.
-
-    The default window keeps fourth-order deviations (gamma^4 >= 1e-8) far
-    above rounding; above ~1e-1 higher orders contaminate the fit.
-    """
-    return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
 # ----------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from fctherm import (
     ContinuumBath,
     QubitCorrelation,
+    bath_mode,
     bath_qubit,
     cfi_energy_general,
     cfi_energy_perturbative,
@@ -227,6 +228,24 @@ def test_snr_kernel_takes_beta_from_its_correlator():
             assert f == pytest.approx(direct_kernel(corr, beta, w), rel=1e-11)
     # at omega = 1 the two temperatures give -0.0658 and -0.261
     assert np.all(np.abs(kernels[2.0] - kernels[1.0]) > 0.1 * np.abs(kernels[2.0]))
+
+
+def test_snr_kernel_is_f2_against_one_truncated_bath_mode():
+    # F2 is linear in the bath correlator, so f(T, w) is 2 w beta^2 / pi times
+    # the F2 of a single unit-mass mode at w; both sides use the plain 64-node
+    # Legendre rule, and 60 levels leave no visible truncation for beta w >= 0.6
+    probe = probe_qubit(1.0, 0.7)
+    for beta, omega in ((1.0, 1.0), (1.0, 4.0), (2.0, 1.0), (2.0, 4.0), (2.0, 0.3)):
+        kernel = snr_kernel(probe_correlation(probe, beta), omega, 64)
+        _, f2 = qfi_perturbative_integral(probe, bath_mode(omega, 60), beta, 64)
+        assert kernel == pytest.approx(2.0 * omega * beta**2 / np.pi * f2, rel=1e-12)
+
+
+def test_snr_kernel_refuses_nonpositive_frequency():
+    corr = QubitCorrelation(1.0, 0.7, 1.0)
+    for omega in (0.0, -1.0, np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="oscillator frequency must be positive"):
+            snr_kernel(corr, omega)
 
 
 def test_kernel_integral_reproduces_direct_route():

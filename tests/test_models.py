@@ -128,6 +128,27 @@ def test_truncated_mode_approaches_closed_boson_correlator():
         assert rel < tol, (beta, rel)
 
 
+def test_every_correlator_refuses_nonpositive_beta():
+    probe = probe_qubit(1.0, 0.7)
+    builders = (
+        lambda b: QubitCorrelation(1.0, 0.7, b),
+        lambda b: OscillatorCorrelation(1.0, b),
+        lambda b: EigenbasisCorrelation(probe.decomp, probe.coupling, b),
+        lambda b: ContinuumBathCorrelation(ContinuumBath(1.0, 10.0), b),
+    )
+    for build in builders:
+        for beta in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                build(beta)
+
+
+def test_oscillator_correlator_refuses_nonpositive_frequency():
+    # omega0 = 0 would divide by zero; a negative one flips the sign of the kernel
+    for omega0 in (0.0, -1.0, np.array([[1.0], [0.0]])):
+        with pytest.raises(ValueError, match="oscillator frequency must be positive"):
+            OscillatorCorrelation(omega0, 1.0)
+
+
 def test_correlators_satisfy_detailed_balance_symmetry():
     # Phi(u) = Phi(beta - u) for every thermal autocorrelation we build
     beta = 1.7
