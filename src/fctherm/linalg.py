@@ -3,11 +3,11 @@
 Everything downstream works in the eigenbasis produced here, so this module
 pins down the conventions once:
 
-* eigenvalues ascending; within a degenerate cluster, columns are ordered by a
-  lexicographic comparison of their (real, imag) entries, and every column's
-  phase is fixed so its largest-magnitude entry is real and positive.  The
-  decomposition of a given matrix is therefore reproducible bit-for-bit across
-  runs.
+* eigenvalues ascending, each column paired with its own eigenvalue as LAPACK
+  (or, for a diagonal matrix, the stable sort of the diagonal) returns it;
+  every column's phase is fixed so its largest-magnitude entry is real and
+  positive.  Both solvers are deterministic for a given input and build, so
+  the decomposition of a given matrix is reproducible bit-for-bit across runs.
 * thermal populations are computed from shifted energies, exp(-beta(E - E_min)),
   so no intermediate overflows for any beta.
 """
@@ -32,7 +32,6 @@ MAX_LAGUERRE_NODES = 170
 HERMITICITY_TOL = 1e-12         # max |M - M^dag| allowed on input operators (relative)
 EIG_RECONSTRUCTION_TOL = 1e-10  # max |V w V^dag - H| (relative)
 EIG_UNITARITY_TOL = 1e-10       # max |V^dag V - 1|
-EIG_CLUSTER_REL = 1e-12         # relative eigenvalue gap below which levels are tied
 SLD_TRACE_TOL = 1e-10           # max |tr drho| in sld_solve, relative to max(1, ||drho||_F)
 
 # beta * cutoff above which quad_thermal_frequency splits off the infrared
@@ -92,36 +91,17 @@ class SpectralDecomposition:
         return self.evecs @ op @ self.evecs.conj().T
 
 
-def _tie_break(evals: np.ndarray, evecs: np.ndarray):
-    """Order degenerate clusters lexicographically and fix column phases."""
-    d = evals.size
-    if d == 0:
-        return evals, evecs
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    # phase gauge first so the lexicographic comparison is gauge-independent;
-    # a zero pivot (zero column) is divided by 1, not 0, since 0/0 would slip
-    # a NaN past the comparisons below
-    cols = np.arange(d)
+def _phase_gauge(evecs: np.ndarray) -> np.ndarray:
+    """Fix every column's phase, in place, so its largest-magnitude entry is
+    real and positive.  A zero pivot (zero column) is divided by 1, not 0, so the
+    column stays zero instead of turning into NaN."""
+    cols = np.arange(evecs.shape[1])
     mags = np.abs(evecs)
     rows = np.argmax(mags, axis=0)
     mag = mags[rows, cols]
     evecs *= np.conj(evecs[rows, cols]) / np.where(mag > 0, mag, 1.0)
     evecs[rows, cols] = np.abs(evecs[rows, cols])  # force exactly real
-    # group near-equal eigenvalues and sort columns within each group
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and evals[stop] - evals[stop - 1] <= EIG_CLUSTER_REL * scale:
-            stop += 1
-        if stop - start > 1:
-            block = evecs[:, start:stop]
-            keys = np.empty((2 * block.shape[0], stop - start))
-            keys[0::2, :] = np.round(block.real, 12)
-            keys[1::2, :] = np.round(block.imag, 12)
-            order = np.lexsort(keys[::-1])
-            evecs[:, start:stop] = block[:, order]
-        start = stop
-    return evals, evecs
+    return evecs
 
 
 def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
@@ -144,7 +124,7 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
         v = np.eye(diag.size, dtype=a.dtype)[:, order]
     else:
         w, v = np.linalg.eigh(a)  # ascending eigenvalues
-    w, v = _tie_break(w, v)
+    v = _phase_gauge(v)
     d = w.size
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     uni = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))

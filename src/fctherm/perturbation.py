@@ -294,7 +294,7 @@ def sld_second_order(expansion: MeanForceExpansion) -> SldExpansion:
     drift = float(np.max(np.abs(alpha - alpha.conj().T)))
     alpha = 0.5 * (alpha + alpha.conj().T)
     # On the diagonal the solve reduces to A_nn = dX_nn exactly; write it as such
-    # so the level-sum F2 over A_nn is I2 without rounding.
+    # so A_nn equals dX_nn bit for bit instead of through the division above.
     np.fill_diagonal(alpha, np.real(np.diag(expansion.x_dbeta)))
     mean_e = expansion.probe_corr.mean_energy
     return SldExpansion(l0_diag=mean_e - evals, alpha=alpha, hermiticity_drift=drift)

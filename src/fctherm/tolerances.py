@@ -3,9 +3,9 @@
 The thresholds a run may want to tighten or loosen live here, so they can be
 set from one place (or from the CLI config) without hunting through module
 code.  The linear-algebra guards that every run shares (hermiticity of
-inputs, eigensolver unitarity, reconstruction and tie clustering, the
-positivity floor of an exact density operator) are constants in
-:mod:`fctherm.linalg`; no run has a reason to move them.
+inputs, eigensolver unitarity and reconstruction, the trace a state
+derivative may carry) are constants in :mod:`fctherm.linalg`; no run has a
+reason to move them.
 """
 
 from __future__ import annotations

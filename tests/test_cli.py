@@ -12,7 +12,15 @@ import weakref
 import numpy as np
 import pytest
 
-from fctherm import DEFAULT_TOL, TruncationWarning, cli, default_gamma_grid, load_config, oracle
+from fctherm import (
+    DEFAULT_TOL,
+    TruncationWarning,
+    bath_mode,
+    cli,
+    default_gamma_grid,
+    load_config,
+    oracle,
+)
 from fctherm.cli import CSV_COLUMNS, SLOPE_WINDOWS, main
 
 QUBIT_OHMIC = {
@@ -368,6 +376,27 @@ def test_scaling_oscillator_probe_against_truncated_mode(tmp_path, config_dir, c
     assert not [w for w in caught if issubclass(w.category, TruncationWarning)]
     assert rc == 0
     assert "zero-mean environment: yes" in capsys.readouterr().out
+    by_q = scaling_statuses(out)
+    assert set(by_q) == {"F_-_I", "F_-_F_pert", "state_distance"}
+    for name, parts in by_q.items():
+        assert parts[-1] == "PASS", (name, parts)
+
+
+@pytest.mark.parametrize("n_probe, n_mode", [(16, 8), (20, 10)])
+def test_scaling_cold_many_level_oscillator_passes(tmp_path, config_dir, n_probe, n_mode):
+    # at beta = 2 the reduced state's smallest eigenvalues lie within 1e-12
+    # of one another; the oracle must still pair each with its own eigenvector
+    mode = bath_mode(0.45, n_mode)
+    entries = {key: [[float(x), 0.0] for x in op.reshape(-1)]
+               for key, op in (("H", mode.hamiltonian), ("S", mode.coupling))}
+    bath_path = tmp_path / "mode.json"
+    bath_path.write_text(json.dumps({"dim": n_mode, **entries}))
+    doc = json.loads((config_dir / "scaling_oscillator_mode.json").read_text())
+    doc["bath"]["path"] = str(bath_path)
+    doc["probe"]["params"]["n_trunc"] = n_probe
+    doc["beta_grid"] = {"min": 2.0, "max": 2.0, "n": 1}
+    out = tmp_path / "cold.csv"
+    assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     by_q = scaling_statuses(out)
     assert set(by_q) == {"F_-_I", "F_-_F_pert", "state_distance"}
     for name, parts in by_q.items():

@@ -239,6 +239,39 @@ def test_exact_fishers_resolve_fourth_order_at_weak_coupling():
     assert fit.r_squared > 0.9999
 
 
+def _plain_eigh_qfi(probe, bath, gamma: float, beta: float) -> float:
+    """F = 2 sum_ij |<i|d_beta rho|j>|^2 / (lambda_i + lambda_j) in the
+    eigenbasis of the reduced state, every decomposition a bare LAPACK eigh."""
+    ds, db = probe.dim, bath.hamiltonian.shape[0]
+    h = (
+        np.kron(probe.hamiltonian, np.eye(db))
+        + np.kron(np.eye(ds), bath.hamiltonian)
+        + gamma * np.kron(probe.coupling, bath.coupling)
+    )
+    e, v = np.linalg.eigh(h)
+    e = e - e[0]
+    p = np.exp(-beta * e)
+    p /= p.sum()
+
+    def reduced(weights):
+        return partial_trace_bath((v * weights) @ v.conj().T, ds, db)
+
+    lam, u = np.linalg.eigh(reduced(p))
+    assert lam[0] > 0.0
+    dr = u.conj().T @ reduced(p * (np.dot(p, e) - e)) @ u
+    return float(np.sum(2.0 * np.abs(dr) ** 2 / (lam[:, None] + lam[None, :])))
+
+
+def test_exact_qfi_of_a_cold_many_level_probe_matches_plain_eigh():
+    # at beta = 2 the reduced state of a 16-level oscillator has eigenvalues
+    # down to 1e-13, closer to one another than 1e-12; each must keep its
+    # own eigenvector inside sld_solve
+    probe, bath = probe_oscillator(1.0, n_trunc=16), bath_mode(0.45, 8)
+    f, _ = exact_fishers(JointModel(probe, bath, 0.05), 2.0)
+    ref = _plain_eigh_qfi(probe, bath, 0.05, 2.0)
+    assert abs(f - ref) <= 1e-12 * ref
+
+
 # ---------------------------------------------------------------------------
 # order-of-scaling fits
 # ---------------------------------------------------------------------------
