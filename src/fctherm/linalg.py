@@ -38,6 +38,10 @@ SLD_TRACE_TOL = 1e-10           # max |tr drho| in sld_solve, relative to max(1,
 # window [0, THERMAL_SPLIT / beta]; beyond it exp(-beta w) < exp(-THERMAL_SPLIT).
 THERMAL_SPLIT = 30.0
 
+# Imaginary-time rules kept by quad_imaginary_time: enough for the current
+# beta of a beta-major grid, far fewer than a grid has betas.
+_TIME_RULE_CACHE_SIZE = 4
+
 
 def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate a square, finite, Hermitian array and return it in the one
@@ -224,6 +228,9 @@ class QuadratureRule:
     kind: str
 
     def __post_init__(self):
+        # a NaN weight would pass the sign test below
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
+            raise ValueError("quadrature nodes and weights must be finite")
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
 
@@ -289,7 +296,7 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
     """
     if n < 1:
         raise ValueError("need at least one node")
-    if beta <= 0:
+    if not beta > 0:  # NaN too
         raise ValueError("beta must be positive")
     if beta * cutoff <= THERMAL_SPLIT:
         # single-scale regime; the Laguerre weight factor caps the node count
@@ -308,6 +315,7 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
     )
 
 
+@lru_cache(maxsize=_TIME_RULE_CACHE_SIZE)
 def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> QuadratureRule:
     """Rule on [0, beta] for thermal imaginary-time integrands.
 
@@ -319,13 +327,20 @@ def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> Quad
     beta/2, and places a small Gauss-Legendre rule on each panel, so every
     intermediate scale between layer and beta is resolved.  With no layer (or
     one comparable to beta) it reduces to the plain rule.
+
+    The rule depends on (n, beta, layer) alone, and the expansion, the
+    integral route and every theta of a sweep ask for the same one: it is
+    built once and kept in a small LRU cache, its nodes and weights
+    read-only.  A call that raises leaves no entry.
     """
     if n < 1:
         raise ValueError("need at least one node")
-    if beta <= 0:
+    if not beta > 0:  # NaN too
         raise ValueError("beta must be positive")
     if layer is None or not 0.0 < layer < 0.125 * beta:
-        return quad_finite(n, 0.0, beta)
+        rule = quad_finite(n, 0.0, beta)
+        _read_only(rule.nodes, rule.weights)
+        return rule
     edges = [0.0]
     b = float(layer)
     while b < 0.5 * beta:
@@ -340,7 +355,7 @@ def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> Quad
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     # mirrors run from the middle outward, so panels and nodes both ascend
     panels = np.concatenate([lo, beta - hi[::-1]]), np.concatenate([hi, beta - lo[::-1]])
-    return QuadratureRule(*_legendre_panels(m, *panels), kind="legendre-graded")
+    return QuadratureRule(*_read_only(*_legendre_panels(m, *panels)), kind="legendre-graded")
 
 
 def quad_semiinfinite(n: int, scale: float = 1.0) -> QuadratureRule:

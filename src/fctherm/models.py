@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .errors import TruncationWarning
 from .linalg import (
     QuadratureRule,
     SpectralDecomposition,
+    _read_only,
     eigendecompose,
     gibbs_populations,
     quad_thermal_frequency,
@@ -42,6 +43,12 @@ from .tolerances import DEFAULT_TOL
 
 DEFAULT_FREQ_NODES = 128  # semi-infinite rule size for continuum baths
 OSCILLATOR_MIN_LEVELS = 40  # smallest automatic oscillator truncation
+
+# Continuum-bath correlators kept by bath_correlation, and (u -> table) pairs
+# kept by each of them: enough for the current beta of a beta-major grid, far
+# fewer than a grid has betas.
+_BATH_CACHE_SIZE = 4
+_TABLE_MEMO_SIZE = 4
 
 # Pauli matrices shared by the two-level models (read-only, so sharing is safe)
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -82,9 +89,9 @@ class ContinuumBath:
     dim_exponent: float = 1.0
 
     def __post_init__(self):
-        if self.s <= 0:
+        if not self.s > 0:  # NaN too
             raise ValueError("low-frequency exponent s must be positive")
-        if self.cutoff <= 0:
+        if not self.cutoff > 0:
             raise ValueError("cutoff must be positive")
 
 
@@ -446,6 +453,11 @@ class ContinuumBathCorrelation(CorrelationFn):
 
     value:  (1/pi) int J(w) [e^{-u w} + e^{-(beta-u) w}] / (1 - e^{-beta w}) dw
     dbeta: -(1/pi) int J(w) w [e^{-(beta-u) w} + e^{-(beta+u) w}] / (1 - e^{-beta w})^2 dw
+
+    It depends on (bath, beta, n_omega) alone, so :func:`bath_correlation`
+    hands out one shared object per such key: its frequency ``rule`` and
+    every array it holds or returns are read-only, and
+    :meth:`value_and_dbeta` keeps its last few tables by node contents.
     """
 
     mean = 0.0  # a continuum coupling field has zero thermal mean by construction
@@ -458,6 +470,8 @@ class ContinuumBathCorrelation(CorrelationFn):
         self._w = self.rule.nodes
         self._jw = spectral_density(bath, self._w) * self.rule.weights / np.pi
         self._em = np.exp(-self.beta * self._w)  # e^{-beta w}
+        _read_only(self._w, self.rule.weights, self._jw, self._em)
+        self._tables: dict = {}  # (shape, node bytes) -> (value, dbeta), oldest first
 
     def value(self, u):
         return self.value_and_dbeta(u)[0]
@@ -467,15 +481,27 @@ class ContinuumBathCorrelation(CorrelationFn):
 
     def value_and_dbeta(self, u):
         """``value`` and ``dbeta`` from two exponential tables: e^{-u w} and
-        e^{-(beta-u) w} serve both, and e^{-(beta+u) w} is e^{-u w} e^{-beta w}."""
+        e^{-(beta-u) w} serve both, and e^{-(beta+u) w} is e^{-u w} e^{-beta w}.
+        The last ``_TABLE_MEMO_SIZE`` results are kept by the contents of
+        ``u`` (the imaginary-time rule's nodes, u = 0) and handed out
+        read-only."""
         u = np.asarray(u, dtype=float)
+        key = (u.shape, u.tobytes())
+        tables = self._tables.get(key)
+        if tables is None:
+            tables = self._tables[key] = self._evaluate(u)
+            if len(self._tables) > _TABLE_MEMO_SIZE:
+                del self._tables[next(iter(self._tables))]
+        return tables
+
+    def _evaluate(self, u: np.ndarray):
         w = self._w
         near = np.exp(-np.multiply.outer(u, w))
         far = np.exp(-np.multiply.outer(self.beta - u, w))
         val = (near + far) @ (self._jw / (1.0 - self._em))
         dval = -(far + near * self._em) @ (self._jw * w / (1.0 - self._em) ** 2)
         if val.ndim:
-            return val, dval
+            return _read_only(val, dval)
         return float(val), float(dval)
 
 
@@ -505,9 +531,19 @@ def bath_correlation(
 ) -> CorrelationFn:
     """Correlator of the bath coupling operator in the bath thermal state: the
     one place a bath specification becomes a correlator (TypeError for
-    anything but a ``ContinuumBath`` or ``DiscreteBath``)."""
+    anything but a ``ContinuumBath`` or ``DiscreteBath``).
+
+    A continuum correlator depends on (bath, beta, n_omega) alone, and one
+    ``snr_bound`` or every theta of a sweep asks for the same one: equal keys
+    share one read-only :class:`ContinuumBathCorrelation` from a small LRU
+    cache (``ContinuumBath`` is frozen, so an equal bath built afresh hits).
+    A discrete bath's correlator is built on every call.
+    """
     if isinstance(bath, ContinuumBath):
-        return ContinuumBathCorrelation(bath, beta, n_omega)
+        return _continuum_correlation(bath, float(beta), int(n_omega))
     if isinstance(bath, DiscreteBath):
         return EigenbasisCorrelation(bath.decomp, bath.coupling, beta)
     raise TypeError(f"unsupported bath specification: {type(bath).__name__}")
+
+
+_continuum_correlation = lru_cache(maxsize=_BATH_CACHE_SIZE)(ContinuumBathCorrelation)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fctherm import linalg
+from fctherm import linalg, models
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -18,8 +18,21 @@ def config_dir() -> Path:
 
 
 @pytest.fixture
-def built_rules(monkeypatch) -> list:
-    """The kind of every QuadratureRule the library builds while the test runs."""
+def cold_caches():
+    """Empty the imaginary-time rule and continuum-correlator caches before
+    and after the test, so it builds what a fresh process would."""
+    caches = (linalg.quad_imaginary_time, models._continuum_correlation)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def built_rules(monkeypatch, cold_caches) -> list:
+    """The kind of every QuadratureRule the library builds while the test
+    runs, starting from empty rule caches."""
     built = []
 
     class CountingRule(linalg.QuadratureRule):

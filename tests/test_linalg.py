@@ -602,3 +602,39 @@ def test_quadrature_rejects_nonpositive_weights():
 
     with pytest.raises(ValueError, match="positive"):
         QuadratureRule(np.array([0.5]), np.array([-1.0]), "bad")
+
+
+def test_quadrature_rejects_non_finite_nodes_and_weights():
+    from fctherm import QuadratureRule
+
+    for nodes, weights in (([np.nan], [1.0]), ([np.inf], [1.0]), ([0.5], [np.nan]), ([0.5], [np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureRule(np.array(nodes), np.array(weights), "bad")
+    # infinite weights; mapping the nodes onto [0, inf) also forms inf - inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        quad_finite(4, 0.0, np.inf)
+
+
+def test_rule_builders_refuse_a_nan_beta(cold_caches):
+    # NaN passes "beta <= 0"; the builders test "not beta > 0"
+    for layer in (None, 0.01):  # plain and graded
+        with pytest.raises(ValueError, match="beta"):
+            quad_imaginary_time(8, np.nan, layer)
+    for cutoff in (1.0, 100.0):
+        with pytest.raises(ValueError, match="beta"):
+            quad_thermal_frequency(8, cutoff, np.nan)
+    assert quad_imaginary_time.cache_info().currsize == 0  # a raised call leaves no entry
+
+
+def test_imaginary_time_rule_is_built_once_per_key_and_read_only(cold_caches):
+    rule = quad_imaginary_time(64, 3.0, 0.01)
+    assert quad_imaginary_time(64, 3.0, 0.01) is rule
+    assert quad_imaginary_time(64, 3.5, 0.01) is not rule
+    for r in (rule, quad_imaginary_time(16, 2.0)):  # graded and plain
+        for array in (r.nodes, r.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    for k in range(3 * linalg._TIME_RULE_CACHE_SIZE):
+        quad_imaginary_time(16, 1.0 + k)
+    info = quad_imaginary_time.cache_info()
+    assert info.currsize == info.maxsize == linalg._TIME_RULE_CACHE_SIZE

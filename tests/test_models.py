@@ -26,9 +26,11 @@ from fctherm import (
     probe_oscillator,
     probe_qubit,
     quad_thermal_frequency,
+    snr_bound,
     spectral_density,
     x_matrix,
 )
+from fctherm import linalg, models
 from fctherm.models import validate_dim_exponent
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -45,6 +47,9 @@ def test_continuum_bath_validation():
         ContinuumBath(s=0.0, cutoff=1.0)
     with pytest.raises(ValueError):
         ContinuumBath(s=1.0, cutoff=-2.0)
+    for s, cutoff in ((math.nan, 1.0), (1.0, math.nan)):  # NaN passes "<= 0"
+        with pytest.raises(ValueError, match="positive"):
+            ContinuumBath(s=s, cutoff=cutoff)
     with pytest.raises(ValueError, match="omega >= 0"):
         spectral_density(ContinuumBath(1.0, 1.0), np.array([-0.1, 0.5]))
 
@@ -348,3 +353,100 @@ def test_probe_correlation_rejects_unknown_forms():
     custom = probe_custom(SZ, SZ)
     with pytest.raises(ValueError):
         probe_correlation(custom, 1.0, form="closed")
+
+
+# ---------------------------------------------------------------------------
+# one continuum-bath correlator per (bath, beta, n_omega)
+# ---------------------------------------------------------------------------
+
+
+def test_equal_continuum_keys_share_one_correlator(cold_caches):
+    corr = bath_correlation(ContinuumBath(1.0, 100.0), 2.0, 128)
+    # a bath built afresh with equal fields, and an integer beta, give the same key
+    assert bath_correlation(ContinuumBath(1.0, 100.0), 2, 128) is corr
+    others = [
+        bath_correlation(ContinuumBath(1.0, 100.0), 2.5, 128),
+        bath_correlation(ContinuumBath(1.0, 100.0), 2.0, 64),
+        bath_correlation(ContinuumBath(1.0, 50.0), 2.0, 128),
+        bath_correlation(ContinuumBath(1.0, 100.0, dim_exponent=2.0), 2.0, 128),
+    ]
+    assert all(other is not corr for other in others)
+    discrete = bath_qubit(0.8)  # the discrete path builds on every call
+    assert bath_correlation(discrete, 2.0) is not bath_correlation(discrete, 2.0)
+
+
+def test_a_refused_beta_leaves_no_cached_correlator(cold_caches):
+    for beta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            bath_correlation(ContinuumBath(1.0, 100.0), beta)
+    assert models._continuum_correlation.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("beta", [1.0, 25.0])  # 25 takes the cold frequency rule
+def test_cached_correlator_hands_out_read_only_arrays(cold_caches, beta):
+    corr = bath_correlation(ContinuumBath(1.0, 100.0), beta)
+    u = np.linspace(0.0, beta, 9)
+    exposed = [corr.rule.nodes, corr.rule.weights, corr._w, corr._jw, corr._em,
+               *corr.value_and_dbeta(u), corr.value(u), corr.dbeta(u)]
+    for array in exposed:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_snr_bound_is_bit_identical_with_cold_and_warm_caches(cold_caches):
+    bath = ContinuumBath(1.0, 100.0)
+    probes = [probe_qubit(1.0, 0.7), probe_qubit(1.0, 2.1), probe_oscillator(1.0, 12)]
+
+    def reports() -> str:
+        # repr round-trips every float exactly, so equal strings are equal bits
+        return repr([snr_bound(p, bath, 0.1, beta) for beta in (0.3, 4.0) for p in probes])
+
+    cold = reports()
+    hits = models._continuum_correlation.cache_info().hits
+    warm = reports()
+    assert models._continuum_correlation.cache_info().hits > hits
+    models._continuum_correlation.cache_clear()
+    linalg.quad_imaginary_time.cache_clear()
+    assert reports() == warm == cold
+
+
+def test_theta_sweep_builds_one_correlator_per_beta(cold_caches, monkeypatch):
+    built, evaluated = [], []
+    init, evaluate = ContinuumBathCorrelation.__init__, ContinuumBathCorrelation._evaluate
+
+    def counting_init(self, bath, beta, *args):
+        built.append(beta)
+        init(self, bath, beta, *args)
+
+    def counting_evaluate(self, u):
+        evaluated.append(self.beta)
+        return evaluate(self, u)
+
+    monkeypatch.setattr(ContinuumBathCorrelation, "__init__", counting_init)
+    monkeypatch.setattr(ContinuumBathCorrelation, "_evaluate", counting_evaluate)
+    betas = (0.5, 3.0)
+    for beta in betas:  # beta-major, as `sweep` orders its grid
+        for theta in (0.3, 1.1, 1.9, 2.7):
+            # a fresh bath per point, as the benchmark's per-point call builds it
+            snr_bound(probe_qubit(1.0, theta), ContinuumBath(1.0, 100.0), 0.1, beta)
+    assert built == list(betas)
+    # per beta, one table on the imaginary-time nodes and one at u = 0
+    assert evaluated == [b for b in betas for _ in range(2)]
+
+
+def test_correlator_caches_are_bounded(cold_caches):
+    bath = ContinuumBath(1.0, 100.0)
+    for beta in np.linspace(0.5, 5.0, 3 * models._BATH_CACHE_SIZE):
+        bath_correlation(bath, beta)
+    info = models._continuum_correlation.cache_info()
+    assert info.currsize == info.maxsize == models._BATH_CACHE_SIZE
+    corr = bath_correlation(bath, 1.0)
+    first = np.linspace(0.0, 1.0, 5)
+    tables = corr.value_and_dbeta(first)
+    for k in range(3 * models._TABLE_MEMO_SIZE):
+        corr.value_and_dbeta(np.linspace(0.0, 1.0, 6 + k))
+        assert len(corr._tables) <= models._TABLE_MEMO_SIZE
+    # the evicted first table is evaluated again, to the same bytes
+    again = corr.value_and_dbeta(first)
+    assert again is not tables
+    assert all(np.array_equal(a, b) for a, b in zip(again, tables))
