@@ -49,6 +49,9 @@ OSCILLATOR_MIN_LEVELS = 40  # smallest automatic oscillator truncation
 # fewer than a grid has betas.
 _BATH_CACHE_SIZE = 4
 _TABLE_MEMO_SIZE = 4
+# Built-in probe spectra (H, its decomposition, the oscillator's x) kept per
+# Hamiltonian: a run holds one probe Hamiltonian, or one per truncation.
+_PROBE_CACHE_SIZE = 4
 
 # Pauli matrices shared by the two-level models (read-only, so sharing is safe)
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -89,10 +92,12 @@ class ContinuumBath:
     dim_exponent: float = 1.0
 
     def __post_init__(self):
-        if not self.s > 0:  # NaN too
-            raise ValueError("low-frequency exponent s must be positive")
-        if not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
+        if not 0 < self.s < np.inf:  # NaN too
+            raise ValueError("low-frequency exponent s must be positive and finite")
+        if not 0 < self.cutoff < np.inf:
+            raise ValueError("cutoff must be positive and finite")
+        if not np.isfinite(self.dim_exponent):
+            raise ValueError("dim_exponent must be finite")
 
 
 def spectral_density(bath: ContinuumBath, omega):
@@ -163,12 +168,37 @@ class ProbeModel:
         return self.decomp.dim
 
 
+def _shared_spectrum(h: np.ndarray, *operators: np.ndarray) -> tuple:
+    """``(h, *operators, eigendecompose(h))`` with every array read-only, for
+    the per-Hamiltonian caches of the built-in probes."""
+    decomp = eigendecompose(h)
+    _read_only(h, *operators, decomp.evals, decomp.evecs)
+    return (h, *operators, decomp)
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def _qubit_spectrum(epsilon: float) -> tuple:
+    return _shared_spectrum(0.5 * epsilon * SIGMA_Z)
+
+
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def _oscillator_spectrum(omega0: float, n_trunc: int) -> tuple:
+    return _shared_spectrum(*_ladder(omega0, n_trunc))
+
+
 def probe_qubit(epsilon: float = 1.0, theta: float = 0.0) -> ProbeModel:
     """Two-level probe H = (epsilon/2) sigma_z coupled through
-    cos(theta) sigma_z - sin(theta) sigma_x."""
-    if epsilon <= 0:
-        raise ValueError("level splitting must be positive")
-    h = 0.5 * epsilon * SIGMA_Z
+    cos(theta) sigma_z - sin(theta) sigma_x.
+
+    H does not depend on theta, so every probe with an equal ``epsilon``
+    shares one read-only ``hamiltonian`` and ``decomp`` from a small LRU
+    cache; the coupling and the ``params`` dict are the probe's own.
+    """
+    if not 0 < epsilon < np.inf:  # NaN too
+        raise ValueError("level splitting must be positive and finite")
+    if not np.isfinite(theta):
+        raise ValueError("coupling angle theta must be finite")
+    h, decomp = _qubit_spectrum(float(epsilon))
     s = np.cos(theta) * SIGMA_Z - np.sin(theta) * SIGMA_X
     return ProbeModel(
         kind="qubit",
@@ -176,13 +206,23 @@ def probe_qubit(epsilon: float = 1.0, theta: float = 0.0) -> ProbeModel:
         coupling=s,
         params={"epsilon": epsilon, "theta": theta},
         dim_exponent=PROBE_DIM_EXPONENTS["qubit"],
-        decomp=eigendecompose(h),
+        decomp=decomp,
     )
+
+
+def _require_oscillator_scales(omega0: float, beta: float | None) -> None:
+    """Refuse an oscillator frequency or design inverse temperature that is not
+    positive and finite (NaN too), before it reaches a cache or an int()."""
+    if not 0 < omega0 < np.inf:
+        raise ValueError("oscillator frequency must be positive and finite")
+    if beta is not None and not 0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
 
 
 def oscillator_levels(omega0: float, beta: float, tail: float = DEFAULT_TOL.tail_population) -> int:
     """Smallest truncation, at least ``OSCILLATOR_MIN_LEVELS``, with top-level
     thermal population below ``tail``."""
+    _require_oscillator_scales(omega0, beta)
     x = np.exp(-beta * omega0)
     if x <= 0.0:
         return OSCILLATOR_MIN_LEVELS
@@ -210,9 +250,12 @@ def probe_oscillator(
     than ``tail`` in the top level at ``beta_design`` triggers a warning, and
     a truncation so small that the top level holds more than 1e-3 of the
     population is rejected outright.
+
+    H and x depend on (omega0, n_trunc) alone, so probes with equal values
+    share one read-only ``hamiltonian``, ``coupling`` and ``decomp`` from a
+    small LRU cache; the ``params`` dict is the probe's own.
     """
-    if omega0 <= 0:
-        raise ValueError("oscillator frequency must be positive")
+    _require_oscillator_scales(omega0, beta_design)
     if n_trunc is None:
         n_trunc = (OSCILLATOR_MIN_LEVELS if beta_design is None
                    else oscillator_levels(omega0, beta_design, tail))
@@ -234,14 +277,14 @@ def probe_oscillator(
                     TruncationWarning,
                     stacklevel=2,
                 )
-    h, x = _ladder(omega0, n_trunc)
+    h, x, decomp = _oscillator_spectrum(float(omega0), int(n_trunc))
     return ProbeModel(
         kind="oscillator",
         hamiltonian=h,
         coupling=x,
         params={"omega0": omega0, "n_trunc": n_trunc},
         dim_exponent=PROBE_DIM_EXPONENTS["oscillator"],
-        decomp=eigendecompose(h),
+        decomp=decomp,
     )
 
 

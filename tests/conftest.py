@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fctherm import linalg, models
+from fctherm import _kernels, linalg, models
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -17,16 +17,25 @@ def config_dir() -> Path:
     return CONFIG_DIR
 
 
+def clear_caches() -> None:
+    """Empty every cache the library keeps across calls: the imaginary-time
+    rules, the continuum correlators, the built-in probe spectra and the
+    kernels' exponential tables."""
+    for cache in (linalg.quad_imaginary_time, models._continuum_correlation,
+                  models._qubit_spectrum, models._oscillator_spectrum):
+        cache.cache_clear()
+    _kernels._gap_tables.clear()
+    _kernels._sigma_tables.clear()
+
+
 @pytest.fixture
 def cold_caches():
-    """Empty the imaginary-time rule and continuum-correlator caches before
-    and after the test, so it builds what a fresh process would."""
-    caches = (linalg.quad_imaginary_time, models._continuum_correlation)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
+    """Empty the library's caches before and after the test, so it builds what
+    a fresh process would; the test may call the fixture's value to empty
+    them again."""
+    clear_caches()
+    yield clear_caches
+    clear_caches()
 
 
 @pytest.fixture

@@ -5,9 +5,12 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +99,22 @@ def test_report_output_is_byte_stable(tmp_path):
     main(["report", "--config", cfg, "--out", str(out1)])
     main(["report", "--config", cfg, "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command, name", [("sweep", "report_qubit_transverse"),
+                                           ("report", "report_oscillator_ohmic")])
+def test_warm_caches_give_a_fresh_process_bytes(tmp_path, config_dir, cold_caches, command, name):
+    # a second run in one interpreter reads the probe spectra, bath
+    # correlators, rules and kernel tables the first one left behind
+    cfg = str(config_dir / f"{name}.json")
+    runs = [tmp_path / f"{k}.csv" for k in ("cold", "warm", "fresh")]
+    for out in runs[:2]:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "fctherm.cli", command, "--config", cfg,
+                    "--out", str(runs[2])], check=True, env=env, capture_output=True)
+    assert runs[0].read_bytes() == runs[1].read_bytes() == runs[2].read_bytes()
 
 
 def test_parallel_rows_match_serial_exactly(tmp_path):

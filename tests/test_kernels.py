@@ -122,3 +122,66 @@ def test_kernels_match_triple_loop_on_oscillator_ladder():
     got_s = K.sigma_nodes(energies, abs_s_sq, u)
     assert np.max(np.abs(got_g - ref_g) / ref_g) < 1e-12
     assert np.max(np.abs(got_s - ref_s) / ref_s) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exponential tables kept per (levels, nodes)
+# ---------------------------------------------------------------------------
+
+
+def _ladder_case(d: int = 12, n: int = 16):
+    rule = quad_imaginary_time(n, 3.0, 0.05)
+    rng = np.random.default_rng(9)
+    s = rng.uniform(0.0, 1.0, size=(d, d))
+    return np.arange(d, dtype=float), rule.nodes, rule.weights * (1.0 + rule.nodes), 0.5 * (s + s.T)
+
+
+def test_kernels_are_bit_identical_cold_and_warm(cold_caches):
+    e, u, c, abs_s_sq = _ladder_case()
+    # the expressions the kernels evaluated before they kept their tables
+    ue = np.multiply.outer(u, e - 0.5 * (e.max() + e.min()))
+    fresh_g = (np.exp(-ue) * c[:, None]).T @ np.exp(ue)
+    eu = np.multiply.outer(e - e.min(), u)
+    fresh_s = np.exp(eu) * (abs_s_sq @ np.exp(-eu))
+    cold = K.gap_integrals(e, u, c), K.sigma_nodes(e, abs_s_sq, u)
+    assert len(K._gap_tables) == len(K._sigma_tables) == 1
+    warm = K.gap_integrals(list(e), u.copy(), c), K.sigma_nodes(e.copy(), abs_s_sq, u)
+    assert len(K._gap_tables) == len(K._sigma_tables) == 1  # equal contents hit
+    for got in (cold, warm):
+        assert np.array_equal(got[0], fresh_g) and np.array_equal(got[1], fresh_s)
+    # other coefficients or weights on the same tables give their own sums
+    assert np.array_equal(K.gap_integrals(e, u, 2.0 * c), 2.0 * fresh_g)
+    assert np.array_equal(K.sigma_nodes(e, 2.0 * abs_s_sq, u), 2.0 * fresh_s)
+
+
+def test_kept_tables_are_read_only_and_results_are_not(cold_caches):
+    e, u, c, abs_s_sq = _ladder_case()
+    results = K.gap_integrals(e, u, c), K.sigma_nodes(e, abs_s_sq, u)
+    tables = [*next(iter(K._gap_tables.values())), *next(iter(K._sigma_tables.values()))]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+    for result in results:
+        result[0, 0] = 0.0  # the caller owns what a kernel returns
+
+
+def test_kernel_table_memos_are_bounded(cold_caches):
+    e, _, c, abs_s_sq = _ladder_case()
+    for k in range(3 * K._TABLE_MEMO_SIZE):
+        u = np.linspace(0.0, 1.0, 5 + k)
+        K.gap_integrals(e, u, np.ones_like(u))
+        K.sigma_nodes(e[: 4 + k % 3], abs_s_sq[: 4 + k % 3, : 4 + k % 3], u)
+        assert len(K._gap_tables) <= K._TABLE_MEMO_SIZE
+        assert len(K._sigma_tables) <= K._TABLE_MEMO_SIZE
+    assert len(K._gap_tables) == len(K._sigma_tables) == K._TABLE_MEMO_SIZE
+
+
+def test_an_overflowing_table_leaves_no_entry(cold_caches):
+    # u * width = 2000: the sigma table overflows, and so does each gap table
+    e, u = np.array([0.0, 2000.0]), np.array([0.5, 1.0])
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            K.sigma_nodes(e, np.ones((2, 2)), u)
+        with pytest.raises(FloatingPointError):
+            K.gap_integrals(e, np.array([0.0, 1.5]), np.ones(2))
+    assert not K._gap_tables and not K._sigma_tables

@@ -30,7 +30,7 @@ from fctherm import (
     spectral_density,
     x_matrix,
 )
-from fctherm import linalg, models
+from fctherm import _kernels, models
 from fctherm.models import validate_dim_exponent
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -405,8 +405,7 @@ def test_snr_bound_is_bit_identical_with_cold_and_warm_caches(cold_caches):
     hits = models._continuum_correlation.cache_info().hits
     warm = reports()
     assert models._continuum_correlation.cache_info().hits > hits
-    models._continuum_correlation.cache_clear()
-    linalg.quad_imaginary_time.cache_clear()
+    cold_caches()  # the fixture's value empties every cache again
     assert reports() == warm == cold
 
 
@@ -450,3 +449,100 @@ def test_correlator_caches_are_bounded(cold_caches):
     again = corr.value_and_dbeta(first)
     assert again is not tables
     assert all(np.array_equal(a, b) for a, b in zip(again, tables))
+
+
+# ---------------------------------------------------------------------------
+# one built-in probe spectrum per Hamiltonian
+# ---------------------------------------------------------------------------
+
+
+def test_equal_probe_parameters_share_levels(cold_caches):
+    qubit = probe_qubit(1.0, 0.3)
+    twin = probe_qubit(1, 2.1)  # H does not depend on theta; an int epsilon hits
+    assert twin.decomp is qubit.decomp and twin.hamiltonian is qubit.hamiltonian
+    assert twin.params is not qubit.params and twin.params == {"epsilon": 1, "theta": 2.1}
+    assert twin.coupling is not qubit.coupling
+    assert probe_qubit(2.0, 0.3).decomp is not qubit.decomp
+    osc = probe_oscillator(1.0, 40)
+    auto = probe_oscillator(1, beta_design=1.0)  # auto truncation at 40 levels
+    assert auto.dim == 40 and auto.decomp is osc.decomp and auto.coupling is osc.coupling
+    assert auto.params is not osc.params
+    for other in (probe_oscillator(1.5, 40), probe_oscillator(1.0, 41)):
+        assert other.decomp is not osc.decomp and other.coupling is not osc.coupling
+    assert models._qubit_spectrum.cache_info().currsize == 2
+    assert models._oscillator_spectrum.cache_info().currsize == 3
+
+
+def test_shared_probe_arrays_are_read_only(cold_caches):
+    qubit, osc = probe_qubit(1.0, 0.3), probe_oscillator(1.0, 12)
+    shared = [qubit.hamiltonian, qubit.decomp.evals, qubit.decomp.evecs,
+              osc.hamiltonian, osc.coupling, osc.decomp.evals, osc.decomp.evecs]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0
+    qubit.coupling[0, 0] = 0.5  # the qubit coupling depends on theta: the probe's own
+    assert probe_qubit(1.0, 0.3).coupling[0, 0] == pytest.approx(math.cos(0.3))
+
+
+def test_probe_spectrum_caches_are_bounded(cold_caches):
+    for k in range(3 * models._PROBE_CACHE_SIZE):
+        probe_qubit(1.0 + k, 0.3)
+        probe_oscillator(1.0, 10 + k)
+    for cache in (models._qubit_spectrum, models._oscillator_spectrum):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize == models._PROBE_CACHE_SIZE
+
+
+def test_theta_sweep_calls_each_kernel_four_times_per_point(cold_caches, monkeypatch):
+    calls = {"gap_integrals": 0, "sigma_nodes": 0, "_build_gap_tables": 0,
+             "_build_sigma_tables": 0}
+    for name in calls:
+        original = getattr(_kernels, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_kernels, name, counting)
+    thetas = (0.3, 1.1, 1.9, 2.7)
+    for theta in thetas:
+        snr_bound(probe_qubit(1.0, theta), ContinuumBath(1.0, 100.0), 0.1, 2.0)
+    # every point still evaluates its 4 + 4 level sums, on tables built once
+    # per beta: one gap pair on the u-rule, and sigma pairs on it and at u = 0
+    assert calls == {"gap_integrals": 4 * len(thetas), "sigma_nodes": 4 * len(thetas),
+                     "_build_gap_tables": 1, "_build_sigma_tables": 2}
+
+
+# ---------------------------------------------------------------------------
+# non-finite model parameters are refused before anything is cached
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("epsilon, theta", [(math.nan, 0.3), (math.inf, 0.3),
+                                            (1.0, math.nan), (1.0, math.inf)])
+def test_probe_qubit_refuses_non_finite_parameters(cold_caches, epsilon, theta):
+    with pytest.raises(ValueError, match="finite"):
+        probe_qubit(epsilon, theta)
+    assert models._qubit_spectrum.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("s, cutoff, dim_exponent", [
+    (math.inf, 5.0, 1.0), (1.0, math.inf, 1.0), (1.0, 5.0, math.nan), (1.0, 5.0, -math.inf)])
+def test_continuum_bath_refuses_non_finite_fields(s, cutoff, dim_exponent):
+    with pytest.raises(ValueError, match="finite"):
+        ContinuumBath(s, cutoff, dim_exponent)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: probe_oscillator(math.nan, beta_design=1.0),
+    lambda: probe_oscillator(math.inf),
+    lambda: probe_oscillator(1.0, beta_design=math.nan),
+    lambda: probe_oscillator(1.0, 12, beta_design=math.inf),
+    lambda: oscillator_levels(1.0, math.nan),
+    lambda: oscillator_levels(math.nan, 1.0),
+], ids=["omega0-nan", "omega0-inf", "beta-nan", "beta-inf", "levels-beta-nan",
+        "levels-omega0-nan"])
+def test_oscillator_builders_refuse_non_finite_scales(cold_caches, build):
+    with pytest.raises(ValueError, match="positive and finite"):
+        build()
+    assert models._oscillator_spectrum.cache_info().currsize == 0
