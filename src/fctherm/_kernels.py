@@ -10,11 +10,11 @@ one GEMM between two node x level (or level x node) exponential tables.
 
 The tables depend on the levels and the nodes alone, not on the coefficients
 or the coupling weights, and one x_matrix asks four gap_integrals and up to
-four sigma_nodes on the same (levels, u-rule).  Each kernel therefore keeps
-its last ``_TABLE_MEMO_SIZE`` table pairs in a private memo keyed on the
-shapes and bytes of the levels and nodes, and hands them to itself
-read-only; each call still does its own coefficient product and GEMM, and
-its result is byte for byte what building the tables afresh gives.
+four sigma_nodes on the same (levels, u-rule).  Each kernel's table pair is
+therefore an ``lru_cache`` of ``CACHE_SIZE`` entries keyed on the bytes of
+the 1-D float64 levels and nodes, and read-only; each call still does its own
+coefficient product and GEMM, and its result is byte for byte what building
+the tables afresh gives.
 
 The module also keeps the cyclic Jacobi eigensolver that LAPACK replaced; the
 library no longer calls it (see :func:`jacobi_eigh`).
@@ -31,42 +31,35 @@ rows turn NaN.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _read_only
-
-# (levels, nodes) -> exponential table pair kept by each kernel: one entry per
-# u-rule a row uses, far fewer than a grid has rows.
-_TABLE_MEMO_SIZE = 4
-_gap_tables: dict = {}  # (shapes, bytes) -> (e^{-u E'}, e^{u E'}), oldest first
-_sigma_tables: dict = {}  # (shapes, bytes) -> (e^{E'' u}, e^{-E'' u}), oldest first
+from .linalg import CACHE_SIZE, _read_only
 
 
-def _memo_tables(memo: dict, build, energies, u_nodes) -> tuple[np.ndarray, np.ndarray]:
-    """``build(e, u)`` for float levels ``e`` and nodes ``u``, kept in ``memo``
-    by their shapes and bytes (the last ``_TABLE_MEMO_SIZE``) and read-only."""
-    e = np.asarray(energies, dtype=float)
-    u = np.asarray(u_nodes, dtype=float)
-    key = (e.shape, e.tobytes(), u.shape, u.tobytes())
-    tables = memo.get(key)
-    if tables is None:
-        tables = memo[key] = _read_only(*build(e, u))
-        if len(memo) > _TABLE_MEMO_SIZE:
-            del memo[next(iter(memo))]
-    return tables
-
-
-def _build_gap_tables(e, u):
+@lru_cache(maxsize=CACHE_SIZE)
+def _gap_tables(levels: bytes, nodes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{-u E'}, e^{u E'}) with E' the levels centred on their midrange."""
+    e, u = np.frombuffer(levels), np.frombuffer(nodes)
     mid = 0.5 * (e.max() + e.min()) if e.size else 0.0
     ue = np.multiply.outer(u, e - mid)  # ue[j, a] = u_j E'_a
-    return np.exp(-ue), np.exp(ue)
+    return _read_only(np.exp(-ue), np.exp(ue))
 
 
-def _build_sigma_tables(e, u):
+@lru_cache(maxsize=CACHE_SIZE)
+def _sigma_tables(levels: bytes, nodes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{E'' u}, e^{-E'' u}) with E'' the levels shifted to start at zero."""
+    e, u = np.frombuffer(levels), np.frombuffer(nodes)
     es = e - e.min() if e.size else e
     eu = np.multiply.outer(es, u)  # eu[n, j] = E''_n u_j
-    return np.exp(eu), np.exp(-eu)
+    return _read_only(np.exp(eu), np.exp(-eu))
+
+
+def _as_bytes(a) -> bytes:
+    """The cache key of levels or nodes: equal float64 contents hit, whatever
+    array or list they came in."""
+    return np.asarray(a, dtype=float).tobytes()
 
 
 def gap_integrals(energies, u_nodes, coeffs):
@@ -77,13 +70,13 @@ def gap_integrals(energies, u_nodes, coeffs):
     entry stays within float range while u_max * width / 2 < ~709; their
     products, the summands, overflow once u_max * width > ~709.
     """
-    down, up = _memo_tables(_gap_tables, _build_gap_tables, energies, u_nodes)
+    down, up = _gap_tables(_as_bytes(energies), _as_bytes(u_nodes))
     return (down * np.asarray(coeffs, dtype=float)[:, None]).T @ up
 
 
 def sigma_nodes(energies, abs_s_sq, u_nodes):
     """sigma[n, j] = sum_k abs_s_sq[n, k] * exp(-u_nodes[j] * (E_k - E_n))."""
-    up, down = _memo_tables(_sigma_tables, _build_sigma_tables, energies, u_nodes)
+    up, down = _sigma_tables(_as_bytes(energies), _as_bytes(u_nodes))
     return up * (np.asarray(abs_s_sq, dtype=float) @ down)
 
 

@@ -38,10 +38,6 @@ SLD_TRACE_TOL = 1e-10           # max |tr drho| in sld_solve, relative to max(1,
 # window [0, THERMAL_SPLIT / beta]; beyond it exp(-beta w) < exp(-THERMAL_SPLIT).
 THERMAL_SPLIT = 30.0
 
-# Imaginary-time rules kept by quad_imaginary_time: enough for the current
-# beta of a beta-major grid, far fewer than a grid has betas.
-_TIME_RULE_CACHE_SIZE = 4
-
 
 def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate a square, finite, Hermitian array and return it in the one
@@ -238,6 +234,11 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
+# Entries of every cache of beta-only or Hamiltonian-only work: enough for the
+# current beta of a beta-major grid, far fewer than a grid has betas.
+CACHE_SIZE = 4
+
+
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
@@ -315,7 +316,7 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
     )
 
 
-@lru_cache(maxsize=_TIME_RULE_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> QuadratureRule:
     """Rule on [0, beta] for thermal imaginary-time integrands.
 

@@ -259,7 +259,8 @@ def snr_kernel(
     xi = int_0^inf J(omega) f(T, omega) d omega, and f is 2 omega beta^2 / pi
     times the F2 of one unit-mass mode at omega, whose bath kernel
     [e^{-u w} + e^{-(beta-u) w}] / (1 - e^{-beta w}) is 2 w <x(-iu) x>.  The
-    inverse temperature is the probe correlator's; omega <= 0 raises ValueError.
+    inverse temperature is the probe correlator's; an omega that is not
+    positive and finite raises ValueError.
     """
     beta = probe_corr.beta
     w = np.atleast_1d(np.asarray(omega, dtype=float))

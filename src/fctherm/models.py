@@ -31,6 +31,7 @@ import numpy as np
 from . import _kernels
 from .errors import TruncationWarning
 from .linalg import (
+    CACHE_SIZE,
     QuadratureRule,
     SpectralDecomposition,
     _read_only,
@@ -43,15 +44,6 @@ from .tolerances import DEFAULT_TOL
 
 DEFAULT_FREQ_NODES = 128  # semi-infinite rule size for continuum baths
 OSCILLATOR_MIN_LEVELS = 40  # smallest automatic oscillator truncation
-
-# Continuum-bath correlators kept by bath_correlation, and (u -> table) pairs
-# kept by each of them: enough for the current beta of a beta-major grid, far
-# fewer than a grid has betas.
-_BATH_CACHE_SIZE = 4
-_TABLE_MEMO_SIZE = 4
-# Built-in probe spectra (H, its decomposition, the oscillator's x) kept per
-# Hamiltonian: a run holds one probe Hamiltonian, or one per truncation.
-_PROBE_CACHE_SIZE = 4
 
 # Pauli matrices shared by the two-level models (read-only, so sharing is safe)
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -176,12 +168,12 @@ def _shared_spectrum(h: np.ndarray, *operators: np.ndarray) -> tuple:
     return (h, *operators, decomp)
 
 
-@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _qubit_spectrum(epsilon: float) -> tuple:
     return _shared_spectrum(0.5 * epsilon * SIGMA_Z)
 
 
-@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _oscillator_spectrum(omega0: float, n_trunc: int) -> tuple:
     return _shared_spectrum(*_ladder(omega0, n_trunc))
 
@@ -210,19 +202,22 @@ def probe_qubit(epsilon: float = 1.0, theta: float = 0.0) -> ProbeModel:
     )
 
 
-def _require_oscillator_scales(omega0: float, beta: float | None) -> None:
+def _require_oscillator_scales(omega0: float, beta: float | None, tail: float) -> None:
     """Refuse an oscillator frequency or design inverse temperature that is not
-    positive and finite (NaN too), before it reaches a cache or an int()."""
+    positive and finite, or a tail population outside (0, 1) (NaN too), before
+    it reaches a cache, a logarithm or an int()."""
     if not 0 < omega0 < np.inf:
         raise ValueError("oscillator frequency must be positive and finite")
     if beta is not None and not 0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
+    if not 0 < tail < 1:
+        raise ValueError(f"tail_population must lie in (0, 1), got {tail!r}")
 
 
 def oscillator_levels(omega0: float, beta: float, tail: float = DEFAULT_TOL.tail_population) -> int:
     """Smallest truncation, at least ``OSCILLATOR_MIN_LEVELS``, with top-level
     thermal population below ``tail``."""
-    _require_oscillator_scales(omega0, beta)
+    _require_oscillator_scales(omega0, beta, tail)
     x = np.exp(-beta * omega0)
     if x <= 0.0:
         return OSCILLATOR_MIN_LEVELS
@@ -255,7 +250,7 @@ def probe_oscillator(
     share one read-only ``hamiltonian``, ``coupling`` and ``decomp`` from a
     small LRU cache; the ``params`` dict is the probe's own.
     """
-    _require_oscillator_scales(omega0, beta_design)
+    _require_oscillator_scales(omega0, beta_design, tail)
     if n_trunc is None:
         n_trunc = (OSCILLATOR_MIN_LEVELS if beta_design is None
                    else oscillator_levels(omega0, beta_design, tail))
@@ -362,8 +357,8 @@ class CorrelationFn:
     layer_width: float | None = None
 
     def __init__(self, beta: float):
-        if not beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < beta < np.inf:  # NaN too
+            raise ValueError("beta must be positive and finite")
         self.beta = float(beta)
 
     def value(self, u):
@@ -463,13 +458,14 @@ class QubitCorrelation(CorrelationFn):
 
 class OscillatorCorrelation(CorrelationFn):
     """Closed-form position autocorrelation of a unit-mass harmonic mode (the
-    probe, or a bath mode in ``snr_kernel``).  ``omega0`` > 0 may be a column
-    of frequencies, shape (n, 1), giving one row per mode."""
+    probe, or a bath mode in ``snr_kernel``).  ``omega0``, positive and finite,
+    may be a column of frequencies, shape (n, 1), giving one row per mode."""
 
     def __init__(self, omega0, beta: float):
         super().__init__(beta)
-        if not np.all(np.asarray(omega0) > 0):
-            raise ValueError("oscillator frequency must be positive")
+        w = np.asarray(omega0)
+        if not np.all((0 < w) & (w < np.inf)):  # NaN too
+            raise ValueError("oscillator frequency must be positive and finite")
         self.omega0 = omega0
         self._q = np.exp(-self.beta * omega0)  # e^{-beta omega0} < 1
 
@@ -500,7 +496,8 @@ class ContinuumBathCorrelation(CorrelationFn):
     It depends on (bath, beta, n_omega) alone, so :func:`bath_correlation`
     hands out one shared object per such key: its frequency ``rule`` and
     every array it holds or returns are read-only, and
-    :meth:`value_and_dbeta` keeps its last few tables by node contents.
+    :meth:`value_and_dbeta` looks its tables up by node contents in a small
+    module-level LRU cache keyed on the correlator.
     """
 
     mean = 0.0  # a continuum coupling field has zero thermal mean by construction
@@ -514,7 +511,6 @@ class ContinuumBathCorrelation(CorrelationFn):
         self._jw = spectral_density(bath, self._w) * self.rule.weights / np.pi
         self._em = np.exp(-self.beta * self._w)  # e^{-beta w}
         _read_only(self._w, self.rule.weights, self._jw, self._em)
-        self._tables: dict = {}  # (shape, node bytes) -> (value, dbeta), oldest first
 
     def value(self, u):
         return self.value_and_dbeta(u)[0]
@@ -523,21 +519,15 @@ class ContinuumBathCorrelation(CorrelationFn):
         return self.value_and_dbeta(u)[1]
 
     def value_and_dbeta(self, u):
-        """``value`` and ``dbeta`` from two exponential tables: e^{-u w} and
-        e^{-(beta-u) w} serve both, and e^{-(beta+u) w} is e^{-u w} e^{-beta w}.
-        The last ``_TABLE_MEMO_SIZE`` results are kept by the contents of
-        ``u`` (the imaginary-time rule's nodes, u = 0) and handed out
-        read-only."""
+        """``value`` and ``dbeta`` at ``u``, looked up by the contents of
+        ``u`` (the imaginary-time rule's nodes, u = 0) in a small LRU cache
+        and handed out read-only."""
         u = np.asarray(u, dtype=float)
-        key = (u.shape, u.tobytes())
-        tables = self._tables.get(key)
-        if tables is None:
-            tables = self._tables[key] = self._evaluate(u)
-            if len(self._tables) > _TABLE_MEMO_SIZE:
-                del self._tables[next(iter(self._tables))]
-        return tables
+        return _bath_tables(self, u.shape, u.tobytes())
 
     def _evaluate(self, u: np.ndarray):
+        """``value`` and ``dbeta`` from two exponential tables: e^{-u w} and
+        e^{-(beta-u) w} serve both, and e^{-(beta+u) w} is e^{-u w} e^{-beta w}."""
         w = self._w
         near = np.exp(-np.multiply.outer(u, w))
         far = np.exp(-np.multiply.outer(self.beta - u, w))
@@ -589,4 +579,14 @@ def bath_correlation(
     raise TypeError(f"unsupported bath specification: {type(bath).__name__}")
 
 
-_continuum_correlation = lru_cache(maxsize=_BATH_CACHE_SIZE)(ContinuumBathCorrelation)
+_continuum_correlation = lru_cache(maxsize=CACHE_SIZE)(ContinuumBathCorrelation)
+
+
+# Module-level, as an lru_cache on the bound method would make a reference
+# cycle.  Each correlator asks for two tables (its u-rule's nodes and u = 0);
+# room for both of every cached correlator keeps them as long as it lives; at
+# CACHE_SIZE entries the first point of some betas of a qubit sweep ran ~10 %
+# slower.
+@lru_cache(maxsize=2 * CACHE_SIZE)
+def _bath_tables(corr: ContinuumBathCorrelation, shape: tuple, nodes: bytes):
+    return corr._evaluate(np.frombuffer(nodes).reshape(shape))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-from fctherm import _kernels, linalg, models
+import fctherm
+from fctherm import linalg
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -17,15 +20,21 @@ def config_dir() -> Path:
     return CONFIG_DIR
 
 
+def library_caches() -> dict:
+    """Every cache the library keeps across calls, by dotted name: each object
+    with ``cache_clear`` that a ``fctherm`` module defines (not one it imports)."""
+    caches = {}
+    for info in pkgutil.iter_modules(fctherm.__path__, "fctherm."):
+        for name, value in vars(importlib.import_module(info.name)).items():
+            if hasattr(value, "cache_clear") and value.__module__ == info.name:
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
 def clear_caches() -> None:
-    """Empty every cache the library keeps across calls: the imaginary-time
-    rules, the continuum correlators, the built-in probe spectra and the
-    kernels' exponential tables."""
-    for cache in (linalg.quad_imaginary_time, models._continuum_correlation,
-                  models._qubit_spectrum, models._oscillator_spectrum):
+    """Empty every cache the library keeps across calls."""
+    for cache in library_caches().values():
         cache.cache_clear()
-    _kernels._gap_tables.clear()
-    _kernels._sigma_tables.clear()
 
 
 @pytest.fixture

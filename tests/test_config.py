@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fctherm import ConfigError, GridSpec, RunConfig, default_gamma_grid, load_config, parse_config
+from fctherm.cli import main
 from fctherm.models import DEFAULT_FREQ_NODES
 from fctherm.perturbation import DEFAULT_TIME_NODES
 
@@ -172,6 +173,19 @@ def test_tail_population_override_sizes_the_oscillator():
     default = parse_config(cfg_with(probe=probe, bath=bath))
     assert loose.build_probe(beta=0.1).dim == 47
     assert default.build_probe(beta=0.1).dim == 162
+
+
+@pytest.mark.parametrize("tail", [0.0, -1.0, 1.0])
+def test_tail_population_outside_the_unit_interval_is_a_config_error(tmp_path, config_dir, tail):
+    # 0 made the truncation log(0) and int(inf) (OverflowError, exit 3); -1
+    # made it int(NaN)
+    doc = json.loads((config_dir / "report_oscillator_ohmic.json").read_text())
+    doc["tolerances"] = {"tail_population": tail}
+    with pytest.raises(ConfigError, match="tail_population must lie in"):
+        parse_config(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
 
 
 def test_ohmic_exponent_defaults_from_probe_dimension():

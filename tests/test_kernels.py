@@ -136,6 +136,11 @@ def _ladder_case(d: int = 12, n: int = 16):
     return np.arange(d, dtype=float), rule.nodes, rule.weights * (1.0 + rule.nodes), 0.5 * (s + s.T)
 
 
+def _tables_held() -> tuple[int, int]:
+    """How many (gap, sigma) table pairs the kernels' caches hold."""
+    return K._gap_tables.cache_info().currsize, K._sigma_tables.cache_info().currsize
+
+
 def test_kernels_are_bit_identical_cold_and_warm(cold_caches):
     e, u, c, abs_s_sq = _ladder_case()
     # the expressions the kernels evaluated before they kept their tables
@@ -144,9 +149,9 @@ def test_kernels_are_bit_identical_cold_and_warm(cold_caches):
     eu = np.multiply.outer(e - e.min(), u)
     fresh_s = np.exp(eu) * (abs_s_sq @ np.exp(-eu))
     cold = K.gap_integrals(e, u, c), K.sigma_nodes(e, abs_s_sq, u)
-    assert len(K._gap_tables) == len(K._sigma_tables) == 1
+    assert _tables_held() == (1, 1)
     warm = K.gap_integrals(list(e), u.copy(), c), K.sigma_nodes(e.copy(), abs_s_sq, u)
-    assert len(K._gap_tables) == len(K._sigma_tables) == 1  # equal contents hit
+    assert _tables_held() == (1, 1)  # equal contents hit
     for got in (cold, warm):
         assert np.array_equal(got[0], fresh_g) and np.array_equal(got[1], fresh_s)
     # other coefficients or weights on the same tables give their own sums
@@ -157,23 +162,13 @@ def test_kernels_are_bit_identical_cold_and_warm(cold_caches):
 def test_kept_tables_are_read_only_and_results_are_not(cold_caches):
     e, u, c, abs_s_sq = _ladder_case()
     results = K.gap_integrals(e, u, c), K.sigma_nodes(e, abs_s_sq, u)
-    tables = [*next(iter(K._gap_tables.values())), *next(iter(K._sigma_tables.values()))]
+    tables = [*K._gap_tables(e.tobytes(), u.tobytes()), *K._sigma_tables(e.tobytes(), u.tobytes())]
+    assert _tables_held() == (1, 1)  # the pairs the kernels kept, not new ones
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
     for result in results:
         result[0, 0] = 0.0  # the caller owns what a kernel returns
-
-
-def test_kernel_table_memos_are_bounded(cold_caches):
-    e, _, c, abs_s_sq = _ladder_case()
-    for k in range(3 * K._TABLE_MEMO_SIZE):
-        u = np.linspace(0.0, 1.0, 5 + k)
-        K.gap_integrals(e, u, np.ones_like(u))
-        K.sigma_nodes(e[: 4 + k % 3], abs_s_sq[: 4 + k % 3, : 4 + k % 3], u)
-        assert len(K._gap_tables) <= K._TABLE_MEMO_SIZE
-        assert len(K._sigma_tables) <= K._TABLE_MEMO_SIZE
-    assert len(K._gap_tables) == len(K._sigma_tables) == K._TABLE_MEMO_SIZE
 
 
 def test_an_overflowing_table_leaves_no_entry(cold_caches):
@@ -184,4 +179,4 @@ def test_an_overflowing_table_leaves_no_entry(cold_caches):
             K.sigma_nodes(e, np.ones((2, 2)), u)
         with pytest.raises(FloatingPointError):
             K.gap_integrals(e, np.array([0.0, 1.5]), np.ones(2))
-    assert not K._gap_tables and not K._sigma_tables
+    assert _tables_held() == (0, 0)

@@ -243,7 +243,7 @@ def test_snr_kernel_is_f2_against_one_truncated_bath_mode():
 
 def test_snr_kernel_refuses_nonpositive_frequency():
     corr = QubitCorrelation(1.0, 0.7, 1.0)
-    for omega in (0.0, -1.0, np.array([1.0, 0.0])):
+    for omega in (0.0, -1.0, np.inf, np.array([1.0, 0.0])):
         with pytest.raises(ValueError, match="oscillator frequency must be positive"):
             snr_kernel(corr, omega)
 
