@@ -25,6 +25,7 @@ from .models import (
     DiscreteBath,
     ProbeModel,
     load_operator_pair,
+    oscillator_levels,
     paired_bath_exponent,
     probe_custom,
     probe_oscillator,
@@ -43,6 +44,16 @@ SWEEP_AXES = ("gamma", "theta")
 DEFAULT_GAMMA_MIN = 1e-2
 DEFAULT_GAMMA_MAX = 1e-1
 DEFAULT_GAMMA_POINTS = 8
+
+# Largest sizes a config may ask for (README, config schema): numpy builds an
+# n-node Gauss-Legendre rule from an n x n matrix, so n_u and n_omega (whose
+# cold infrared panel has n_omega // 2 nodes) cost O(n^2) memory, and an
+# oscillator probe's matrices O(n_trunc^2); at each bound one expansion takes
+# one to two seconds and about 200 MiB.
+MAX_TIME_NODES = 2048
+MAX_FREQ_NODES = 4096
+MAX_OSCILLATOR_LEVELS = 1024
+MAX_GRID_POINTS = 1000
 
 
 def _expect_mapping(value, path: str) -> dict:
@@ -64,11 +75,13 @@ def _expect_number(value, path: str, positive: bool = False, nonnegative: bool =
     return v
 
 
-def _expect_int(value, path: str, minimum: int | None = None) -> int:
+def _expect_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
     return int(value)
 
 
@@ -237,7 +250,7 @@ def _parse_grid(raw, path: str, positive_min: bool) -> GridSpec:
     spacing = _expect_choice(raw.get("spacing", "linear"), f"{path}.spacing", SPACINGS)
     lo = _expect_number(raw["min"], f"{path}.min", positive=(spacing == "log") or positive_min)
     hi = _expect_number(raw["max"], f"{path}.max", positive=(spacing == "log") or positive_min)
-    n = _expect_int(raw["n"], f"{path}.n", minimum=1)
+    n = _expect_int(raw["n"], f"{path}.n", minimum=1, maximum=MAX_GRID_POINTS)
     if hi < lo:
         raise ConfigError(f"{path}: max must be >= min")
     if n > 1 and hi == lo:
@@ -261,7 +274,8 @@ def _parse_probe(raw) -> tuple[str, dict]:
         if "omega0" in params:
             _expect_number(params["omega0"], "probe.params.omega0", positive=True)
         if "n_trunc" in params and params["n_trunc"] is not None:
-            _expect_int(params["n_trunc"], "probe.params.n_trunc", minimum=2)
+            _expect_int(params["n_trunc"], "probe.params.n_trunc", minimum=2,
+                        maximum=MAX_OSCILLATOR_LEVELS)
     else:
         _reject_unknown(params, "probe.params", ("path",))
         if "path" not in params:
@@ -318,8 +332,10 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
 
     quad = _expect_mapping(raw.get("quadrature", {}), "quadrature")
     _reject_unknown(quad, "quadrature", ("n_u", "n_omega"))
-    n_u = _expect_int(quad.get("n_u", DEFAULT_TIME_NODES), "quadrature.n_u", minimum=1)
-    n_omega = _expect_int(quad.get("n_omega", DEFAULT_FREQ_NODES), "quadrature.n_omega", minimum=1)
+    n_u = _expect_int(quad.get("n_u", DEFAULT_TIME_NODES), "quadrature.n_u",
+                      minimum=1, maximum=MAX_TIME_NODES)
+    n_omega = _expect_int(quad.get("n_omega", DEFAULT_FREQ_NODES), "quadrature.n_omega",
+                          minimum=1, maximum=MAX_FREQ_NODES)
 
     overrides = _expect_mapping(raw.get("tolerances", {}), "tolerances")
     for key, value in overrides.items():
@@ -362,7 +378,8 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
                                positive=True),
             max=_expect_number(sc.get("gamma_max", DEFAULT_GAMMA_MAX), "scaling.gamma_max",
                                positive=True),
-            n=_expect_int(sc.get("n", DEFAULT_GAMMA_POINTS), "scaling.n", minimum=5),
+            n=_expect_int(sc.get("n", DEFAULT_GAMMA_POINTS), "scaling.n", minimum=5,
+                          maximum=MAX_GRID_POINTS),
             spacing="log",
         )
         if scaling.max <= scaling.min:
@@ -389,7 +406,17 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
     # Its truncation warning is left to the commands, which build the probe
     # again at that point and know whether truncation error can matter.
     try:
-        cfg.tolerances()
+        tol = cfg.tolerances()
+        if probe_kind == "oscillator" and probe_params.get("n_trunc") is None:
+            # the automatic truncation is largest at the hottest grid point
+            omega0 = probe_params.get("omega0", 1.0)  # probe_oscillator's default
+            levels = oscillator_levels(omega0, beta_grid.min, tol.tail_population)
+            if levels > MAX_OSCILLATOR_LEVELS:
+                raise ConfigError(
+                    f"probe.params.n_trunc: the truncation sized at beta_grid.min = "
+                    f"{beta_grid.min} needs {levels} levels, more than "
+                    f"{MAX_OSCILLATOR_LEVELS}; raise beta_grid.min or omega0"
+                )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             cfg.build_probe(beta=beta_grid.min)

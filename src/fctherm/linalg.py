@@ -73,21 +73,35 @@ class SpectralDecomposition:
     ``evecs`` has the dtype :func:`require_hermitian` chose for the matrix:
     float64 for a real one, complex128 otherwise.  The basis rotations take
     the operand as it is, so they run in float64 when ``evecs`` and the
-    operand are both real.
+    operand are both real.  The decomposition of a diagonal matrix keeps its
+    sort permutation as ``_order`` (``evecs`` is ``eye[:, _order]``) and
+    rotates by indexing, to the bytes and dtype of the dense products.
     """
 
     evals: np.ndarray
     evecs: np.ndarray
+    _order: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.evals.size
 
+    def _permuted(self, op, index: np.ndarray) -> np.ndarray:
+        """``op[index][:, index]`` in the dense rotation's dtype; adding 0.0
+        turns a -0.0 into the +0.0 the matrix product gives."""
+        op = np.asarray(op)
+        out = op.take(index, axis=0).take(index, axis=1)
+        return out.astype(np.result_type(self.evecs, op), copy=False) + 0.0
+
     def to_eigenbasis(self, op: np.ndarray) -> np.ndarray:
         """Rotate an operator from the original basis into this eigenbasis."""
+        if self._order is not None:
+            return self._permuted(op, self._order)
         return self.evecs.conj().T @ op @ self.evecs
 
     def from_eigenbasis(self, op: np.ndarray) -> np.ndarray:
+        if self._order is not None:
+            return self._permuted(op, np.argsort(self._order))
         return self.evecs @ op @ self.evecs.conj().T
 
 
@@ -118,22 +132,25 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     """
     a = require_hermitian(matrix)
     diag = np.diagonal(a)
+    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     if np.count_nonzero(a) == np.count_nonzero(diag):
+        # unit vectors eye[:, order]: both checks below in closed form
         order = np.argsort(diag.real, kind="stable")
         w = diag.real[order]
-        v = np.eye(diag.size, dtype=a.dtype)[:, order]
+        v = np.eye(w.size, dtype=a.dtype)[:, order]
+        uni = 0.0 if np.array_equal(np.sort(order), np.arange(w.size)) else np.inf
+        rec = float(np.max(np.abs(diag[order] - w)))
     else:
         w, v = np.linalg.eigh(a)  # ascending eigenvalues
-    v = _phase_gauge(v)
-    d = w.size
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    uni = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
+        v = _phase_gauge(v)
+        order = None
+        uni = float(np.max(np.abs(v.conj().T @ v - np.eye(w.size))))
+        rec = float(np.max(np.abs((v * w) @ v.conj().T - a)))
     if uni > EIG_UNITARITY_TOL:
         raise ValueError(f"eigenvector matrix not unitary: deviation {uni:.3e}")
-    rec = float(np.max(np.abs((v * w) @ v.conj().T - a)))
     if rec > EIG_RECONSTRUCTION_TOL * scale:
         raise ValueError(f"spectral reconstruction failed: deviation {rec:.3e}")
-    return SpectralDecomposition(evals=w, evecs=v)
+    return SpectralDecomposition(evals=w, evecs=v, _order=order)
 
 
 @dataclass
@@ -172,7 +189,10 @@ def gibbs_state(
     if beta < 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta}")
     p = gibbs_populations(decomp.evals, beta)
-    rho = (decomp.evecs * p) @ decomp.evecs.conj().T
+    if decomp._order is not None:
+        rho = decomp.from_eigenbasis(np.diag(p))
+    else:
+        rho = (decomp.evecs * p) @ decomp.evecs.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return DensityOperator(rho, tol)
 

@@ -164,7 +164,7 @@ def _shared_spectrum(h: np.ndarray, *operators: np.ndarray) -> tuple:
     """``(h, *operators, eigendecompose(h))`` with every array read-only, for
     the per-Hamiltonian caches of the built-in probes."""
     decomp = eigendecompose(h)
-    _read_only(h, *operators, decomp.evals, decomp.evecs)
+    _read_only(h, *operators, decomp.evals, decomp.evecs, decomp._order)
     return (h, *operators, decomp)
 
 

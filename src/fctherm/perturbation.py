@@ -128,8 +128,11 @@ class MeanForceExpansion:
 
 
 def _midpoint(s_eig: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Level-pair sum (1/2)[S (S o G) + (S o G^T) S]: both end levels averaged."""
-    return 0.5 * (s_eig @ (s_eig * g) + (s_eig * g.T) @ s_eig)
+    """Level-pair sum (1/2)[S (S o G) + (S o G^T) S]: both end levels averaged.
+    With G real and S Hermitian the second product is the adjoint of the
+    first, so this is (1/2)(M + M^dag) with M = S (S o G)."""
+    m = s_eig @ (s_eig * g)
+    return 0.5 * (m + m.conj().T)
 
 
 def x_matrix(
@@ -189,8 +192,9 @@ def x_matrix(
     g_dphi = _kernels.gap_integrals(evals, u, w * dphi_b)
     g_dphi_w = _kernels.gap_integrals(evals, u, w * (beta - u) * dphi_b)
 
-    a1, a2 = s_eig @ (s_eig * g_phi), (s_eig * g_phi.T) @ s_eig
-    a1d, a2d = s_eig @ (s_eig * g_dphi), (s_eig * g_dphi.T) @ s_eig
+    # G is real and S Hermitian, so (S o G^T) S = (S (S o G))^dag (README)
+    a1, a1d = s_eig @ (s_eig * g_phi), s_eig @ (s_eig * g_dphi)
+    a2, a2d = a1.conj().T, a1d.conj().T
     x = (exp_bgap * a1 - a2) / safe_gap
     x_dbeta = (exp_bgap * a1d - a2d) / safe_gap + exp_bgap * a1
     np.fill_diagonal(near, False)

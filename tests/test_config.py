@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fctherm import ConfigError, GridSpec, RunConfig, default_gamma_grid, load_config, parse_config
+from fctherm import config
 from fctherm.cli import main
 from fctherm.models import DEFAULT_FREQ_NODES
 from fctherm.perturbation import DEFAULT_TIME_NODES
@@ -173,6 +175,74 @@ def test_tail_population_override_sizes_the_oscillator():
     default = parse_config(cfg_with(probe=probe, bath=bath))
     assert loose.build_probe(beta=0.1).dim == 47
     assert default.build_probe(beta=0.1).dim == 162
+
+
+OSCILLATOR = {
+    "probe": {"kind": "oscillator", "params": {"omega0": 1.0}},
+    "bath": {"kind": "ohmic", "s": 1.0, "Omega": 100.0, "a": 2.0},
+}
+OVERSIZED = {
+    # field: patch; each of these once ended in numpy's MemoryError (exit 1)
+    "quadrature.n_omega": {"quadrature": {"n_omega": 10**6}},
+    "quadrature.n_u": {"quadrature": {"n_u": 10**6}},
+    "probe.params.n_trunc": {**OSCILLATOR, "probe": {"kind": "oscillator",
+                                                     "params": {"n_trunc": 10**6}}},
+    "beta_grid.n": {"beta_grid": {"min": 0.5, "max": 2.0, "n": 10**6}},
+    "sweep.n": {"sweep": {"axis": "gamma", "min": 0.01, "max": 0.1, "n": 10**6}},
+    "scaling.n": {"scaling": {"n": 10**6}},
+}
+
+
+def _parse_peak_bytes(doc) -> tuple[Exception | None, int]:
+    """The error parse_config raised on ``doc`` (None if it loaded) and the
+    peak of Python and numpy allocations meanwhile."""
+    tracemalloc.start()
+    try:
+        parse_config(doc)
+        error = None
+    except ConfigError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return error, peak
+
+
+@pytest.mark.parametrize("field", sorted(OVERSIZED))
+def test_oversized_fields_are_refused_before_any_array_is_built(tmp_path, field):
+    doc = cfg_with(**OVERSIZED[field])
+    error, peak = _parse_peak_bytes(doc)
+    assert error is not None and str(error).startswith(f"{field}: must be <= "), error
+    assert peak < 2**20
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+
+
+def test_an_oversized_automatic_truncation_is_refused_before_it_is_built():
+    # at beta = 1e-3 the top level falls below 1e-8 only at 11514 levels
+    doc = cfg_with(**OSCILLATOR, beta_grid={"min": 1e-3, "max": 2.0, "n": 3})
+    error, peak = _parse_peak_bytes(doc)
+    assert error is not None and "probe.params.n_trunc: the truncation sized at" in str(error)
+    assert "11514 levels" in str(error)
+    assert peak < 2**20
+    doc["beta_grid"]["min"] = 0.1  # 162 levels
+    assert parse_config(doc).build_probe(beta=0.1).dim == 162
+
+
+def test_largest_sizes_load():
+    grid = {"min": 0.5, "max": 2.0, "n": config.MAX_GRID_POINTS}
+    doc = cfg_with(
+        beta_grid=grid,
+        quadrature={"n_u": config.MAX_TIME_NODES, "n_omega": config.MAX_FREQ_NODES},
+        sweep={"axis": "gamma", "min": 0.01, "max": 0.1, "n": config.MAX_GRID_POINTS},
+        scaling={"n": config.MAX_GRID_POINTS},
+    )
+    cfg = parse_config(doc)
+    assert cfg.beta_grid.points().size == cfg.sweep.points().size == config.MAX_GRID_POINTS
+    pinned = cfg_with(**OSCILLATOR)
+    pinned["probe"]["params"]["n_trunc"] = config.MAX_OSCILLATOR_LEVELS
+    assert parse_config(pinned).build_probe(beta=0.5).dim == config.MAX_OSCILLATOR_LEVELS
 
 
 @pytest.mark.parametrize("tail", [0.0, -1.0, 1.0])

@@ -11,6 +11,8 @@ from fctherm import (
     eigendecompose,
     gibbs_populations,
     gibbs_state,
+    probe_oscillator,
+    probe_qubit,
     qfi_from_sld,
     quad_finite,
     quad_imaginary_time,
@@ -304,6 +306,50 @@ def test_eigenbasis_round_trip():
     op = random_hermitian(5, 4)
     back = dec.from_eigenbasis(dec.to_eigenbasis(op))
     assert np.max(np.abs(back - op)) < 1e-13
+
+
+def _diagonal_cases():
+    """Diagonal Hamiltonians, each with operands to rotate: built-in probes
+    with their couplings, ties with negative entries, and a complex diagonal
+    inside the hermiticity tolerance."""
+    rng = np.random.default_rng(11)
+    tied = np.diag([3.0, -1.0, 2.0, 0.0, -1.0, 0.5, -2.5])
+    complex_diag = np.diag([2.0, -1.0, 0.5]).astype(complex) + 1e-14j * np.eye(3)
+    probes = [probe_qubit(1.0, t) for t in (0.0, 0.7, 2.5)]
+    probes += [probe_oscillator(1.0, n) for n in (2, 12, 40)]
+    models = [(p.hamiltonian, [p.coupling]) for p in probes] + [(tied, []), (complex_diag, [])]
+    for h, couplings in models:
+        d = h.shape[0]
+        real = rng.standard_normal((d, d))
+        real[0, -1] = real[-1, -1] = -0.0  # the products give +0.0 here
+        # no signed zero in a complex operand: for d <= 3 numpy's complex
+        # product gives -0.0 or +0.0 there depending on the other entries,
+        # for larger d (through BLAS) +0.0
+        cplx = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        yield h, [*couplings, real, 0.5 * (real + real.T), cplx, 0.5 * (cplx + cplx.conj().T)]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_permutation_rotations_are_the_dense_rotations_bit_for_bit(case):
+    h, operands = list(_diagonal_cases())[case]
+    dec = eigendecompose(h)
+    assert dec._order is not None
+    v = dec.evecs
+    assert np.array_equal(v, np.eye(dec.dim)[:, dec._order])
+
+    def same(got, ref):
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()  # -0.0 and +0.0 differ here
+
+    for op in operands:
+        dtype = np.result_type(v, op)
+        same(dec.to_eigenbasis(op), (v.conj().T @ op @ v).astype(dtype))
+        same(dec.from_eigenbasis(op), (v @ op @ v.conj().T).astype(dtype))
+    for beta in (0.0, 0.3, 5.0):
+        p = gibbs_populations(dec.evals, beta)
+        rho = (v * p) @ v.conj().T
+        ref = DensityOperator(0.5 * (rho + rho.conj().T)).matrix
+        same(gibbs_state(dec, beta).matrix, ref)
 
 
 # ---------------------------------------------------------------------------

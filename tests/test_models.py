@@ -457,8 +457,9 @@ def test_equal_probe_parameters_share_levels(cold_caches):
 
 def test_shared_probe_arrays_are_read_only(cold_caches):
     qubit, osc = probe_qubit(1.0, 0.3), probe_oscillator(1.0, 12)
-    shared = [qubit.hamiltonian, qubit.decomp.evals, qubit.decomp.evecs,
-              osc.hamiltonian, osc.coupling, osc.decomp.evals, osc.decomp.evecs]
+    shared = [qubit.hamiltonian, qubit.decomp.evals, qubit.decomp.evecs, qubit.decomp._order,
+              osc.hamiltonian, osc.coupling, osc.decomp.evals, osc.decomp.evecs,
+              osc.decomp._order]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0

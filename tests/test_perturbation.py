@@ -35,6 +35,8 @@ from fctherm import (
     x_matrix_fd_dbeta,
     xi_via_spectral_kernel,
 )
+from fctherm import _kernels
+from fctherm.perturbation import MIDPOINT_BETA_GAP
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PROJ_UP = np.diag([1.0, 0.0]).astype(complex)
@@ -192,6 +194,82 @@ def per_pair_reference(exp):
                 x[n, m] += np.sum(lead * phi * div)
                 dx[n, m] += np.sum(lead * (dphi * div + phi * np.exp((beta - u) * gap)))
     return x, dx
+
+
+def four_product_reference(exp):
+    """X and dX/dbeta with each level-pair sum formed by its own product:
+    a2 = (S o G^T) S and a2d beside a1 = S (S o G) and a1d, and both halves of
+    each midpoint sum, on the expansion's own nodes, bath correlator and
+    diagonal.  x_matrix forms a2 and a2d as the adjoints of a1 and a1d."""
+    u, w = exp.rule.nodes, exp.rule.weights
+    phi, dphi = (np.asarray(c, dtype=float) for c in exp.bath_corr.value_and_dbeta(u))
+    e, s, beta = exp.evals, exp.probe_corr.coupling_eig, exp.beta
+    g_phi, g_phi_w, g_dphi, g_dphi_w = (
+        _kernels.gap_integrals(e, u, c)
+        for c in (w * phi, w * (beta - u) * phi, w * dphi, w * (beta - u) * dphi)
+    )
+    gap = e[:, None] - e[None, :]
+    near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
+    safe_gap = np.where(near, 1.0, gap)
+    exp_bgap = np.exp(beta * gap)
+    a1, a2 = s @ (s * g_phi), (s * g_phi.T) @ s
+    a1d, a2d = s @ (s * g_dphi), (s * g_dphi.T) @ s
+    x = (exp_bgap * a1 - a2) / safe_gap
+    dx = (exp_bgap * a1d - a2d) / safe_gap + exp_bgap * a1
+    np.fill_diagonal(near, False)
+    if near.any():
+        exp_half = np.exp(0.5 * beta * gap)
+        mid, mid_d = (0.5 * (s @ (s * g) + (s * g.T) @ s) for g in (g_phi_w, g_dphi_w))
+        x = np.where(near, exp_half * mid, x)
+        dx = np.where(near, exp_half * mid_d + exp_bgap * a1, dx)
+    np.fill_diagonal(x, np.diag(exp.x))
+    np.fill_diagonal(dx, np.diag(exp.x_dbeta))
+    return x, dx
+
+
+BUILT_IN_PROBES = [probe_qubit(1.0, t) for t in (0.0, 0.7, 1.5 * np.pi, 2.5)] + [
+    probe_oscillator(1.0, 12), probe_oscillator(1.0, 40), probe_oscillator(1.0, beta_design=0.1)
+]
+
+
+@pytest.mark.parametrize("probe", BUILT_IN_PROBES, ids=lambda p: f"{p.kind}-{p.dim}")
+@pytest.mark.parametrize("bath", [ContinuumBath(1.0, 100.0), bath_mode(1.0, 10)],
+                         ids=["ohmic", "mode"])
+def test_adjoint_level_pair_sums_are_the_four_products_bit_for_bit(probe, bath):
+    if probe.kind == "oscillator" and isinstance(bath, ContinuumBath):
+        bath = ContinuumBath(1.0, 100.0, dim_exponent=2.0)
+    for beta in (0.1, 0.5, 2.0):
+        exp = x_matrix(probe, bath, beta)
+        ref_x, ref_dx = four_product_reference(exp)
+        assert exp.x.tobytes() == ref_x.tobytes()
+        assert exp.x_dbeta.tobytes() == ref_dx.tobytes()
+
+
+def _random_coupling_probe(d: int, seed: int, dtype):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((d, d))
+    s = rng.standard_normal((d, d)).astype(dtype)
+    if dtype is complex:
+        s += 1j * rng.standard_normal((d, d))
+    return probe_custom(h + h.T, s + s.conj().T)
+
+
+@pytest.mark.parametrize(
+    "probe, beta",
+    [(_random_coupling_probe(6, seed, dtype), beta)
+     for seed, dtype in ((1, float), (2, complex)) for beta in (0.5, 2.0)]
+    + [(probe_qubit(1e-8, 0.7), 2.0), (probe_qubit(1e-8, 0.7), 0.5)],
+    ids=["real-0.5", "real-2", "complex-0.5", "complex-2", "midpoint-2", "midpoint-0.5"],
+)
+def test_adjoint_level_pair_sums_match_the_four_products(probe, beta):
+    # summation order in BLAS may differ between (S o G^T) S and
+    # (S (S o G))^dag in the last bits; X and dX/dbeta agree to 1e-13 of their size
+    exp = x_matrix(probe, ContinuumBath(1.0, 5.0), beta)
+    if probe.kind == "qubit":
+        assert np.abs(beta * np.diff(exp.evals)) < MIDPOINT_BETA_GAP
+    for got, ref in zip((exp.x, exp.x_dbeta), four_product_reference(exp)):
+        assert got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 RNG_COUPLINGS = np.random.default_rng(11)
