@@ -74,9 +74,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _compute_report(cfg: RunConfig, bath, beta: float, gamma: float, theta: float | None) -> MetrologyReport:
+def _compute_report(cfg: RunConfig, beta: float, gamma: float, theta: float | None) -> MetrologyReport:
     probe = cfg.build_probe(beta=beta, theta=theta)
-    return snr_bound(probe, bath, gamma, beta, cfg.n_u, cfg.n_omega, cfg.tolerances())
+    return snr_bound(probe, cfg.build_bath(), gamma, beta, cfg.n_u, cfg.n_omega, cfg.tolerances())
 
 
 def _csv_row(rep: MetrologyReport) -> list[str]:
@@ -100,15 +100,15 @@ def _csv_row(rep: MetrologyReport) -> list[str]:
 
 
 def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], workers: int) -> list[MetrologyReport]:
-    """Evaluate (beta, gamma, theta) points, preserving input order.  One bath
-    serves every point; the probe is built per point (its truncation follows
-    beta, its angle theta)."""
-    bath = cfg.build_bath()
+    """Evaluate (beta, gamma, theta) points, preserving input order.  The
+    config's one bath serves every point (a worker process gets it with its
+    pickled copy of the config); the probe is built per point (its truncation
+    follows beta, its angle theta)."""
     if workers <= 1:
-        return [_compute_report(cfg, bath, b, g, t) for b, g, t in points]
+        return [_compute_report(cfg, b, g, t) for b, g, t in points]
     betas, gammas, thetas = zip(*points)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_report, repeat(cfg), repeat(bath), betas, gammas, thetas))
+        return list(pool.map(_compute_report, repeat(cfg), betas, gammas, thetas))
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> None:

@@ -13,11 +13,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, TruncationWarning
+from .linalg import _read_only
 from .models import (
     DEFAULT_FREQ_NODES,
     PROBE_DIM_EXPONENTS,
@@ -156,8 +158,18 @@ class RunConfig:
     base_dir: str | None = None  # directory the config was read from, for relative paths
 
     # -- materialisation ----------------------------------------------------
+    #
+    # What belongs to the config alone is built once, on first use, and kept
+    # on the config: the tolerances, the operator files (each read once; one
+    # edited afterwards is not read again), the bath and a custom probe.
+    # Every grid point then shares them; a built-in probe, which depends on
+    # the grid point, is built per call from the models' own caches.
 
     def tolerances(self) -> Tolerances:
+        return self._tolerances
+
+    @cached_property
+    def _tolerances(self) -> Tolerances:
         return DEFAULT_TOL.replaced(**self.tolerance_overrides)
 
     def _resolve(self, path: str) -> str:
@@ -166,12 +178,26 @@ class RunConfig:
             p = Path(self.base_dir) / p
         return str(p)
 
+    @cached_property
+    def _probe_operators(self) -> tuple:
+        return load_operator_pair(self._resolve(self.probe_params["path"]))
+
+    @cached_property
+    def _custom_probe(self) -> ProbeModel:
+        h, s, mu = self._probe_operators
+        probe = probe_custom(h, s, dim_exponent=mu)
+        # shared by every grid point, like a built-in probe's spectrum
+        _read_only(probe.hamiltonian, probe.coupling, probe.decomp.evals,
+                   probe.decomp.evecs, probe.decomp._order)
+        return probe
+
     def build_probe(self, beta: float | None = None, theta: float | None = None) -> ProbeModel:
         """Instantiate the probe, possibly specialised to a grid point.
 
         ``beta`` sizes the oscillator truncation, or checks the ``n_trunc``
         pinned in the config, at that inverse temperature; ``theta`` overrides
-        the qubit coupling angle during sweeps.
+        the qubit coupling angle during sweeps.  A custom-matrix-file probe
+        depends on neither: every call returns the same read-only probe.
         """
         params = dict(self.probe_params)
         if self.probe_kind == "qubit":
@@ -181,16 +207,21 @@ class RunConfig:
         if self.probe_kind == "oscillator":
             return probe_oscillator(**params, beta_design=beta,
                                     tail=self.tolerances().tail_population)
-        h, s, mu = load_operator_pair(self._resolve(params["path"]))
-        return probe_custom(h, s, dim_exponent=mu)
+        return self._custom_probe
 
     def probe_dim_exponent(self) -> float | None:
         """Energy dimension of the probe coupling, read without building the probe."""
         if self.probe_kind in PROBE_DIM_EXPONENTS:
             return PROBE_DIM_EXPONENTS[self.probe_kind]
-        return load_operator_pair(self._resolve(self.probe_params["path"]))[2]
+        return self._probe_operators[2]
 
-    def build_bath(self):
+    def build_bath(self) -> ContinuumBath | DiscreteBath:
+        """The run's bath: built on the first call, and that one object on
+        every later call (read-only, so sharing it is safe)."""
+        return self._bath
+
+    @cached_property
+    def _bath(self) -> ContinuumBath | DiscreteBath:
         if self.bath_kind == "ohmic":
             mu = self.probe_dim_exponent()
             a = self.bath_params.get("a", paired_bath_exponent(mu))

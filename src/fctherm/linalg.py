@@ -259,9 +259,12 @@ class QuadratureRule:
 CACHE_SIZE = 4
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+def _read_only(*arrays: np.ndarray | None) -> tuple[np.ndarray | None, ...]:
+    """Mark each array read-only; a None (a dense decomposition's ``_order``)
+    is passed over."""
     for a in arrays:
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
     return arrays
 
 

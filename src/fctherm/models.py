@@ -21,6 +21,7 @@ returns the first two together, so a correlator can share work between them.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -100,22 +101,33 @@ def spectral_density(bath: ContinuumBath, omega):
     return bath.cutoff ** (bath.dim_exponent - bath.s) * w**bath.s * np.exp(-w / bath.cutoff)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DiscreteBath:
-    """A finite-dimensional bath given by its Hamiltonian and coupling operator."""
+    """A finite-dimensional bath given by its Hamiltonian and coupling operator.
+
+    Immutable, with read-only arrays, and equal only to itself: the bath
+    correlator cache of :func:`bath_correlation` is keyed on the object, and
+    every correlator and joint model built from it shares its arrays and its
+    once-computed ``decomp``.
+    """
 
     hamiltonian: np.ndarray
     coupling: np.ndarray
 
     def __post_init__(self):
-        self.hamiltonian = require_hermitian(self.hamiltonian, name="bath Hamiltonian")
-        self.coupling = require_hermitian(self.coupling, name="bath coupling")
-        if self.hamiltonian.shape != self.coupling.shape:
+        # copies, as require_hermitian hands back a complex input itself and
+        # the caller's array must stay writeable
+        h = np.array(require_hermitian(self.hamiltonian, name="bath Hamiltonian"))
+        b = np.array(require_hermitian(self.coupling, name="bath coupling"))
+        if h.shape != b.shape:
             raise ValueError("bath Hamiltonian and coupling must have equal shapes")
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "coupling", b)
+        _read_only(h, b)
 
     @cached_property
     def decomp(self) -> SpectralDecomposition:
-        return eigendecompose(self.hamiltonian)
+        return _shared_spectrum(self.hamiltonian)[-1]
 
 
 def bath_qubit(omega_b: float = 1.0) -> DiscreteBath:
@@ -162,7 +174,8 @@ class ProbeModel:
 
 def _shared_spectrum(h: np.ndarray, *operators: np.ndarray) -> tuple:
     """``(h, *operators, eigendecompose(h))`` with every array read-only, for
-    the per-Hamiltonian caches of the built-in probes."""
+    the per-Hamiltonian caches of the built-in probes and a discrete bath's
+    ``decomp``."""
     decomp = eigendecompose(h)
     _read_only(h, *operators, decomp.evals, decomp.evecs, decomp._order)
     return (h, *operators, decomp)
@@ -306,20 +319,49 @@ def probe_custom(
 def load_operator_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Read {"H": [[re, im], ...] row-major, "S": [...], "dim": d} from JSON.
 
-    Entries are [re, im] pairs; returns (H, S, dim_exponent or None).
+    Entries are [re, im] pairs; returns (H, S, dim_exponent or None).  Parsing
+    is strict: ``dim`` must be a positive integer, every entry a pair of
+    finite real numbers, and ``dim_exponent``, if given, a finite number (no
+    bool or string passes for a number).  A violation raises ValueError
+    naming the file and the key.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    d = int(data["dim"])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected an object, got {type(data).__name__}")
+
+    def is_number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    def is_finite(x) -> bool:
+        # NaN fails the comparison, and an int too large for a float is
+        # refused without converting it
+        return abs(x) <= sys.float_info.max
+
+    d = data.get("dim")
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError(f"{path}: dim: expected a positive integer, got {d!r}")
 
     def build(key: str) -> np.ndarray:
-        flat = data[key]
+        flat = data.get(key)
+        if not isinstance(flat, list):
+            raise ValueError(f"{path}: {key}: expected a list of [re, im] entries, got {flat!r}")
         if len(flat) != d * d:
-            raise ValueError(f"{key}: expected {d * d} [re, im] entries, got {len(flat)}")
+            raise ValueError(f"{path}: {key}: expected {d * d} [re, im] entries, got {len(flat)}")
+        for i, z in enumerate(flat):
+            if not (isinstance(z, list) and len(z) == 2 and all(map(is_number, z))):
+                raise ValueError(f"{path}: {key}[{i}]: expected a pair of real numbers, got {z!r}")
+            if not all(map(is_finite, z)):
+                raise ValueError(f"{path}: {key}[{i}]: non-finite entry {z!r}")
         arr = np.array([complex(re, im) for re, im in flat], dtype=complex)
         return arr.reshape(d, d)
 
     mu = data.get("dim_exponent")
+    if mu is not None and not (is_number(mu) and is_finite(mu)):
+        raise ValueError(f"{path}: dim_exponent: expected a finite number, got {mu!r}")
     return build("H"), build("S"), (None if mu is None else float(mu))
 
 
@@ -566,20 +608,29 @@ def bath_correlation(
     one place a bath specification becomes a correlator (TypeError for
     anything but a ``ContinuumBath`` or ``DiscreteBath``).
 
-    A continuum correlator depends on (bath, beta, n_omega) alone, and one
-    ``snr_bound`` or every theta of a sweep asks for the same one: equal keys
-    share one read-only :class:`ContinuumBathCorrelation` from a small LRU
-    cache (``ContinuumBath`` is frozen, so an equal bath built afresh hits).
-    A discrete bath's correlator is built on every call.
+    A correlator depends on its key alone, and one ``snr_bound``, every theta
+    of a sweep or every coupling of a scaling check asks for the same one:
+    equal keys share one correlator with read-only arrays from a small LRU
+    cache.  A continuum key is (bath, beta, n_omega), and ``ContinuumBath`` is
+    frozen, so an equal bath built afresh hits; a discrete key is (bath,
+    beta), and ``DiscreteBath`` is equal only to itself, so only the same
+    bath object hits.
     """
     if isinstance(bath, ContinuumBath):
         return _continuum_correlation(bath, float(beta), int(n_omega))
     if isinstance(bath, DiscreteBath):
-        return EigenbasisCorrelation(bath.decomp, bath.coupling, beta)
+        return _discrete_correlation(bath, float(beta))
     raise TypeError(f"unsupported bath specification: {type(bath).__name__}")
 
 
 _continuum_correlation = lru_cache(maxsize=CACHE_SIZE)(ContinuumBathCorrelation)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _discrete_correlation(bath: DiscreteBath, beta: float) -> EigenbasisCorrelation:
+    corr = EigenbasisCorrelation(bath.decomp, bath.coupling, beta)
+    _read_only(corr.coupling_eig, corr.abs_sq, corr.populations, corr.dpopulations)
+    return corr
 
 
 # Module-level, as an lru_cache on the bound method would make a reference

@@ -65,14 +65,22 @@ class JointModel:
     def hamiltonian(self) -> np.ndarray:
         ds, db = self.dims
         return (
-            np.kron(self.probe.hamiltonian, np.eye(db))
-            + np.kron(np.eye(ds), self.bath.hamiltonian)
-            + self.gamma * np.kron(self.probe.coupling, self.bath.coupling)
+            _kron(self.probe.hamiltonian, np.eye(db))
+            + _kron(np.eye(ds), self.bath.hamiltonian)
+            + self.gamma * _kron(self.probe.coupling, self.bath.coupling)
         )
 
     @cached_property
     def decomp(self) -> SpectralDecomposition:
         return eigendecompose(self.hamiltonian)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two square matrices as one broadcast product: the
+    same elementwise products, so the same bits, without ``np.kron``'s
+    general-rank bookkeeping."""
+    d = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
 
 
 def partial_trace_bath(matrix: np.ndarray, dim_probe: int, dim_bath: int) -> np.ndarray:

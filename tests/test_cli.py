@@ -282,6 +282,49 @@ def test_exit_2_on_non_finite_operator_entry(tmp_path, config_dir, capsys, secti
     assert not (tmp_path / "r.csv").exists()
 
 
+def _set(key, value, index=None):
+    def edit(ops):
+        if index is None:
+            ops[key] = value
+        else:
+            ops[key][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_set("dim", 2.9), "dim"),
+    (_set("dim", "2"), "dim"),
+    (_set("dim", True), "dim"),
+    (_set("dim", 0), "dim"),
+    (_set("H", [True, 0.0], 0), "H[0]"),
+    (_set("S", ["1", 0.0], 1), "S[1]"),
+    (_set("H", [1.0, 0.0, 0.0], 3), "H[3]"),
+    (_set("S", {"re": 0.0, "im": 0.0}), "S"),
+    (_set("dim_exponent", "0"), "dim_exponent"),
+    (_set("dim_exponent", False), "dim_exponent"),
+    (_set("dim_exponent", math.inf), "dim_exponent"),
+], ids=["dim-float", "dim-str", "dim-bool", "dim-zero", "entry-bool", "entry-str",
+        "entry-triple", "entries-not-a-list", "exponent-str", "exponent-bool", "exponent-inf"])
+def test_exit_2_on_loosely_typed_operator_file(tmp_path, config_dir, capsys, edit, key):
+    # each of these once parsed: 2.9, "2" and true as a dimension, true as an
+    # entry, "0" as an exponent
+    ops = json.loads((config_dir / "probe_qubit_x.json").read_text())
+    edit(ops)
+    bad = tmp_path / "probe_qubit_x.json"
+    bad.write_text(json.dumps(ops))
+    doc = {
+        "probe": {"kind": "custom-matrix-file", "params": {"path": str(bad)}},
+        "bath": {"kind": "discrete-file", "path": str(config_dir / "bath_qubit_x.json")},
+        "gamma": 0.05,
+        "beta_grid": {"min": 1.0, "max": 1.0, "n": 1},
+    }
+    cfg = write_config(tmp_path, doc)
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {key}:" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_exit_3_on_numerical_failure(tmp_path, config_dir, capsys):
     # a projector-coupled environment has a non-zero coupling mean, which the
     # second-order report machinery refuses mid-computation

@@ -339,6 +339,53 @@ def test_custom_probe_from_file(tmp_path, config_dir):
     assert probe.dim == 2
 
 
+def test_config_models_are_built_once(config_dir):
+    cfg = load_config(config_dir / "scaling_oscillator_mode.json")
+    bath = cfg.build_bath()
+    assert cfg.build_bath() is bath
+    assert cfg.tolerances() is cfg.tolerances()
+    for array in (bath.hamiltonian, bath.coupling, bath.decomp.evals, bath.decomp.evecs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 0.0
+    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        bath.coupling = bath.hamiltonian
+    probe_cfg = load_config(config_dir / "scaling_dissipative.json")  # custom-matrix-file probe
+    probe = probe_cfg.build_probe()
+    assert probe_cfg.build_probe(beta=2.0) is probe
+    for array in (probe.hamiltonian, probe.coupling, probe.decomp.evals, probe.decomp.evecs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 0.0
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("scaling", "scaling_oscillator_mode.json"),
+    ("report", {"probe": {"kind": "custom-matrix-file", "params": {"path": "probe_qubit_x.json"}},
+                "bath": {"kind": "ohmic", "s": 1.0, "Omega": 100.0},
+                "gamma": 0.05, "beta_grid": {"min": 0.5, "max": 2.0, "n": 4}}),
+], ids=["scaling-discrete-bath", "report-custom-probe"])
+def test_each_operator_file_is_read_once_per_run(monkeypatch, tmp_path, config_dir,
+                                                 command, doc):
+    reads, probes = [], []
+
+    def counted(function, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(config, "load_operator_pair", counted(config.load_operator_pair, reads))
+    monkeypatch.setattr(config, "probe_custom", counted(config.probe_custom, probes))
+    if isinstance(doc, dict):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "probe_qubit_x.json").write_text((config_dir / "probe_qubit_x.json").read_text())
+    else:
+        path = config_dir / doc
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(reads) == 1
+    assert len(probes) == (command == "report")  # one diagonalisation for every row
+
+
 def test_load_config_wraps_io_and_json_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")

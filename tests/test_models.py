@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -31,7 +32,7 @@ from fctherm import (
     x_matrix,
 )
 from fctherm import _kernels, models
-from fctherm.models import validate_dim_exponent
+from fctherm.models import SIGMA_X, validate_dim_exponent
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PROJ_UP = np.diag([1.0, 0.0]).astype(complex)
@@ -371,8 +372,35 @@ def test_equal_continuum_keys_share_one_correlator(cold_caches):
         bath_correlation(ContinuumBath(1.0, 100.0, dim_exponent=2.0), 2.0, 128),
     ]
     assert all(other is not corr for other in others)
-    discrete = bath_qubit(0.8)  # the discrete path builds on every call
-    assert bath_correlation(discrete, 2.0) is not bath_correlation(discrete, 2.0)
+
+
+def test_one_discrete_bath_shares_one_correlator_per_beta(cold_caches):
+    bath = bath_qubit(0.8)
+    corr = bath_correlation(bath, 2.0)
+    # the same bath object at an equal beta, integer or float, is one key
+    assert bath_correlation(bath, 2) is corr
+    # another beta, or an equal bath built afresh (a bath equals only
+    # itself), gets its own correlator
+    assert bath_correlation(bath, 2.5) is not corr
+    twin = bath_qubit(0.8)
+    assert twin != bath
+    assert bath_correlation(twin, 2.0) is not corr
+    for array in (corr.evals, corr.coupling_eig, corr.abs_sq, corr.populations,
+                  corr.dpopulations):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_discrete_bath_is_immutable_and_read_only():
+    h = np.array([[0.5, 0.1j], [-0.1j, -0.5]])  # complex: kept as a copy
+    bath = DiscreteBath(h, SIGMA_X)
+    assert h.flags.writeable
+    for array in (bath.hamiltonian, bath.coupling, bath.decomp.evals, bath.decomp.evecs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bath.hamiltonian = h
+    assert bath.decomp is bath.decomp
 
 
 def test_a_refused_beta_leaves_no_cached_correlator(cold_caches):

@@ -52,17 +52,25 @@ def test_partial_trace_of_product_operators():
     assert np.max(np.abs(got - a * np.trace(b))) < 1e-13
 
 
-def test_joint_hamiltonian_assembly():
-    probe, bath = probe_qubit(1.0, 0.5), bath_qubit(0.7)
+@pytest.mark.parametrize("probe, bath, dims", [
+    (probe_qubit(1.0, 0.5), bath_qubit(0.7), (2, 2)),
+    # complex probe coupling sigma_y, dense bath Hamiltonian, unequal dimensions
+    (probe_custom(np.diag([0.5, -0.5]), np.array([[0.0, -1j], [1j, 0.0]])),
+     DiscreteBath(random_hermitian(3, 5).real, random_hermitian(3, 6)), (2, 3)),
+], ids=["real", "complex"])
+def test_joint_hamiltonian_assembly(probe, bath, dims):
     g = 0.1
     jm = JointModel(probe, bath, g)
-    assert jm.dims == (2, 2)
+    assert jm.dims == dims
+    ds, db = dims
     expected = (
-        np.kron(probe.hamiltonian, np.eye(2))
-        + np.kron(np.eye(2), bath.hamiltonian)
+        np.kron(probe.hamiltonian, np.eye(db))
+        + np.kron(np.eye(ds), bath.hamiltonian)
         + g * np.kron(probe.coupling, bath.coupling)
     )
-    assert np.max(np.abs(jm.hamiltonian - expected)) < 1e-14
+    # the same products in the same order as np.kron: equal to the bit
+    assert jm.hamiltonian.dtype == expected.dtype
+    assert np.array_equal(jm.hamiltonian, expected)
 
 
 def test_cached_operators_are_not_constructor_keywords():

@@ -27,6 +27,7 @@ def test_all_lists_exactly_the_public_names():
 
 
 _LEVELS = np.arange(12.0).tobytes()
+_DISCRETE_BATH = models.bath_qubit(0.8)
 # One call per key k, a distinct key for every k, returning what each cache
 # keeps.  A cache the library adds fails the test below until it has an entry.
 _FILL = {
@@ -41,6 +42,8 @@ _FILL = {
     "fctherm.models._oscillator_spectrum": lambda k: models._oscillator_spectrum(1.0, 10 + k),
     "fctherm.models._continuum_correlation":
         lambda k: models.bath_correlation(models.ContinuumBath(1.0, 100.0), 0.5 + 0.25 * k),
+    "fctherm.models._discrete_correlation":
+        lambda k: models.bath_correlation(_DISCRETE_BATH, 0.5 + 0.25 * k),
     "fctherm.models._bath_tables":
         lambda k: models.bath_correlation(models.ContinuumBath(1.0, 100.0), 1.0)
         .value_and_dbeta(np.linspace(0.0, 1.0, 5 + k)),
