@@ -18,7 +18,9 @@ the algebra, not the quadrature.
 At this order the classical Fisher information of an energy measurement has
 the same correction coefficient, I2 = F2: the level-sum form of F2 over X and
 the logarithmic-derivative matrix A reads only A_nn, and A_nn = dX_nn/dbeta,
-so it is I2 term by term.  The coupling correction to the optimal
+so it is I2 term by term.  Both read the expansion's state correction pi X
+and pi dX/dbeta as they are; only :func:`snr_bound`'s reported X01 divides
+by a population, p_0.  The coupling correction to the optimal
 signal-to-noise ratio is therefore measurement-achievable:  (dT/T)^-2 <=
 beta^2 F = C + gamma^2 xi with C the bare heat-capacity-like term and
 xi = beta^2 F2.
@@ -130,9 +132,9 @@ def qfi_perturbative_sum(
 def cfi_energy_perturbative(expansion: MeanForceExpansion) -> tuple[float, float]:
     """(I0, I2) for an energy measurement, from the population expansion.
 
-    Populations p_n (1 + gamma^2 X_nn) give I0 = Var(H) and, to second order,
+    Populations p_n + gamma^2 (pi X)_nn give I0 = Var(H) and, to second order,
 
-    I2 = sum_n [ p_n dE_n^2 X_nn - 2 p_n dE_n dX_nn ],   dE_n = E_n - <H>,
+    I2 = sum_n [ dE_n^2 (pi X)_nn - 2 dE_n (pi dX)_nn ],   dE_n = E_n - <H>,
 
     with the levels, populations and Var(H) read from the expansion's probe
     correlator.  Equal to the quantum coefficient at this order: the coupling
@@ -140,9 +142,9 @@ def cfi_energy_perturbative(expansion: MeanForceExpansion) -> tuple[float, float
     measurement.
     """
     corr = expansion.probe_corr
-    p, de = corr.populations, corr.evals - corr.mean_energy
-    x_nn, dx_nn = np.real(np.diag(expansion.x)), np.real(np.diag(expansion.x_dbeta))
-    return corr.energy_var, float(np.dot(p * de**2, x_nn) - 2.0 * np.dot(p * de, dx_nn))
+    de = corr.evals - corr.mean_energy
+    px_nn, pdx_nn = np.real(np.diag(expansion.pi_x)), np.real(np.diag(expansion.pi_dx))
+    return corr.energy_var, float(np.dot(de**2, px_nn) - 2.0 * np.dot(de, pdx_nn))
 
 
 def cfi_energy_general(
@@ -186,7 +188,7 @@ class MetrologyReport:
     f0: float
     f2: float                     # integral-route coupling coefficient
     i2: float                     # energy-measurement coefficient
-    x01: complex                  # lowest off-diagonal of X (probe eigenbasis)
+    x01: complex                  # lowest off-diagonal of X, (pi X)_01 / p_0
     alpha01: complex              # lowest off-diagonal of A
     validity_ratio: float         # gamma^2 <S^2><B^2> beta^2 diagnostic
 
@@ -234,7 +236,7 @@ def snr_bound(
     mean_sq_s = float(probe_corr.value(0.0))
     mean_sq_b = float(bath_corr.value(0.0))
     d = expansion.evals.size
-    x01 = complex(expansion.x[0, 1]) if d > 1 else 0j
+    x01 = complex(expansion.pi_x[0, 1] / expansion.populations[0]) if d > 1 else 0j
     a01 = complex(sldexp.alpha[0, 1]) if d > 1 else 0j
     return MetrologyReport(
         beta=beta,

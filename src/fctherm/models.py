@@ -432,7 +432,10 @@ class EigenbasisCorrelation(CorrelationFn):
         super().__init__(beta)
         self.decomp = decomp
         self.evals = decomp.evals
-        self.coupling_eig = decomp.to_eigenbasis(coupling)
+        s = decomp.to_eigenbasis(coupling)
+        # a dense rotation rounds S_nk and S_kn apart; x_matrix's a2 = a1^dag
+        # holds only for S Hermitian bit for bit (README "Near-degenerate gaps")
+        self.coupling_eig = 0.5 * (s + s.conj().T)
         self.abs_sq = np.abs(self.coupling_eig) ** 2
         self.populations = gibbs_populations(self.evals, beta)
         self.mean_energy = float(np.dot(self.populations, self.evals))

@@ -3,7 +3,7 @@
 For a probe coupled to a thermal environment through gamma * S (x) B with a
 zero-mean B, the reduced state is
 
-    rho(gamma) = pi (1 + gamma^2 X) + O(gamma^4),
+    rho(gamma) = pi + gamma^2 pi X + O(gamma^4),
 
 with pi the bare thermal state.  In the probe eigenbasis (energies E_n,
 populations p_n, coupling matrix S_nk):
@@ -14,12 +14,14 @@ populations p_n, coupling matrix S_nk):
                                       - e^{u (E_n - E_k)} ],  n != m
 
 where sigma_n(u) = sum_k |S_nk|^2 e^{-u (E_k - E_n)} and C_S = sum_n p_n
-sigma_n is the probe correlator.  The probe's level data (rotated coupling,
-populations, sigma_n) come from one EigenbasisCorrelation per point, and C_B
-from one bath correlator built from a bath specification, never passed in;
-the expansion carries both.  The beta-derivative of X, needed for estimation
-theory, is always assembled alongside X; a finite-difference version is kept
-for cross-validation.
+sigma_n is the probe correlator.  The expansion stores the state correction
+pi X itself, (pi X)_nm = p_n X_nm, and pi dX/dbeta beside it: every reader
+needs the correction with its populations, and since p_n e^{beta (E_n - E_m)}
+= p_m no factor e^{+beta gap} is ever formed.  The probe's level data
+(rotated coupling, populations, sigma_n) come from one EigenbasisCorrelation
+per point, and C_B from one bath correlator built from a bath specification,
+never passed in; the expansion carries both.  A finite-difference
+d(pi X)/dbeta is kept for cross-validation.
 
 When the environment mean is non-zero there is also a first-order term,
 handled by :func:`p1_operator`.
@@ -27,7 +29,6 @@ handled by :func:`p1_operator`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,23 +53,24 @@ MIDPOINT_BETA_GAP = 3e-4  # |beta (E_n - E_m)| below which X_nm takes the midpoi
 class MeanForceExpansion:
     """Second-order reduced-state expansion in the probe eigenbasis.
 
-    ``x`` and ``x_dbeta`` are float64 when the probe's eigenvectors and
-    coupling are real (every built-in probe), complex128 otherwise.
-    ``probe_corr`` is the probe correlator the expansion was assembled from;
-    it supplies the inverse temperature, the levels, the populations and the
-    basis the state is rotated back with.  ``bath_corr`` is the bath
-    correlator C_B it was assembled against, built for the same beta.
-    ``tol`` holds the thresholds the expansion was built under, which
-    :meth:`at_coupling` applies too.
+    ``pi_x`` is the state correction pi X, exactly Hermitian, and ``pi_dx``
+    is pi dX/dbeta (not d(pi X)/dbeta, which adds (dpi/dbeta) X); both are
+    float64 when the probe's eigenvectors and coupling are real (every
+    built-in probe), complex128 otherwise.  ``probe_corr`` is the probe
+    correlator the expansion was assembled from; it supplies the inverse
+    temperature, the levels, the populations and the basis the state is
+    rotated back with.  ``bath_corr`` is the bath correlator C_B it was
+    assembled against, built for the same beta.  ``tol`` holds the
+    thresholds the expansion was built under, which :meth:`at_coupling`
+    applies too.
     """
 
-    x: np.ndarray                    # correction matrix, probe eigenbasis
-    x_dbeta: np.ndarray              # analytic d X / d beta (same basis)
+    pi_x: np.ndarray                 # state correction pi X, probe eigenbasis
+    pi_dx: np.ndarray                # pi times the analytic dX/dbeta (same basis)
     rule: QuadratureRule
     probe_corr: EigenbasisCorrelation
     bath_corr: CorrelationFn
     tol: Tolerances = DEFAULT_TOL
-    hermiticity_drift: float = 0.0   # max |pi X - (pi X)^dag| before symmetrisation
     gamma: float | None = None
     state: DensityOperator | None = None  # assembled state, original basis
     trace_renormalised: bool = False
@@ -85,32 +87,23 @@ class MeanForceExpansion:
     def populations(self) -> np.ndarray:
         return self.probe_corr.populations
 
-    def weighted_x(self) -> np.ndarray:
-        """pi X in the eigenbasis (the actual state correction)."""
-        return self.populations[:, None] * self.x
-
     def trace_identity(self) -> float:
         """tr(pi X); vanishes identically for the exact expansion."""
-        return float(np.real(np.trace(self.weighted_x())))
+        return float(np.real(np.trace(self.pi_x)))
 
     def at_coupling(self, gamma: float) -> MeanForceExpansion:
-        """A copy carrying the assembled state pi (1 + gamma^2 X) at ``gamma``.
+        """A copy carrying the assembled state pi + gamma^2 pi X at ``gamma``.
 
-        X does not depend on the coupling, so one expansion serves every
-        gamma; it is never modified here.  Raises
-        :class:`CouplingTooStrongError` when the state has an eigenvalue below
-        ``tol.psd_mean_force`` (the expansion left its regime).  Warns when
-        symmetrising away more than ``tol.hermit_drift``.
+        pi X does not depend on the coupling, so one expansion serves every
+        gamma; it is never modified here.  It is Hermitian bit for bit, so
+        the state needs no symmetrising in the eigenbasis; the rotation back
+        to the original basis is symmetrised, as BLAS need not round U A U^dag
+        symmetrically.  Raises :class:`CouplingTooStrongError` when the state
+        has an eigenvalue below ``tol.psd_mean_force`` (the expansion left its
+        regime).
         """
         tol = self.tol
-        if self.hermiticity_drift > tol.hermit_drift:
-            warnings.warn(
-                f"state correction drifted from Hermitian by {self.hermiticity_drift:.3e}; "
-                "symmetrised",
-                stacklevel=2,
-            )
-        rho_eig = np.diag(self.populations) + gamma**2 * self.weighted_x()
-        rho_eig = 0.5 * (rho_eig + rho_eig.conj().T)
+        rho_eig = np.diag(self.populations) + gamma**2 * self.pi_x
         rho = self.probe_corr.decomp.from_eigenbasis(rho_eig)
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.real(np.trace(rho)))
@@ -143,7 +136,7 @@ def x_matrix(
     n_omega: int = DEFAULT_FREQ_NODES,
     tol: Tolerances = DEFAULT_TOL,
 ) -> MeanForceExpansion:
-    """Second-order state-correction matrix X and its analytic dX/dbeta.
+    """Second-order state correction pi X and pi times the analytic dX/dbeta.
 
     ``bath`` is a bath specification (``ContinuumBath`` or ``DiscreteBath``);
     its correlator is built here at ``beta`` with ``n_omega`` frequency nodes
@@ -180,34 +173,36 @@ def x_matrix(
     dx_diag = centred @ kern2 - float(np.dot(wtilde, dphi_s))
 
     # off-diagonal via gap-resolved integrals and matrix products; the
-    # difference form (e^{beta D} a1 - a2)/D cancels two sums equal to O(beta D),
+    # difference form (p_m a1 - p_n a2)/D cancels two sums equal to O(beta D),
     # so near pairs take the midpoint form, exact to O((beta D)^2) (README)
     gap = evals[:, None] - evals[None, :]  # gap[n, m] = E_n - E_m
     near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
     safe_gap = np.where(near, 1.0, gap)
-    exp_bgap = np.exp(beta * gap)
+    # c[n, m] = p_n e^{beta gap} = p_m is c = lo * t: lo the population of the
+    # pair's lower level, t = e^{-beta |gap|} where E_n <= E_m and 1 elsewhere,
+    # so no exponent is positive.  lo is symmetric and t^T mirrors t, so the
+    # pair's two halves round alike and pi X is Hermitian bit for bit (README)
+    lower = gap <= 0.0
+    lo = np.where(lower, p[:, None], p[None, :])
+    t = np.where(lower, np.exp(-beta * np.abs(gap)), 1.0)
 
     g_phi = _kernels.gap_integrals(evals, u, w * phi_b)     # G[a,b] ~ e^{u(E_b-E_a)}
     g_phi_w = _kernels.gap_integrals(evals, u, wtilde)      # with (beta-u) C_B weight
     g_dphi = _kernels.gap_integrals(evals, u, w * dphi_b)
     g_dphi_w = _kernels.gap_integrals(evals, u, w * (beta - u) * dphi_b)
 
-    # G is real and S Hermitian, so (S o G^T) S = (S (S o G))^dag (README)
+    # G is real and S Hermitian, so a2 = (S o G^T) S = (S (S o G))^dag (README)
     a1, a1d = s_eig @ (s_eig * g_phi), s_eig @ (s_eig * g_dphi)
-    a2, a2d = a1.conj().T, a1d.conj().T
-    x = (exp_bgap * a1 - a2) / safe_gap
-    x_dbeta = (exp_bgap * a1d - a2d) / safe_gap + exp_bgap * a1
+    pi_x = lo * ((t * a1 - t.T * a1.conj().T) / safe_gap)
+    pi_dx = lo * ((t * a1d - t.T * a1d.conj().T) / safe_gap + t * a1)
     np.fill_diagonal(near, False)
     if near.any():
-        exp_half = np.exp(0.5 * beta * gap)
-        x = np.where(near, exp_half * _midpoint(s_eig, g_phi_w), x)
-        x_dbeta = np.where(near, exp_half * _midpoint(s_eig, g_dphi_w) + exp_bgap * a1, x_dbeta)
-    np.fill_diagonal(x, x_diag)
-    np.fill_diagonal(x_dbeta, dx_diag)
-
-    weighted = p[:, None] * x
-    drift = float(np.max(np.abs(weighted - weighted.conj().T)))
-    return MeanForceExpansion(x, x_dbeta, rule, probe_corr, bath_corr, tol, hermiticity_drift=drift)
+        root_pp = np.sqrt(np.multiply.outer(p, p))  # p_n e^{beta gap / 2}
+        pi_x = np.where(near, root_pp * _midpoint(s_eig, g_phi_w), pi_x)
+        pi_dx = np.where(near, root_pp * _midpoint(s_eig, g_dphi_w) + lo * (t * a1), pi_dx)
+    np.fill_diagonal(pi_x, p * x_diag)
+    np.fill_diagonal(pi_dx, p * dx_diag)
+    return MeanForceExpansion(pi_x, pi_dx, rule, probe_corr, bath_corr, tol)
 
 
 def x_matrix_fd_dbeta(
@@ -218,7 +213,8 @@ def x_matrix_fd_dbeta(
     n_omega: int = DEFAULT_FREQ_NODES,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Finite-difference dX/dbeta for cross-validation of the analytic path.
+    """Finite-difference d(pi X)/dbeta for cross-validation of the analytic
+    path, where it equals pi_dx - (E_n - <H>) pi_x row by row.
 
     Central differences with steps h = tol.fd_step_rel * beta and h/2,
     combined by Richardson extrapolation to fourth order.
@@ -226,7 +222,7 @@ def x_matrix_fd_dbeta(
     h = tol.fd_step_rel * beta
 
     def x_at(b: float) -> np.ndarray:
-        return x_matrix(probe, bath, b, n_u, n_omega, tol).x
+        return x_matrix(probe, bath, b, n_u, n_omega, tol).pi_x
 
     d1 = (x_at(beta + h) - x_at(beta - h)) / (2.0 * h)
     d2 = (x_at(beta + 0.5 * h) - x_at(beta - 0.5 * h)) / h
@@ -242,7 +238,7 @@ def mfg_second_order(
     n_omega: int = DEFAULT_FREQ_NODES,
     tol: Tolerances = DEFAULT_TOL,
 ) -> MeanForceExpansion:
-    """Assembled second-order reduced state pi (1 + gamma^2 X): the expansion
+    """Assembled second-order reduced state pi + gamma^2 pi X: the expansion
     of :func:`x_matrix` at one coupling, see
     :meth:`MeanForceExpansion.at_coupling` for its checks."""
     return x_matrix(probe, bath, beta, n_u, n_omega, tol).at_coupling(gamma)
@@ -270,7 +266,7 @@ def p1_operator(probe: ProbeModel, beta: float, mean_b: float) -> np.ndarray:
 class SldExpansion:
     """Logarithmic-derivative expansion L = L0 + gamma^2 A for the inverse
     temperature, in the probe eigenbasis (``alpha`` has the dtype of the
-    expansion's ``x``).  Inverse temperature, levels and populations are read
+    expansion's ``pi_x``).  Inverse temperature, levels and populations are read
     from the expansion it was built from."""
 
     l0_diag: np.ndarray          # zeroth order: <H> - E_n on the diagonal
@@ -284,21 +280,18 @@ def sld_second_order(expansion: MeanForceExpansion) -> SldExpansion:
     Solving (L rho + rho L)/2 = d rho/d beta order by order gives, in the
     probe eigenbasis,
 
-        A_nm = [2 p_n dX_nm + p_n (E_m - E_n) X_nm] / (p_n + p_m),
+        A_nm = [2 (pi dX)_nm + (E_m - E_n) (pi X)_nm] / (p_n + p_m),
 
-    whose diagonal is simply dX_nn.  The assembled matrix is Hermitian; it is
-    symmetrised and the drift recorded.  Inverse temperature, levels and
-    populations are the expansion's own.
+    whose diagonal is dX_nn = (pi dX)_nn / p_n.  The assembled matrix is
+    Hermitian; it is symmetrised and the drift recorded.  Inverse
+    temperature, levels and populations are the expansion's own.
     """
     p = expansion.populations
     evals = expansion.evals
     pair = p[:, None] + p[None, :]
     gap_mn = evals[None, :] - evals[:, None]  # (E_m - E_n) indexed [n, m]
-    alpha = (2.0 * p[:, None] * expansion.x_dbeta + p[:, None] * gap_mn * expansion.x) / pair
+    alpha = (2.0 * expansion.pi_dx + gap_mn * expansion.pi_x) / pair
     drift = float(np.max(np.abs(alpha - alpha.conj().T)))
     alpha = 0.5 * (alpha + alpha.conj().T)
-    # On the diagonal the solve reduces to A_nn = dX_nn exactly; write it as such
-    # so A_nn equals dX_nn bit for bit instead of through the division above.
-    np.fill_diagonal(alpha, np.real(np.diag(expansion.x_dbeta)))
     mean_e = expansion.probe_corr.mean_energy
     return SldExpansion(l0_diag=mean_e - evals, alpha=alpha, hermiticity_drift=drift)

@@ -24,7 +24,6 @@ class Tolerances:
     unit_trace: float = 1e-12         # |tr(rho) - 1| for density operators
     psd_mean_force: float = -1e-8     # floor for the assembled second-order state;
                                       # below this the coupling is too strong
-    hermit_drift: float = 1e-12       # symmetrization drift flagged on assembled states
 
     # --- symmetric logarithmic derivative ---
     sld_support: float = 1e-14        # eigenvalue-pair sum treated as a null direction

@@ -379,26 +379,28 @@ def test_criterion_8_property_suites():
         ]
         for label, probe, bath in all_pairs:
             exp = x_matrix(probe, bath, beta)
-            scale = max(1.0, float(np.max(np.abs(exp.weighted_x()))))
+            scale = max(1.0, float(np.max(np.abs(exp.pi_x))))
             # (b) population-weighted correction is traceless
             assert abs(exp.trace_identity()) <= 1e-10 * scale, (
                 f"{label} at beta={beta}: tr(pi X) = {exp.trace_identity():.3e}"
             )
-            # (c) analytic beta-derivative matches finite differences
+            # (c) analytic beta-derivative matches finite differences of pi X,
+            # which also see d pi_n / d beta = -(E_n - <H>) p_n
             fd = x_matrix_fd_dbeta(probe, bath, beta)
             fd_scale = max(1.0, float(np.max(np.abs(fd))))
-            dev = float(np.max(np.abs(exp.x_dbeta - fd)))
+            de = exp.evals - exp.probe_corr.mean_energy
+            dev = float(np.max(np.abs(exp.pi_dx - de[:, None] * exp.pi_x - fd)))
             assert dev <= 1e-6 * fd_scale, f"{label} at beta={beta}: dX mismatch {dev:.3e}"
             # (e) expanded log-derivative solves its anticommutator equation
             sld = sld_second_order(exp)
             p = exp.populations
             l0 = sld.l0_diag
-            pi_x = exp.weighted_x()
+            pi_x = exp.pi_x
             lhs = 0.5 * (
                 sld.alpha * p[None, :] + p[:, None] * sld.alpha
                 + np.diag(l0) @ pi_x + pi_x @ np.diag(l0)
             )
-            rhs = (p * l0)[:, None] * exp.x + p[:, None] * exp.x_dbeta
+            rhs = l0[:, None] * pi_x + exp.pi_dx
             resid = float(np.max(np.abs(lhs - rhs)))
             assert resid <= 1e-10 * max(1.0, float(np.max(np.abs(rhs)))), (
                 f"{label} at beta={beta}: log-derivative residual {resid:.3e}"

@@ -242,6 +242,7 @@ def test_exit_2_on_bad_worker_count(tmp_path):
         "eig_cluster_rel",
         "psd_state",
         "degeneracy_rel",
+        "hermit_drift",
     ],
 )
 def test_exit_2_on_removed_tolerance_field(tmp_path, capsys, name):

@@ -93,13 +93,14 @@ def test_assembled_state_qfi_reaches_f2_with_coherences(probe, bath, beta):
     exp = x_matrix(probe, bath, beta)
     corr = exp.probe_corr
     p, dp = corr.populations, corr.dpopulations
+    de = corr.evals - corr.mean_energy  # dp_n = -de_n p_n
     f0, f2 = qfi_perturbative_integral(probe, bath, beta)
     gammas = default_gamma_grid(8, 1e-3, 3e-2)
     devs = []
     for g in gammas:
-        rho = corr.decomp.from_eigenbasis(np.diag(p) + g**2 * p[:, None] * exp.x)
+        rho = corr.decomp.from_eigenbasis(np.diag(p) + g**2 * exp.pi_x)
         drho = corr.decomp.from_eigenbasis(
-            np.diag(dp) + g**2 * (dp[:, None] * exp.x + p[:, None] * exp.x_dbeta)
+            np.diag(dp) + g**2 * (exp.pi_dx - de[:, None] * exp.pi_x)
         )
         devs.append(qfi_from_sld(rho, sld_solve(rho, drho)) - (f0 + g**2 * f2))
     fit = order_fit(gammas, devs, scale=f0)

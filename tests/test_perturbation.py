@@ -58,15 +58,8 @@ MODEL_PAIRS = [
 @pytest.mark.parametrize("beta", [0.5, 2.0])
 def test_correction_is_traceless_under_populations(probe, bath, beta):
     exp = x_matrix(probe, bath, beta)
-    scale = max(1.0, float(np.max(np.abs(exp.weighted_x()))))
+    scale = max(1.0, float(np.max(np.abs(exp.pi_x))))
     assert abs(exp.trace_identity()) < 1e-12 * scale
-
-
-@pytest.mark.parametrize("probe, bath", MODEL_PAIRS[:2])
-def test_weighted_correction_is_nearly_hermitian(probe, bath):
-    exp = x_matrix(probe, bath, 1.0)
-    scale = max(1.0, float(np.max(np.abs(exp.weighted_x()))))
-    assert exp.hermiticity_drift < 1e-10 * scale
 
 
 # every route to F2 (and to X) builds its bath correlator from a specification,
@@ -108,8 +101,8 @@ def test_expansion_carries_the_bath_correlator_it_built():
 def test_frequency_rule_size_reaches_x_and_f2():
     # n_omega once did nothing when the bath came as a ready-made correlator
     probe, bath, beta = probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0), 1.0
-    x_coarse = x_matrix(probe, bath, beta, n_omega=32).x
-    x_fine = x_matrix(probe, bath, beta, n_omega=256).x
+    x_coarse = x_matrix(probe, bath, beta, n_omega=32).pi_x
+    x_fine = x_matrix(probe, bath, beta, n_omega=256).pi_x
     assert 1e-7 < np.max(np.abs(x_fine - x_coarse)) < 1e-5
     f2_coarse = snr_bound(probe, bath, 0.1, beta, n_omega=32).f2
     f2_fine = snr_bound(probe, bath, 0.1, beta, n_omega=256).f2
@@ -156,33 +149,35 @@ def test_near_degenerate_gaps_are_continuous():
     # degenerate subspace (column order may flip), the physical object is not.
     s = np.array([[0.2, 0.7, 0.1], [0.7, -0.3, 0.5], [0.1, 0.5, 0.1]], dtype=complex)
 
-    def weighted_x_original(delta: float) -> np.ndarray:
+    def pi_x_original(delta: float) -> np.ndarray:
         h = np.diag([0.5, 0.5 + delta, -1.0]).astype(complex)
         probe = probe_custom(h, s)
         exp = x_matrix(probe, bath_qubit(1.0), 1.0)
-        return probe.decomp.from_eigenbasis(exp.weighted_x())
+        return probe.decomp.from_eigenbasis(exp.pi_x)
 
-    base = weighted_x_original(0.0)
+    base = pi_x_original(0.0)
     # inside the analytic-limit window: drift at rounding level
-    assert np.max(np.abs(weighted_x_original(1e-12) - base)) < 1e-12
+    assert np.max(np.abs(pi_x_original(1e-12) - base)) < 1e-12
     # across the branch boundary: only the genuine O(delta) change remains,
     # so the analytic limit agrees with the generic gap formula
-    assert np.max(np.abs(weighted_x_original(1e-6) - base)) < 1e-7
+    assert np.max(np.abs(pi_x_original(1e-6) - base)) < 1e-7
 
 
 def per_pair_reference(exp):
-    """Off-diagonal X and dX/dbeta on the expansion's own nodes, pair by pair.
+    """Off-diagonal pi X and pi dX/dbeta on the expansion's own nodes, pair by
+    pair.
 
     [e^{u(E_m-E_k)} e^{beta D} - e^{u(E_n-E_k)}] / D equals
     e^{u(E_n-E_k)} expm1((beta-u) D) / D with D = E_n - E_m: a divided
     difference formed node by node, so no two level sums cancel.  Its beta
-    derivative at fixed u is e^{u(E_n-E_k)} e^{(beta-u) D}.
+    derivative at fixed u is e^{u(E_n-E_k)} e^{(beta-u) D}.  Row n is then
+    weighted by its population p_n.
     """
     u, w = exp.rule.nodes, exp.rule.weights
     phi, dphi = exp.bath_corr.value_and_dbeta(u)
     e, s, beta = exp.evals, exp.probe_corr.coupling_eig, exp.beta
-    x = np.zeros_like(exp.x)
-    dx = np.zeros_like(exp.x_dbeta)
+    x = np.zeros_like(exp.pi_x)
+    dx = np.zeros_like(exp.pi_dx)
     for n in range(e.size):
         for m in range(e.size):
             if n == m:
@@ -193,17 +188,20 @@ def per_pair_reference(exp):
                 lead = s[n, k] * s[k, m] * w * np.exp(u * (e[n] - e[k]))
                 x[n, m] += np.sum(lead * phi * div)
                 dx[n, m] += np.sum(lead * (dphi * div + phi * np.exp((beta - u) * gap)))
-    return x, dx
+    p = exp.populations[:, None]
+    return p * x, p * dx
 
 
 def four_product_reference(exp):
-    """X and dX/dbeta with each level-pair sum formed by its own product:
+    """pi X and pi dX/dbeta with each level-pair sum formed by its own product:
     a2 = (S o G^T) S and a2d beside a1 = S (S o G) and a1d, and both halves of
     each midpoint sum, on the expansion's own nodes, bath correlator and
-    diagonal.  x_matrix forms a2 and a2d as the adjoints of a1 and a1d."""
+    diagonal, weighted by the same one-sided table c[n, m] = p_n e^{beta gap}
+    = p_m and its mirror, factored as c = lo * t.  x_matrix forms a2 and a2d
+    as the adjoints of a1 and a1d."""
     u, w = exp.rule.nodes, exp.rule.weights
     phi, dphi = (np.asarray(c, dtype=float) for c in exp.bath_corr.value_and_dbeta(u))
-    e, s, beta = exp.evals, exp.probe_corr.coupling_eig, exp.beta
+    e, s, beta, p = exp.evals, exp.probe_corr.coupling_eig, exp.beta, exp.populations
     g_phi, g_phi_w, g_dphi, g_dphi_w = (
         _kernels.gap_integrals(e, u, c)
         for c in (w * phi, w * (beta - u) * phi, w * dphi, w * (beta - u) * dphi)
@@ -211,19 +209,21 @@ def four_product_reference(exp):
     gap = e[:, None] - e[None, :]
     near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
     safe_gap = np.where(near, 1.0, gap)
-    exp_bgap = np.exp(beta * gap)
+    lower = gap <= 0.0
+    lo = np.where(lower, p[:, None], p[None, :])
+    t = np.where(lower, np.exp(-beta * np.abs(gap)), 1.0)
     a1, a2 = s @ (s * g_phi), (s * g_phi.T) @ s
     a1d, a2d = s @ (s * g_dphi), (s * g_dphi.T) @ s
-    x = (exp_bgap * a1 - a2) / safe_gap
-    dx = (exp_bgap * a1d - a2d) / safe_gap + exp_bgap * a1
+    x = lo * ((t * a1 - t.T * a2) / safe_gap)
+    dx = lo * ((t * a1d - t.T * a2d) / safe_gap + t * a1)
     np.fill_diagonal(near, False)
     if near.any():
-        exp_half = np.exp(0.5 * beta * gap)
+        root_pp = np.sqrt(np.multiply.outer(p, p))
         mid, mid_d = (0.5 * (s @ (s * g) + (s * g.T) @ s) for g in (g_phi_w, g_dphi_w))
-        x = np.where(near, exp_half * mid, x)
-        dx = np.where(near, exp_half * mid_d + exp_bgap * a1, dx)
-    np.fill_diagonal(x, np.diag(exp.x))
-    np.fill_diagonal(dx, np.diag(exp.x_dbeta))
+        x = np.where(near, root_pp * mid, x)
+        dx = np.where(near, root_pp * mid_d + lo * (t * a1), dx)
+    np.fill_diagonal(x, np.diag(exp.pi_x))
+    np.fill_diagonal(dx, np.diag(exp.pi_dx))
     return x, dx
 
 
@@ -241,8 +241,8 @@ def test_adjoint_level_pair_sums_are_the_four_products_bit_for_bit(probe, bath):
     for beta in (0.1, 0.5, 2.0):
         exp = x_matrix(probe, bath, beta)
         ref_x, ref_dx = four_product_reference(exp)
-        assert exp.x.tobytes() == ref_x.tobytes()
-        assert exp.x_dbeta.tobytes() == ref_dx.tobytes()
+        assert exp.pi_x.tobytes() == ref_x.tobytes()
+        assert exp.pi_dx.tobytes() == ref_dx.tobytes()
 
 
 def _random_coupling_probe(d: int, seed: int, dtype):
@@ -263,13 +263,45 @@ def _random_coupling_probe(d: int, seed: int, dtype):
 )
 def test_adjoint_level_pair_sums_match_the_four_products(probe, beta):
     # summation order in BLAS may differ between (S o G^T) S and
-    # (S (S o G))^dag in the last bits; X and dX/dbeta agree to 1e-13 of their size
+    # (S (S o G))^dag in the last bits; pi X and pi dX/dbeta agree to 1e-13 of
+    # their size
     exp = x_matrix(probe, ContinuumBath(1.0, 5.0), beta)
     if probe.kind == "qubit":
         assert np.abs(beta * np.diff(exp.evals)) < MIDPOINT_BETA_GAP
-    for got, ref in zip((exp.x, exp.x_dbeta), four_product_reference(exp)):
+    for got, ref in zip((exp.pi_x, exp.pi_dx), four_product_reference(exp)):
         assert got.dtype == ref.dtype
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+HERMITIAN_CASES = [
+    pytest.param(probe, bath, id=f"{probe.kind}-{probe.dim}-{name}")
+    for probe in BUILT_IN_PROBES
+    for name, bath in (
+        ("ohmic", ContinuumBath(1.0, 100.0, dim_exponent=2.0 if probe.kind == "oscillator" else 1.0)),
+        ("mode", bath_mode(1.0, 10)),
+    )
+] + [
+    pytest.param(_random_coupling_probe(6, 1, float), ContinuumBath(1.0, 5.0), id="dense-real"),
+    pytest.param(_random_coupling_probe(6, 2, complex), ContinuumBath(1.0, 5.0), id="dense-complex"),
+    pytest.param(probe_qubit(1e-8, 0.7), ContinuumBath(1.0, 5.0), id="midpoint-qubit"),
+]
+
+
+@pytest.mark.parametrize("probe, bath", HERMITIAN_CASES)
+def test_state_correction_is_exactly_hermitian(probe, bath):
+    # the symmetric lo and the mirrored t[n, m], t[m, n] weight the pair's two
+    # level sums alike, and the midpoint entries take the symmetric
+    # sqrt(p_n p_m), so pi X equals its adjoint exactly and the assembled state
+    # needs no symmetrising (a zero entry may carry either sign, as +0/gap and
+    # +0/(-gap) do).  The rotated coupling is exactly Hermitian too, as
+    # a2 = a1^dag requires; a dense rotation alone rounds S_nk and S_kn apart.
+    for beta in (0.1, 0.5, 2.0):
+        exp = x_matrix(probe, bath, beta)
+        if probe.kind == "qubit" and probe.params["epsilon"] < 1e-3:
+            assert np.all(np.abs(beta * np.diff(exp.evals)) < MIDPOINT_BETA_GAP)
+        s = exp.probe_corr.coupling_eig
+        assert np.array_equal(s, s.conj().T), beta
+        assert np.array_equal(exp.pi_x, exp.pi_x.conj().T), beta
 
 
 RNG_COUPLINGS = np.random.default_rng(11)
@@ -308,7 +340,7 @@ def test_off_diagonals_match_a_per_pair_divided_difference(coupling, beta):
         exp = x_matrix(closing_pair_probe(delta, coupling), ContinuumBath(1.0, 5.0), beta)
         ref_x, ref_dx = per_pair_reference(exp)
         off = ~np.eye(3, dtype=bool)
-        for got, ref in ((exp.x, ref_x), (exp.x_dbeta, ref_dx)):
+        for got, ref in ((exp.pi_x, ref_x), (exp.pi_dx, ref_dx)):
             rel = np.max(np.abs(got[off] - ref[off]) / np.abs(ref[off]))
             assert rel <= 5e-8, (delta, rel)
 
@@ -316,18 +348,18 @@ def test_off_diagonals_match_a_per_pair_divided_difference(coupling, beta):
 @pytest.mark.parametrize("coupling", ["real", "complex"])
 @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0])
 def test_closing_pair_moves_x_by_its_slope_only(coupling, beta):
-    # X and dX/dbeta are smooth functions of H, so as a pair closes they move
-    # by at most their slope times the splitting; rounding may add 1e-11 of
-    # their size.  Compared in the original basis: inside a tied cluster the
-    # eigenvector order flips.
+    # pi X and pi dX/dbeta are smooth functions of H, so as a pair closes
+    # they move by at most their slope times the splitting; rounding may add
+    # 1e-11 of their size.  Compared in the original basis: inside a tied
+    # cluster the eigenvector order flips.
     bath = ContinuumBath(1.0, 5.0)
 
     def original(delta: float):
         probe = closing_pair_probe(delta, coupling)
         exp = x_matrix(probe, bath, beta)
-        assert exp.hermiticity_drift <= 1e-11 * np.max(np.abs(exp.weighted_x())), delta
-        return np.array([probe.decomp.from_eigenbasis(exp.x),
-                         probe.decomp.from_eigenbasis(exp.x_dbeta)])
+        assert np.array_equal(exp.pi_x, exp.pi_x.conj().T), delta
+        return np.array([probe.decomp.from_eigenbasis(exp.pi_x),
+                         probe.decomp.from_eigenbasis(exp.pi_dx)])
 
     base = original(0.0)
     slope = np.max(np.abs(original(1e-4) - original(1e-5)), axis=(1, 2)) / 9e-5
@@ -340,10 +372,13 @@ def test_closing_pair_moves_x_by_its_slope_only(coupling, beta):
 @pytest.mark.parametrize("probe, bath", MODEL_PAIRS)
 @pytest.mark.parametrize("beta", [0.5, 2.0])
 def test_analytic_dbeta_matches_finite_differences(probe, bath, beta):
+    # the finite differences differentiate pi X, so they also see
+    # d pi_n / d beta = -(E_n - <H>) p_n
     exp = x_matrix(probe, bath, beta)
     fd = x_matrix_fd_dbeta(probe, bath, beta)
+    de = exp.evals - exp.probe_corr.mean_energy
     scale = max(1.0, float(np.max(np.abs(fd))))
-    assert np.max(np.abs(exp.x_dbeta - fd)) < 1e-6 * scale
+    assert np.max(np.abs(exp.pi_dx - de[:, None] * exp.pi_x - fd)) < 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +415,9 @@ def test_coupling_step_leaves_the_shared_expansion_unchanged():
     # copy and equals the one-shot assembly at that coupling
     probe, bath = MODEL_PAIRS[0]
     exp = x_matrix(probe, bath, 1.0)
-    x, dx = exp.x.copy(), exp.x_dbeta.copy()
+    x, dx = exp.pi_x.copy(), exp.pi_dx.copy()
     weak, strong = exp.at_coupling(0.05), exp.at_coupling(0.1)
-    assert np.array_equal(exp.x, x) and np.array_equal(exp.x_dbeta, dx)
+    assert np.array_equal(exp.pi_x, x) and np.array_equal(exp.pi_dx, dx)
     assert exp.gamma is None and exp.state is None and not exp.trace_renormalised
     assert (weak.gamma, strong.gamma) == (0.05, 0.1)
     assert not np.array_equal(weak.state.matrix, strong.state.matrix)
@@ -459,7 +494,7 @@ def test_sld_diagonal_equals_dx_diagonal_exactly():
     probe, bath = MODEL_PAIRS[1]
     exp = x_matrix(probe, bath, 1.0)
     sld = sld_second_order(exp)
-    assert np.array_equal(np.diag(sld.alpha), np.real(np.diag(exp.x_dbeta)))
+    assert np.array_equal(np.diag(sld.alpha), np.real(np.diag(exp.pi_dx)) / exp.populations)
 
 
 def test_expansion_refuses_an_empty_time_rule():
@@ -496,14 +531,14 @@ def test_sld_solves_the_expanded_lyapunov_equation():
     sld = sld_second_order(exp)
     p = exp.populations
     l0 = sld.l0_diag
-    pi_x = exp.weighted_x()
+    pi_x = exp.pi_x
     lhs = 0.5 * (
         sld.alpha * p[None, :]
         + p[:, None] * sld.alpha
         + np.diag(l0) @ pi_x
         + pi_x @ np.diag(l0)
     )
-    rhs = (p * l0)[:, None] * exp.x + p[:, None] * exp.x_dbeta
+    rhs = l0[:, None] * pi_x + exp.pi_dx
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -545,15 +580,10 @@ def test_real_probes_run_in_real_arithmetic(probe, bath, where):
     assert twin.decomp.evecs.dtype == (np.complex128 if where == "hamiltonian" else np.float64)
 
     real, cplx = x_matrix(probe, bath, beta), x_matrix(twin, bath, beta)
-    for name in ("x", "x_dbeta"):
+    for name in ("pi_x", "pi_dx"):
         r, c = getattr(real, name), getattr(cplx, name)
         assert r.dtype == np.float64 and c.dtype == np.complex128, name
-        # compared as pi X and pi dX: row n of X carries e^{beta (E_n - E_m)},
-        # so the complex solver's O(eps) eigenvector mixing reaches 1e-12 of
-        # max|X| in the rows of the nearly empty top oscillator levels, while
-        # the state correction pi X it enters is unaffected
-        p = real.populations[:, None]
-        _assert_close(p * c, p * r, np.max(np.abs(p * r)))
+        _assert_close(c, r, np.max(np.abs(r)))
 
     sld_r = sld_second_order(real)
     sld_c = sld_second_order(cplx)
@@ -564,8 +594,9 @@ def test_real_probes_run_in_real_arithmetic(probe, bath, where):
     for name in ("f0", "f2", "i2", "xi"):
         r = getattr(rep_r, name)
         _assert_close(getattr(rep_c, name), r, abs(r))
-    # the oscillator's X01 and A01 vanish; measure them against their matrices
-    _assert_close(rep_c.x01, rep_r.x01, np.max(np.abs(real.x)))
+    # the oscillator's X01 and A01 vanish; measure them against their
+    # matrices, X01 = (pi X)_01 / p_0 against max|pi X| / p_0
+    _assert_close(rep_c.x01, rep_r.x01, np.max(np.abs(real.pi_x)) / real.populations[0])
     _assert_close(rep_c.alpha01, rep_r.alpha01, np.max(np.abs(sld_r.alpha)))
 
 

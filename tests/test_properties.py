@@ -179,7 +179,7 @@ def closing_clusters(draw):
 @PROPERTY_SETTINGS
 @given(closing_clusters())
 def test_closing_cluster_moves_x_by_its_slope_only(case):
-    # X and dX/dbeta are smooth in H, so as a cluster of width delta closes
+    # pi X and pi dX/dbeta are smooth in H, so as a cluster of width delta closes
     # they move by at most their slope times delta; rounding may add 1e-11 of
     # their size.  Compared in the original basis, which a tied cluster leaves
     # well defined.  Below 1e-12 of the spectrum eigendecompose ties the
@@ -191,8 +191,8 @@ def test_closing_cluster_moves_x_by_its_slope_only(case):
     def original(shifts: np.ndarray) -> np.ndarray:
         probe = probe_custom(hamiltonian(shifts), s)
         exp = x_matrix(probe, bath, beta, N_U, N_OMEGA)
-        return np.array([probe.decomp.from_eigenbasis(exp.x),
-                         probe.decomp.from_eigenbasis(exp.x_dbeta)])
+        return np.array([probe.decomp.from_eigenbasis(exp.pi_x),
+                         probe.decomp.from_eigenbasis(exp.pi_dx)])
 
     base = original(np.zeros_like(offsets))
     slope = sum(np.max(np.abs(original(1e-4 * e) - original(1e-5 * e)), axis=(1, 2)) / 9e-5
@@ -207,14 +207,15 @@ ASSEMBLED_GAMMA = 1e-2
 
 
 def assembled_qfi(h, s, bath, beta) -> float:
-    """QFI of pi (1 + gamma^2 X) at ASSEMBLED_GAMMA, coherences included, from
+    """QFI of pi + gamma^2 pi X at ASSEMBLED_GAMMA, coherences included, from
     the SLD of the full state and the analytic beta-derivative of the state."""
     exp = x_matrix(probe_custom(h, s), bath, beta, N_U, N_OMEGA)
     corr = exp.probe_corr
     p, dp, g2 = corr.populations, corr.dpopulations, ASSEMBLED_GAMMA**2
-    rho = corr.decomp.from_eigenbasis(np.diag(p) + g2 * p[:, None] * exp.x)
+    de = corr.evals - corr.mean_energy  # dp_n = -de_n p_n
+    rho = corr.decomp.from_eigenbasis(np.diag(p) + g2 * exp.pi_x)
     drho = corr.decomp.from_eigenbasis(
-        np.diag(dp) + g2 * (dp[:, None] * exp.x + p[:, None] * exp.x_dbeta)
+        np.diag(dp) + g2 * (exp.pi_dx - de[:, None] * exp.pi_x)
     )
     # a cold probe's smallest population can be below what the coherences take
     # from it at this gamma; the matrix is then not a state and has no QFI
