@@ -191,6 +191,10 @@ class RunConfig:
                    probe.decomp.evecs, probe.decomp._order)
         return probe
 
+    def __getstate__(self) -> dict:
+        # unpickled arrays are writeable: a copy rebuilds its custom probe from the operators
+        return {k: v for k, v in self.__dict__.items() if k != "_custom_probe"}
+
     def build_probe(self, beta: float | None = None, theta: float | None = None) -> ProbeModel:
         """Instantiate the probe, possibly specialised to a grid point.
 

@@ -58,18 +58,6 @@ from .perturbation import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
-def _as_probe_correlation(
-    probe: ProbeModel, beta: float, probe_corr: CorrelationFn | None
-) -> CorrelationFn:
-    """The probe correlator at ``beta``: the eigenbasis form, or a ready-made
-    correlator checked against ``beta``."""
-    if probe_corr is None:
-        return probe_correlation(probe, beta, "eigenbasis")
-    if abs(probe_corr.beta - beta) > 1e-15 * max(1.0, beta):
-        raise ValueError("probe correlator was built for a different beta")
-    return probe_corr
-
-
 def qfi_perturbative_integral(
     probe: ProbeModel,
     bath,
@@ -88,9 +76,12 @@ def qfi_perturbative_integral(
     ``probe_corr`` must be an :class:`EigenbasisCorrelation` (TypeError
     otherwise) built for ``beta`` (ValueError otherwise).
     """
-    if probe_corr is not None and not isinstance(probe_corr, EigenbasisCorrelation):
+    if probe_corr is None:
+        probe_corr = probe_correlation(probe, beta)
+    elif not isinstance(probe_corr, EigenbasisCorrelation):
         raise TypeError("F0 needs the level-sum probe correlator (EigenbasisCorrelation)")
-    probe_corr = _as_probe_correlation(probe, beta, probe_corr)
+    elif abs(probe_corr.beta - beta) > 1e-15 * max(1.0, beta):
+        raise ValueError("probe correlator was built for a different beta")
     bath_corr = bath_correlation(bath, beta, n_omega)
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
     return probe_corr.energy_var, float(_f2_integral(rule, bath_corr, probe_corr))
@@ -229,7 +220,7 @@ def snr_bound(
     zero-mean environment.
     """
     expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
-    sldexp = sld_second_order(expansion)
+    alpha = sld_second_order(expansion)
     probe_corr, bath_corr = expansion.probe_corr, expansion.bath_corr
     f0, f2 = qfi_perturbative_integral(probe, bath, beta, n_u, n_omega, probe_corr=probe_corr)
     _, i2 = cfi_energy_perturbative(expansion)
@@ -237,7 +228,7 @@ def snr_bound(
     mean_sq_b = float(bath_corr.value(0.0))
     d = expansion.evals.size
     x01 = complex(expansion.pi_x[0, 1] / expansion.populations[0]) if d > 1 else 0j
-    a01 = complex(sldexp.alpha[0, 1]) if d > 1 else 0j
+    a01 = complex(alpha[0, 1]) if d > 1 else 0j
     return MetrologyReport(
         beta=beta,
         gamma=gamma,
@@ -278,20 +269,18 @@ def xi_via_spectral_kernel(
     beta: float,
     n_u: int = DEFAULT_TIME_NODES,
     n_omega: int = DEFAULT_FREQ_NODES,
-    probe_corr: CorrelationFn | None = None,
 ) -> float:
-    """xi by integrating the sensitivity kernel against the spectral density.
+    """xi by integrating the level-sum probe correlator's sensitivity kernel against J.
 
     The frequency rule is that of the bath correlator built here at ``beta``
     with ``n_omega`` nodes; any ``bath`` but a ``ContinuumBath`` raises
-    TypeError.  A ready-made ``probe_corr`` must have been built for ``beta``.
+    TypeError.
     """
     if not isinstance(bath, ContinuumBath):
         raise TypeError("the spectral-kernel route needs a continuum bath")
-    probe_corr = _as_probe_correlation(probe, beta, probe_corr)
     bath_corr = bath_correlation(bath, beta, n_omega)
     rule = bath_corr.rule
-    f_vals = snr_kernel(probe_corr, rule.nodes, n_u, layer=bath_corr.layer_width)
+    f_vals = snr_kernel(probe_correlation(probe, beta), rule.nodes, n_u, bath_corr.layer_width)
     j_vals = spectral_density(bath, rule.nodes)
     return rule.integrate(j_vals * f_vals)
 

@@ -125,6 +125,10 @@ class DiscreteBath:
         object.__setattr__(self, "coupling", b)
         _read_only(h, b)
 
+    def __reduce__(self):
+        # unpickled arrays are writeable: a copy is built afresh through __post_init__
+        return DiscreteBath, (self.hamiltonian, self.coupling)
+
     @cached_property
     def decomp(self) -> SpectralDecomposition:
         return _shared_spectrum(self.hamiltonian)[-1]
@@ -467,43 +471,9 @@ class EigenbasisCorrelation(CorrelationFn):
         return self._weighted(u, w)
 
 
-class QubitCorrelation(CorrelationFn):
-    """Closed-form correlator of the two-level probe."""
-
-    def __init__(self, epsilon: float, theta: float, beta: float):
-        super().__init__(beta)
-        self.epsilon = epsilon
-        self.theta = theta
-        self._c = 0.5 * self.beta * epsilon
-
-    def _ratios(self, u):
-        # sinh(a)/cosh(c), cosh(a)/cosh(c), tanh(c), all with exponents <= 0
-        a = self.epsilon * np.asarray(u, dtype=float) - self._c
-        c = abs(self._c)
-        ep = np.exp(a - c)
-        em = np.exp(-a - c)
-        den = 1.0 + np.exp(-2.0 * c)
-        r_sinh = (ep - em) / den
-        r_cosh = (ep + em) / den
-        th = np.sign(self._c) * (1.0 - np.exp(-2.0 * c)) / den
-        return r_sinh, r_cosh, th
-
-    def value(self, u):
-        _, r_cosh, _ = self._ratios(u)
-        return np.cos(self.theta) ** 2 + np.sin(self.theta) ** 2 * r_cosh
-
-    def dbeta(self, u):
-        r_sinh, r_cosh, th = self._ratios(u)
-        return -0.5 * self.epsilon * np.sin(self.theta) ** 2 * (r_sinh + th * r_cosh)
-
-    def d2beta(self, u):
-        r_sinh, r_cosh, th = self._ratios(u)
-        return 0.5 * self.epsilon**2 * np.sin(self.theta) ** 2 * th * (r_sinh + th * r_cosh)
-
-
 class OscillatorCorrelation(CorrelationFn):
-    """Closed-form position autocorrelation of a unit-mass harmonic mode (the
-    probe, or a bath mode in ``snr_kernel``).  ``omega0``, positive and finite,
+    """Closed-form position autocorrelation of a unit-mass harmonic mode (a
+    bath mode in ``snr_kernel``).  ``omega0``, positive and finite,
     may be a column of frequencies, shape (n, 1), giving one row per mode."""
 
     def __init__(self, omega0, beta: float):
@@ -583,23 +553,10 @@ class ContinuumBathCorrelation(CorrelationFn):
         return float(val), float(dval)
 
 
-def probe_correlation(
-    probe: ProbeModel, beta: float, form: str = "eigenbasis"
-) -> CorrelationFn:
-    """Correlator of the probe coupling operator in its own thermal state.
-
-    ``form="eigenbasis"`` works for every probe; ``form="closed"`` returns the
-    closed-form object for the built-in probe kinds and raises otherwise.
-    """
-    if form == "eigenbasis":
-        return EigenbasisCorrelation(probe.decomp, probe.coupling, beta)
-    if form == "closed":
-        if probe.kind == "qubit":
-            return QubitCorrelation(probe.params["epsilon"], probe.params["theta"], beta)
-        if probe.kind == "oscillator":
-            return OscillatorCorrelation(probe.params["omega0"], beta)
-        raise ValueError(f"no closed-form correlator for probe kind {probe.kind!r}")
-    raise ValueError(f"unknown correlator form {form!r}")
+def probe_correlation(probe: ProbeModel, beta: float) -> EigenbasisCorrelation:
+    """Correlator of the probe coupling operator in its own thermal state, as
+    the level sums of :class:`EigenbasisCorrelation` (every probe kind)."""
+    return EigenbasisCorrelation(probe.decomp, probe.coupling, beta)
 
 
 def bath_correlation(

@@ -83,12 +83,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
 
 
-def partial_trace_bath(matrix: np.ndarray, dim_probe: int, dim_bath: int) -> np.ndarray:
-    """Trace out the second tensor factor of a (dS*dB) x (dS*dB) matrix."""
-    r = np.asarray(matrix).reshape(dim_probe, dim_bath, dim_probe, dim_bath)
-    return np.einsum("ibjb->ij", r)
-
-
 def _reduced_weighted(joint: JointModel, weights: np.ndarray) -> np.ndarray:
     """tr_B sum_k w_k |v_k><v_k| over the joint eigenvectors (raw matrix, original basis).
 
@@ -133,12 +127,6 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
 # ----------------------------------------------------------------------------
 # exact Fisher informations
 # ----------------------------------------------------------------------------
-
-
-def exact_sld(joint: JointModel, beta: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric logarithmic derivative of the exact reduced state (original basis)."""
-    rho, drho = _reduced_thermal_and_dbeta(joint, beta)
-    return sld_solve(rho, drho, tol)
 
 
 def exact_fishers(

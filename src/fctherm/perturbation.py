@@ -42,6 +42,7 @@ from .models import (
     EigenbasisCorrelation,
     ProbeModel,
     bath_correlation,
+    probe_correlation,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -86,10 +87,6 @@ class MeanForceExpansion:
     @property
     def populations(self) -> np.ndarray:
         return self.probe_corr.populations
-
-    def trace_identity(self) -> float:
-        """tr(pi X); vanishes identically for the exact expansion."""
-        return float(np.real(np.trace(self.pi_x)))
 
     def at_coupling(self, gamma: float) -> MeanForceExpansion:
         """A copy carrying the assembled state pi + gamma^2 pi X at ``gamma``.
@@ -157,7 +154,7 @@ def x_matrix(
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
     u = rule.nodes
     w = rule.weights
-    probe_corr = EigenbasisCorrelation(probe.decomp, probe.coupling, beta)
+    probe_corr = probe_correlation(probe, beta)
     evals, p, s_eig = probe_corr.evals, probe_corr.populations, probe_corr.coupling_eig
 
     phi_b, dphi_b = (np.asarray(c, dtype=float) for c in bath_corr.value_and_dbeta(u))
@@ -253,45 +250,35 @@ def p1_operator(probe: ProbeModel, beta: float, mean_b: float) -> np.ndarray:
     Returns the matrix in the probe eigenbasis; ``probe.decomp.from_eigenbasis``
     rotates it back.  Identically zero when ``mean_b == 0``.
     """
-    corr = EigenbasisCorrelation(probe.decomp, probe.coupling, beta)
+    corr = probe_correlation(probe, beta)
     evals, p = corr.evals, corr.populations
     s_bar = corr.coupling_eig - corr.mean * np.eye(evals.size)
-    gap = evals[:, None] - evals[None, :]
-    small = np.abs(gap) < 1e-300
-    tau = np.where(small, beta, np.expm1(beta * np.where(small, 1.0, gap)) / np.where(small, 1.0, gap))
-    return -mean_b * (p[:, None] * s_bar * tau)
+    # p_n expm1(beta gap)/gap, gap = E_n - E_m, is p_lo (1 - e^{-beta |gap|})/|gap|
+    # with p_lo = max(p_n, p_m) the pair's lower level (p_n e^{beta gap} = p_m):
+    # no exponent is positive, so a cold, wide probe does not overflow
+    width = np.abs(evals[:, None] - evals[None, :])
+    small = width < 1e-300
+    safe = np.where(small, 1.0, width)
+    tau = np.where(small, beta, -np.expm1(-beta * safe) / safe)
+    return -mean_b * (np.maximum.outer(p, p) * s_bar * tau)
 
 
-@dataclass
-class SldExpansion:
-    """Logarithmic-derivative expansion L = L0 + gamma^2 A for the inverse
-    temperature, in the probe eigenbasis (``alpha`` has the dtype of the
-    expansion's ``pi_x``).  Inverse temperature, levels and populations are read
-    from the expansion it was built from."""
+def sld_second_order(expansion: MeanForceExpansion) -> np.ndarray:
+    """Second-order coefficient A of the logarithmic derivative with respect
+    to beta, L = L0 + gamma^2 A, in the probe eigenbasis.
 
-    l0_diag: np.ndarray          # zeroth order: <H> - E_n on the diagonal
-    alpha: np.ndarray            # second-order coefficient matrix A
-    hermiticity_drift: float = 0.0
-
-
-def sld_second_order(expansion: MeanForceExpansion) -> SldExpansion:
-    """Logarithmic derivative of the second-order state with respect to beta.
-
-    Solving (L rho + rho L)/2 = d rho/d beta order by order gives, in the
-    probe eigenbasis,
+    Solving (L rho + rho L)/2 = d rho/d beta order by order gives the
+    zeroth order L0 = diag(<H> - E_n) and
 
         A_nm = [2 (pi dX)_nm + (E_m - E_n) (pi X)_nm] / (p_n + p_m),
 
-    whose diagonal is dX_nn = (pi dX)_nn / p_n.  The assembled matrix is
-    Hermitian; it is symmetrised and the drift recorded.  Inverse
-    temperature, levels and populations are the expansion's own.
+    whose diagonal is dX_nn = (pi dX)_nn / p_n.  The matrix is symmetrised,
+    A = (M + M^dag)/2, and has the dtype of the expansion's ``pi_x``.
+    Inverse temperature, levels and populations are the expansion's own.
     """
     p = expansion.populations
     evals = expansion.evals
     pair = p[:, None] + p[None, :]
     gap_mn = evals[None, :] - evals[:, None]  # (E_m - E_n) indexed [n, m]
     alpha = (2.0 * expansion.pi_dx + gap_mn * expansion.pi_x) / pair
-    drift = float(np.max(np.abs(alpha - alpha.conj().T)))
-    alpha = 0.5 * (alpha + alpha.conj().T)
-    mean_e = expansion.probe_corr.mean_energy
-    return SldExpansion(l0_diag=mean_e - evals, alpha=alpha, hermiticity_drift=drift)
+    return 0.5 * (alpha + alpha.conj().T)

@@ -1,0 +1,40 @@
+"""Reference calculations that only the tests read.
+
+The library's oracle forms the exact reduced state straight from the joint
+eigenvectors and reports Fisher informations; the acceptance tests also read
+the exact logarithmic derivative, and two oracle tests check the
+eigenvector contraction against a plain partial trace of the full state.
+The zeroth order of the expanded logarithmic derivative, <H> - E_n, is
+checked against the one of the bare Gibbs state.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fctherm import DEFAULT_TOL, JointModel, ProbeModel, gibbs_state, sld_solve
+from fctherm.oracle import _reduced_thermal_and_dbeta
+
+
+def partial_trace_bath(matrix: np.ndarray, dim_probe: int, dim_bath: int) -> np.ndarray:
+    """Trace out the second tensor factor of a (dS*dB) x (dS*dB) matrix."""
+    r = np.asarray(matrix).reshape(dim_probe, dim_bath, dim_probe, dim_bath)
+    return np.einsum("ibjb->ij", r)
+
+
+def exact_sld(joint: JointModel, beta: float) -> np.ndarray:
+    """Symmetric logarithmic derivative of the exact reduced state (original basis)."""
+    return sld_solve(*_reduced_thermal_and_dbeta(joint, beta))
+
+
+def bare_sld(probe: ProbeModel, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Logarithmic derivative of the bare Gibbs state pi in the probe
+    eigenbasis, from ``sld_solve`` on pi and d pi/d beta = -(H - <H>) pi
+    (H and pi commute), with the mask of its support: ``sld_solve`` sets the
+    pairs whose populations sum below ``sld_support`` to zero."""
+    rho = gibbs_state(probe.decomp, beta).matrix
+    h = probe.hamiltonian
+    drho = -(h - np.real(np.trace(h @ rho)) * np.eye(probe.dim)) @ rho
+    sld = probe.decomp.to_eigenbasis(sld_solve(rho, 0.5 * (drho + drho.conj().T)))
+    p = np.real(np.diag(probe.decomp.to_eigenbasis(rho)))
+    return sld, np.add.outer(p, p) >= DEFAULT_TOL.sld_support

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -355,6 +356,31 @@ def test_config_models_are_built_once(config_dir):
     for array in (probe.hamiltonian, probe.coupling, probe.decomp.evals, probe.decomp.evecs):
         with pytest.raises(ValueError, match="read-only"):
             array[0, ...] = 0.0
+
+
+def test_unpickled_config_models_are_read_only(monkeypatch, config_dir):
+    # a worker process gets the config pickled; its bath is built again
+    # through DiscreteBath's checks and its custom probe from the operators
+    # the config carries, so both hold read-only arrays and no file is read
+    cfg = load_config(config_dir / "scaling_dissipative.json")  # both from files
+    bath, probe = cfg.build_bath(), cfg.build_probe()
+    bath.decomp  # computed before pickling, as a run would have
+    copy = pickle.loads(pickle.dumps(cfg))
+
+    def unread(path):
+        raise AssertionError(f"{path} read again")
+
+    monkeypatch.setattr(config, "load_operator_pair", unread)
+    bath2, probe2 = copy.build_bath(), copy.build_probe()
+    assert copy.build_bath() is bath2 and copy.build_probe() is probe2
+    pairs = [(bath.hamiltonian, bath2.hamiltonian), (bath.coupling, bath2.coupling),
+             (bath.decomp.evals, bath2.decomp.evals), (bath.decomp.evecs, bath2.decomp.evecs),
+             (probe.hamiltonian, probe2.hamiltonian), (probe.coupling, probe2.coupling),
+             (probe.decomp.evals, probe2.decomp.evals), (probe.decomp.evecs, probe2.decomp.evecs)]
+    for original, unpickled in pairs:
+        assert np.array_equal(unpickled, original)
+        with pytest.raises(ValueError, match="read-only"):
+            unpickled[0, ...] = 0.0
 
 
 @pytest.mark.parametrize("command, doc", [

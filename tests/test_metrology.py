@@ -9,7 +9,7 @@ import pytest
 
 from fctherm import (
     ContinuumBath,
-    QubitCorrelation,
+    OscillatorCorrelation,
     bath_mode,
     bath_qubit,
     cfi_energy_general,
@@ -136,21 +136,17 @@ def test_correlators_built_for_another_beta_are_refused():
     stale_probe = probe_correlation(probe, 5.0)
     with pytest.raises(ValueError, match="probe correlator was built for a different beta"):
         qfi_perturbative_integral(probe, bath, beta, probe_corr=stale_probe)
-    with pytest.raises(ValueError, match="probe correlator was built for a different beta"):
-        xi_via_spectral_kernel(probe, bath, beta, probe_corr=stale_probe)
 
 
 def test_integral_route_reads_f0_from_the_level_sum_correlator():
     # F0 is the energy variance the eigenbasis correlator already holds; a
-    # closed-form correlator carries no levels, so it is refused there while
-    # the kernel route still takes it
+    # closed-form correlator carries no levels, so it is refused there
     probe, bath, beta = probe_qubit(1.0, 0.7), ContinuumBath(1.0, 100.0), 2.0
     f0, _ = qfi_perturbative_integral(probe, bath, beta)
     assert f0 == probe_correlation(probe, beta).energy_var
-    closed = probe_correlation(probe, beta, "closed")
+    closed = OscillatorCorrelation(1.0, beta)
     with pytest.raises(TypeError, match="EigenbasisCorrelation"):
         qfi_perturbative_integral(probe, bath, beta, probe_corr=closed)
-    assert math.isfinite(xi_via_spectral_kernel(probe, bath, beta, probe_corr=closed))
 
 
 def test_spectral_kernel_route_needs_a_continuum_bath():
@@ -196,7 +192,7 @@ def test_validity_ratio_scales_with_coupling_squared():
 
 
 def test_snr_kernel_scalar_and_vector_forms_agree():
-    corr = QubitCorrelation(1.0, 0.8, 1.2)
+    corr = probe_correlation(probe_qubit(1.0, 0.8), 1.2)
     omegas = np.array([0.3, 1.0, 4.0])
     vec = snr_kernel(corr, omegas)
     assert isinstance(vec, np.ndarray) and vec.shape == (3,)
@@ -223,7 +219,7 @@ def test_snr_kernel_takes_beta_from_its_correlator():
     omegas = np.array([0.3, 1.0, 4.0])
     kernels = {}
     for beta in (1.0, 2.0):
-        corr = QubitCorrelation(1.0, 0.7, beta)
+        corr = probe_correlation(probe_qubit(1.0, 0.7), beta)
         kernels[beta] = snr_kernel(corr, omegas)
         for w, f in zip(omegas, kernels[beta]):
             assert f == pytest.approx(direct_kernel(corr, beta, w), rel=1e-11)
@@ -243,7 +239,7 @@ def test_snr_kernel_is_f2_against_one_truncated_bath_mode():
 
 
 def test_snr_kernel_refuses_nonpositive_frequency():
-    corr = QubitCorrelation(1.0, 0.7, 1.0)
+    corr = probe_correlation(probe_qubit(1.0, 0.7), 1.0)
     for omega in (0.0, -1.0, np.inf, np.array([1.0, 0.0])):
         with pytest.raises(ValueError, match="oscillator frequency must be positive"):
             snr_kernel(corr, omega)
@@ -263,9 +259,7 @@ def test_coupling_correction_vanishes_at_high_temperature():
     probe = probe_qubit(1.0, 1.5 * np.pi)
     bath = ContinuumBath(1.0, 100.0)
     cold = xi_via_spectral_kernel(probe, bath, 2.0)
-    hot = xi_via_spectral_kernel(
-        probe, bath, 0.02, probe_corr=QubitCorrelation(1.0, 1.5 * np.pi, 0.02)
-    )
+    hot = xi_via_spectral_kernel(probe, bath, 0.02)
     assert abs(hot) < 1e-3 * abs(cold)
 
 

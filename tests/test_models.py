@@ -16,7 +16,6 @@ from fctherm import (
     EigenbasisCorrelation,
     NonzeroMeanError,
     OscillatorCorrelation,
-    QubitCorrelation,
     bath_correlation,
     bath_mode,
     bath_qubit,
@@ -91,15 +90,29 @@ def test_bath_fluctuation_grows_with_cutoff():
 # ---------------------------------------------------------------------------
 
 
+def qubit_closed_form(epsilon: float, theta: float, beta: float, u: np.ndarray):
+    """(C, dC/dbeta, d2C/dbeta2) of the qubit probe's coupling, written out.
+
+    With c = beta epsilon / 2 and a = epsilon u - c, the correlator of
+    S = cos(theta) sigma_z - sin(theta) sigma_x under H = (epsilon/2) sigma_z
+    is cos^2 + sin^2 cosh(a)/cosh(c); each beta-derivative at fixed u brings
+    down -(epsilon/2) (d/da + tanh(c))."""
+    c = 0.5 * beta * epsilon
+    a = epsilon * u - c
+    sin2, th = math.sin(theta) ** 2, math.tanh(c)
+    r_sinh, r_cosh = np.sinh(a) / math.cosh(c), np.cosh(a) / math.cosh(c)
+    value = math.cos(theta) ** 2 + sin2 * r_cosh
+    dbeta = -0.5 * epsilon * sin2 * (r_sinh + th * r_cosh)
+    d2beta = 0.5 * epsilon**2 * sin2 * th * (r_sinh + th * r_cosh)
+    return value, dbeta, d2beta
+
+
 def test_qubit_correlator_closed_vs_eigenbasis():
-    probe = probe_qubit(1.3, 0.8)
     beta = 1.7
-    closed = probe_correlation(probe, beta, form="closed")
-    sums = probe_correlation(probe, beta, form="eigenbasis")
-    assert isinstance(closed, QubitCorrelation)
+    sums = probe_correlation(probe_qubit(1.3, 0.8), beta)
     u = np.linspace(0.0, beta, 13)
-    for attr in ("value", "dbeta", "d2beta"):
-        a = getattr(closed, attr)(u)
+    closed = qubit_closed_form(1.3, 0.8, beta, u)
+    for attr, a in zip(("value", "dbeta", "d2beta"), closed):
         b = getattr(sums, attr)(u)
         assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b))), attr
 
@@ -107,9 +120,8 @@ def test_qubit_correlator_closed_vs_eigenbasis():
 def test_oscillator_correlator_closed_vs_eigenbasis():
     beta = 2.0
     probe = probe_oscillator(1.0, beta_design=beta)
-    closed = probe_correlation(probe, beta, form="closed")
-    sums = probe_correlation(probe, beta, form="eigenbasis")
-    assert isinstance(closed, OscillatorCorrelation)
+    closed = OscillatorCorrelation(1.0, beta)
+    sums = probe_correlation(probe, beta)
     u = np.linspace(0.0, beta, 9)
     for attr in ("value", "dbeta", "d2beta"):
         a = getattr(closed, attr)(u)
@@ -137,7 +149,6 @@ def test_truncated_mode_approaches_closed_boson_correlator():
 def test_every_correlator_refuses_nonpositive_beta():
     probe = probe_qubit(1.0, 0.7)
     builders = (
-        lambda b: QubitCorrelation(1.0, 0.7, b),
         lambda b: OscillatorCorrelation(1.0, b),
         lambda b: EigenbasisCorrelation(probe.decomp, probe.coupling, b),
         lambda b: ContinuumBathCorrelation(ContinuumBath(1.0, 10.0), b),
@@ -159,7 +170,7 @@ def test_correlators_satisfy_detailed_balance_symmetry():
     # Phi(u) = Phi(beta - u) for every thermal autocorrelation we build
     beta = 1.7
     fns = [
-        QubitCorrelation(1.0, 0.9, beta),
+        probe_correlation(probe_qubit(1.0, 0.9), beta),
         OscillatorCorrelation(1.2, beta),
         probe_correlation(probe_qubit(1.0, 2.0), beta),
         bath_correlation(bath_qubit(0.7), beta),
@@ -180,7 +191,9 @@ def test_correlator_beta_derivatives_match_finite_differences():
         return (make(beta + h).value(u) - make(beta - h).value(u)) / (2.0 * h)
 
     cases = [
-        (lambda b: QubitCorrelation(1.3, 0.8, b), 1.1),
+        # the level-sum probe correlator that F2 reads, on a qubit and an oscillator
+        (lambda b: probe_correlation(probe_qubit(1.3, 0.8), b), 1.1),
+        (lambda b: probe_correlation(probe_oscillator(0.9, n_trunc=40), b), 1.1),
         (lambda b: OscillatorCorrelation(0.9, b), 1.1),
         (lambda b: bath_correlation(bath_qubit(0.8), b), 1.1),
         # continuum baths on both frequency rules: beta*cutoff = 110 is cold, 3.3 warm
@@ -193,7 +206,7 @@ def test_correlator_beta_derivatives_match_finite_differences():
         assert np.max(np.abs(got - ref)) < 1e-5 * max(1.0, np.max(np.abs(ref)))
 
     # second derivative, same scheme applied to dbeta
-    for make, beta in cases[:2]:
+    for make, beta in cases[:3]:
         got = make(beta).d2beta(u)
         ref = (make(beta + h).dbeta(u) - make(beta - h).dbeta(u)) / (2.0 * h)
         assert np.max(np.abs(got - ref)) < 1e-5 * max(1.0, np.max(np.abs(ref)))
@@ -208,7 +221,7 @@ def test_value_and_dbeta_matches_the_separate_evaluations(beta):
         bath_correlation(ContinuumBath(1.0, 100.0), beta),
         bath_correlation(ContinuumBath(1.5, 3.0, dim_exponent=2.0), beta),
         bath_correlation(bath_qubit(0.8), beta),  # the CorrelationFn default
-        QubitCorrelation(1.3, 0.8, beta),
+        probe_correlation(probe_qubit(1.3, 0.8), beta),
     ):
         # one formula per correlator: the pair and the separate values are the same bytes
         val, dval = corr.value_and_dbeta(u)
@@ -345,15 +358,6 @@ def test_validate_pairing_dimension_bookkeeping():
 def test_discrete_bath_shape_validation():
     with pytest.raises(ValueError, match="equal shapes"):
         DiscreteBath(SZ, np.eye(3, dtype=complex))
-
-
-def test_probe_correlation_rejects_unknown_forms():
-    p = probe_qubit(1.0, 0.1)
-    with pytest.raises(ValueError):
-        probe_correlation(p, 1.0, form="nope")
-    custom = probe_custom(SZ, SZ)
-    with pytest.raises(ValueError):
-        probe_correlation(custom, 1.0, form="closed")
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,9 @@ from fctherm import (
     eigendecompose,
     exact_fishers,
     exact_mfg,
-    exact_sld,
     gibbs_state,
     oracle,
     order_fit,
-    partial_trace_bath,
     probe_custom,
     probe_oscillator,
     probe_qubit,
@@ -32,6 +30,7 @@ from fctherm import (
 )
 from fctherm.linalg import gibbs_populations
 from fctherm.oracle import _reduced_thermal_and_dbeta
+from references import exact_sld, partial_trace_bath
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:

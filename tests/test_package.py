@@ -4,13 +4,14 @@ is bounded."""
 from __future__ import annotations
 
 import pickle
+import re
 import types
 
 import numpy as np
 import pytest
 
 import fctherm
-from conftest import library_caches
+from conftest import REPO_ROOT, library_caches
 from fctherm import _kernels, linalg, models
 
 
@@ -68,3 +69,19 @@ def test_every_cache_is_bounded(cold_caches, name):
     again = _FILL[name](0)
     assert again is not first
     assert pickle.dumps(again) == pickle.dumps(first)
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the three blocks of README's "Quick start (library)", in order, in one
+    # namespace, as a reader would paste them
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Quick start (library)\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md quick start block {i + 1}", "exec"), namespace)
+    assert namespace["a"].shape == (2, 2)
+    # the last line printed is the oracle's distance from F0 + gamma^2 F2, O(gamma^4)
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert abs(float(last)) < 1e-4
