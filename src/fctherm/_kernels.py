@@ -9,12 +9,14 @@ Both factor into exponentials of one level index times one node, so each is
 one GEMM between two node x level (or level x node) exponential tables.
 
 The tables depend on the levels and the nodes alone, not on the coefficients
-or the coupling weights, and one x_matrix asks four gap_integrals and up to
-four sigma_nodes on the same (levels, u-rule).  Each kernel's table pair is
-therefore an ``lru_cache`` of ``CACHE_SIZE`` entries keyed on the bytes of
-the 1-D float64 levels and nodes, and read-only; each call still does its own
-coefficient product and GEMM, and its result is byte for byte what building
-the tables afresh gives.
+or the coupling weights.  One point's expansion setup
+(``perturbation._point_setup``, shared by x_matrix and snr_bound) asks four
+gap_integrals and one sigma_nodes on the same (levels, u-rule), and
+snr_bound's integral route and its <S^2> ask three more sigma_nodes.  Each
+kernel's table pair is therefore an ``lru_cache`` of ``CACHE_SIZE`` entries
+keyed on the bytes of the 1-D float64 levels and nodes, and read-only; each
+call still does its own coefficient product and GEMM, and its result is byte
+for byte what building the tables afresh gives.
 
 The module also keeps the cyclic Jacobi eigensolver that LAPACK replaced; the
 library no longer calls it (see :func:`jacobi_eigh`).

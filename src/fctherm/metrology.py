@@ -19,11 +19,15 @@ At this order the classical Fisher information of an energy measurement has
 the same correction coefficient, I2 = F2: the level-sum form of F2 over X and
 the logarithmic-derivative matrix A reads only A_nn, and A_nn = dX_nn/dbeta,
 so it is I2 term by term.  Both read the expansion's state correction pi X
-and pi dX/dbeta as they are; only :func:`snr_bound`'s reported X01 divides
-by a population, p_0.  The coupling correction to the optimal
+and pi dX/dbeta as they are.  The coupling correction to the optimal
 signal-to-noise ratio is therefore measurement-achievable:  (dT/T)^-2 <=
 beta^2 F = C + gamma^2 xi with C the bare heat-capacity-like term and
 xi = beta^2 F2.
+
+Since I2 reads only diagonals, :func:`snr_bound` builds no full expansion:
+it takes I2 from the diagonal and evaluates the level-pair sums and A on
+the lowest two levels only, for the reported X01 = (pi X)_01 / p_0 (the one
+division by a population) and A_01.
 """
 
 from __future__ import annotations
@@ -52,7 +56,9 @@ from .models import (
 from .perturbation import (
     DEFAULT_TIME_NODES,
     MeanForceExpansion,
-    sld_second_order,
+    _pair_block,
+    _point_setup,
+    _sld,
     x_matrix,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -133,9 +139,17 @@ def cfi_energy_perturbative(expansion: MeanForceExpansion) -> tuple[float, float
     measurement.
     """
     corr = expansion.probe_corr
-    de = corr.evals - corr.mean_energy
     px_nn, pdx_nn = np.real(np.diag(expansion.pi_x)), np.real(np.diag(expansion.pi_dx))
-    return corr.energy_var, float(np.dot(de**2, px_nn) - 2.0 * np.dot(de, pdx_nn))
+    return corr.energy_var, _i2(corr, px_nn, pdx_nn)
+
+
+def _i2(corr: EigenbasisCorrelation, px_nn: np.ndarray, pdx_nn: np.ndarray) -> float:
+    """I2 from the diagonals of pi X and pi dX/dbeta.  Both are strided views
+    in every caller: numpy hands a strided and a contiguous vector to
+    different BLAS dot loops, whose sums round apart (README "Only the
+    lowest pair")."""
+    de = corr.evals - corr.mean_energy
+    return float(np.dot(de**2, px_nn) - 2.0 * np.dot(de, pdx_nn))
 
 
 def cfi_energy_general(
@@ -215,20 +229,30 @@ def snr_bound(
 ) -> MetrologyReport:
     """Optimal relative-error bound (dT/T)^-2 <= beta^2 F to second order.
 
-    A bath coupling with a nonzero thermal mean is refused by :func:`x_matrix`
+    Only the populations and the lowest coherence are read, so the
+    expansion's per-point setup (correlators, u-rule, diagonal, gap tables)
+    is built as for :func:`x_matrix`, but its level-pair sums and the SLD
+    coefficient A are evaluated on the lowest two levels alone: I2 from the
+    diagonal, X01 = (pi X)_01 / p_0 and A_01 from the 2 x 2 block.  A bath
+    coupling with a nonzero thermal mean is refused by that setup
     (:class:`NonzeroMeanError`, a ValueError), so every report describes a
     zero-mean environment.
     """
-    expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
-    alpha = sld_second_order(expansion)
-    probe_corr, bath_corr = expansion.probe_corr, expansion.bath_corr
+    setup = _point_setup(probe, bath, beta, n_u, n_omega, tol)
+    probe_corr, bath_corr = setup.probe_corr, setup.bath_corr
     f0, f2 = qfi_perturbative_integral(probe, bath, beta, n_u, n_omega, probe_corr=probe_corr)
-    _, i2 = cfi_energy_perturbative(expansion)
+    p = probe_corr.populations
+    diagonals = np.empty((p.size, 2))  # two strided columns, as np.diag gives
+    np.multiply(p, setup.x_diag, out=diagonals[:, 0])
+    np.multiply(p, setup.dx_diag, out=diagonals[:, 1])
+    i2 = _i2(probe_corr, diagonals[:, 0], diagonals[:, 1])
     mean_sq_s = float(probe_corr.value(0.0))
     mean_sq_b = float(bath_corr.value(0.0))
-    d = expansion.evals.size
-    x01 = complex(expansion.pi_x[0, 1] / expansion.populations[0]) if d > 1 else 0j
-    a01 = complex(alpha[0, 1]) if d > 1 else 0j
+    x01 = a01 = 0j
+    if p.size > 1:
+        pi_x, pi_dx = _pair_block(setup, 2)
+        alpha = _sld(p[:2], probe_corr.evals[:2], pi_x, pi_dx)
+        x01, a01 = complex(pi_x[0, 1] / p[0]), complex(alpha[0, 1])
     return MetrologyReport(
         beta=beta,
         gamma=gamma,

@@ -20,8 +20,11 @@ needs the correction with its populations, and since p_n e^{beta (E_n - E_m)}
 = p_m no factor e^{+beta gap} is ever formed.  The probe's level data
 (rotated coupling, populations, sigma_n) come from one EigenbasisCorrelation
 per point, and C_B from one bath correlator built from a bath specification,
-never passed in; the expansion carries both.  A finite-difference
-d(pi X)/dbeta is kept for cross-validation.
+never passed in; the expansion carries both.  The per-point setup (the
+correlators, the u-rule, the diagonal and the gap-integral tables) is
+separate from the level-pair sums, which can be evaluated on the block of
+the lowest k levels: x_matrix takes k = d, snr_bound k = 2.  A
+finite-difference d(pi X)/dbeta is kept for cross-validation.
 
 When the environment mean is non-zero there is also a first-order term,
 handled by :func:`p1_operator`.
@@ -117,12 +120,116 @@ class MeanForceExpansion:
         return replace(self, gamma=gamma, state=state, trace_renormalised=renormalised)
 
 
-def _midpoint(s_eig: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Level-pair sum (1/2)[S (S o G) + (S o G^T) S]: both end levels averaged.
-    With G real and S Hermitian the second product is the adjoint of the
-    first, so this is (1/2)(M + M^dag) with M = S (S o G)."""
-    m = s_eig @ (s_eig * g)
+def _pair_sum(s_eig: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """Level-pair sum S (S o G) on the lowest k levels, [n, m] = sum_l S_nl
+    S_lm G_lm for n, m < k: a (k x d)(d x k) product, the full d x d one
+    at k = d."""
+    if k >= s_eig.shape[0]:  # no slice views at k = d: they cost a qubit point ~1 %
+        return s_eig @ (s_eig * g)
+    return s_eig[:k] @ (s_eig[:, :k] * g[:, :k])
+
+
+def _midpoint(s_eig: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """Level-pair sum (1/2)[S (S o G) + (S o G^T) S] on the lowest k levels:
+    both end levels averaged.  With G real and S Hermitian the second product
+    is the adjoint of the first, so this is (1/2)(M + M^dag) with
+    M = S (S o G)."""
+    m = _pair_sum(s_eig, g, k)
     return 0.5 * (m + m.conj().T)
+
+
+@dataclass
+class _PointSetup:
+    """Per-point work every block of the expansion shares: the correlators,
+    the u-rule, the diagonal X_nn and dX_nn/dbeta (all levels), and the four
+    gap-integral tables the off-diagonal pair sums read."""
+
+    rule: QuadratureRule
+    probe_corr: EigenbasisCorrelation
+    bath_corr: CorrelationFn
+    x_diag: np.ndarray
+    dx_diag: np.ndarray
+    g_phi: np.ndarray
+    g_phi_w: np.ndarray
+    g_dphi: np.ndarray
+    g_dphi_w: np.ndarray
+
+
+def _point_setup(
+    probe: ProbeModel, bath, beta: float, n_u: int, n_omega: int, tol: Tolerances
+) -> _PointSetup:
+    """The expansion's per-point setup at ``beta``; refuses a bath with a
+    nonzero thermal mean (see :func:`x_matrix`)."""
+    bath_corr = bath_correlation(bath, beta, n_omega)
+    if abs(bath_corr.mean) > tol.assumption_mean:
+        raise NonzeroMeanError(
+            f"environment coupling has thermal mean {bath_corr.mean:.3e}; the second-order "
+            "expansion assumes a zero-mean coupling — handle the first-order term "
+            "with p1_operator or centre the coupling operator"
+        )
+    rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
+    u = rule.nodes
+    w = rule.weights
+    probe_corr = probe_correlation(probe, beta)
+    evals, p = probe_corr.evals, probe_corr.populations
+
+    phi_b, dphi_b = (np.asarray(c, dtype=float) for c in bath_corr.value_and_dbeta(u))
+    sigma = probe_corr.sigma(u)
+    phi_s = p @ sigma  # probe correlator and its beta-derivative as level sums
+    dphi_s = probe_corr.dpopulations @ sigma
+
+    # diagonal: sum_j w_j (beta-u_j) C_B [sigma_n - C_S], and its derivative
+    wtilde = w * (beta - u) * phi_b
+    kern2 = w * (phi_b + (beta - u) * dphi_b)
+    centred = sigma - phi_s[None, :]
+    x_diag = centred @ wtilde
+    dx_diag = centred @ kern2 - float(np.dot(wtilde, dphi_s))
+
+    g_phi = _kernels.gap_integrals(evals, u, w * phi_b)     # G[a,b] ~ e^{u(E_b-E_a)}
+    g_phi_w = _kernels.gap_integrals(evals, u, wtilde)      # with (beta-u) C_B weight
+    g_dphi = _kernels.gap_integrals(evals, u, w * dphi_b)
+    g_dphi_w = _kernels.gap_integrals(evals, u, w * (beta - u) * dphi_b)
+    return _PointSetup(rule, probe_corr, bath_corr, x_diag, dx_diag,
+                       g_phi, g_phi_w, g_dphi, g_dphi_w)
+
+
+def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pi X, pi dX/dbeta) on the block of the lowest k levels, k clamped to
+    the probe's d.  Entry for entry the block is the full matrices' own
+    arithmetic; only the pair sums' (k x d)(d x k) products may round apart
+    from the full product's block, and at k = d they are that product."""
+    corr = setup.probe_corr
+    beta, s_eig = corr.beta, corr.coupling_eig
+    k = min(k, corr.evals.size)
+    evals, p = corr.evals[:k], corr.populations[:k]
+
+    # off-diagonal via gap-resolved integrals and matrix products; the
+    # difference form (p_m a1 - p_n a2)/D cancels two sums equal to O(beta D),
+    # so near pairs take the midpoint form, exact to O((beta D)^2) (README)
+    gap = evals[:, None] - evals[None, :]  # gap[n, m] = E_n - E_m
+    near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
+    safe_gap = np.where(near, 1.0, gap)
+    # c[n, m] = p_n e^{beta gap} = p_m is c = lo * t: lo the population of the
+    # pair's lower level, t = e^{-beta |gap|} where E_n <= E_m and 1 elsewhere,
+    # so no exponent is positive.  lo is symmetric and t^T mirrors t, so the
+    # pair's two halves round alike and pi X is Hermitian bit for bit (README)
+    lower = gap <= 0.0
+    lo = np.where(lower, p[:, None], p[None, :])
+    t = np.where(lower, np.exp(-beta * np.abs(gap)), 1.0)
+
+    # G is real and S Hermitian, so a2 = (S o G^T) S = (S (S o G))^dag (README)
+    a1, a1d = _pair_sum(s_eig, setup.g_phi, k), _pair_sum(s_eig, setup.g_dphi, k)
+    pi_x = lo * ((t * a1 - t.T * a1.conj().T) / safe_gap)
+    pi_dx = lo * ((t * a1d - t.T * a1d.conj().T) / safe_gap + t * a1)
+    np.fill_diagonal(near, False)
+    if near.any():
+        root_pp = np.sqrt(np.multiply.outer(p, p))  # p_n e^{beta gap / 2}
+        pi_x = np.where(near, root_pp * _midpoint(s_eig, setup.g_phi_w, k), pi_x)
+        pi_dx = np.where(near, root_pp * _midpoint(s_eig, setup.g_dphi_w, k) + lo * (t * a1),
+                         pi_dx)
+    np.fill_diagonal(pi_x, p * setup.x_diag[:k])
+    np.fill_diagonal(pi_dx, p * setup.dx_diag[:k])
+    return pi_x, pi_dx
 
 
 def x_matrix(
@@ -142,64 +249,12 @@ def x_matrix(
     a thermal mean above ``tol.assumption_mean`` is refused with
     :class:`NonzeroMeanError`, because the reduced state then picks up a
     first-order term that this routine cannot represent (see
-    :func:`p1_operator`).  This is the one place the assumption is checked.
+    :func:`p1_operator`).  The per-point setup that makes this check is the
+    one place the assumption is checked; ``snr_bound`` shares it.
     """
-    bath_corr = bath_correlation(bath, beta, n_omega)
-    if abs(bath_corr.mean) > tol.assumption_mean:
-        raise NonzeroMeanError(
-            f"environment coupling has thermal mean {bath_corr.mean:.3e}; the second-order "
-            "expansion assumes a zero-mean coupling — handle the first-order term "
-            "with p1_operator or centre the coupling operator"
-        )
-    rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
-    u = rule.nodes
-    w = rule.weights
-    probe_corr = probe_correlation(probe, beta)
-    evals, p, s_eig = probe_corr.evals, probe_corr.populations, probe_corr.coupling_eig
-
-    phi_b, dphi_b = (np.asarray(c, dtype=float) for c in bath_corr.value_and_dbeta(u))
-    sigma = probe_corr.sigma(u)
-    phi_s = p @ sigma  # probe correlator and its beta-derivative as level sums
-    dphi_s = probe_corr.dpopulations @ sigma
-
-    # diagonal: sum_j w_j (beta-u_j) C_B [sigma_n - C_S], and its derivative
-    wtilde = w * (beta - u) * phi_b
-    kern2 = w * (phi_b + (beta - u) * dphi_b)
-    centred = sigma - phi_s[None, :]
-    x_diag = centred @ wtilde
-    dx_diag = centred @ kern2 - float(np.dot(wtilde, dphi_s))
-
-    # off-diagonal via gap-resolved integrals and matrix products; the
-    # difference form (p_m a1 - p_n a2)/D cancels two sums equal to O(beta D),
-    # so near pairs take the midpoint form, exact to O((beta D)^2) (README)
-    gap = evals[:, None] - evals[None, :]  # gap[n, m] = E_n - E_m
-    near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
-    safe_gap = np.where(near, 1.0, gap)
-    # c[n, m] = p_n e^{beta gap} = p_m is c = lo * t: lo the population of the
-    # pair's lower level, t = e^{-beta |gap|} where E_n <= E_m and 1 elsewhere,
-    # so no exponent is positive.  lo is symmetric and t^T mirrors t, so the
-    # pair's two halves round alike and pi X is Hermitian bit for bit (README)
-    lower = gap <= 0.0
-    lo = np.where(lower, p[:, None], p[None, :])
-    t = np.where(lower, np.exp(-beta * np.abs(gap)), 1.0)
-
-    g_phi = _kernels.gap_integrals(evals, u, w * phi_b)     # G[a,b] ~ e^{u(E_b-E_a)}
-    g_phi_w = _kernels.gap_integrals(evals, u, wtilde)      # with (beta-u) C_B weight
-    g_dphi = _kernels.gap_integrals(evals, u, w * dphi_b)
-    g_dphi_w = _kernels.gap_integrals(evals, u, w * (beta - u) * dphi_b)
-
-    # G is real and S Hermitian, so a2 = (S o G^T) S = (S (S o G))^dag (README)
-    a1, a1d = s_eig @ (s_eig * g_phi), s_eig @ (s_eig * g_dphi)
-    pi_x = lo * ((t * a1 - t.T * a1.conj().T) / safe_gap)
-    pi_dx = lo * ((t * a1d - t.T * a1d.conj().T) / safe_gap + t * a1)
-    np.fill_diagonal(near, False)
-    if near.any():
-        root_pp = np.sqrt(np.multiply.outer(p, p))  # p_n e^{beta gap / 2}
-        pi_x = np.where(near, root_pp * _midpoint(s_eig, g_phi_w), pi_x)
-        pi_dx = np.where(near, root_pp * _midpoint(s_eig, g_dphi_w) + lo * (t * a1), pi_dx)
-    np.fill_diagonal(pi_x, p * x_diag)
-    np.fill_diagonal(pi_dx, p * dx_diag)
-    return MeanForceExpansion(pi_x, pi_dx, rule, probe_corr, bath_corr, tol)
+    setup = _point_setup(probe, bath, beta, n_u, n_omega, tol)
+    pi_x, pi_dx = _pair_block(setup, setup.probe_corr.evals.size)
+    return MeanForceExpansion(pi_x, pi_dx, setup.rule, setup.probe_corr, setup.bath_corr, tol)
 
 
 def x_matrix_fd_dbeta(
@@ -276,9 +331,13 @@ def sld_second_order(expansion: MeanForceExpansion) -> np.ndarray:
     A = (M + M^dag)/2, and has the dtype of the expansion's ``pi_x``.
     Inverse temperature, levels and populations are the expansion's own.
     """
-    p = expansion.populations
-    evals = expansion.evals
+    return _sld(expansion.populations, expansion.evals, expansion.pi_x, expansion.pi_dx)
+
+
+def _sld(p: np.ndarray, evals: np.ndarray, pi_x: np.ndarray, pi_dx: np.ndarray) -> np.ndarray:
+    """A from pi X and pi dX/dbeta on any block of levels with populations
+    ``p`` and energies ``evals`` (see :func:`sld_second_order`)."""
     pair = p[:, None] + p[None, :]
     gap_mn = evals[None, :] - evals[:, None]  # (E_m - E_n) indexed [n, m]
-    alpha = (2.0 * expansion.pi_dx + gap_mn * expansion.pi_x) / pair
+    alpha = (2.0 * pi_dx + gap_mn * pi_x) / pair
     return 0.5 * (alpha + alpha.conj().T)

@@ -26,11 +26,15 @@ from fctherm import (
     qfi_perturbative_sum,
     sld_solve,
     snr_bound,
+    probe_custom,
+    sld_second_order,
     snr_kernel,
     x_matrix,
     xi_via_spectral_kernel,
 )
+from fctherm import metrology, perturbation
 from fctherm.cli import SLOPE_WINDOWS
+from fctherm.perturbation import MIDPOINT_BETA_GAP
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +188,93 @@ def test_validity_ratio_scales_with_coupling_squared():
     r1 = snr_bound(probe, bath, gamma=0.05, beta=1.0).validity_ratio
     r2 = snr_bound(probe, bath, gamma=0.10, beta=1.0).validity_ratio
     assert r2 == pytest.approx(4.0 * r1, rel=1e-12)
+
+
+def _full_expansion_fields(probe, bath, beta):
+    """(i2, x01, alpha01) read off the full expansion, as snr_bound reports them."""
+    exp = x_matrix(probe, bath, beta)
+    x01 = complex(exp.pi_x[0, 1] / exp.populations[0])
+    return cfi_energy_perturbative(exp)[1], x01, complex(sld_second_order(exp)[0, 1]), exp
+
+
+def _random_custom_probe(seed, d=5, gap01=None):
+    """A dense real d-level probe in a random basis; ``gap01`` fixes the
+    lowest gap."""
+    rng = np.random.default_rng(seed)
+    levels = np.sort(rng.uniform(0.0, 3.0, d))
+    if gap01 is not None:
+        levels[1] = levels[0] + gap01
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    s = rng.normal(size=(d, d))
+    return probe_custom(q @ np.diag(levels) @ q.T, s + s.T)
+
+
+@pytest.mark.parametrize(
+    "probe, beta",
+    [(probe_qubit(1.0, 0.7), 1.3)]
+    + [(probe_oscillator(1.0, beta_design=b), b) for b in (0.1, 1.0, 10.0)],
+    ids=["qubit", "osc-0.1", "osc-1", "osc-10"],
+)
+def test_snr_bound_block_equals_full_expansion_bit_for_bit(probe, beta):
+    # the qubit's block is the whole matrix; the oscillator's coupling puts
+    # one nonzero term in each entry of the pair sums, so its 2 x 2 products
+    # round as the full GEMM's block does
+    bath = ContinuumBath(1.0, 100.0, dim_exponent=probe.dim_exponent)
+    rep = snr_bound(probe, bath, 0.1, beta)
+    i2, x01, a01, _ = _full_expansion_fields(probe, bath, beta)
+
+    def bits(*values):  # float.hex tells -0.0 from 0.0, as the CSV does
+        return [float(part).hex() for v in values for part in (v.real, v.imag)]
+
+    assert bits(rep.i2, rep.x01, rep.alpha01) == bits(i2, x01, a01)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_snr_bound_block_matches_full_expansion_for_dense_probe(seed):
+    probe = _random_custom_probe(seed)
+    bath = ContinuumBath(1.0, 20.0)
+    rep = snr_bound(probe, bath, 0.1, 0.8)
+    i2, x01, a01, exp = _full_expansion_fields(probe, bath, 0.8)
+    assert rep.i2 == i2  # the diagonals take no pair sum
+    x_scale = np.max(np.abs(exp.pi_x)) / exp.populations[0]
+    assert abs(rep.x01 - x01) <= 1e-13 * x_scale
+    assert abs(rep.alpha01 - a01) <= 1e-13 * np.max(np.abs(sld_second_order(exp)))
+    assert x01 != 0.0 and a01 != 0.0
+
+
+def test_snr_bound_block_takes_the_midpoint_form_for_a_near_pair(monkeypatch):
+    beta = 1.0
+    probe = _random_custom_probe(11, gap01=1e-5)
+    evals = probe_correlation(probe, beta).evals
+    assert abs(beta * (evals[1] - evals[0])) < MIDPOINT_BETA_GAP
+    blocks = []
+    midpoint = perturbation._midpoint
+
+    def spy(s_eig, g, k):
+        blocks.append(k)
+        return midpoint(s_eig, g, k)
+
+    monkeypatch.setattr(perturbation, "_midpoint", spy)
+    bath = ContinuumBath(1.0, 20.0)
+    rep = snr_bound(probe, bath, 0.1, beta)
+    assert blocks == [2, 2]
+    i2, x01, a01, exp = _full_expansion_fields(probe, bath, beta)
+    assert rep.i2 == i2
+    assert abs(rep.x01 - x01) <= 1e-13 * np.max(np.abs(exp.pi_x)) / exp.populations[0]
+    assert abs(rep.alpha01 - a01) <= 1e-13 * np.max(np.abs(sld_second_order(exp)))
+
+
+def test_snr_bound_builds_no_full_expansion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("snr_bound reached a full-matrix routine")
+
+    for module in (perturbation, metrology):
+        for name in ("x_matrix", "sld_second_order"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rep = snr_bound(probe_oscillator(1.0, beta_design=0.3), ContinuumBath(1.0, 100.0, 2.0),
+                    0.1, 0.3)
+    assert np.isfinite(rep.i2) and np.isfinite(rep.alpha01)
 
 
 # ---------------------------------------------------------------------------
