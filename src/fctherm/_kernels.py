@@ -10,9 +10,13 @@ one GEMM between two node x level (or level x node) exponential tables.
 
 The tables depend on the levels and the nodes alone, not on the coefficients
 or the coupling weights.  One point's expansion setup
-(``perturbation._point_setup``, shared by x_matrix and snr_bound) asks four
-gap_integrals and one sigma_nodes on the same (levels, u-rule), and
-snr_bound's integral route and its <S^2> ask three more sigma_nodes.  Each
+(``perturbation._point_setup``, shared by x_matrix and snr_bound) asks one
+sigma_nodes, and its level-pair block (``perturbation._pair_block``) four
+gap_integrals, on the same (levels, u-rule); snr_bound's integral route and
+its <S^2> ask three more sigma_nodes.  A block of the lowest k levels reads
+only the leading k columns of G, so gap_integrals takes ``k`` and forms a
+(d x n_u)(n_u x k) product on a column slice of the kept table: d x 2 for
+snr_bound, the full d x d for x_matrix.  Each
 kernel's table pair is therefore an ``lru_cache`` of ``CACHE_SIZE`` entries
 keyed on the bytes of the 1-D float64 levels and nodes, and read-only; each
 call still does its own coefficient product and GEMM, and its result is byte
@@ -23,11 +27,13 @@ library no longer calls it (see :func:`jacobi_eigh`).
 
 Energies are shifted before exponentiation, but a level-pair sum still
 reaches exp(u * (E_max - E_min)) with u up to beta: sigma_nodes has that
-factor in one table, and in gap_integrals it is the product of two factors
-of at most exp(u * width / 2) each.  Both therefore overflow float64 once
-beta * (E_max - E_min) exceeds ~709.  Cold, wide spectra reach that: a
-40-level oscillator probe (width 39) does at beta ~ 18.2, where the report
-rows turn NaN.
+factor in one table, and in a full gap_integrals table it is the product of
+two factors of at most exp(u * width / 2) each.  Both therefore overflow
+float64 once beta * (E_max - E_min) exceeds ~709.  The summands of the
+leading k columns of G reach only exp(u * (E_{k-1} - E_min)) (levels
+ascending), so snr_bound's d x 2 table stays finite; its sigma_nodes does
+not.  Cold, wide spectra reach that: a 40-level oscillator probe (width 39)
+does at beta ~ 18.2, where the report rows turn NaN.
 """
 
 from __future__ import annotations
@@ -64,16 +70,21 @@ def _as_bytes(a) -> bytes:
     return np.asarray(a, dtype=float).tobytes()
 
 
-def gap_integrals(energies, u_nodes, coeffs):
-    """G[a, b] = sum_j coeffs[j] * exp(u_nodes[j] * (E_b - E_a)).
+def gap_integrals(energies, u_nodes, coeffs, k=None):
+    """G[a, b] = sum_j coeffs[j] * exp(u_nodes[j] * (E_b - E_a)), for the
+    leading ``k`` columns b < k (all d columns when ``k`` is None).
 
     ``coeffs`` already contains quadrature weights times any node-dependent
-    kernel factor.  Energies are centred before exponentiation, so each table
-    entry stays within float range while u_max * width / 2 < ~709; their
-    products, the summands, overflow once u_max * width > ~709.
+    kernel factor.  The result is d x k, a (d x n_u)(n_u x k) product; at
+    k >= d it is the full d x d product.  Energies are centred before
+    exponentiation, so each table entry stays within float range while
+    u_max * width / 2 < ~709; the summands of column b are at most
+    exp(u_max * (E_b - E_min)), so the full table overflows once
+    u_max * width > ~709, while k columns hold until u_max * (E_b - E_min)
+    does for some b < k.
     """
     down, up = _gap_tables(_as_bytes(energies), _as_bytes(u_nodes))
-    return (down * np.asarray(coeffs, dtype=float)[:, None]).T @ up
+    return (down * np.asarray(coeffs, dtype=float)[:, None]).T @ up[:, :k]
 
 
 def sigma_nodes(energies, abs_s_sq, u_nodes):

@@ -101,14 +101,21 @@ def _csv_row(rep: MetrologyReport) -> list[str]:
 
 def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], workers: int) -> list[MetrologyReport]:
     """Evaluate (beta, gamma, theta) points, preserving input order.  The
-    config's one bath serves every point (a worker process gets it with its
-    pickled copy of the config); the probe is built per point (its truncation
-    follows beta, its angle theta)."""
+    config's one bath serves every point; the probe is built per point (its
+    truncation follows beta, its angle theta).  With workers, the points go
+    out in contiguous chunks, each pickled once with one copy of the config,
+    so a worker unpickles the config (and its bath) once per chunk and its
+    per-beta caches hit across a chunk's inner-axis points.  Each worker gets
+    about four chunks, not one: an oscillator's rows shrink as beta rises, so
+    with one beta-major run each, the workers holding the cold, small rows
+    sit idle while the first works through the hot ones."""
     if workers <= 1:
         return [_compute_report(cfg, b, g, t) for b, g, t in points]
     betas, gammas, thetas = zip(*points)
+    chunksize = -(-len(points) // (4 * workers))  # ceil
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_report, repeat(cfg), betas, gammas, thetas))
+        return list(pool.map(_compute_report, repeat(cfg), betas, gammas, thetas,
+                             chunksize=chunksize))
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> None:

@@ -230,10 +230,11 @@ def snr_bound(
     """Optimal relative-error bound (dT/T)^-2 <= beta^2 F to second order.
 
     Only the populations and the lowest coherence are read, so the
-    expansion's per-point setup (correlators, u-rule, diagonal, gap tables)
-    is built as for :func:`x_matrix`, but its level-pair sums and the SLD
-    coefficient A are evaluated on the lowest two levels alone: I2 from the
-    diagonal, X01 = (pi X)_01 / p_0 and A_01 from the 2 x 2 block.  A bath
+    expansion's per-point setup (correlators, u-rule, diagonal, gap-integral
+    node weights) is built as for :func:`x_matrix`, but its level-pair sums,
+    their d x 2 gap tables and the SLD coefficient A are evaluated on the
+    lowest two levels alone: I2 from the diagonal, X01 = (pi X)_01 / p_0 and
+    A_01 from the 2 x 2 block.  A bath
     coupling with a nonzero thermal mean is refused by that setup
     (:class:`NonzeroMeanError`, a ValueError), so every report describes a
     zero-mean environment.

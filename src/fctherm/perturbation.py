@@ -21,9 +21,10 @@ needs the correction with its populations, and since p_n e^{beta (E_n - E_m)}
 (rotated coupling, populations, sigma_n) come from one EigenbasisCorrelation
 per point, and C_B from one bath correlator built from a bath specification,
 never passed in; the expansion carries both.  The per-point setup (the
-correlators, the u-rule, the diagonal and the gap-integral tables) is
-separate from the level-pair sums, which can be evaluated on the block of
-the lowest k levels: x_matrix takes k = d, snr_bound k = 2.  A
+correlators, the u-rule, the diagonal and the node weights of the
+gap integrals) is separate from the level-pair sums, which can be evaluated
+on the block of the lowest k levels: x_matrix takes k = d, snr_bound k = 2.
+A block's gap-integral tables are d x k, the columns its pair sums read.  A
 finite-difference d(pi X)/dbeta is kept for cross-validation.
 
 When the environment mean is non-zero there is also a first-order term,
@@ -122,11 +123,11 @@ class MeanForceExpansion:
 
 def _pair_sum(s_eig: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     """Level-pair sum S (S o G) on the lowest k levels, [n, m] = sum_l S_nl
-    S_lm G_lm for n, m < k: a (k x d)(d x k) product, the full d x d one
-    at k = d."""
+    S_lm G_lm for n, m < k, with G the d x k gap table: a (k x d)(d x k)
+    product, the full d x d one at k = d."""
     if k >= s_eig.shape[0]:  # no slice views at k = d: they cost a qubit point ~1 %
         return s_eig @ (s_eig * g)
-    return s_eig[:k] @ (s_eig[:, :k] * g[:, :k])
+    return s_eig[:k] @ (s_eig[:, :k] * g)
 
 
 def _midpoint(s_eig: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
@@ -141,18 +142,20 @@ def _midpoint(s_eig: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
 @dataclass
 class _PointSetup:
     """Per-point work every block of the expansion shares: the correlators,
-    the u-rule, the diagonal X_nn and dX_nn/dbeta (all levels), and the four
-    gap-integral tables the off-diagonal pair sums read."""
+    the u-rule, the diagonal X_nn and dX_nn/dbeta (all levels), and the node
+    weights of the four gap integrals the off-diagonal pair sums read
+    (w C_B, w (beta - u) C_B, w dC_B/dbeta, w (beta - u) dC_B/dbeta).  The
+    tables themselves are the block's: it needs only k of their d columns."""
 
     rule: QuadratureRule
     probe_corr: EigenbasisCorrelation
     bath_corr: CorrelationFn
     x_diag: np.ndarray
     dx_diag: np.ndarray
-    g_phi: np.ndarray
-    g_phi_w: np.ndarray
-    g_dphi: np.ndarray
-    g_dphi_w: np.ndarray
+    c_phi: np.ndarray
+    c_phi_w: np.ndarray
+    c_dphi: np.ndarray
+    c_dphi_w: np.ndarray
 
 
 def _point_setup(
@@ -185,22 +188,27 @@ def _point_setup(
     x_diag = centred @ wtilde
     dx_diag = centred @ kern2 - float(np.dot(wtilde, dphi_s))
 
-    g_phi = _kernels.gap_integrals(evals, u, w * phi_b)     # G[a,b] ~ e^{u(E_b-E_a)}
-    g_phi_w = _kernels.gap_integrals(evals, u, wtilde)      # with (beta-u) C_B weight
-    g_dphi = _kernels.gap_integrals(evals, u, w * dphi_b)
-    g_dphi_w = _kernels.gap_integrals(evals, u, w * (beta - u) * dphi_b)
     return _PointSetup(rule, probe_corr, bath_corr, x_diag, dx_diag,
-                       g_phi, g_phi_w, g_dphi, g_dphi_w)
+                       w * phi_b, wtilde, w * dphi_b, w * (beta - u) * dphi_b)
 
 
 def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(pi X, pi dX/dbeta) on the block of the lowest k levels, k clamped to
-    the probe's d.  Entry for entry the block is the full matrices' own
-    arithmetic; only the pair sums' (k x d)(d x k) products may round apart
-    from the full product's block, and at k = d they are that product."""
+    the probe's d.  The four gap tables are d x k, G[a, b] for b < k.  Entry
+    for entry the block is the full matrices' own arithmetic; only the
+    tables' (d x n_u)(n_u x k) products and the pair sums' (k x d)(d x k)
+    products may round apart from the full products' columns and block, and
+    at k = d they are those products."""
     corr = setup.probe_corr
     beta, s_eig = corr.beta, corr.coupling_eig
     k = min(k, corr.evals.size)
+    e, u = corr.evals, setup.rule.nodes
+    # G[a, b] ~ e^{u (E_b - E_a)}, b < k; all four are made whether or not a
+    # near pair reads the (beta - u)-weighted two
+    g_phi = _kernels.gap_integrals(e, u, setup.c_phi, k)
+    g_phi_w = _kernels.gap_integrals(e, u, setup.c_phi_w, k)
+    g_dphi = _kernels.gap_integrals(e, u, setup.c_dphi, k)
+    g_dphi_w = _kernels.gap_integrals(e, u, setup.c_dphi_w, k)
     evals, p = corr.evals[:k], corr.populations[:k]
 
     # off-diagonal via gap-resolved integrals and matrix products; the
@@ -218,14 +226,14 @@ def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
     t = np.where(lower, np.exp(-beta * np.abs(gap)), 1.0)
 
     # G is real and S Hermitian, so a2 = (S o G^T) S = (S (S o G))^dag (README)
-    a1, a1d = _pair_sum(s_eig, setup.g_phi, k), _pair_sum(s_eig, setup.g_dphi, k)
+    a1, a1d = _pair_sum(s_eig, g_phi, k), _pair_sum(s_eig, g_dphi, k)
     pi_x = lo * ((t * a1 - t.T * a1.conj().T) / safe_gap)
     pi_dx = lo * ((t * a1d - t.T * a1d.conj().T) / safe_gap + t * a1)
     np.fill_diagonal(near, False)
     if near.any():
         root_pp = np.sqrt(np.multiply.outer(p, p))  # p_n e^{beta gap / 2}
-        pi_x = np.where(near, root_pp * _midpoint(s_eig, setup.g_phi_w, k), pi_x)
-        pi_dx = np.where(near, root_pp * _midpoint(s_eig, setup.g_dphi_w, k) + lo * (t * a1),
+        pi_x = np.where(near, root_pp * _midpoint(s_eig, g_phi_w, k), pi_x)
+        pi_dx = np.where(near, root_pp * _midpoint(s_eig, g_dphi_w, k) + lo * (t * a1),
                          pi_dx)
     np.fill_diagonal(pi_x, p * setup.x_diag[:k])
     np.fill_diagonal(pi_dx, p * setup.dx_diag[:k])

@@ -125,6 +125,37 @@ def test_parallel_rows_match_serial_exactly(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_parallel_rows_go_out_in_about_four_chunks_per_worker(tmp_path, monkeypatch, workers):
+    # each chunk carries one pickled copy of the config, so a worker rebuilds
+    # the config's models once per chunk, not once per row; a few chunks per
+    # worker, not one, keep the pool balancing rows of unequal cost
+    maps = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            rows = list(map(fn, *iterables))
+            maps.append((self.max_workers, len(rows), chunksize))
+            return rows
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    doc = dict(QUBIT_OHMIC, beta_grid={"min": 0.5, "max": 2.0, "n": 50, "spacing": "log"})
+    assert main(["report", "--config", write_config(tmp_path, doc),
+                 "--workers", str(workers)]) == 0
+    [(pool_size, rows, chunksize)] = maps
+    assert pool_size == workers and rows == 50
+    assert chunksize == math.ceil(rows / (4 * workers)) > 1
+
+
 def test_zero_coupling_report_collapses_to_local_bound(tmp_path):
     doc = dict(QUBIT_OHMIC, gamma=0.0)
     cfg = write_config(tmp_path, doc)

@@ -74,6 +74,42 @@ def test_gap_integrals_survive_shifted_spectra():
     assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("d", [3, 12, 41, 163])
+def test_gap_integrals_leading_columns(d):
+    rng = np.random.default_rng(d)
+    energies = np.sort(rng.uniform(0.0, 0.05 * d, size=d))
+    rule = quad_imaginary_time(64, 2.0, 0.05)
+    c = rule.weights * (1.0 + rule.nodes)
+    full = K.gap_integrals(energies, rule.nodes, c)
+    for k in (d, d + 3):  # the full product itself
+        assert np.array_equal(K.gap_integrals(energies, rule.nodes, c, k), full)
+    for k in (1, 2, d - 1):
+        narrow = K.gap_integrals(energies, rule.nodes, c, k)
+        assert narrow.shape == (d, k)
+        # a narrower GEMM may block, and so round, otherwise than the full
+        # one: bound the difference by the rounding of a sum of n_u terms
+        lead = full[:, :k]
+        n_u = rule.nodes.size
+        assert np.max(np.abs(narrow - lead)) <= n_u * np.finfo(float).eps * np.max(np.abs(lead))
+
+
+def test_gap_integrals_leading_columns_stay_finite_on_a_cold_ladder():
+    # u * width = 780 > 709: the full table's far corner exp(u (E_39 - E_0))
+    # overflows; the two lowest columns' summands are at most exp(u (E_1 - E_0))
+    rule = quad_imaginary_time(64, 20.0, 0.01)
+    u, c = rule.nodes, rule.weights
+    energies = np.arange(40, dtype=float)
+    assert u.max() * 39.0 > 709.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = K.gap_integrals(energies, u, c)
+    assert not np.all(np.isfinite(full))
+    with np.errstate(over="raise", invalid="raise"):
+        narrow = K.gap_integrals(energies, u, c, 2)
+    ref = np.array([[np.sum(c * np.exp(u * (energies[b] - energies[a]))) for b in range(2)]
+                    for a in range(40)])
+    assert np.max(np.abs(narrow - ref) / ref) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # eigenbasis correlator sums
 # ---------------------------------------------------------------------------

@@ -277,6 +277,25 @@ def test_snr_bound_builds_no_full_expansion(monkeypatch):
     assert np.isfinite(rep.i2) and np.isfinite(rep.alpha01)
 
 
+def test_snr_bound_gap_tables_cover_the_two_columns_its_block_reads(monkeypatch):
+    shapes = []
+    gap_integrals = perturbation._kernels.gap_integrals
+
+    def spy(*args, **kwargs):
+        out = gap_integrals(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(perturbation._kernels, "gap_integrals", spy)
+    probe = probe_oscillator(1.0, n_trunc=40, beta_design=1.0)
+    bath = ContinuumBath(1.0, 100.0, 2.0)
+    snr_bound(probe, bath, 0.1, 1.0)
+    assert shapes == [(40, 2)] * 4
+    shapes.clear()
+    x_matrix(probe, bath, 1.0)
+    assert shapes == [(40, 40)] * 4
+
+
 # ---------------------------------------------------------------------------
 # frequency-resolved kernel
 # ---------------------------------------------------------------------------
