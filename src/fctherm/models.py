@@ -10,7 +10,8 @@ evaluated at imaginary time -i*u with 0 <= u <= beta (hbar = k_B = 1):
 They are uncentred; a zero-mean coupling is an *assumption* of the weak
 coupling machinery, tracked separately via each correlator's ``mean``.  Every
 closed form below is written with non-positive exponents only, so nothing
-overflows at large beta or large frequency.
+overflows at large beta or large frequency, and none below -700 reaches
+np.exp (``_decay``).
 
 Each correlator exposes ``value``, ``dbeta`` and ``d2beta`` (derivatives at
 fixed u with respect to inverse temperature); ``d2beta`` may raise
@@ -392,6 +393,19 @@ def validate_dim_exponent(dim_exponent: float | None, bath: ContinuumBath) -> No
 # ----------------------------------------------------------------------------
 
 
+def _decay(x) -> np.ndarray:
+    """e^x for x <= 0, written over ``x`` if it is a fresh float array, with an
+    exact 0 where x < -700 (e^{-700} ~ 1e-304, too small to move any sum it
+    joins): np.exp sees -700 there, as its vector loop is many times slower
+    for an argument below about -707 (README "Numerical design notes")."""
+    x = np.asarray(x, dtype=float)
+    gone = x < -700.0
+    np.maximum(x, -700.0, out=x)
+    np.exp(x, out=x)
+    x[gone] = 0.0
+    return x
+
+
 class CorrelationFn:
     """Interface: thermal autocorrelation of a coupling operator at -i*u."""
 
@@ -482,23 +496,23 @@ class OscillatorCorrelation(CorrelationFn):
         if not np.all((0 < w) & (w < np.inf)):  # NaN too
             raise ValueError("oscillator frequency must be positive and finite")
         self.omega0 = omega0
-        self._q = np.exp(-self.beta * omega0)  # e^{-beta omega0} < 1
+        self._q = _decay(-self.beta * w)  # e^{-beta omega0} < 1
 
     def value(self, u):
         w, b = self.omega0, self.beta
         u = np.asarray(u, dtype=float)
-        return (np.exp(-u * w) + np.exp(-(b - u) * w)) / (2.0 * w * (1.0 - self._q))
+        return (_decay(-u * w) + _decay(-(b - u) * w)) / (2.0 * w * (1.0 - self._q))
 
     def dbeta(self, u):
         w, b = self.omega0, self.beta
         u = np.asarray(u, dtype=float)
-        pair = np.exp(-(b - u) * w) + np.exp(-(b + u) * w)
+        pair = _decay(-(b - u) * w) + _decay(-(b + u) * w)
         return -0.5 * pair / (1.0 - self._q) ** 2
 
     def d2beta(self, u):
         w, b = self.omega0, self.beta
         u = np.asarray(u, dtype=float)
-        pair = np.exp(-(b - u) * w) + np.exp(-(b + u) * w)
+        pair = _decay(-(b - u) * w) + _decay(-(b + u) * w)
         return 0.5 * w * pair * (1.0 + self._q) / (1.0 - self._q) ** 3
 
 
@@ -510,9 +524,10 @@ class ContinuumBathCorrelation(CorrelationFn):
 
     It depends on (bath, beta, n_omega) alone, so :func:`bath_correlation`
     hands out one shared object per such key: its frequency ``rule`` and
-    every array it holds or returns are read-only, and
-    :meth:`value_and_dbeta` looks its tables up by node contents in a small
-    module-level LRU cache keyed on the correlator.
+    every array it holds or returns are read-only.  The constructor forms the
+    per-beta frequency weights and the pair at u = 0 (<B^2>, d<B^2>/dbeta),
+    and the correlator keeps the last table it evaluated on an array of u
+    (the imaginary-time rule's nodes), so a new beta evaluates one table.
     """
 
     mean = 0.0  # a continuum coupling field has zero thermal mean by construction
@@ -522,10 +537,16 @@ class ContinuumBathCorrelation(CorrelationFn):
         self.bath = bath
         self.layer_width = 1.0 / bath.cutoff
         self.rule: QuadratureRule = quad_thermal_frequency(n_omega, bath.cutoff, self.beta)
-        self._w = self.rule.nodes
-        self._jw = spectral_density(bath, self._w) * self.rule.weights / np.pi
-        self._em = np.exp(-self.beta * self._w)  # e^{-beta w}
-        _read_only(self._w, self.rule.weights, self._jw, self._em)
+        w = self._w = self.rule.nodes
+        jw = spectral_density(bath, w) * self.rule.weights / np.pi
+        em = self._em = _decay(-self.beta * w)  # e^{-beta w}
+        self._value_weights = jw / (1.0 - em)
+        self._dbeta_weights = jw * w / (1.0 - em) ** 2
+        _read_only(w, self.rule.weights, em, self._value_weights, self._dbeta_weights)
+        # at u = 0, e^{-u w} = 1 and e^{-(beta-u) w} = e^{-beta w}
+        self._at_zero = (float((1.0 + em) @ self._value_weights),
+                         float(-(em + em) @ self._dbeta_weights))
+        self._table: tuple = (None, None, None)  # (u key, value, dbeta)
 
     def value(self, u):
         return self.value_and_dbeta(u)[0]
@@ -534,20 +555,25 @@ class ContinuumBathCorrelation(CorrelationFn):
         return self.value_and_dbeta(u)[1]
 
     def value_and_dbeta(self, u):
-        """``value`` and ``dbeta`` at ``u``, looked up by the contents of
-        ``u`` (the imaginary-time rule's nodes, u = 0) in a small LRU cache
-        and handed out read-only."""
+        """``value`` and ``dbeta`` at ``u``: the constructor's pair at u = 0, else
+        the kept table if an array ``u`` has its bytes, else a new evaluation."""
         u = np.asarray(u, dtype=float)
-        return _bath_tables(self, u.shape, u.tobytes())
+        if not u.ndim:
+            return self._at_zero if u == 0.0 else self._evaluate(u)
+        table = self._table
+        if table[0] != (key := (u.shape, u.tobytes())):
+            table = self._table = (key, *self._evaluate(u))
+        return table[1:]
 
     def _evaluate(self, u: np.ndarray):
-        """``value`` and ``dbeta`` from two exponential tables: e^{-u w} and
-        e^{-(beta-u) w} serve both, and e^{-(beta+u) w} is e^{-u w} e^{-beta w}."""
-        w = self._w
-        near = np.exp(-np.multiply.outer(u, w))
-        far = np.exp(-np.multiply.outer(self.beta - u, w))
-        val = (near + far) @ (self._jw / (1.0 - self._em))
-        dval = -(far + near * self._em) @ (self._jw * w / (1.0 - self._em) ** 2)
+        """``value`` and ``dbeta`` from two exponential tables, built in one
+        buffer: e^{-u w} and e^{-(beta-u) w} serve both, and e^{-(beta+u) w}
+        is e^{-u w} e^{-beta w}."""
+        near, far = _decay(np.multiply.outer(-np.stack((u, self.beta - u)), self._w))
+        val = (near + far) @ self._value_weights
+        near *= self._em
+        near += far
+        dval = -(near @ self._dbeta_weights)
         if val.ndim:
             return _read_only(val, dval)
         return float(val), float(dval)
@@ -591,13 +617,3 @@ def _discrete_correlation(bath: DiscreteBath, beta: float) -> EigenbasisCorrelat
     corr = EigenbasisCorrelation(bath.decomp, bath.coupling, beta)
     _read_only(corr.coupling_eig, corr.abs_sq, corr.populations, corr.dpopulations)
     return corr
-
-
-# Module-level, as an lru_cache on the bound method would make a reference
-# cycle.  Each correlator asks for two tables (its u-rule's nodes and u = 0);
-# room for both of every cached correlator keeps them as long as it lives; at
-# CACHE_SIZE entries the first point of some betas of a qubit sweep ran ~10 %
-# slower.
-@lru_cache(maxsize=2 * CACHE_SIZE)
-def _bath_tables(corr: ContinuumBathCorrelation, shape: tuple, nodes: bytes):
-    return corr._evaluate(np.frombuffer(nodes).reshape(shape))

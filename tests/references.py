@@ -5,14 +5,24 @@ eigenvectors and reports Fisher informations; the acceptance tests also read
 the exact logarithmic derivative, and two oracle tests check the
 eigenvector contraction against a plain partial trace of the full state.
 The zeroth order of the expanded logarithmic derivative, <H> - E_n, is
-checked against the one of the bare Gibbs state.
+checked against the one of the bare Gibbs state.  The continuum bath
+correlator's tables and the harmonic-mode correlator are checked bit for bit
+against the forms that pass every exponent to np.exp.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fctherm import DEFAULT_TOL, JointModel, ProbeModel, gibbs_state, sld_solve
+from fctherm import (
+    DEFAULT_TOL,
+    ContinuumBathCorrelation,
+    JointModel,
+    ProbeModel,
+    gibbs_state,
+    sld_solve,
+    spectral_density,
+)
 from fctherm.oracle import _reduced_thermal_and_dbeta
 
 
@@ -38,3 +48,25 @@ def bare_sld(probe: ProbeModel, beta: float) -> tuple[np.ndarray, np.ndarray]:
     sld = probe.decomp.to_eigenbasis(sld_solve(rho, 0.5 * (drho + drho.conj().T)))
     p = np.real(np.diag(probe.decomp.to_eigenbasis(rho)))
     return sld, np.add.outer(p, p) >= DEFAULT_TOL.sld_support
+
+
+def continuum_bath_tables(corr: ContinuumBathCorrelation, u) -> tuple:
+    """``value`` and ``dbeta`` of a continuum bath correlator at ``u``, from
+    two exponential tables with every exponent, however negative, passed to
+    np.exp: e^{-u w} and e^{-(beta-u) w} serve both, and e^{-(beta+u) w} is
+    e^{-u w} e^{-beta w}."""
+    u = np.asarray(u, dtype=float)
+    w, beta = corr.rule.nodes, corr.beta
+    jw = spectral_density(corr.bath, w) * corr.rule.weights / np.pi
+    em = np.exp(-beta * w)
+    near = np.exp(-np.multiply.outer(u, w))
+    far = np.exp(-np.multiply.outer(beta - u, w))
+    val = (near + far) @ (jw / (1.0 - em))
+    dval = -(far + near * em) @ (jw * w / (1.0 - em) ** 2)
+    return (val, dval) if val.ndim else (float(val), float(dval))
+
+
+def plain_decay(x) -> np.ndarray:
+    """e^x with every exponent, however negative, passed to np.exp: the
+    library's ``models._decay`` without its cut below -700."""
+    return np.exp(x)

@@ -32,9 +32,10 @@ from fctherm import (
     x_matrix,
     xi_via_spectral_kernel,
 )
-from fctherm import metrology, perturbation
+from fctherm import metrology, models, perturbation
 from fctherm.cli import SLOPE_WINDOWS
 from fctherm.perturbation import MIDPOINT_BETA_GAP
+from references import plain_decay
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +354,22 @@ def test_snr_kernel_refuses_nonpositive_frequency():
     for omega in (0.0, -1.0, np.inf, np.array([1.0, 0.0])):
         with pytest.raises(ValueError, match="oscillator frequency must be positive"):
             snr_kernel(corr, omega)
+
+
+@pytest.mark.parametrize("probe", [probe_qubit(1.3, 2.1), probe_oscillator(1.0, 40)],
+                         ids=["qubit", "oscillator"])
+@pytest.mark.parametrize("s, cutoff", [(1.0, 100.0), (0.5, 5.0), (3.0, 1000.0)])
+def test_spectral_kernel_route_keeps_its_bits_without_the_underflowing_exponentials(
+        cold_caches, monkeypatch, probe, s, cutoff):
+    # the harmonic modes' tables write an exact 0 for an exponent below -700;
+    # every integral they join keeps the bits of the plain np.exp tables
+    bath = ContinuumBath(s, cutoff, 1.0 - 2.0 * probe.dim_exponent)
+    betas = (0.05, 0.7, 4.0, 12.0)
+    cut = [xi_via_spectral_kernel(probe, bath, beta) for beta in betas]
+    monkeypatch.setattr(models, "_decay", plain_decay)
+    plain = [xi_via_spectral_kernel(probe, bath, beta) for beta in betas]
+    assert np.array_equal(cut, plain)
+    assert np.all(np.isfinite(cut))
 
 
 def test_kernel_integral_reproduces_direct_route():

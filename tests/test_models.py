@@ -25,6 +25,7 @@ from fctherm import (
     probe_custom,
     probe_oscillator,
     probe_qubit,
+    quad_imaginary_time,
     quad_thermal_frequency,
     snr_bound,
     spectral_density,
@@ -32,6 +33,7 @@ from fctherm import (
 )
 from fctherm import _kernels, models
 from fctherm.models import SIGMA_X, validate_dim_exponent
+from references import continuum_bath_tables
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PROJ_UP = np.diag([1.0, 0.0]).astype(complex)
@@ -418,11 +420,60 @@ def test_a_refused_beta_leaves_no_cached_correlator(cold_caches):
 def test_cached_correlator_hands_out_read_only_arrays(cold_caches, beta):
     corr = bath_correlation(ContinuumBath(1.0, 100.0), beta)
     u = np.linspace(0.0, beta, 9)
-    exposed = [corr.rule.nodes, corr.rule.weights, corr._w, corr._jw, corr._em,
-               *corr.value_and_dbeta(u), corr.value(u), corr.dbeta(u)]
+    exposed = [corr.rule.nodes, corr.rule.weights, corr._w, corr._em, corr._value_weights,
+               corr._dbeta_weights, *corr.value_and_dbeta(u), corr.value(u), corr.dbeta(u)]
     for array in exposed:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+def _holds_no_subnormal(*arrays) -> bool:
+    return all(np.all((a == 0.0) | (np.abs(a) >= np.finfo(float).tiny)) for a in arrays)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("cutoff", [5.0, 100.0, 1000.0])
+def test_continuum_tables_match_the_plain_exponential_reference(cold_caches, s, cutoff):
+    # exponents below -700 give an exact 0 in place of np.exp's near- or
+    # sub-normal value; every sum they join keeps its bits, on both frequency
+    # rules (beta * cutoff on both sides of THERMAL_SPLIT) and at u = 0
+    cut = 0
+    for beta in np.geomspace(0.01, 60.0, 13):
+        corr = ContinuumBathCorrelation(ContinuumBath(s, cutoff, 2.0), beta)
+        gone = -beta * corr.rule.nodes < -700.0
+        assert np.all(corr._em[gone] == 0.0) and np.all(corr._em[~gone] > 0.0)
+        cut += int(np.count_nonzero(gone))
+        for n_u in (32, 64, 128):
+            u = quad_imaginary_time(n_u, beta, corr.layer_width).nodes
+            got, ref = corr.value_and_dbeta(u), continuum_bath_tables(corr, u)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (beta, n_u)
+            assert _holds_no_subnormal(*got)
+        assert corr.value_and_dbeta(0.0) == continuum_bath_tables(corr, 0.0), beta
+        assert _holds_no_subnormal(corr._em, corr._value_weights, corr._dbeta_weights,
+                                   np.array(corr.value_and_dbeta(0.0)))
+    assert cut  # the grid reaches the cut
+
+
+def test_no_exponent_below_minus_700_reaches_np_exp(cold_caches, monkeypatch):
+    # numpy's vector exp takes a slow path below about -707 (README
+    # "Numerical design notes"); at beta = 20 a quarter of the bath tables'
+    # exponents lie there
+    seen, exp = [], np.exp
+
+    def spy(x, *args, **kwargs):
+        seen.append(float(np.min(x)))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(models.np, "exp", spy)
+    beta = 20.0
+    corr = ContinuumBathCorrelation(ContinuumBath(1.0, 100.0), beta)
+    u = quad_imaginary_time(64, beta, corr.layer_width).nodes
+    corr.value_and_dbeta(u)
+    modes = OscillatorCorrelation(corr.rule.nodes[:, None], beta)
+    for attr in ("value", "dbeta", "d2beta"):
+        getattr(modes, attr)(u)
+    assert np.count_nonzero(np.multiply.outer(u, corr.rule.nodes) > 700.0)
+    assert seen and min(seen) >= -700.0
 
 
 def test_snr_bound_is_bit_identical_with_cold_and_warm_caches(cold_caches):
@@ -461,8 +512,9 @@ def test_theta_sweep_builds_one_correlator_per_beta(cold_caches, monkeypatch):
             # a fresh bath per point, as the benchmark's per-point call builds it
             snr_bound(probe_qubit(1.0, theta), ContinuumBath(1.0, 100.0), 0.1, beta)
     assert built == list(betas)
-    # per beta, one table on the imaginary-time nodes and one at u = 0
-    assert evaluated == [b for b in betas for _ in range(2)]
+    # per beta, one table on the imaginary-time nodes; the pair at u = 0 is
+    # the constructor's
+    assert evaluated == list(betas)
 
 
 # ---------------------------------------------------------------------------

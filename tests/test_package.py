@@ -45,14 +45,10 @@ _FILL = {
         lambda k: models.bath_correlation(models.ContinuumBath(1.0, 100.0), 0.5 + 0.25 * k),
     "fctherm.models._discrete_correlation":
         lambda k: models.bath_correlation(_DISCRETE_BATH, 0.5 + 0.25 * k),
-    "fctherm.models._bath_tables":
-        lambda k: models.bath_correlation(models.ContinuumBath(1.0, 100.0), 1.0)
-        .value_and_dbeta(np.linspace(0.0, 1.0, 5 + k)),
 }
 # Sizes other than CACHE_SIZE: the base rules are keyed on a node count, of
-# which a run asks for several, and each cached correlator has two tables.
-_SIZES = {"fctherm.linalg._leggauss": 128, "fctherm.linalg._laggauss": 128,
-          "fctherm.models._bath_tables": 2 * linalg.CACHE_SIZE}
+# which a run asks for several.
+_SIZES = {"fctherm.linalg._leggauss": 128, "fctherm.linalg._laggauss": 128}
 
 
 @pytest.mark.parametrize("name", sorted(library_caches()))
