@@ -188,11 +188,7 @@ def gibbs_state(
     maximally mixed state."""
     if beta < 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta}")
-    p = gibbs_populations(decomp.evals, beta)
-    if decomp._order is not None:
-        rho = decomp.from_eigenbasis(np.diag(p))
-    else:
-        rho = (decomp.evecs * p) @ decomp.evecs.conj().T
+    rho = decomp.from_eigenbasis(np.diag(gibbs_populations(decomp.evals, beta)))
     rho = 0.5 * (rho + rho.conj().T)
     return DensityOperator(rho, tol)
 

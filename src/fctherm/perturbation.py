@@ -24,8 +24,7 @@ never passed in; the expansion carries both.  The per-point setup (the
 correlators, the u-rule, the diagonal and the node weights of the
 gap integrals) is separate from the level-pair sums, which can be evaluated
 on the block of the lowest k levels: x_matrix takes k = d, snr_bound k = 2.
-A block's gap-integral tables are d x k, the columns its pair sums read.  A
-finite-difference d(pi X)/dbeta is kept for cross-validation.
+A block's gap-integral tables are d x k, the columns its pair sums read.
 
 When the environment mean is non-zero there is also a first-order term,
 handled by :func:`p1_operator`.
@@ -263,30 +262,6 @@ def x_matrix(
     setup = _point_setup(probe, bath, beta, n_u, n_omega, tol)
     pi_x, pi_dx = _pair_block(setup, setup.probe_corr.evals.size)
     return MeanForceExpansion(pi_x, pi_dx, setup.rule, setup.probe_corr, setup.bath_corr, tol)
-
-
-def x_matrix_fd_dbeta(
-    probe: ProbeModel,
-    bath,
-    beta: float,
-    n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int = DEFAULT_FREQ_NODES,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Finite-difference d(pi X)/dbeta for cross-validation of the analytic
-    path, where it equals pi_dx - (E_n - <H>) pi_x row by row.
-
-    Central differences with steps h = tol.fd_step_rel * beta and h/2,
-    combined by Richardson extrapolation to fourth order.
-    """
-    h = tol.fd_step_rel * beta
-
-    def x_at(b: float) -> np.ndarray:
-        return x_matrix(probe, bath, b, n_u, n_omega, tol).pi_x
-
-    d1 = (x_at(beta + h) - x_at(beta - h)) / (2.0 * h)
-    d2 = (x_at(beta + 0.5 * h) - x_at(beta - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
 
 
 def mfg_second_order(

@@ -31,6 +31,7 @@ class Tolerances:
 
     # --- perturbation theory ---
     fd_step_rel: float = 1e-5         # finite-difference step h = fd_step_rel * beta
+                                      # (read by the tests' d(pi X)/dbeta reference)
 
     # --- oracle ---
     order_floor_factor: float = 1e3   # deviations below factor*eps*scale are noise

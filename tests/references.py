@@ -5,7 +5,8 @@ eigenvectors and reports Fisher informations; the acceptance tests also read
 the exact logarithmic derivative, and two oracle tests check the
 eigenvector contraction against a plain partial trace of the full state.
 The zeroth order of the expanded logarithmic derivative, <H> - E_n, is
-checked against the one of the bare Gibbs state.  The continuum bath
+checked against the one of the bare Gibbs state, and the analytic
+beta-derivative of pi X against finite differences.  The continuum bath
 correlator's tables and the harmonic-mode correlator are checked bit for bit
 against the forms that pass every exponent to np.exp.
 """
@@ -19,9 +20,11 @@ from fctherm import (
     ContinuumBathCorrelation,
     JointModel,
     ProbeModel,
+    Tolerances,
     gibbs_state,
     sld_solve,
     spectral_density,
+    x_matrix,
 )
 from fctherm.oracle import _reduced_thermal_and_dbeta
 
@@ -48,6 +51,24 @@ def bare_sld(probe: ProbeModel, beta: float) -> tuple[np.ndarray, np.ndarray]:
     sld = probe.decomp.to_eigenbasis(sld_solve(rho, 0.5 * (drho + drho.conj().T)))
     p = np.real(np.diag(probe.decomp.to_eigenbasis(rho)))
     return sld, np.add.outer(p, p) >= DEFAULT_TOL.sld_support
+
+
+def x_matrix_fd_dbeta(probe: ProbeModel, bath, beta: float,
+                      tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Finite-difference d(pi X)/dbeta at x_matrix's default rule sizes, where
+    it equals pi_dx - (E_n - <H>) pi_x row by row.
+
+    Central differences with steps h = tol.fd_step_rel * beta and h/2,
+    combined by Richardson extrapolation to fourth order.
+    """
+    h = tol.fd_step_rel * beta
+
+    def x_at(b: float) -> np.ndarray:
+        return x_matrix(probe, bath, b, tol=tol).pi_x
+
+    d1 = (x_at(beta + h) - x_at(beta - h)) / (2.0 * h)
+    d2 = (x_at(beta + 0.5 * h) - x_at(beta - 0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
 
 
 def continuum_bath_tables(corr: ContinuumBathCorrelation, u) -> tuple:

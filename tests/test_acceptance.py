@@ -38,11 +38,10 @@ from fctherm import (
     snr_kernel,
     spectral_density,
     x_matrix,
-    x_matrix_fd_dbeta,
     xi_via_spectral_kernel,
 )
 from fctherm.cli import CSV_COLUMNS, main
-from references import bare_sld, exact_sld
+from references import bare_sld, exact_sld, x_matrix_fd_dbeta
 from refinement import pauli_coefficient, refine_linear, refine_quadratic
 
 BETAS_REFERENCE = (0.5, 1.0, 2.0)

@@ -1,4 +1,4 @@
-"""The byte checks of the CI workflow, run with the tests.
+"""Byte checks on the bundled outputs that hold on any numpy/BLAS build.
 
 OpenBLAS may split a product across threads and sum the parts in another
 order, and every cache the library keeps hands a later run what it built for
@@ -7,11 +7,15 @@ configs run through the console script in fresh processes on one BLAS
 thread, with numpy's RuntimeWarnings raised as errors, and are compared with
 their stored copies in ``tests/golden`` as ``test_golden.py`` compares its
 in-process run (the value bound everywhere, the sha256 where numpy and BLAS
-are the recorded ones).  A dense 128-level probe, whose products pass
-OpenBLAS's threading threshold where no bundled config's do, is reported at
-the default thread count and on one thread; and a second in-process pass of
-the bundled configs, on the caches the first left behind, must give the
-first pass's bytes.
+are the recorded ones).  Two in-process passes of the bundled configs follow
+at this process's thread count (OpenBLAS's default unless
+``OPENBLAS_NUM_THREADS`` is set): the first, on empty caches, must give the
+one-thread processes' bytes, and the second, on the caches the first left
+behind, the first's.  These two comparisons need no stored copy, so they
+also run where the sha256 test is skipped.  A dense 128-level probe, whose
+products pass OpenBLAS's threading threshold where no bundled config's do,
+is reported at the default thread count and on one thread.  The worker
+counts are compared in ``test_cli.py``.
 """
 
 from __future__ import annotations
@@ -121,6 +125,13 @@ def in_process_passes(tmp_path_factory):
         run_outputs(out)
     clear_caches()
     return passes
+
+
+@pytest.mark.parametrize("entry", OUTPUTS, ids=IDS)
+def test_one_thread_fresh_process_gives_the_cold_pass_bytes(one_thread_dir, in_process_passes,
+                                                           entry):
+    fresh, cold = one_thread_dir / entry["file"], in_process_passes[0] / entry["file"]
+    assert fresh.read_bytes() == cold.read_bytes()
 
 
 @pytest.mark.parametrize("entry", OUTPUTS, ids=IDS)

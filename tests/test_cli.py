@@ -117,12 +117,28 @@ def test_warm_caches_give_a_fresh_process_bytes(tmp_path, config_dir, cold_cache
     assert runs[0].read_bytes() == runs[1].read_bytes() == runs[2].read_bytes()
 
 
-def test_parallel_rows_match_serial_exactly(tmp_path):
-    cfg = write_config(tmp_path, QUBIT_OHMIC)
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "par.csv"
-    main(["report", "--config", cfg, "--out", str(serial)])
-    assert main(["report", "--config", cfg, "--out", str(parallel), "--workers", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+@pytest.mark.parametrize("run", ["report-qubit-ohmic", "sweep-qubit-transverse",
+                                 "report-operator-files"])
+def test_parallel_rows_match_serial_exactly(tmp_path, config_dir, cold_caches, run):
+    # each worker process keeps its own rule, correlator and kernel caches,
+    # and rebuilds the config's models from its pickled copy of the config
+    # (the last run reads its probe and its discrete bath from operator
+    # files), so no row may depend on which process evaluated its point.
+    # The pool runs first, so both runs start from empty caches
+    if run == "report-qubit-ohmic":
+        command, cfg = "report", write_config(tmp_path, QUBIT_OHMIC)
+    elif run == "sweep-qubit-transverse":
+        command, cfg = "sweep", str(config_dir / "report_qubit_transverse.json")
+    else:
+        command, cfg = "report", write_config(tmp_path, {
+            "probe": {"kind": "custom-matrix-file",
+                      "params": {"path": str(config_dir / "probe_qubit_x.json")}},
+            "bath": {"kind": "discrete-file", "path": str(config_dir / "bath_qubit_x.json")},
+            "gamma": 0.05, "beta_grid": {"min": 0.2, "max": 5.0, "n": 12, "spacing": "log"}})
+    outs = {workers: tmp_path / f"workers-{workers}.csv" for workers in (2, 1)}
+    for workers, out in outs.items():
+        assert main([command, "--config", cfg, "--out", str(out), "--workers", str(workers)]) == 0
+    assert outs[1].read_bytes() == outs[2].read_bytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 5])

@@ -32,12 +32,11 @@ from fctherm import (
     sld_second_order,
     snr_bound,
     x_matrix,
-    x_matrix_fd_dbeta,
     xi_via_spectral_kernel,
 )
 from fctherm import _kernels
 from fctherm.perturbation import MIDPOINT_BETA_GAP
-from references import bare_sld
+from references import bare_sld, x_matrix_fd_dbeta
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PROJ_UP = np.diag([1.0, 0.0]).astype(complex)
