@@ -42,24 +42,6 @@ from .oracle import JointModel, exact_fishers, exact_mfg, order_fit, trace_dista
 from .perturbation import x_matrix
 from .tolerances import Tolerances
 
-CSV_COLUMNS = (
-    "T",
-    "beta",
-    "gamma",
-    "C_S",
-    "xi",
-    "snr_sq_pert",
-    "snr_sq_local",
-    "F0",
-    "F2",
-    "I2",
-    "X01_re",
-    "X01_im",
-    "alpha01_re",
-    "alpha01_im",
-    "assumption2_ok",
-)
-
 SCALING_COLUMNS = ("beta", "quantity", "slope", "intercept", "r_squared",
                    "expected_min", "expected_max", "status")
 
@@ -79,24 +61,26 @@ def _compute_report(cfg: RunConfig, beta: float, gamma: float, theta: float | No
     return snr_bound(probe, cfg.build_bath(), gamma, beta, cfg.n_u, cfg.n_omega, cfg.tolerances())
 
 
-def _csv_row(rep: MetrologyReport) -> list[str]:
-    return [
-        _fmt(rep.temperature),
-        _fmt(rep.beta),
-        _fmt(rep.gamma),
-        _fmt(rep.c_bare),
-        _fmt(rep.xi),
-        _fmt(rep.snr_sq_pert),
-        _fmt(rep.snr_sq_local),
-        _fmt(rep.f0),
-        _fmt(rep.f2),
-        _fmt(rep.i2),
-        _fmt(rep.x01.real),
-        _fmt(rep.x01.imag),
-        _fmt(rep.alpha01.real),
-        _fmt(rep.alpha01.imag),
-        "true",  # assumption2_ok: x_matrix raises on a nonzero bath mean first
-    ]
+# The report and sweep CSV layout, in file order: each column's header beside
+# the cell it holds, so neither can move without the other.
+_REPORT_CELLS = (
+    ("T", lambda r: _fmt(r.temperature)),
+    ("beta", lambda r: _fmt(r.beta)),
+    ("gamma", lambda r: _fmt(r.gamma)),
+    ("C_S", lambda r: _fmt(r.c_bare)),
+    ("xi", lambda r: _fmt(r.xi)),
+    ("snr_sq_pert", lambda r: _fmt(r.snr_sq_pert)),
+    ("snr_sq_local", lambda r: _fmt(r.snr_sq_local)),
+    ("F0", lambda r: _fmt(r.f0)),
+    ("F2", lambda r: _fmt(r.f2)),
+    ("I2", lambda r: _fmt(r.i2)),
+    ("X01_re", lambda r: _fmt(r.x01.real)),
+    ("X01_im", lambda r: _fmt(r.x01.imag)),
+    ("alpha01_re", lambda r: _fmt(r.alpha01.real)),
+    ("alpha01_im", lambda r: _fmt(r.alpha01.imag)),
+    ("assumption2_ok", lambda r: "true"),  # x_matrix raises on a nonzero bath mean first
+)
+CSV_COLUMNS = tuple(header for header, _ in _REPORT_CELLS)
 
 
 def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], workers: int) -> list[MetrologyReport]:
@@ -128,6 +112,15 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> Non
             fh.write(",".join(row) + "\n")
 
 
+def _write_reports(cfg: RunConfig, out: str | None, reports: list[MetrologyReport]) -> str | None:
+    """Write one CSV row per report to ``--out`` or, failing that, the
+    config's output; return the path written, or None where neither is set."""
+    target = out or cfg.output
+    if target:
+        _write_csv(target, CSV_COLUMNS, [[cell(r) for _, cell in _REPORT_CELLS] for r in reports])
+    return target
+
+
 def _print_report_table(reports: list[MetrologyReport]) -> None:
     print(f"{'beta':>12} {'T':>12} {'C_S':>12} {'xi':>14} {'snr^2 pert':>14} {'snr^2 local':>14}  zero-mean")
     for rep in reports:
@@ -141,9 +134,8 @@ def cmd_report(cfg: RunConfig, out: str | None, workers: int) -> int:
     points = [(float(b), cfg.gamma, None) for b in cfg.beta_grid.points()]
     reports = _run_grid(cfg, points, workers)
     _print_report_table(reports)
-    target = out or cfg.output
+    target = _write_reports(cfg, out, reports)
     if target:
-        _write_csv(target, CSV_COLUMNS, [_csv_row(r) for r in reports])
         print(f"wrote {len(reports)} rows to {target}")
     return 0
 
@@ -160,11 +152,9 @@ def cmd_sweep(cfg: RunConfig, out: str | None, workers: int) -> int:
                 points.append((float(beta), v, None))
             else:
                 points.append((float(beta), cfg.gamma, v))
-    rows = [_csv_row(r) for r in _run_grid(cfg, points, workers)]
-    target = out or cfg.output
-    if target:
-        _write_csv(target, CSV_COLUMNS, rows)
-    print(f"sweep over beta x {axis}: {cfg.beta_grid.n} x {len(inner)} = {len(rows)} rows"
+    reports = _run_grid(cfg, points, workers)
+    target = _write_reports(cfg, out, reports)
+    print(f"sweep over beta x {axis}: {cfg.beta_grid.n} x {len(inner)} = {len(reports)} rows"
           + (f", written to {target}" if target else ""))
     return 0
 

@@ -53,6 +53,14 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z.flags.writeable = SIGMA_X.flags.writeable = False
 
 
+def _level_count(n, name: str, least: int) -> int:
+    """``n`` as an int; a non-integral or non-finite count, or one below
+    ``least``, is refused with a ValueError naming ``name``."""
+    if not (float(n).is_integer() and n >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
+    return int(n)
+
+
 def _ladder(omega: float, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated harmonic mode: H = omega (n + 1/2) and the unit-mass position
     x = (a + a^dag) / sqrt(2 omega), both on the lowest ``n_levels`` Fock states."""
@@ -142,7 +150,7 @@ def bath_qubit(omega_b: float = 1.0) -> DiscreteBath:
 
 def bath_mode(omega_b: float = 1.0, n_levels: int = 20) -> DiscreteBath:
     """Single truncated bosonic mode with position-like coupling."""
-    h, x = _ladder(omega_b, n_levels)
+    h, x = _ladder(omega_b, _level_count(n_levels, "n_levels", 1))
     return DiscreteBath(h, x)
 
 
@@ -273,9 +281,7 @@ def probe_oscillator(
         n_trunc = (OSCILLATOR_MIN_LEVELS if beta_design is None
                    else oscillator_levels(omega0, beta_design, tail))
     else:
-        n_trunc = int(n_trunc)
-        if n_trunc < 2:
-            raise ValueError("oscillator truncation needs at least two levels")
+        n_trunc = _level_count(n_trunc, "n_trunc", 2)
         if beta_design is not None:
             top = _top_level_population(omega0, beta_design, n_trunc)
             if top > 1e-3:
@@ -492,10 +498,9 @@ class OscillatorCorrelation(CorrelationFn):
 
     def __init__(self, omega0, beta: float):
         super().__init__(beta)
-        w = np.asarray(omega0)
+        self.omega0 = w = np.asarray(omega0, dtype=float)
         if not np.all((0 < w) & (w < np.inf)):  # NaN too
             raise ValueError("oscillator frequency must be positive and finite")
-        self.omega0 = omega0
         self._q = _decay(-self.beta * w)  # e^{-beta omega0} < 1
 
     def value(self, u):

@@ -10,6 +10,7 @@ import pytest
 
 import fctherm
 from fctherm import linalg
+from golden.compare import run_outputs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -45,6 +46,20 @@ def cold_caches():
     clear_caches()
     yield clear_caches
     clear_caches()
+
+
+@pytest.fixture(scope="session")
+def in_process_passes(tmp_path_factory) -> list[Path]:
+    """Two in-process passes of the bundled configs through ``cli.main``, the
+    first on empty caches, the second on the caches the first left behind.
+    ``test_golden.py`` compares the first with the stored copies, and
+    ``test_byte_checks.py`` compares both with fresh processes and each other."""
+    clear_caches()
+    passes = [tmp_path_factory.mktemp(name) for name in ("cold", "warm")]
+    for out in passes:
+        run_outputs(out)
+    clear_caches()
+    return passes
 
 
 @pytest.fixture

@@ -5,14 +5,15 @@ order, and every cache the library keeps hands a later run what it built for
 an earlier one; neither may move a byte of any output.  So the seven bundled
 configs run through the console script in fresh processes on one BLAS
 thread, with numpy's RuntimeWarnings raised as errors, and are compared with
-their stored copies in ``tests/golden`` as ``test_golden.py`` compares its
-in-process run (the value bound everywhere, the sha256 where numpy and BLAS
-are the recorded ones).  Two in-process passes of the bundled configs follow
-at this process's thread count (OpenBLAS's default unless
-``OPENBLAS_NUM_THREADS`` is set): the first, on empty caches, must give the
-one-thread processes' bytes, and the second, on the caches the first left
-behind, the first's.  These two comparisons need no stored copy, so they
-also run where the sha256 test is skipped.  A dense 128-level probe, whose
+their stored copies in ``tests/golden`` as ``test_golden.py`` compares the
+cold in-process pass (the value bound everywhere, the sha256 where numpy and
+BLAS are the recorded ones).  That cold pass and a warm one are the session
+fixture ``in_process_passes`` (``conftest.py``), run at this process's
+thread count (OpenBLAS's default unless ``OPENBLAS_NUM_THREADS`` is set):
+the cold one, on empty caches, must give the one-thread processes' bytes,
+and the warm one, on the caches the cold one left behind, the cold one's.
+These two comparisons need no stored copy, so they also run where the
+sha256 test is skipped.  A dense 128-level probe, whose
 products pass OpenBLAS's threading threshold where no bundled config's do,
 is reported at the default thread count and on one thread.  The worker
 counts are compared in ``test_cli.py``.
@@ -28,7 +29,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT, clear_caches
+from conftest import REPO_ROOT
 from golden.compare import (
     CONFIG_DIR,
     GOLDEN_DIR,
@@ -36,7 +37,6 @@ from golden.compare import (
     environment,
     load_manifest,
     read_csv,
-    run_outputs,
     same_build,
     sha256,
 )
@@ -114,17 +114,6 @@ def test_dense_probe_report_does_not_depend_on_the_blas_thread_count(tmp_path):
                 blas_threads=threads)
     assert len(read_csv(outs[None])) == 26
     assert outs[None].read_bytes() == outs["1"].read_bytes()
-
-
-@pytest.fixture(scope="module")
-def in_process_passes(tmp_path_factory):
-    """Two in-process passes of the bundled configs, the first on empty caches."""
-    clear_caches()
-    passes = [tmp_path_factory.mktemp(name) for name in ("cold", "warm")]
-    for out in passes:
-        run_outputs(out)
-    clear_caches()
-    return passes
 
 
 @pytest.mark.parametrize("entry", OUTPUTS, ids=IDS)

@@ -1,9 +1,13 @@
 """The seven bundled outputs against their stored copies in ``tests/golden``.
 
-Every bundled config runs once, in this interpreter, through ``cli.main``.
-Each output must keep its header, its row count and every non-numeric cell
-(status words, ``nan``, ``true``) exactly, and every numeric cell within
-``RTOL`` of the stored one.  Where numpy and BLAS are the ones that produced
+Both tests read the cold pass of the session fixture ``in_process_passes``
+(``conftest.py``): every bundled config run once, in this interpreter,
+through ``cli.main``, on empty caches.  ``test_byte_checks.py`` reads the
+same pass, so the session runs the configs in-process twice (cold and warm),
+not once more here.  Each output must keep its header, its row count and
+every non-numeric cell (status words, ``nan``, ``true``) exactly, and every
+numeric cell within ``RTOL`` of the stored one; the stored copy must match
+its sha256 in ``golden.json``.  Where numpy and BLAS are the ones that produced
 the copies, its sha256 must match as well; elsewhere that test is skipped
 with the reason, so a run reports which check it made.
 """
@@ -18,7 +22,6 @@ from golden.compare import (
     environment,
     load_manifest,
     read_csv,
-    run_outputs,
     same_build,
     sha256,
 )
@@ -36,18 +39,11 @@ OUTPUTS = MANIFEST["outputs"]
 IDS = [entry["file"].removesuffix(".csv") for entry in OUTPUTS]
 
 
-@pytest.fixture(scope="module")
-def fresh_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("outputs")
-    run_outputs(out)
-    return out
-
-
 @pytest.mark.parametrize("entry", OUTPUTS, ids=IDS)
-def test_bundled_output_matches_its_stored_copy(fresh_dir, entry):
+def test_bundled_output_matches_its_stored_copy(in_process_passes, entry):
     stored = GOLDEN_DIR / entry["file"]
     assert sha256(stored) == entry["sha256"], "stored copy and golden.json disagree"
-    old, new = read_csv(stored), read_csv(fresh_dir / entry["file"])
+    old, new = read_csv(stored), read_csv(in_process_passes[0] / entry["file"])
     assert new[0] == old[0]
     assert len(new) == len(old)
     moved = {k: v for k, v in column_changes(old, new).items() if v > RTOL}
@@ -55,9 +51,9 @@ def test_bundled_output_matches_its_stored_copy(fresh_dir, entry):
 
 
 @pytest.mark.parametrize("entry", OUTPUTS, ids=IDS)
-def test_bundled_output_keeps_its_stored_sha256(fresh_dir, entry):
+def test_bundled_output_keeps_its_stored_sha256(in_process_passes, entry):
     recorded, here = MANIFEST["environment"], environment()
     if not same_build(recorded, here):
         pytest.skip(f"numpy/BLAS here {here} differ from the recorded {recorded}: "
                     f"only the value bound {RTOL:g} was checked")
-    assert sha256(fresh_dir / entry["file"]) == entry["sha256"]
+    assert sha256(in_process_passes[0] / entry["file"]) == entry["sha256"]

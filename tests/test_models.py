@@ -168,6 +168,17 @@ def test_oscillator_correlator_refuses_nonpositive_frequency():
             OscillatorCorrelation(omega0, 1.0)
 
 
+@pytest.mark.parametrize("nested", [[[0.7], [1.3], [4.0]], ((0.7,), (1.3,), (4.0,))],
+                         ids=["list", "tuple"])
+def test_oscillator_correlator_takes_a_nested_sequence_as_its_array(nested):
+    # value() and the derivatives multiply by omega0, which a list cannot be
+    beta, u = 1.7, np.linspace(0.0, 1.7, 5)
+    seq, arr = OscillatorCorrelation(nested, beta), OscillatorCorrelation(np.array(nested), beta)
+    assert seq.omega0.dtype == np.float64
+    for attr in ("value", "dbeta", "d2beta"):
+        assert np.array_equal(getattr(seq, attr)(u), getattr(arr, attr)(u)), attr
+
+
 def test_correlators_satisfy_detailed_balance_symmetry():
     # Phi(u) = Phi(beta - u) for every thermal autocorrelation we build
     beta = 1.7
@@ -292,6 +303,45 @@ def test_oscillator_levels_meet_tail_target():
     assert n >= 40
     top = math.exp(-beta * omega0 * (n - 1)) * (1.0 - math.exp(-beta * omega0))
     assert top <= tail
+
+
+def test_probe_oscillator_refuses_a_non_integral_n_trunc():
+    # int() alone would build 40 levels from 40.7 without a word
+    with pytest.raises(ValueError, match="n_trunc"):
+        probe_oscillator(1.0, n_trunc=40.7)
+
+
+@pytest.mark.parametrize("n_trunc", [np.inf, np.nan])
+def test_probe_oscillator_refuses_a_non_finite_n_trunc(n_trunc):
+    # int() alone raises OverflowError on inf, and on NaN a message that
+    # names no argument
+    with pytest.raises(ValueError, match="n_trunc"):
+        probe_oscillator(1.0, n_trunc=n_trunc)
+
+
+@pytest.mark.parametrize("n_levels", [0, -3])
+def test_bath_mode_refuses_fewer_than_one_level(n_levels):
+    # zero levels would fail only later, in a reduction over an empty spectrum
+    with pytest.raises(ValueError, match="n_levels"):
+        bath_mode(1.0, n_levels)
+
+
+@pytest.mark.parametrize("n_levels", [2.5, np.inf, np.nan])
+def test_bath_mode_refuses_a_non_integral_level_count(n_levels):
+    with pytest.raises(ValueError, match="n_levels"):
+        bath_mode(1.0, n_levels)
+
+
+def test_level_counts_accept_integral_floats_and_numpy_integers():
+    ref_probe, ref_mode = probe_oscillator(1.0, n_trunc=12), bath_mode(0.8, 6)
+    for n in (12.0, np.int64(12), np.float64(12.0)):
+        probe = probe_oscillator(1.0, n_trunc=n)
+        assert probe.dim == 12 and type(probe.params["n_trunc"]) is int
+        assert np.array_equal(probe.hamiltonian, ref_probe.hamiltonian)
+    for n in (6.0, np.int32(6)):
+        mode = bath_mode(0.8, n)
+        assert np.array_equal(mode.hamiltonian, ref_mode.hamiltonian)
+        assert np.array_equal(mode.coupling, ref_mode.coupling)
 
 
 def test_probe_oscillator_truncation_guards():
