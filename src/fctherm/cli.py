@@ -21,13 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, default_gamma_grid, load_config
+from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
     CouplingTooStrongError,
@@ -92,9 +90,12 @@ def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], w
     per-beta caches hit across a chunk's inner-axis points.  Each worker gets
     about four chunks, not one: an oscillator's rows shrink as beta rises, so
     with one beta-major run each, the workers holding the cold, small rows
-    sit idle while the first works through the hot ones."""
+    sit idle while the first works through the hot ones.  The pool is
+    imported here: it imports multiprocessing, which a serial run never needs."""
     if workers <= 1:
         return [_compute_report(cfg, b, g, t) for b, g, t in points]
+    from concurrent.futures import ProcessPoolExecutor
+    from itertools import repeat
     betas, gammas, thetas = zip(*points)
     chunksize = -(-len(points) // (4 * workers))  # ceil
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -104,8 +105,7 @@ def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], w
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> None:
     out = Path(path)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -190,8 +190,7 @@ def _scaling_rows(gammas: np.ndarray, f_exact: np.ndarray, fi_gap: np.ndarray, d
     return rows
 
 
-def cmd_scaling(cfg: RunConfig, out: str | None, workers: int) -> int:
-    del workers  # grid is small; the exact reference runs serially
+def cmd_scaling(cfg: RunConfig, out: str | None) -> int:
     bath = cfg.build_bath()
     if not isinstance(bath, DiscreteBath):
         raise ConfigError("scaling: requires a discrete-file bath (exact reference needed)")
@@ -203,7 +202,7 @@ def cmd_scaling(cfg: RunConfig, out: str | None, workers: int) -> int:
         probe = cfg.build_probe(beta=cfg.beta_grid.min)
     tol = cfg.tolerances()
     betas = [float(b) for b in cfg.beta_grid.points()]
-    gammas = cfg.scaling.points() if cfg.scaling else default_gamma_grid()
+    gammas = cfg.scaling.points()
     # X does not depend on the coupling: one expansion per beta serves every
     # gamma, and x_matrix alone decides whether the bath mean allows one;
     # where it does not, the prediction is the bare Gibbs state
@@ -284,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_report(cfg, args.out, args.workers)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out, args.workers)
-        return cmd_scaling(cfg, args.out, args.workers)
+        return cmd_scaling(cfg, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

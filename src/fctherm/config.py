@@ -154,7 +154,7 @@ class RunConfig:
     tolerance_overrides: dict = field(default_factory=dict)
     output: str | None = None
     sweep: SweepSpec | None = None
-    scaling: GridSpec | None = None  # log-spaced couplings for order fits
+    scaling: GridSpec = GridSpec(DEFAULT_GAMMA_MIN, DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_POINTS, "log")
     base_dir: str | None = None  # directory the config was read from, for relative paths
 
     # -- materialisation ----------------------------------------------------
@@ -251,6 +251,8 @@ class RunConfig:
                 "spacing": self.beta_grid.spacing,
             },
             "quadrature": {"n_u": self.n_u, "n_omega": self.n_omega},
+            "scaling": {"gamma_min": self.scaling.min, "gamma_max": self.scaling.max,
+                        "n": self.scaling.n},
         }
         if self.tolerance_overrides:
             out["tolerances"] = dict(self.tolerance_overrides)
@@ -264,12 +266,6 @@ class RunConfig:
                 g = self.sweep.grid
                 sw.update({"min": g.min, "max": g.max, "n": g.n, "spacing": g.spacing})
             out["sweep"] = sw
-        if self.scaling is not None:
-            out["scaling"] = {
-                "gamma_min": self.scaling.min,
-                "gamma_max": self.scaling.max,
-                "n": self.scaling.n,
-            }
         return out
 
     def to_json(self) -> str:
@@ -404,21 +400,19 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
             grid = _parse_grid(grid_raw, "sweep", positive_min=(axis == "gamma"))
             sweep = SweepSpec(axis=axis, grid=grid)
 
-    scaling = None
-    if "scaling" in raw:
-        sc = _expect_mapping(raw["scaling"], "scaling")
-        _reject_unknown(sc, "scaling", ("gamma_min", "gamma_max", "n"))
-        scaling = GridSpec(
-            min=_expect_number(sc.get("gamma_min", DEFAULT_GAMMA_MIN), "scaling.gamma_min",
-                               positive=True),
-            max=_expect_number(sc.get("gamma_max", DEFAULT_GAMMA_MAX), "scaling.gamma_max",
-                               positive=True),
-            n=_expect_int(sc.get("n", DEFAULT_GAMMA_POINTS), "scaling.n", minimum=5,
-                          maximum=MAX_GRID_POINTS),
-            spacing="log",
-        )
-        if scaling.max <= scaling.min:
-            raise ConfigError("scaling: gamma_max must exceed gamma_min")
+    sc = _expect_mapping(raw.get("scaling", {}), "scaling")
+    _reject_unknown(sc, "scaling", ("gamma_min", "gamma_max", "n"))
+    scaling = GridSpec(
+        min=_expect_number(sc.get("gamma_min", DEFAULT_GAMMA_MIN), "scaling.gamma_min",
+                           positive=True),
+        max=_expect_number(sc.get("gamma_max", DEFAULT_GAMMA_MAX), "scaling.gamma_max",
+                           positive=True),
+        n=_expect_int(sc.get("n", DEFAULT_GAMMA_POINTS), "scaling.n", minimum=5,
+                      maximum=MAX_GRID_POINTS),
+        spacing="log",
+    )
+    if scaling.max <= scaling.min:
+        raise ConfigError("scaling: gamma_max must exceed gamma_min")
 
     cfg = RunConfig(
         probe_kind=probe_kind,

@@ -40,27 +40,28 @@ THERMAL_SPLIT = 30.0
 
 
 def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a square, finite, Hermitian array and return it in the one
-    dtype every later step keeps: a contiguous float64 copy when its imaginary
-    part is all zero, complex128 otherwise.
+    """Validate a non-empty, square, finite, Hermitian array and return it in
+    the one dtype every later step keeps: a contiguous float64 copy when its
+    imaginary part is all zero, complex128 otherwise.
 
     Every operator enters the library through here (probe and bath
-    operators, decompositions, density operators, state derivatives), so a
-    real-symmetric model runs LAPACK's real-symmetric solver and real GEMMs
-    from then on.  The copy is contiguous because numpy's matmul does not
-    hand a strided view (such as the real part of a complex array) to BLAS.
+    operators, decompositions, density operators, state derivatives), so no
+    later step meets an empty spectrum, and a real-symmetric model runs
+    LAPACK's real-symmetric solver and real GEMMs from then on.  The copy is
+    contiguous because numpy's matmul does not hand a strided view (such as
+    the real part of a complex array) to BLAS.
     """
     m = np.asarray(matrix)
     if m.dtype.kind not in "biuf":  # complex entries, or entries numpy must convert
         m = m.astype(np.complex128, copy=False)
     if m.dtype.kind != "c" or not m.imag.any():
         m = np.array(m.real, dtype=np.float64, order="C")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():  # a NaN would pass every comparison below
         raise ValueError(f"{name} has a non-finite entry")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    drift = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    scale = max(1.0, float(np.max(np.abs(m))))
+    drift = float(np.max(np.abs(m - m.conj().T)))
     if drift > HERMITICITY_TOL * scale:
         raise ValueError(f"{name} is not Hermitian: max|M - M^dag| = {drift:.3e}")
     return m
@@ -132,7 +133,7 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     """
     a = require_hermitian(matrix)
     diag = np.diagonal(a)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+    scale = max(1.0, float(np.max(np.abs(a))))
     if np.count_nonzero(a) == np.count_nonzero(diag):
         # unit vectors eye[:, order]: both checks below in closed form
         order = np.argsort(diag.real, kind="stable")
@@ -292,6 +293,14 @@ def quad_finite(n: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(*_legendre_panels(n, a, b), kind="gauss-legendre")
 
 
+def _laguerre(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Laguerre rule on [0, inf) with
+    decay rate 1/scale, e^{x} folded into the weights: the one place Laguerre
+    nodes are mapped."""
+    x, w = _laggauss(n)
+    return scale * x, scale * w * np.exp(x)
+
+
 def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule:
     """Frequency rule for integrands weighted by both exp(-w/cutoff) and
     thermal kernels with structure at w ~ 1/beta.
@@ -327,10 +336,10 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
     n_tail = min(max(8, n - n_low - n_mid), MAX_LAGUERRE_NODES)
     low_x, low_w = _legendre_panels(n_low, 0.0, w_split)
     mid_x, mid_w = _legendre_panels(n_mid, w_split, 2.0 * cutoff)
-    tail = quad_semiinfinite(n_tail, scale=cutoff)
+    tail_x, tail_w = _laguerre(n_tail, cutoff)
     return QuadratureRule(
-        nodes=np.concatenate([low_x, mid_x, 2.0 * cutoff + tail.nodes]),
-        weights=np.concatenate([low_w, mid_w, tail.weights]),
+        nodes=np.concatenate([low_x, mid_x, 2.0 * cutoff + tail_x]),
+        weights=np.concatenate([low_w, mid_w, tail_w]),
         kind="legendre+laguerre",
     )
 
@@ -394,9 +403,4 @@ def quad_semiinfinite(n: int, scale: float = 1.0) -> QuadratureRule:
         )
     if scale <= 0:
         raise ValueError("scale must be positive")
-    x, w = _laggauss(n)
-    return QuadratureRule(
-        nodes=scale * x,
-        weights=scale * w * np.exp(x),
-        kind="gauss-laguerre",
-    )
+    return QuadratureRule(*_laguerre(n, scale), kind="gauss-laguerre")

@@ -328,8 +328,6 @@ def high_T_asymptote(probe: ProbeModel, bath: ContinuumBath, beta: float) -> flo
     not just a hot probe: at beta * cutoff = 1 and beta * epsilon = 0.01 the
     kernel integral is 5 % (qubit) and 10 % (oscillator) below it.
     """
-    if bath.s <= 0:
-        raise ValueError("asymptote requires a positive low-frequency exponent")
     weight = bath.cutoff**bath.dim_exponent * math.gamma(bath.s)
     if probe.kind == "qubit":
         eps = probe.params["epsilon"]

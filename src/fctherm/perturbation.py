@@ -124,8 +124,6 @@ def _pair_sum(s_eig: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     """Level-pair sum S (S o G) on the lowest k levels, [n, m] = sum_l S_nl
     S_lm G_lm for n, m < k, with G the d x k gap table: a (k x d)(d x k)
     product, the full d x d one at k = d."""
-    if k >= s_eig.shape[0]:  # no slice views at k = d: they cost a qubit point ~1 %
-        return s_eig @ (s_eig * g)
     return s_eig[:k] @ (s_eig[:, :k] * g)
 
 
@@ -192,15 +190,14 @@ def _point_setup(
 
 
 def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pi X, pi dX/dbeta) on the block of the lowest k levels, k clamped to
-    the probe's d.  The four gap tables are d x k, G[a, b] for b < k.  Entry
-    for entry the block is the full matrices' own arithmetic; only the
-    tables' (d x n_u)(n_u x k) products and the pair sums' (k x d)(d x k)
-    products may round apart from the full products' columns and block, and
-    at k = d they are those products."""
+    """(pi X, pi dX/dbeta) on the block of the lowest k <= d levels.  The
+    four gap tables are d x k, G[a, b] for b < k.  Entry for entry the block
+    is the full matrices' own arithmetic; only the tables' (d x n_u)(n_u x k)
+    products and the pair sums' (k x d)(d x k) products may round apart from
+    the full products' columns and block, and at k = d they are those
+    products."""
     corr = setup.probe_corr
     beta, s_eig = corr.beta, corr.coupling_eig
-    k = min(k, corr.evals.size)
     e, u = corr.evals, setup.rule.nodes
     # G[a, b] ~ e^{u (E_b - E_a)}, b < k; all four are made whether or not a
     # near pair reads the (beta - u)-weighted two
@@ -216,13 +213,12 @@ def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
     gap = evals[:, None] - evals[None, :]  # gap[n, m] = E_n - E_m
     near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
     safe_gap = np.where(near, 1.0, gap)
-    # c[n, m] = p_n e^{beta gap} = p_m is c = lo * t: lo the population of the
-    # pair's lower level, t = e^{-beta |gap|} where E_n <= E_m and 1 elsewhere,
-    # so no exponent is positive.  lo is symmetric and t^T mirrors t, so the
-    # pair's two halves round alike and pi X is Hermitian bit for bit (README)
-    lower = gap <= 0.0
-    lo = np.where(lower, p[:, None], p[None, :])
-    t = np.where(lower, np.exp(-beta * np.abs(gap)), 1.0)
+    # c[n, m] = p_n e^{beta gap} = p_m is c = lo * t: lo = max(p_n, p_m), the
+    # lower level's population, and t = e^{-beta |gap|} where E_n <= E_m, 1
+    # elsewhere, so no exponent is positive.  lo is symmetric and t^T mirrors
+    # t, so the pair's halves round alike: pi X is Hermitian bit for bit (README)
+    lo = np.maximum.outer(p, p)
+    t = np.where(gap <= 0.0, np.exp(-beta * np.abs(gap)), 1.0)
 
     # G is real and S Hermitian, so a2 = (S o G^T) S = (S (S o G))^dag (README)
     a1, a1d = _pair_sum(s_eig, g_phi, k), _pair_sum(s_eig, g_dphi, k)

@@ -52,8 +52,10 @@ def cold_caches():
 def in_process_passes(tmp_path_factory) -> list[Path]:
     """Two in-process passes of the bundled configs through ``cli.main``, the
     first on empty caches, the second on the caches the first left behind.
-    ``test_golden.py`` compares the first with the stored copies, and
-    ``test_byte_checks.py`` compares both with fresh processes and each other."""
+    ``test_golden.py`` compares the first with the stored copies,
+    ``test_byte_checks.py`` and ``test_cli.py`` compare both with fresh
+    processes and each other, and ``test_acceptance.py`` reads the figure
+    reports of the first instead of running those configs again."""
     clear_caches()
     passes = [tmp_path_factory.mktemp(name) for name in ("cold", "warm")]
     for out in passes:

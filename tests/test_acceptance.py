@@ -40,7 +40,7 @@ from fctherm import (
     x_matrix,
     xi_via_spectral_kernel,
 )
-from fctherm.cli import CSV_COLUMNS, main
+from fctherm.cli import CSV_COLUMNS
 from references import bare_sld, exact_sld, x_matrix_fd_dbeta
 from refinement import pauli_coefficient, refine_linear, refine_quadratic
 
@@ -441,11 +441,9 @@ def load_report(csv_path):
     return rows, cols
 
 
-def test_criterion_9_figure_reports_have_documented_shapes(tmp_path, config_dir):
-    out1 = tmp_path / "oscillator.csv"
-    rc = main(["report", "--config", str(config_dir / "report_oscillator_ohmic.json"), "--out", str(out1)])
-    assert rc == 0
-    rows, c = load_report(out1)
+def test_criterion_9_figure_reports_have_documented_shapes(in_process_passes):
+    # both figure configs are bundled: the session's cold pass has run them
+    rows, c = load_report(in_process_passes[0] / "report-report_oscillator_ohmic.csv")
     assert len(rows) == 25
     beta = c["beta"]
     assert np.all(np.diff(beta) > 0)
@@ -460,10 +458,7 @@ def test_criterion_9_figure_reports_have_documented_shapes(tmp_path, config_dir)
     # there is an intermediate window where the coupling helps
     assert np.max(c["xi"]) > 0.0
 
-    out2 = tmp_path / "qubit.csv"
-    rc = main(["report", "--config", str(config_dir / "report_qubit_transverse.json"), "--out", str(out2)])
-    assert rc == 0
-    rows, c = load_report(out2)
+    rows, c = load_report(in_process_passes[0] / "report-report_qubit_transverse.csv")
     assert len(rows) == 50
     # transverse-coupled qubit: the correction is negative everywhere, so the
     # perturbative bound is below the local-thermal bound at every point

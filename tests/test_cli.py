@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import json
 import math
@@ -103,18 +104,19 @@ def test_report_output_is_byte_stable(tmp_path):
 
 @pytest.mark.parametrize("command, name", [("sweep", "report_qubit_transverse"),
                                            ("report", "report_oscillator_ohmic")])
-def test_warm_caches_give_a_fresh_process_bytes(tmp_path, config_dir, cold_caches, command, name):
-    # a second run in one interpreter reads the probe spectra, bath
-    # correlators, rules and kernel tables the first one left behind
-    cfg = str(config_dir / f"{name}.json")
-    runs = [tmp_path / f"{k}.csv" for k in ("cold", "warm", "fresh")]
-    for out in runs[:2]:
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+def test_warm_caches_give_a_fresh_process_bytes(tmp_path, config_dir, in_process_passes,
+                                                command, name):
+    # the session's warm pass, which read the probe spectra, bath correlators,
+    # rules and kernel tables its cold pass left behind, gives the cold pass's
+    # bytes (test_byte_checks.py); so must a fresh process at this process's
+    # BLAS thread count, which starts from none
+    fresh = tmp_path / "fresh.csv"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-m", "fctherm.cli", command, "--config", cfg,
-                    "--out", str(runs[2])], check=True, env=env, capture_output=True)
-    assert runs[0].read_bytes() == runs[1].read_bytes() == runs[2].read_bytes()
+    subprocess.run([sys.executable, "-m", "fctherm.cli", command, "--config",
+                    str(config_dir / f"{name}.json"), "--out", str(fresh)],
+                   check=True, env=env, capture_output=True)
+    assert fresh.read_bytes() == (in_process_passes[0] / f"{command}-{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("run", ["report-qubit-ohmic", "sweep-qubit-transverse",
@@ -163,7 +165,8 @@ def test_parallel_rows_go_out_in_about_four_chunks_per_worker(tmp_path, monkeypa
             maps.append((self.max_workers, len(rows), chunksize))
             return rows
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # the CLI imports the pool only when a run asks for workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     doc = dict(QUBIT_OHMIC, beta_grid={"min": 0.5, "max": 2.0, "n": 50, "spacing": "log"})
     assert main(["report", "--config", write_config(tmp_path, doc),
                  "--workers", str(workers)]) == 0
@@ -296,6 +299,12 @@ def test_exit_2_on_removed_tolerance_field(tmp_path, capsys, name):
     cfg = write_config(tmp_path, dict(QUBIT_OHMIC, tolerances={name: 1e-14}))
     assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
     assert f"tolerances.{name}: unknown tolerance name" in capsys.readouterr().err
+
+
+def test_output_into_a_new_directory_makes_the_directory(tmp_path):
+    out = tmp_path / "new" / "deeper" / "r.csv"
+    assert main(["report", "--config", write_config(tmp_path, QUBIT_OHMIC), "--out", str(out)]) == 0
+    assert len(read_rows(out)[1]) == 3
 
 
 def test_exit_2_on_unwritable_output_path(tmp_path, capsys):
@@ -621,14 +630,6 @@ def test_scaling_rows_of_a_beta_grid_equal_one_beta_runs(tmp_path, config_dir):
     both, first, second = tables
     assert len(both) == 7
     assert "".join(both) == "".join(first + second[1:])
-
-
-def test_scaling_output_is_byte_stable(tmp_path, config_dir):
-    cfg = str(config_dir / "scaling_spin_boson.json")
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["scaling", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["scaling", "--config", cfg, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def statuses_and_windows(rows):

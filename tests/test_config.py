@@ -40,6 +40,10 @@ def cfg_with(**patch) -> dict:
         (lambda d: d.pop("probe"), "probe: required"),
         (lambda d: d.pop("gamma"), "gamma: required"),
         (lambda d: d.update(gamma=-0.1), "gamma: must be >= 0"),
+        # Python's json reads NaN and Infinity as floats
+        (lambda d: d.update(gamma=json.loads("NaN")), "gamma: must be finite"),
+        (lambda d: d["beta_grid"].update(max=json.loads("Infinity")),
+         "beta_grid.max: must be finite"),
         (lambda d: d.update(extra=1), "config: unknown field"),
         (lambda d: d["probe"].update(kind="spin-7"), "probe.kind"),
         (lambda d: d["probe"]["params"].update(epsilon=0.0), "probe.params.epsilon"),
@@ -50,11 +54,20 @@ def cfg_with(**patch) -> dict:
         ),
         (lambda d: d["bath"].pop("s"), "bath.s: required for an ohmic-family bath"),
         (lambda d: d["bath"].update(Omega=-1.0), "bath.Omega"),
+        (
+            lambda d: d.update(probe={"kind": "custom-matrix-file", "params": {}}),
+            "probe.params.path: required for custom-matrix-file",
+        ),
+        (lambda d: d.update(bath={"kind": "discrete-file"}),
+         "bath.path: required for a discrete-file bath"),
         (lambda d: d["beta_grid"].pop("n"), "beta_grid.n: required"),
         (lambda d: d["beta_grid"].update(n=0), "beta_grid.n: must be >= 1"),
         (lambda d: d["beta_grid"].update(min=5.0), "beta_grid: max must be >= min"),
+        (lambda d: d["beta_grid"].update(max=0.5), "beta_grid: max must exceed min for n > 1"),
         (lambda d: d["beta_grid"].update(spacing="cubic"), "beta_grid.spacing"),
         (lambda d: d.update(quadrature={"n_u": 0}), "quadrature.n_u"),
+        (lambda d: d.update(quadrature={"n_u": 64.0}), "quadrature.n_u: expected an integer"),
+        (lambda d: d.update(quadrature=[]), "quadrature: expected an object"),
         (lambda d: d.update(tolerances={"bogus": 1e-9}), "tolerances.bogus: unknown tolerance name"),
         (
             # x_matrix picks its near-degenerate form from beta * gap, not from a knob
@@ -136,6 +149,10 @@ def test_scaling_defaults():
     assert pts.size == 8
     assert pts[0] == pytest.approx(1e-2) and pts[-1] == pytest.approx(1e-1)
     assert np.array_equal(pts, default_gamma_grid())
+    # a config with no scaling section gets the same window, and writes it
+    assert parse_config(cfg_with()).scaling == cfg.scaling
+    assert json.loads(parse_config(cfg_with()).to_json())["scaling"] == {
+        "gamma_min": 1e-2, "gamma_max": 1e-1, "n": 8}
     # a config with no quadrature section, or an empty one, gets the library's rule sizes
     for doc in (cfg_with(), cfg_with(quadrature={})):
         cfg = parse_config(doc)

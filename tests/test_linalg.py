@@ -7,10 +7,12 @@ import pytest
 
 from fctherm import (
     DensityOperator,
+    DiscreteBath,
     SingularSupportError,
     eigendecompose,
     gibbs_populations,
     gibbs_state,
+    probe_custom,
     probe_oscillator,
     probe_qubit,
     qfi_from_sld,
@@ -49,6 +51,23 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(m + 1e-6 * np.eye(4) * 1j)
     with pytest.raises(ValueError, match="square"):
         require_hermitian(np.ones((2, 3)))
+
+
+def test_an_empty_operator_is_refused_where_it_enters():
+    # every operator enters through require_hermitian, so no later step
+    # (decomposition, kernel table, scale) meets an empty spectrum
+    for empty in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex), []):
+        with pytest.raises(ValueError, match="probe Hamiltonian must be a non-empty square"):
+            require_hermitian(empty, name="probe Hamiltonian")
+        with pytest.raises(ValueError, match="non-empty square"):
+            eigendecompose(empty)
+    # a 0 x 0 bath was once built, and failed only in its decomposition, with
+    # numpy's "zero-size array to reduction operation maximum"
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValueError, match="bath Hamiltonian must be a non-empty square"):
+        DiscreteBath(empty, empty)
+    with pytest.raises(ValueError, match="probe Hamiltonian must be a non-empty square"):
+        probe_custom(empty, empty)
 
 
 @pytest.mark.parametrize(
@@ -464,6 +483,8 @@ def test_quad_semiinfinite_exactness_and_cap():
         quad_semiinfinite(MAX_LAGUERRE_NODES + 1)
     with pytest.raises(ValueError):
         quad_semiinfinite(8, scale=0.0)
+    with pytest.raises(ValueError, match="at least one node"):
+        quad_semiinfinite(0)
 
 
 def test_memoised_base_rules_are_read_only():
@@ -629,7 +650,7 @@ def test_graded_rule_builds_only_the_rule_it_returns(monkeypatch, built_rules):
     assert built_rules == ["legendre-graded"]
     built_rules.clear()
     assert quad_thermal_frequency(128, 100.0, 10.0).kind == "legendre+laguerre"
-    assert built_rules == ["gauss-laguerre", "legendre+laguerre"]  # the tail, then the rule
+    assert built_rules == ["legendre+laguerre"]  # its Laguerre tail is no rule of its own
 
 
 @pytest.mark.parametrize("n", [0, -5])

@@ -412,6 +412,22 @@ def test_discrete_bath_shape_validation():
         DiscreteBath(SZ, np.eye(3, dtype=complex))
 
 
+def test_probe_custom_shape_validation():
+    with pytest.raises(ValueError, match="equal shapes"):
+        probe_custom(SZ, np.eye(3))
+
+
+@pytest.mark.parametrize("text, message", [("{not json", "invalid JSON"),
+                                           ("[[1.0, 0.0]]", "expected an object, got list")],
+                         ids=["not-json", "list"])
+def test_operator_file_must_hold_one_json_object(tmp_path, text, message):
+    path = tmp_path / "pair.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as err:
+        load_operator_pair(path)
+    assert str(path) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # one continuum-bath correlator per (bath, beta, n_omega)
 # ---------------------------------------------------------------------------

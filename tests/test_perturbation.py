@@ -531,13 +531,13 @@ def test_expansion_refuses_an_empty_time_rule():
 
 
 def test_snr_bound_builds_few_quadrature_rules(built_rules):
-    # one frequency rule (plus its Laguerre tail past the split) and one
-    # imaginary-time rule, shared by x_matrix and the integral route
+    # one frequency rule and one imaginary-time rule, shared by x_matrix and
+    # the integral route
     probe, bath = MODEL_PAIRS[1]
     for beta in (0.1, 1.0, 10.0):  # beta * cutoff below and above the split
         built_rules.clear()
         snr_bound(probe, bath, 0.1, beta)
-        assert len(built_rules) <= 3, (beta, built_rules)
+        assert len(built_rules) <= 2, (beta, built_rules)
 
 
 def test_sld_alpha_is_exactly_hermitian():
