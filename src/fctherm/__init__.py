@@ -8,7 +8,7 @@ signal-to-noise ratio, and an exact small-system reference that every
 perturbative formula is validated against.
 """
 
-from .config import GridSpec, RunConfig, SweepSpec, default_gamma_grid, load_config, parse_config
+from .config import GridSpec, RunConfig, SweepSpec, load_config, parse_config
 from .errors import (
     ConfigError,
     CouplingTooStrongError,
@@ -65,11 +65,9 @@ from .models import (
 from .oracle import (
     JointModel,
     OrderFit,
-    ReferenceModel,
     exact_fishers,
     exact_mfg,
     order_fit,
-    reference_two_qubit_models,
     trace_distance,
 )
 from .perturbation import (
@@ -87,7 +85,6 @@ __all__ = [
     "GridSpec",
     "RunConfig",
     "SweepSpec",
-    "default_gamma_grid",
     "load_config",
     "parse_config",
     "ConfigError",
@@ -137,11 +134,9 @@ __all__ = [
     "spectral_density",
     "JointModel",
     "OrderFit",
-    "ReferenceModel",
     "exact_fishers",
     "exact_mfg",
     "order_fit",
-    "reference_two_qubit_models",
     "trace_distance",
     "MeanForceExpansion",
     "mfg_second_order",

@@ -42,11 +42,6 @@ BATH_KINDS = ("ohmic", "discrete-file")
 SPACINGS = ("linear", "log")
 SWEEP_AXES = ("gamma", "theta")
 
-# default coupling window and size of an order-fit grid (see default_gamma_grid)
-DEFAULT_GAMMA_MIN = 1e-2
-DEFAULT_GAMMA_MAX = 1e-1
-DEFAULT_GAMMA_POINTS = 8
-
 # Largest sizes a config may ask for (README, config schema): numpy builds an
 # n-node Gauss-Legendre rule from an n x n matrix, so n_u and n_omega (whose
 # cold infrared panel has n_omega // 2 nodes) cost O(n^2) memory, and an
@@ -116,15 +111,10 @@ class GridSpec:
         return np.linspace(self.min, self.max, self.n)
 
 
-def default_gamma_grid(
-    n: int = DEFAULT_GAMMA_POINTS, lo: float = DEFAULT_GAMMA_MIN, hi: float = DEFAULT_GAMMA_MAX
-) -> np.ndarray:
-    """Log-spaced couplings for order fits.
-
-    The default window keeps fourth-order deviations (gamma^4 >= 1e-8) far
-    above rounding; above ~1e-1 higher orders contaminate the fit.
-    """
-    return GridSpec(lo, hi, n, "log").points()
+# Default coupling window of a scaling study: fourth-order deviations
+# (gamma^4 >= 1e-8) stay far above rounding, and below 1e-1 higher orders do
+# not yet contaminate the order fit.
+DEFAULT_SCALING = GridSpec(1e-2, 1e-1, 8, "log")
 
 
 @dataclass(frozen=True)
@@ -154,7 +144,7 @@ class RunConfig:
     tolerance_overrides: dict = field(default_factory=dict)
     output: str | None = None
     sweep: SweepSpec | None = None
-    scaling: GridSpec = GridSpec(DEFAULT_GAMMA_MIN, DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_POINTS, "log")
+    scaling: GridSpec = DEFAULT_SCALING
     base_dir: str | None = None  # directory the config was read from, for relative paths
 
     # -- materialisation ----------------------------------------------------
@@ -403,11 +393,11 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
     sc = _expect_mapping(raw.get("scaling", {}), "scaling")
     _reject_unknown(sc, "scaling", ("gamma_min", "gamma_max", "n"))
     scaling = GridSpec(
-        min=_expect_number(sc.get("gamma_min", DEFAULT_GAMMA_MIN), "scaling.gamma_min",
+        min=_expect_number(sc.get("gamma_min", DEFAULT_SCALING.min), "scaling.gamma_min",
                            positive=True),
-        max=_expect_number(sc.get("gamma_max", DEFAULT_GAMMA_MAX), "scaling.gamma_max",
+        max=_expect_number(sc.get("gamma_max", DEFAULT_SCALING.max), "scaling.gamma_max",
                            positive=True),
-        n=_expect_int(sc.get("n", DEFAULT_GAMMA_POINTS), "scaling.n", minimum=5,
+        n=_expect_int(sc.get("n", DEFAULT_SCALING.n), "scaling.n", minimum=5,
                       maximum=MAX_GRID_POINTS),
         spacing="log",
     )

@@ -231,13 +231,22 @@ def probe_qubit(epsilon: float = 1.0, theta: float = 0.0) -> ProbeModel:
 def _require_oscillator_scales(omega0: float, beta: float | None, tail: float) -> None:
     """Refuse an oscillator frequency or design inverse temperature that is not
     positive and finite, or a tail population outside (0, 1) (NaN too), before
-    it reaches a cache, a logarithm or an int()."""
+    it reaches a cache, a logarithm or an int().
+
+    A design point with beta * omega0 <= tail is refused too: there even the
+    ground level holds less than ``tail``, so every truncation passes the
+    top-level rule while keeping almost none of the thermal state."""
     if not 0 < omega0 < np.inf:
         raise ValueError("oscillator frequency must be positive and finite")
     if beta is not None and not 0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
     if not 0 < tail < 1:
         raise ValueError(f"tail_population must lie in (0, 1), got {tail!r}")
+    if beta is not None and beta * omega0 <= tail:
+        raise ValueError(
+            f"beta * omega0 = {beta * omega0:.3g} is at or below tail_population = {tail:.3g}: "
+            f"every level holds less than the tail, so no truncation keeps the thermal state"
+        )
 
 
 def oscillator_levels(omega0: float, beta: float, tail: float = DEFAULT_TOL.tail_population) -> int:

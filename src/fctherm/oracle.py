@@ -6,19 +6,12 @@ trace, and its temperature derivative is exact too, because only the Gibbs
 weights of the fixed joint eigenbasis depend on inverse temperature.  Nothing
 in this module touches the series-expansion machinery, so agreement between
 the two is a genuine cross-check rather than a tautology.
-
-The module also ships two exactly solvable two-qubit models with non-zero
-environment mean, together with evaluators for their closed-form expansion
-coefficients.  They exercise the first-order effects that the zero-mean
-expansion deliberately refuses to handle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +24,7 @@ from .linalg import (
     sld_solve,
 )
 from .metrology import cfi_energy_general
-from .models import SIGMA_X, SIGMA_Z, DiscreteBath, ProbeModel, probe_custom
+from .models import DiscreteBath, ProbeModel
 from .tolerances import DEFAULT_TOL, Tolerances
 
 MAX_JOINT_DIM = 4096  # brute-force diagonalisation budget
@@ -210,94 +203,3 @@ def order_fit(
         r_squared=r2,
         indistinguishable=False,
     )
-
-
-# ----------------------------------------------------------------------------
-# exactly solvable two-qubit reference models
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReferenceModel:
-    """A two-qubit probe+environment model with closed-form coefficients.
-
-    ``coeffs(beta)`` returns the expansion coefficients of the reduced state
-    (``state_linear``, ``state_quadratic``), of the logarithmic derivative
-    (``sld_linear``), and of the Fisher quantities (``qfi_linear`` for the
-    dephasing model, ``fi_gap_quadratic`` for the dissipative one), as
-    functions of inverse temperature.  Each is derived by hand from the
-    two-qubit model; the acceptance suite checks them against the exact
-    reduced state extracted by coupling refinement.
-    """
-
-    name: str
-    probe: ProbeModel
-    bath: DiscreteBath
-    coeffs: Callable[[float], dict]
-    coherence_axis: str  # Pauli component carrying the first-order state term
-
-    def joint(self, gamma: float) -> JointModel:
-        return JointModel(self.probe, self.bath, gamma)
-
-
-def _dephasing_coeffs(beta: float) -> dict:
-    t = math.tanh(beta)
-    sech2 = 1.0 - t * t
-    return {
-        "state_linear": 0.5 * beta * sech2 * t,
-        "state_quadratic": 0.5 * beta * beta * sech2 * t**3,
-        "sld_linear": 1.0 + t + sech2 * (beta + 2.0 * beta * t - 1.0),
-        "qfi_linear": sech2 * sech2 * (beta * (math.cosh(2 * beta) - 3.0) - math.sinh(2 * beta)),
-        "env_mean": -t,
-    }
-
-
-def _dissipative_coeffs(beta: float) -> dict:
-    # To first order the reduced state is the Gibbs state of sigma_z + gamma m
-    # sigma_x, m = <pi_up> = (1 - t)/2, with Bloch vector (-gamma t m, 0, -t).
-    # The qubit SLD l0 + l.sigma solves l = d_beta r - l0 r with the
-    # zeroth-order l0 = <H_S> = -t, so its x component picks up the cross
-    # term -l0 r_x = -gamma t^2 m besides d_beta r_x.  The Fisher gap is the
-    # square of that slope: F - I = sld_linear^2 gamma^2 + O(gamma^4).
-    t = math.tanh(beta)
-    sech = 1.0 / math.cosh(beta)
-    sech2 = sech * sech
-    sld = 0.5 * sech2 * (2.0 * t - 1.0) + 0.5 * t * t * (t - 1.0)
-    return {
-        "state_linear": 0.25 * t * (t - 1.0),
-        "state_quadratic": 0.125 * sech * (t - 1.0) * (beta * sech - math.sinh(beta)),
-        "sld_linear": sld,
-        "fi_gap_quadratic": sld * sld,
-        "env_mean": 0.5 * (1.0 - t),
-    }
-
-
-def reference_two_qubit_models() -> dict[str, ReferenceModel]:
-    """The two exactly solvable models with a non-zero environment mean.
-
-    * ``dephasing``: both operators are sigma_z, so the interaction commutes
-      with the full Hamiltonian; the reduced state stays diagonal and energy
-      measurements are optimal at every order.
-    * ``dissipative``: the probe couples through sigma_x and the environment
-      through the projector onto its upper level.  This orientation is the
-      one whose reduced state matches the tabulated closed forms - it
-      acquires first-order coherences, while the transposed orientation
-      (probe projector, environment sigma_x) keeps the joint Hamiltonian
-      block-diagonal over probe levels and so can never generate them.
-    """
-    pi_up = np.diag([1.0, 0.0])
-    dephasing = ReferenceModel(
-        name="dephasing",
-        probe=probe_custom(SIGMA_Z, SIGMA_Z, dim_exponent=0.0, kind="qubit-z"),
-        bath=DiscreteBath(SIGMA_Z, SIGMA_Z),
-        coeffs=_dephasing_coeffs,
-        coherence_axis="z",
-    )
-    dissipative = ReferenceModel(
-        name="dissipative",
-        probe=probe_custom(SIGMA_Z, SIGMA_X, dim_exponent=0.0, kind="qubit-x"),
-        bath=DiscreteBath(SIGMA_Z, pi_up),
-        coeffs=_dissipative_coeffs,
-        coherence_axis="x",
-    )
-    return {"dephasing": dephasing, "dissipative": dissipative}

@@ -1,10 +1,10 @@
 """Acceptance matrix: one test per numbered criterion.
 
-Criteria 1, 3 and 7 compare extractions against closed forms that the library
-ships (``ReferenceModel.coeffs`` and ``high_T_asymptote``).  Each has a
-companion that runs the same extraction against the closed form written out
-here, derived by hand from the model, so the library's table and the test
-cannot drift together.  The derivations are in the README.
+Criteria 1 and 3 compare extractions against the two-qubit models' closed
+forms, each written once in ``references.py``.  Criterion 7 compares the
+kernel route against the library's ``high_T_asymptote``, and its companion
+against the same asymptote written out here, so the library's form and the
+test cannot drift together.  The derivations are in the README.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from fctherm import (
     bath_mode,
     bath_qubit,
     cfi_energy_perturbative,
-    default_gamma_grid,
     exact_fishers,
     exact_mfg,
     high_T_asymptote,
@@ -33,7 +32,6 @@ from fctherm import (
     probe_qubit,
     qfi_perturbative_integral,
     qfi_perturbative_sum,
-    reference_two_qubit_models,
     sld_second_order,
     snr_kernel,
     spectral_density,
@@ -41,7 +39,14 @@ from fctherm import (
     xi_via_spectral_kernel,
 )
 from fctherm.cli import CSV_COLUMNS
-from references import bare_sld, exact_sld, x_matrix_fd_dbeta
+from references import (
+    bare_sld,
+    dissipative_sld_slope,
+    exact_sld,
+    gamma_grid,
+    reference_two_qubit_models,
+    x_matrix_fd_dbeta,
+)
 from refinement import pauli_coefficient, refine_linear, refine_quadratic
 
 BETAS_REFERENCE = (0.5, 1.0, 2.0)
@@ -101,19 +106,6 @@ def assert_close(got: float, want: float, rel: float, label: str) -> None:
     assert dev <= rel, f"{label}: extracted {got:.8g} vs target {want:.8g} (rel dev {dev:.4f})"
 
 
-def dissipative_sld_slope(beta: float) -> float:
-    """Linear SLD coefficient of the dissipative model, derived by hand.
-
-    To first order the reduced state is the Gibbs state of sigma_z + gamma m
-    sigma_x, m = (1 - tanh beta)/2, with Bloch vector r = (-gamma t m, 0, -t),
-    t = tanh beta.  The qubit SLD solves l = d_beta r - l0 r with l0 = -t, so
-    the x slope is d_beta r_x / gamma + t^2 m.  The Fisher gap F - I is its
-    square times gamma^2.
-    """
-    t = math.tanh(beta)
-    return 0.5 * (1.0 - t * t) * (2.0 * t - 1.0) + 0.5 * t * t * (t - 1.0)
-
-
 def test_criterion_1_reference_model_closed_forms():
     t0 = time.perf_counter()
     models = reference_two_qubit_models()
@@ -154,22 +146,6 @@ def test_criterion_1_reference_model_closed_forms():
     assert not failures, "closed-form coefficient mismatches:\n" + "\n".join(failures)
 
 
-def test_criterion_1_companion_dissipative_rederived_forms():
-    # same extractions as the check above, compared against the closed forms
-    # written out in this file instead of the library's table
-    model = reference_two_qubit_models()["dissipative"]
-    for beta in BETAS_REFERENCE:
-        slope = dissipative_sld_slope(beta)
-        assert_close(
-            extract_sld_linear(model, beta), slope, 0.01,
-            f"dissipative sld linear (rederived) at beta={beta}",
-        )
-        assert_close(
-            extract_fi_gap_quadratic(model, beta), slope * slope, 0.01,
-            f"dissipative fisher-gap quadratic (rederived) at beta={beta}",
-        )
-
-
 # ---------------------------------------------------------------------------
 # coupling-order scalings against the exact reference (criteria 2-4)
 # ---------------------------------------------------------------------------
@@ -179,7 +155,7 @@ def test_criterion_2_fisher_gap_scales_at_fourth_order():
     t0 = time.perf_counter()
     probe, bath = probe_qubit(1.0, math.pi / 4.0), bath_qubit(1.0)
     beta = 1.0
-    gammas = default_gamma_grid()
+    gammas = gamma_grid()
     f_vals, gaps = [], []
     for g in gammas:
         f, i = exact_fishers(JointModel(probe, bath, float(g)), beta)
@@ -196,7 +172,7 @@ def test_criterion_3_first_order_gap_without_zero_mean():
     t0 = time.perf_counter()
     model = reference_two_qubit_models()["dissipative"]
     beta = 1.0
-    gammas = default_gamma_grid()
+    gammas = gamma_grid()
     f_vals, gaps = [], []
     for g in gammas:
         f, i = exact_fishers(model.joint(float(g)), beta)
@@ -213,29 +189,12 @@ def test_criterion_3_first_order_gap_without_zero_mean():
     )
 
 
-def test_criterion_3_companion_gap_coefficient_rederived():
-    model = reference_two_qubit_models()["dissipative"]
-    beta = 1.0
-    gammas = default_gamma_grid()
-    f_vals, gaps = [], []
-    for g in gammas:
-        f, i = exact_fishers(model.joint(float(g)), beta)
-        f_vals.append(f)
-        gaps.append(abs(f - i))
-    fit = order_fit(gammas, gaps, scale=max(f_vals))
-    derived = dissipative_sld_slope(beta) ** 2
-    assert_close(
-        10.0**fit.intercept, derived, 0.05,
-        f"dissipative fisher-gap leading coefficient (rederived) at beta={beta}",
-    )
-
-
 def test_criterion_4_perturbative_truncation_is_fourth_order():
     t0 = time.perf_counter()
     probe, bath = probe_qubit(1.0, math.pi / 4.0), bath_qubit(1.0)
     beta = 1.0
     f0, f2 = qfi_perturbative_integral(probe, bath, beta)
-    gammas = default_gamma_grid()
+    gammas = gamma_grid()
     f_vals, trunc = [], []
     for g in gammas:
         f, _ = exact_fishers(JointModel(probe, bath, float(g)), beta)
@@ -304,36 +263,42 @@ def test_criterion_6_kernel_route_and_sign():
 # ---------------------------------------------------------------------------
 
 
-def high_T_cases():
-    beta = 0.01
+BETA_HIGH_T = 0.01
+# (s, Omega, a) of the baths README's derivation names
+HIGH_T_BATHS = [(1.0, 1.0, 1.0), (1.0, 0.5, 1.0), (1.5, 0.5, 1.0), (1.0, 0.5, 2.0), (1.5, 2.0, 2.0)]
+
+
+def high_T_cases(s: float, omega: float, a: float):
+    beta = BETA_HIGH_T
+    bath = ContinuumBath(s, omega, dim_exponent=a)
     qubit = probe_qubit(1.0, 1.5 * math.pi)
-    qubit_bath = ContinuumBath(1.0, 1.0)
-    qubit_xi = xi_via_spectral_kernel(qubit, qubit_bath, beta)
+    qubit_xi = xi_via_spectral_kernel(qubit, bath, beta)
     # a truncated oscillator would need ~1400 levels at this beta, so its xi is
     # the kernel of the closed-form correlator on the bath correlator's rule
     osc = probe_oscillator(1.0, n_trunc=40)
-    osc_bath = ContinuumBath(1.0, 1.0, dim_exponent=2.0)
-    bath_corr = bath_correlation(osc_bath, beta)
+    bath_corr = bath_correlation(bath, beta)
     nodes = bath_corr.rule.nodes
     kernel = snr_kernel(OscillatorCorrelation(1.0, beta), nodes, layer=bath_corr.layer_width)
-    osc_xi = bath_corr.rule.integrate(spectral_density(osc_bath, nodes) * kernel)
-    return beta, [("qubit", qubit, qubit_bath, qubit_xi), ("oscillator", osc, osc_bath, osc_xi)]
+    osc_xi = bath_corr.rule.integrate(spectral_density(bath, nodes) * kernel)
+    return beta, [("qubit", qubit, bath, qubit_xi), ("oscillator", osc, bath, osc_xi)]
 
 
-def test_criterion_7_high_temperature_asymptote():
-    beta, cases = high_T_cases()
+@pytest.mark.parametrize("s, omega, a", HIGH_T_BATHS)
+def test_criterion_7_high_temperature_asymptote(s, omega, a):
+    beta, cases = high_T_cases(s, omega, a)
     for label, probe, bath, xi in cases:
         target = high_T_asymptote(probe, bath, beta)
         assert_close(xi, target, 0.02, f"{label} xi at beta={beta} vs library asymptote")
 
 
-def test_criterion_7_companion_rederived_asymptote():
+@pytest.mark.parametrize("s, omega, a", HIGH_T_BATHS)
+def test_criterion_7_companion_rederived_asymptote(s, omega, a):
     # int_0^beta C_B du = (2/pi) int J/w dw is beta-independent, so only the
     # u-dependent part of the probe correlator contributes; with
     # int J/w dw = Omega^a Gamma(s) the leading small-beta terms are
     #   qubit:      -2 sin^2(theta) eps^2 Omega^a Gamma(s) beta^3 / (3 pi)
     #   oscillator: -Omega^a Gamma(s) beta^2 / (6 pi m)
-    beta, cases = high_T_cases()
+    beta, cases = high_T_cases(s, omega, a)
     for label, probe, bath, xi in cases:
         weight = bath.cutoff**bath.dim_exponent * math.gamma(bath.s)
         if label == "qubit":

@@ -21,11 +21,11 @@ from fctherm import (
     TruncationWarning,
     bath_mode,
     cli,
-    default_gamma_grid,
     load_config,
     oracle,
 )
 from fctherm.cli import CSV_COLUMNS, SLOPE_WINDOWS, main
+from references import gamma_grid
 
 QUBIT_OHMIC = {
     "probe": {"kind": "qubit", "params": {"epsilon": 1.0, "theta": 4.71238898038469}},
@@ -637,7 +637,7 @@ def statuses_and_windows(rows):
 
 
 def test_scaling_fit_reads_the_order_of_synthetic_power_laws():
-    g = default_gamma_grid()
+    g = gamma_grid()
     f_exact = np.full(g.size, 2.0)
     second = SLOPE_WINDOWS["second_order"]
     for power, status in ((4, "PASS"), (3, "FAIL")):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fctherm import ConfigError, GridSpec, RunConfig, default_gamma_grid, load_config, parse_config
+from fctherm import ConfigError, GridSpec, RunConfig, load_config, parse_config
 from fctherm import config
 from fctherm.cli import main
 from fctherm.models import DEFAULT_FREQ_NODES
@@ -148,7 +148,7 @@ def test_scaling_defaults():
     pts = cfg.scaling.points()
     assert pts.size == 8
     assert pts[0] == pytest.approx(1e-2) and pts[-1] == pytest.approx(1e-1)
-    assert np.array_equal(pts, default_gamma_grid())
+    assert np.allclose(np.diff(np.log(pts)), np.log(pts[1] / pts[0]), rtol=1e-12)
     # a config with no scaling section gets the same window, and writes it
     assert parse_config(cfg_with()).scaling == cfg.scaling
     assert json.loads(parse_config(cfg_with()).to_json())["scaling"] == {
@@ -246,6 +246,25 @@ def test_an_oversized_automatic_truncation_is_refused_before_it_is_built():
     assert peak < 2**20
     doc["beta_grid"]["min"] = 0.1  # 162 levels
     assert parse_config(doc).build_probe(beta=0.1).dim == 162
+
+
+@pytest.mark.parametrize("params, beta_min", [
+    # every level holds less than the 1e-8 tail, so the top-level rule chose
+    # 40 levels holding 4e-8 of the state, and the report wrote F0 = 133
+    ({"omega0": 1.0}, 1e-9),
+    # the same 40 levels pinned, which passed without a warning
+    ({"omega0": 1.0, "n_trunc": 40}, 1e-9),
+    # 1 - exp(-beta omega0) rounds to 0: a divide-by-zero and an OverflowError
+    ({"omega0": 1.0}, 1e-17),
+], ids=["automatic", "pinned", "rounds-to-one"])
+def test_an_oscillator_design_point_at_or_below_the_tail_is_refused(tmp_path, params, beta_min):
+    doc = cfg_with(probe={"kind": "oscillator", "params": params}, bath=OSCILLATOR["bath"],
+                   beta_grid={"min": beta_min, "max": 2.0, "n": 3})
+    with pytest.raises(ConfigError, match=r"beta \* omega0 = .* is at or below tail_population"):
+        parse_config(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
 
 
 def test_largest_sizes_load():

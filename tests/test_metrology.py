@@ -14,7 +14,6 @@ from fctherm import (
     bath_qubit,
     cfi_energy_general,
     cfi_energy_perturbative,
-    default_gamma_grid,
     eigendecompose,
     high_T_asymptote,
     order_fit,
@@ -35,7 +34,7 @@ from fctherm import (
 from fctherm import metrology, models, perturbation
 from fctherm.cli import SLOPE_WINDOWS
 from fctherm.perturbation import MIDPOINT_BETA_GAP
-from references import plain_decay
+from references import gamma_grid, plain_decay
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def test_assembled_state_qfi_reaches_f2_with_coherences(probe, bath, beta):
     p, dp = corr.populations, corr.dpopulations
     de = corr.evals - corr.mean_energy  # dp_n = -de_n p_n
     f0, f2 = qfi_perturbative_integral(probe, bath, beta)
-    gammas = default_gamma_grid(8, 1e-3, 3e-2)
+    gammas = gamma_grid(1e-3, 3e-2)
     devs = []
     for g in gammas:
         rho = corr.decomp.from_eigenbasis(np.diag(p) + g**2 * exp.pi_x)

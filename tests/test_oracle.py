@@ -14,7 +14,6 @@ from fctherm import (
     bath_correlation,
     bath_mode,
     bath_qubit,
-    default_gamma_grid,
     eigendecompose,
     exact_fishers,
     exact_mfg,
@@ -25,12 +24,11 @@ from fctherm import (
     probe_oscillator,
     probe_qubit,
     qfi_perturbative_integral,
-    reference_two_qubit_models,
     trace_distance,
 )
 from fctherm.linalg import gibbs_populations
 from fctherm.oracle import _reduced_thermal_and_dbeta
-from references import exact_sld, partial_trace_bath
+from references import exact_sld, gamma_grid, partial_trace_bath, reference_two_qubit_models
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
@@ -174,7 +172,7 @@ def test_exact_state_deviates_from_bare_at_second_order():
     probe, bath = probe_qubit(1.0, np.pi / 4.0), bath_qubit(1.0)
     beta = 1.0
     bare = gibbs_state(probe.decomp, beta)
-    gammas = default_gamma_grid()
+    gammas = gamma_grid()
     devs = [
         trace_distance(exact_mfg(JointModel(probe, bath, g), beta), bare) for g in gammas
     ]
@@ -235,7 +233,7 @@ def test_exact_fishers_resolve_fourth_order_at_weak_coupling():
     probe, bath = probe_qubit(1.0, np.pi / 4.0), bath_qubit(1.0)
     beta = 1.0
     f0, f2 = qfi_perturbative_integral(probe, bath, beta)
-    gammas = default_gamma_grid(8, 1e-3, 1e-2)
+    gammas = gamma_grid(1e-3, 1e-2)
     f_vals, trunc = [], []
     for g in gammas:
         f, _ = exact_fishers(JointModel(probe, bath, float(g)), beta)
@@ -285,7 +283,7 @@ def test_exact_qfi_of_a_cold_many_level_probe_matches_plain_eigh():
 
 
 def test_order_fit_recovers_synthetic_power_law():
-    g = default_gamma_grid()
+    g = gamma_grid()
     fit = order_fit(g, 0.37 * g**4, scale=1.0)
     assert fit.slope == pytest.approx(4.0, abs=1e-10)
     assert 10.0**fit.intercept == pytest.approx(0.37, rel=1e-10)
@@ -294,7 +292,7 @@ def test_order_fit_recovers_synthetic_power_law():
 
 
 def test_order_fit_discards_points_below_noise_floor():
-    g = default_gamma_grid()
+    g = gamma_grid()
     d = 1e-3 * g**2
     d[0] = 1e-17  # pure rounding noise at the smallest coupling
     fit = order_fit(g, d, scale=1.0)
@@ -303,7 +301,7 @@ def test_order_fit_discards_points_below_noise_floor():
 
 
 def test_order_fit_flags_identically_vanishing_deviations():
-    g = default_gamma_grid()
+    g = gamma_grid()
     fit = order_fit(g, np.full(g.size, 1e-18), scale=1.0)
     assert fit.indistinguishable
     assert math.isnan(fit.slope) and math.isnan(fit.intercept)
@@ -312,7 +310,7 @@ def test_order_fit_flags_identically_vanishing_deviations():
 def test_order_fit_input_validation():
     with pytest.raises(ValueError, match="five"):
         order_fit([0.1, 0.2, 0.3], [1, 2, 3])
-    g = default_gamma_grid()
+    g = gamma_grid()
     with pytest.raises(ValueError, match="equal length"):
         order_fit(g, g[:-1])
     bad = g.copy()
@@ -334,13 +332,6 @@ def test_order_fit_input_validation():
     for gam, dev in cases:
         with pytest.raises(ValueError, match="finite"):
             order_fit(gam, dev)
-
-
-def test_default_gamma_grid_shape():
-    g = default_gamma_grid()
-    assert g.size == 8
-    assert g[0] == pytest.approx(1e-2) and g[-1] == pytest.approx(1e-1)
-    assert np.allclose(np.diff(np.log(g)), np.log(g[1] / g[0]), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
