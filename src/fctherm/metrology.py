@@ -80,13 +80,14 @@ def qfi_perturbative_integral(
     where primes are beta-derivatives at fixed u.  ``bath`` is a bath
     specification, whose correlator is built here; a ready-made
     ``probe_corr`` must be an :class:`EigenbasisCorrelation` (TypeError
-    otherwise) built for ``beta`` (ValueError otherwise).
+    otherwise) built for exactly ``beta`` (ValueError otherwise): the
+    integrand's beta - u is the bath correlator's, built here at ``beta``.
     """
     if probe_corr is None:
         probe_corr = probe_correlation(probe, beta)
     elif not isinstance(probe_corr, EigenbasisCorrelation):
         raise TypeError("F0 needs the level-sum probe correlator (EigenbasisCorrelation)")
-    elif abs(probe_corr.beta - beta) > 1e-15 * max(1.0, beta):
+    elif probe_corr.beta != float(beta):
         raise ValueError("probe correlator was built for a different beta")
     bath_corr = bath_correlation(bath, beta, n_omega)
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
@@ -94,16 +95,15 @@ def qfi_perturbative_integral(
 
 
 def _f2_integral(rule: QuadratureRule, bath_corr: CorrelationFn, probe_corr: CorrelationFn):
-    """The integral-route F2 on ``rule`` at the probe correlator's beta (see
-    :func:`qfi_perturbative_integral`).  The node axis is contracted last, so a
-    bath correlator built over a column of frequencies gives one F2 per mode."""
-    u = rule.nodes
-    tail = probe_corr.beta - u
-    phi_b, dphi_b = (np.asarray(c, dtype=float) for c in bath_corr.value_and_dbeta(u))
-    dphi_s = np.asarray(probe_corr.dbeta(u), dtype=float)
-    d2phi_s = np.asarray(probe_corr.d2beta(u), dtype=float)
-    integrand = tail * phi_b * d2phi_s + 2.0 * (phi_b + tail * dphi_b) * dphi_s
-    return integrand @ rule.weights
+    """The integral-route F2 on ``rule`` (see :func:`qfi_perturbative_integral`),
+    from the bath correlator's node terms (beta - u) C_B and
+    2 (C_B + (beta - u) C_B'), so both correlators must share one beta.  The
+    node axis is contracted last, so a bath correlator built over a column of
+    frequencies gives one F2 per mode."""
+    terms = bath_corr.rule_terms(rule)
+    dphi_s = np.asarray(probe_corr.dbeta(rule.nodes), dtype=float)
+    d2phi_s = np.asarray(probe_corr.d2beta(rule.nodes), dtype=float)
+    return (terms.tail_phi * d2phi_s + terms.f2_dphi * dphi_s) @ rule.weights
 
 
 def qfi_perturbative_sum(

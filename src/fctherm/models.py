@@ -45,6 +45,7 @@ from .linalg import (
 from .tolerances import DEFAULT_TOL
 
 DEFAULT_FREQ_NODES = 128  # semi-infinite rule size for continuum baths
+MIDPOINT_BETA_GAP = 3e-4  # |beta (E_n - E_m)| below which X_nm takes the midpoint form
 OSCILLATOR_MIN_LEVELS = 40  # smallest automatic oscillator truncation
 
 # Pauli matrices shared by the two-level models (read-only, so sharing is safe)
@@ -421,6 +422,71 @@ def _decay(x) -> np.ndarray:
     return x
 
 
+class _ThermalLevels:
+    """The Gibbs data of a spectrum at ``beta``, whatever the coupling: the
+    ``populations`` p, ``mean_energy`` <E>, ``dpopulations`` = -p (E - <E>),
+    ``energy_var`` Var(E), ``d2populations`` = p ((E - <E>)^2 - Var(E)), and
+    per block size k the lowest pair's factors.  The ``_thermal_levels`` LRU
+    cache keeps one read-only record per (levels' bytes, beta)."""
+
+    def __init__(self, levels: bytes, beta: float):
+        self.beta = beta
+        self.evals = e = np.frombuffer(levels)
+        p = self.populations = gibbs_populations(e, beta)
+        self.mean_energy = float(np.dot(p, e))
+        centred = e - self.mean_energy
+        self.dpopulations = -p * centred
+        self.energy_var = float(np.dot(p, centred**2))
+        self.d2populations = p * (centred**2 - self.energy_var)
+        _read_only(p, self.dpopulations, self.d2populations)
+        self._pairs: dict = {}
+
+    def pair_factors(self, k: int) -> tuple[np.ndarray, ...]:
+        """(near, safe_gap, lo, t) on the lowest k levels, built once per k,
+        with gap[n, m] = E_n - E_m: ``near`` marks the off-diagonal pairs with
+        |beta gap| < MIDPOINT_BETA_GAP, and ``safe_gap`` is 1 there and on the
+        diagonal.  p_n e^{beta gap} = p_m is lo * t: lo = max(p_n, p_m), the
+        lower level's population, and t = e^{-beta |gap|} where E_n <= E_m, 1
+        elsewhere, so no exponent is positive.  lo is symmetric and t^T
+        mirrors t, so a pair's halves round alike (README)."""
+        kept = self._pairs.get(k)
+        if kept is None:
+            e, p, beta = self.evals[:k], self.populations[:k], self.beta
+            gap = e[:, None] - e[None, :]
+            near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
+            safe_gap = np.where(near, 1.0, gap)
+            np.fill_diagonal(near, False)
+            lo = np.maximum.outer(p, p)
+            t = np.where(gap <= 0.0, np.exp(-beta * np.abs(gap)), 1.0)
+            kept = self._pairs[k] = _read_only(near, safe_gap, lo, t)
+        return kept
+
+
+_thermal_levels = lru_cache(maxsize=CACHE_SIZE)(_ThermalLevels)
+
+
+class _NodeTerms:
+    """A correlator's read-only terms on the nodes u and weights w of an
+    imaginary-time ``rule``, with phi = C(u), dphi = dC/dbeta and tail =
+    beta - u at its beta: ``tail_phi`` = tail phi and ``f2_dphi`` =
+    2 (phi + tail dphi), which the integral-route F2 reads, and the
+    ``expansion``'s (w phi, w tail phi, w dphi, w tail dphi,
+    w (phi + tail dphi)), the four gap-integral coefficients and the
+    diagonal's kernel."""
+
+    def __init__(self, rule: QuadratureRule, corr: CorrelationFn):
+        self.rule = rule
+        phi, dphi = (np.asarray(c, dtype=float) for c in corr.value_and_dbeta(rule.nodes))
+        tail = corr.beta - rule.nodes
+        both = phi + tail * dphi
+        self.tail_phi, self.f2_dphi = _read_only(tail * phi, 2.0 * both)
+        if phi.ndim == 1:  # a column of modes (snr_kernel) feeds no expansion
+            w = rule.weights
+            w_tail = w * tail
+            self.expansion = _read_only(w * phi, w_tail * phi, w * dphi, w_tail * dphi,
+                                        w * both)
+
+
 class CorrelationFn:
     """Interface: thermal autocorrelation of a coupling operator at -i*u."""
 
@@ -430,6 +496,7 @@ class CorrelationFn:
     # is smooth on the scale of beta.  Quadrature builders grade their panels
     # to this scale.
     layer_width: float | None = None
+    _terms: _NodeTerms | None = None  # those of the last rule_terms call
 
     def __init__(self, beta: float):
         if not 0 < beta < np.inf:  # NaN too
@@ -449,6 +516,15 @@ class CorrelationFn:
         """``(value(u), dbeta(u))``; overridden where the two share work."""
         return self.value(u), self.dbeta(u)
 
+    def rule_terms(self, rule: QuadratureRule) -> _NodeTerms:
+        """The correlator's node terms on ``rule`` (see :class:`_NodeTerms`);
+        the terms of the last rule asked are kept, so a shared bath correlator
+        evaluates them once for every row at its beta."""
+        kept = self._terms
+        if kept is None or kept.rule is not rule:
+            kept = self._terms = _NodeTerms(rule, self)
+        return kept
+
 
 class EigenbasisCorrelation(CorrelationFn):
     """Correlator evaluated as an explicit double sum over energy levels.
@@ -456,9 +532,12 @@ class EigenbasisCorrelation(CorrelationFn):
     This is the exact level-sum form used by the expansion machinery: using it
     there makes trace identities hold to rounding even for truncated spectra.
     It owns the level data those sums need: the rotated coupling
-    ``coupling_eig``, the Gibbs ``populations`` and their beta-derivative
-    ``dpopulations = -p (E - <E>)``, and the per-level sums ``sigma(u)``; it
-    keeps the ``decomp`` it was built from for rotating back.
+    ``coupling_eig`` and the per-level sums ``sigma(u)``, and the Gibbs data
+    ``thermal`` (:class:`_ThermalLevels`) it shares with every correlator on
+    equal levels and beta: the read-only ``populations``, their
+    beta-derivative ``dpopulations`` = -p (E - <E>), ``mean_energy`` and
+    ``energy_var``.  It keeps the ``decomp`` it was built from for rotating
+    back.
     """
 
     def __init__(self, decomp: SpectralDecomposition, coupling: np.ndarray, beta: float):
@@ -470,12 +549,9 @@ class EigenbasisCorrelation(CorrelationFn):
         # holds only for S Hermitian bit for bit (README "Near-degenerate gaps")
         self.coupling_eig = 0.5 * (s + s.conj().T)
         self.abs_sq = np.abs(self.coupling_eig) ** 2
-        self.populations = gibbs_populations(self.evals, beta)
-        self.mean_energy = float(np.dot(self.populations, self.evals))
-        self.dpopulations = -self.populations * (self.evals - self.mean_energy)
-        self.energy_var = float(
-            np.dot(self.populations, (self.evals - self.mean_energy) ** 2)
-        )
+        self.thermal = th = _thermal_levels(self.evals.tobytes(), self.beta)
+        self.populations, self.dpopulations = th.populations, th.dpopulations
+        self.mean_energy, self.energy_var = th.mean_energy, th.energy_var
         self.mean = float(np.real(np.dot(self.populations, np.diag(self.coupling_eig))))
 
     def sigma(self, u) -> np.ndarray:
@@ -495,9 +571,7 @@ class EigenbasisCorrelation(CorrelationFn):
         return self._weighted(u, self.dpopulations)
 
     def d2beta(self, u):
-        centered = self.evals - self.mean_energy
-        w = self.populations * (centered**2 - self.energy_var)
-        return self._weighted(u, w)
+        return self._weighted(u, self.thermal.d2populations)
 
 
 class OscillatorCorrelation(CorrelationFn):
@@ -539,9 +613,9 @@ class ContinuumBathCorrelation(CorrelationFn):
     It depends on (bath, beta, n_omega) alone, so :func:`bath_correlation`
     hands out one shared object per such key: its frequency ``rule`` and
     every array it holds or returns are read-only.  The constructor forms the
-    per-beta frequency weights and the pair at u = 0 (<B^2>, d<B^2>/dbeta),
-    and the correlator keeps the last table it evaluated on an array of u
-    (the imaginary-time rule's nodes), so a new beta evaluates one table.
+    per-beta frequency weights and the pair at u = 0 (<B^2>, d<B^2>/dbeta);
+    ``rule_terms`` keeps the node terms of the last imaginary-time rule, so
+    every row at one beta shares one table of value and dbeta on its nodes.
     """
 
     mean = 0.0  # a continuum coupling field has zero thermal mean by construction
@@ -560,7 +634,6 @@ class ContinuumBathCorrelation(CorrelationFn):
         # at u = 0, e^{-u w} = 1 and e^{-(beta-u) w} = e^{-beta w}
         self._at_zero = (float((1.0 + em) @ self._value_weights),
                          float(-(em + em) @ self._dbeta_weights))
-        self._table: tuple = (None, None, None)  # (u key, value, dbeta)
 
     def value(self, u):
         return self.value_and_dbeta(u)[0]
@@ -569,15 +642,12 @@ class ContinuumBathCorrelation(CorrelationFn):
         return self.value_and_dbeta(u)[1]
 
     def value_and_dbeta(self, u):
-        """``value`` and ``dbeta`` at ``u``: the constructor's pair at u = 0, else
-        the kept table if an array ``u`` has its bytes, else a new evaluation."""
+        """``value`` and ``dbeta`` at ``u``: the constructor's pair at u = 0,
+        else a new evaluation."""
         u = np.asarray(u, dtype=float)
-        if not u.ndim:
-            return self._at_zero if u == 0.0 else self._evaluate(u)
-        table = self._table
-        if table[0] != (key := (u.shape, u.tobytes())):
-            table = self._table = (key, *self._evaluate(u))
-        return table[1:]
+        if not u.ndim and u == 0.0:
+            return self._at_zero
+        return self._evaluate(u)
 
     def _evaluate(self, u: np.ndarray):
         """``value`` and ``dbeta`` from two exponential tables, built in one
@@ -629,5 +699,5 @@ _continuum_correlation = lru_cache(maxsize=CACHE_SIZE)(ContinuumBathCorrelation)
 @lru_cache(maxsize=CACHE_SIZE)
 def _discrete_correlation(bath: DiscreteBath, beta: float) -> EigenbasisCorrelation:
     corr = EigenbasisCorrelation(bath.decomp, bath.coupling, beta)
-    _read_only(corr.coupling_eig, corr.abs_sq, corr.populations, corr.dpopulations)
+    _read_only(corr.coupling_eig, corr.abs_sq)
     return corr

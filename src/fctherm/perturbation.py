@@ -26,6 +26,12 @@ gap integrals) is separate from the level-pair sums, which can be evaluated
 on the block of the lowest k levels: x_matrix takes k = d, snr_bound k = 2.
 A block's gap-integral tables are d x k, the columns its pair sums read.
 
+What does not depend on the coupling is built once per beta and shared by
+every point there: the Gibbs data and pair factors of the probe levels
+(``EigenbasisCorrelation.thermal``) and the bath correlator's node weights
+(``rule_terms``), so a theta or gamma sweep pays per point only for what its
+coupling changes.
+
 When the environment mean is non-zero there is also a first-order term,
 handled by :func:`p1_operator`.
 """
@@ -50,7 +56,6 @@ from .models import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 DEFAULT_TIME_NODES = 64  # imaginary-time rule size
-MIDPOINT_BETA_GAP = 3e-4  # |beta (E_n - E_m)| below which X_nm takes the midpoint form
 
 
 @dataclass
@@ -141,7 +146,8 @@ class _PointSetup:
     """Per-point work every block of the expansion shares: the correlators,
     the u-rule, the diagonal X_nn and dX_nn/dbeta (all levels), and the node
     weights of the four gap integrals the off-diagonal pair sums read
-    (w C_B, w (beta - u) C_B, w dC_B/dbeta, w (beta - u) dC_B/dbeta).  The
+    (w C_B, w (beta - u) C_B, w dC_B/dbeta, w (beta - u) dC_B/dbeta), the
+    bath correlator's ``rule_terms``, shared by every point at its beta.  The
     tables themselves are the block's: it needs only k of their d columns."""
 
     rule: QuadratureRule
@@ -168,25 +174,19 @@ def _point_setup(
             "with p1_operator or centre the coupling operator"
         )
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
-    u = rule.nodes
-    w = rule.weights
+    c_phi, c_phi_w, c_dphi, c_dphi_w, kern = bath_corr.rule_terms(rule).expansion
     probe_corr = probe_correlation(probe, beta)
-    evals, p = probe_corr.evals, probe_corr.populations
-
-    phi_b, dphi_b = (np.asarray(c, dtype=float) for c in bath_corr.value_and_dbeta(u))
-    sigma = probe_corr.sigma(u)
-    phi_s = p @ sigma  # probe correlator and its beta-derivative as level sums
+    sigma = probe_corr.sigma(rule.nodes)
+    # probe correlator and its beta-derivative as level sums
+    phi_s = probe_corr.populations @ sigma
     dphi_s = probe_corr.dpopulations @ sigma
 
     # diagonal: sum_j w_j (beta-u_j) C_B [sigma_n - C_S], and its derivative
-    wtilde = w * (beta - u) * phi_b
-    kern2 = w * (phi_b + (beta - u) * dphi_b)
     centred = sigma - phi_s[None, :]
-    x_diag = centred @ wtilde
-    dx_diag = centred @ kern2 - float(np.dot(wtilde, dphi_s))
-
+    x_diag = centred @ c_phi_w
+    dx_diag = centred @ kern - float(np.dot(c_phi_w, dphi_s))
     return _PointSetup(rule, probe_corr, bath_corr, x_diag, dx_diag,
-                       w * phi_b, wtilde, w * dphi_b, w * (beta - u) * dphi_b)
+                       c_phi, c_phi_w, c_dphi, c_dphi_w)
 
 
 def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,34 +197,25 @@ def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
     the full products' columns and block, and at k = d they are those
     products."""
     corr = setup.probe_corr
-    beta, s_eig = corr.beta, corr.coupling_eig
-    e, u = corr.evals, setup.rule.nodes
+    s_eig, e, u = corr.coupling_eig, corr.evals, setup.rule.nodes
     # G[a, b] ~ e^{u (E_b - E_a)}, b < k; all four are made whether or not a
     # near pair reads the (beta - u)-weighted two
     g_phi = _kernels.gap_integrals(e, u, setup.c_phi, k)
     g_phi_w = _kernels.gap_integrals(e, u, setup.c_phi_w, k)
     g_dphi = _kernels.gap_integrals(e, u, setup.c_dphi, k)
     g_dphi_w = _kernels.gap_integrals(e, u, setup.c_dphi_w, k)
-    evals, p = corr.evals[:k], corr.populations[:k]
+    p = corr.populations[:k]
 
     # off-diagonal via gap-resolved integrals and matrix products; the
     # difference form (p_m a1 - p_n a2)/D cancels two sums equal to O(beta D),
-    # so near pairs take the midpoint form, exact to O((beta D)^2) (README)
-    gap = evals[:, None] - evals[None, :]  # gap[n, m] = E_n - E_m
-    near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
-    safe_gap = np.where(near, 1.0, gap)
-    # c[n, m] = p_n e^{beta gap} = p_m is c = lo * t: lo = max(p_n, p_m), the
-    # lower level's population, and t = e^{-beta |gap|} where E_n <= E_m, 1
-    # elsewhere, so no exponent is positive.  lo is symmetric and t^T mirrors
-    # t, so the pair's halves round alike: pi X is Hermitian bit for bit (README)
-    lo = np.maximum.outer(p, p)
-    t = np.where(gap <= 0.0, np.exp(-beta * np.abs(gap)), 1.0)
+    # so near pairs take the midpoint form, exact to O((beta D)^2) (README);
+    # p_n e^{beta gap} = lo * t, so pi X is Hermitian bit for bit
+    near, safe_gap, lo, t = corr.thermal.pair_factors(k)
 
     # G is real and S Hermitian, so a2 = (S o G^T) S = (S (S o G))^dag (README)
     a1, a1d = _pair_sum(s_eig, g_phi, k), _pair_sum(s_eig, g_dphi, k)
     pi_x = lo * ((t * a1 - t.T * a1.conj().T) / safe_gap)
     pi_dx = lo * ((t * a1d - t.T * a1d.conj().T) / safe_gap + t * a1)
-    np.fill_diagonal(near, False)
     if near.any():
         root_pp = np.sqrt(np.multiply.outer(p, p))  # p_n e^{beta gap / 2}
         pi_x = np.where(near, root_pp * _midpoint(s_eig, g_phi_w, k), pi_x)

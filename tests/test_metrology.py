@@ -33,7 +33,7 @@ from fctherm import (
 )
 from fctherm import metrology, models, perturbation
 from fctherm.cli import SLOPE_WINDOWS
-from fctherm.perturbation import MIDPOINT_BETA_GAP
+from fctherm.models import MIDPOINT_BETA_GAP
 from references import gamma_grid, plain_decay
 
 
@@ -137,9 +137,14 @@ def test_correlators_built_for_another_beta_are_refused():
     _, f2 = qfi_perturbative_integral(probe, bath, beta)
     assert f2 == pytest.approx(-0.5570253003991168, rel=1e-12)
     assert snr_bound(probe, bath, 0.1, beta).f2 == f2
-    stale_probe = probe_correlation(probe, 5.0)
-    with pytest.raises(ValueError, match="probe correlator was built for a different beta"):
-        qfi_perturbative_integral(probe, bath, beta, probe_corr=stale_probe)
+    # one ulp away is another beta too: the integrand's beta - u is the bath
+    # correlator's, built at beta, and the probe's levels must be at the same one
+    for other in (5.0, beta * (1.0 + 2.0**-52)):
+        stale_probe = probe_correlation(probe, other)
+        with pytest.raises(ValueError, match="probe correlator was built for a different beta"):
+            qfi_perturbative_integral(probe, bath, beta, probe_corr=stale_probe)
+    same = probe_correlation(probe, beta)
+    assert qfi_perturbative_integral(probe, bath, 2, probe_corr=same) == (same.energy_var, f2)
 
 
 def test_integral_route_reads_f0_from_the_level_sum_correlator():

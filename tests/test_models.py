@@ -482,12 +482,26 @@ def test_a_refused_beta_leaves_no_cached_correlator(cold_caches):
     assert models._continuum_correlation.cache_info().currsize == 0
 
 
+def _term_arrays(terms) -> list:
+    return [terms.tail_phi, terms.f2_dphi, *terms.expansion]
+
+
 @pytest.mark.parametrize("beta", [1.0, 25.0])  # 25 takes the cold frequency rule
 def test_cached_correlator_hands_out_read_only_arrays(cold_caches, beta):
     corr = bath_correlation(ContinuumBath(1.0, 100.0), beta)
     u = np.linspace(0.0, beta, 9)
     exposed = [corr.rule.nodes, corr.rule.weights, corr._w, corr._em, corr._value_weights,
                corr._dbeta_weights, *corr.value_and_dbeta(u), corr.value(u), corr.dbeta(u)]
+    # what rows at one beta share: the bath correlators' rule terms and the
+    # probe levels' Gibbs record with its pair factors
+    rule = quad_imaginary_time(64, beta, corr.layer_width)
+    discrete = bath_correlation(bath_qubit(0.8), beta)
+    exposed += _term_arrays(corr.rule_terms(rule))
+    exposed += _term_arrays(discrete.rule_terms(quad_imaginary_time(64, beta)))
+    probe = probe_correlation(probe_oscillator(1.0, 12), beta)
+    thermal = probe.thermal
+    exposed += [probe.populations, probe.dpopulations, thermal.d2populations,
+                *thermal.pair_factors(2), *thermal.pair_factors(12)]
     for array in exposed:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -558,8 +572,30 @@ def test_snr_bound_is_bit_identical_with_cold_and_warm_caches(cold_caches):
     assert reports() == warm == cold
 
 
+_BETAS, _THETAS = (0.5, 3.0), (0.3, 1.1, 1.9, 2.7)
+
+
+def _sweep_point(beta: float, theta: float):
+    # a fresh bath per point, as the benchmark's per-point call builds it
+    return snr_bound(probe_qubit(1.0, theta), ContinuumBath(1.0, 100.0), 0.1, beta)
+
+
+def _count_kernel_calls(monkeypatch) -> dict:
+    """Calls of the two level-sum kernels from here to the test's end, by name."""
+    calls = {"gap_integrals": 0, "sigma_nodes": 0}
+    for name in calls:
+        original = getattr(_kernels, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_kernels, name, counting)
+    return calls
+
+
 def test_theta_sweep_builds_one_correlator_per_beta(cold_caches, monkeypatch):
-    built, evaluated = [], []
+    built, evaluated, terms = [], [], []
     init, evaluate = ContinuumBathCorrelation.__init__, ContinuumBathCorrelation._evaluate
 
     def counting_init(self, bath, beta, *args):
@@ -570,17 +606,45 @@ def test_theta_sweep_builds_one_correlator_per_beta(cold_caches, monkeypatch):
         evaluated.append(self.beta)
         return evaluate(self, u)
 
+    class CountingTerms(models._NodeTerms):
+        def __init__(self, rule, corr):
+            terms.append(corr.beta)
+            super().__init__(rule, corr)
+
     monkeypatch.setattr(ContinuumBathCorrelation, "__init__", counting_init)
     monkeypatch.setattr(ContinuumBathCorrelation, "_evaluate", counting_evaluate)
-    betas = (0.5, 3.0)
-    for beta in betas:  # beta-major, as `sweep` orders its grid
-        for theta in (0.3, 1.1, 1.9, 2.7):
-            # a fresh bath per point, as the benchmark's per-point call builds it
-            snr_bound(probe_qubit(1.0, theta), ContinuumBath(1.0, 100.0), 0.1, beta)
-    assert built == list(betas)
-    # per beta, one table on the imaginary-time nodes; the pair at u = 0 is
-    # the constructor's
-    assert evaluated == list(betas)
+    monkeypatch.setattr(models, "_NodeTerms", CountingTerms)
+    calls = _count_kernel_calls(monkeypatch)
+    for beta in _BETAS:  # beta-major, as `sweep` orders its grid
+        for theta in _THETAS:
+            _sweep_point(beta, theta)
+    assert built == list(_BETAS)
+    # per beta, one table on the imaginary-time nodes and one set of rule
+    # terms from it; the pair at u = 0 is the constructor's
+    assert evaluated == terms == list(_BETAS)
+    # one record of the probe levels' Gibbs data per beta
+    assert models._thermal_levels.cache_info().misses == len(_BETAS)
+    # yet every point still evaluates its 4 + 4 level sums
+    points = len(_BETAS) * len(_THETAS)
+    assert calls == {"gap_integrals": 4 * points, "sigma_nodes": 4 * points}
+
+
+def test_theta_sweep_rows_do_not_depend_on_their_neighbours(cold_caches):
+    # rows at one beta share the probe levels' record and the bath's rule
+    # terms: each report has the forward sweep's bytes (repr round-trips every
+    # float) with theta reversed and when every point runs on empty caches
+    def sweep(thetas, before=lambda: None) -> dict:
+        out = {}
+        for beta in _BETAS:
+            for theta in thetas:
+                before()
+                out[beta, theta] = repr(_sweep_point(beta, theta))
+        return out
+
+    forward = sweep(_THETAS)
+    cold_caches()
+    assert sweep(_THETAS[::-1]) == forward
+    assert sweep(_THETAS, before=cold_caches) == forward
 
 
 # ---------------------------------------------------------------------------
@@ -618,21 +682,12 @@ def test_shared_probe_arrays_are_read_only(cold_caches):
 
 
 def test_theta_sweep_calls_each_kernel_four_times_per_point(cold_caches, monkeypatch):
-    calls = {"gap_integrals": 0, "sigma_nodes": 0}
-    for name in calls:
-        original = getattr(_kernels, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(_kernels, name, counting)
-    thetas = (0.3, 1.1, 1.9, 2.7)
-    for theta in thetas:
-        snr_bound(probe_qubit(1.0, theta), ContinuumBath(1.0, 100.0), 0.1, 2.0)
+    calls = _count_kernel_calls(monkeypatch)
+    for theta in _THETAS:
+        _sweep_point(2.0, theta)
     # every point still evaluates its 4 + 4 level sums, on tables built once
     # per beta: one gap pair on the u-rule, and sigma pairs on it and at u = 0
-    assert calls == {"gap_integrals": 4 * len(thetas), "sigma_nodes": 4 * len(thetas)}
+    assert calls == {"gap_integrals": 4 * len(_THETAS), "sigma_nodes": 4 * len(_THETAS)}
     assert _kernels._gap_tables.cache_info().misses == 1
     assert _kernels._sigma_tables.cache_info().misses == 2
 

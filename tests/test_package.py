@@ -41,6 +41,7 @@ _FILL = {
     "fctherm.linalg.quad_imaginary_time": lambda k: linalg.quad_imaginary_time(16, 1.0 + k),
     "fctherm.models._qubit_spectrum": lambda k: models._qubit_spectrum(1.0 + k),
     "fctherm.models._oscillator_spectrum": lambda k: models._oscillator_spectrum(1.0, 10 + k),
+    "fctherm.models._thermal_levels": lambda k: models._thermal_levels(_LEVELS, 0.5 + 0.25 * k),
     "fctherm.models._continuum_correlation":
         lambda k: models.bath_correlation(models.ContinuumBath(1.0, 100.0), 0.5 + 0.25 * k),
     "fctherm.models._discrete_correlation":

@@ -35,7 +35,7 @@ from fctherm import (
     xi_via_spectral_kernel,
 )
 from fctherm import _kernels
-from fctherm.perturbation import MIDPOINT_BETA_GAP
+from fctherm.models import MIDPOINT_BETA_GAP
 from references import bare_sld, x_matrix_fd_dbeta
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
