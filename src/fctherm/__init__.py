@@ -8,7 +8,7 @@ signal-to-noise ratio, and an exact small-system reference that every
 perturbative formula is validated against.
 """
 
-from .config import GridSpec, RunConfig, SweepSpec, load_config, parse_config
+from .config import GridSpec, RunConfig, SweepSpec, load_config, load_operator_pair, parse_config
 from .errors import (
     ConfigError,
     CouplingTooStrongError,
@@ -54,7 +54,6 @@ from .models import (
     bath_correlation,
     bath_mode,
     bath_qubit,
-    load_operator_pair,
     oscillator_levels,
     probe_correlation,
     probe_custom,
@@ -86,6 +85,7 @@ __all__ = [
     "RunConfig",
     "SweepSpec",
     "load_config",
+    "load_operator_pair",
     "parse_config",
     "ConfigError",
     "CouplingTooStrongError",
@@ -125,7 +125,6 @@ __all__ = [
     "bath_correlation",
     "bath_mode",
     "bath_qubit",
-    "load_operator_pair",
     "oscillator_levels",
     "probe_correlation",
     "probe_custom",

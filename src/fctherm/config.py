@@ -4,13 +4,15 @@ The schema is deliberately small and flat (see README for the full field
 list).  Parsing is strict: unknown keys, missing required fields, and
 out-of-domain values all raise :class:`ConfigError` with the dotted path of
 the offending field, so a misconfigured batch job fails before any numerics
-start.  Parse -> serialize -> parse is the identity.
+start.  Parse -> serialize -> parse is the identity.  The operator files a
+config names are read here too, through the same reader and number rule.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,13 +28,10 @@ from .models import (
     ContinuumBath,
     DiscreteBath,
     ProbeModel,
-    load_operator_pair,
     oscillator_levels,
-    paired_bath_exponent,
     probe_custom,
     probe_oscillator,
     probe_qubit,
-    validate_dim_exponent,
 )
 from .perturbation import DEFAULT_TIME_NODES
 from .tolerances import DEFAULT_TOL, TOLERANCE_FIELDS, Tolerances
@@ -62,9 +61,11 @@ def _expect_mapping(value, path: str) -> dict:
 def _expect_number(value, path: str, positive: bool = False, nonnegative: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
+    # NaN fails the comparison, and an int too large for a float is refused
+    # before it is converted
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path}: must be finite, got {value!r}")
+    v = float(value)
     if positive and v <= 0:
         raise ConfigError(f"{path}: must be > 0, got {value!r}")
     if nonnegative and v < 0:
@@ -217,13 +218,17 @@ class RunConfig:
     @cached_property
     def _bath(self) -> ContinuumBath | DiscreteBath:
         if self.bath_kind == "ohmic":
+            # a = 1 - 2 mu keeps J * S^2 an energy squared for a probe coupling
+            # of energy dimension mu; a probe without one pairs with any a
             mu = self.probe_dim_exponent()
-            a = self.bath_params.get("a", paired_bath_exponent(mu))
-            bath = ContinuumBath(
+            paired = 1.0 if mu is None else 1.0 - 2.0 * mu
+            a = self.bath_params.get("a", paired)
+            if mu is not None and abs(a - paired) > 1e-12:
+                raise ValueError(f"bath dim_exponent {a} incompatible with probe coupling "
+                                 f"dimension {mu} (expected {paired})")
+            return ContinuumBath(
                 s=self.bath_params["s"], cutoff=self.bath_params["Omega"], dim_exponent=a
             )
-            validate_dim_exponent(mu, bath)
-            return bath
         h, b, _ = load_operator_pair(self._resolve(self.bath_params["path"]))
         return DiscreteBath(h, b)
 
@@ -419,7 +424,7 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
         scaling=scaling,
         base_dir=base_dir,
     )
-    # materialisation errors (bad matrix files, dimension mismatches) should
+    # materialisation errors (operators a model refuses, dimension mismatches)
     # surface as configuration problems, not numerical ones; the probe is
     # checked at the hottest grid point, where a fixed truncation is tightest.
     # Its truncation warning is left to the commands, which build the probe
@@ -442,20 +447,56 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
         cfg.build_bath()
     except ConfigError:
         raise
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"config: failed to materialise model: {exc}") from exc
     return cfg
 
 
+def _read_json(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``; a file that cannot be read or
+    decoded, or holds anything else, raises ConfigError naming the file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    return _expect_mapping(data, str(path))
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Read and validate a JSON config file."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {p}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON in {p}: {exc}") from exc
-    return parse_config(raw, base_dir=str(p.parent))
+    return parse_config(_read_json(path), base_dir=str(Path(path).parent))
+
+
+def load_operator_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """Read {"H": [[re, im], ...] row-major, "S": [...], "dim": d} from JSON.
+
+    Entries are [re, im] pairs; returns (H, S, dim_exponent or None).  Parsing
+    is strict: no other key is allowed, ``dim`` must be a positive integer,
+    and every entry and ``dim_exponent``, if given, must pass the run
+    config's number rule (no bool or string, finite, fits in a float).  A
+    violation raises ConfigError naming the file and the key.
+    """
+    data = _read_json(path)
+    _reject_unknown(data, str(path), ("dim", "H", "S", "dim_exponent"))
+    d = _expect_int(data.get("dim"), f"{path}: dim", minimum=1)
+
+    def build(key: str) -> np.ndarray:
+        flat = data.get(key)
+        if not isinstance(flat, list):
+            raise ConfigError(f"{path}: {key}: expected a list of [re, im] entries, got {flat!r}")
+        if len(flat) != d * d:
+            raise ConfigError(f"{path}: {key}: expected {d * d} [re, im] entries, got {len(flat)}")
+        entries = []
+        for i, z in enumerate(flat):
+            if not (isinstance(z, list) and len(z) == 2):
+                raise ConfigError(f"{path}: {key}[{i}]: expected a pair of real numbers, got {z!r}")
+            re, im = (_expect_number(x, f"{path}: {key}[{i}]") for x in z)
+            entries.append(complex(re, im))
+        return np.array(entries, dtype=complex).reshape(d, d)
+
+    mu = data.get("dim_exponent")
+    if mu is not None:
+        mu = _expect_number(mu, f"{path}: dim_exponent")
+    return build("H"), build("S"), mu

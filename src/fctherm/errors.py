@@ -28,8 +28,9 @@ class NonzeroMeanError(FcthermError, ValueError):
     assumes away: the reduced state then has a first-order term."""
 
 
-class ConfigError(FcthermError):
-    """A run configuration failed validation."""
+class ConfigError(FcthermError, ValueError):
+    """A run configuration, or an operator file it names, failed validation:
+    the message names the field's dotted path, or the file and its key."""
 
 
 class TruncationWarning(UserWarning):

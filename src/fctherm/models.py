@@ -21,12 +21,9 @@ returns the first two together, so a correlator can share work between them.
 
 from __future__ import annotations
 
-import json
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -321,87 +318,19 @@ def probe_custom(
     hamiltonian: np.ndarray,
     coupling: np.ndarray,
     dim_exponent: float | None = None,
-    kind: str = "custom",
 ) -> ProbeModel:
     h = require_hermitian(hamiltonian, name="probe Hamiltonian")
     s = require_hermitian(coupling, name="probe coupling")
     if h.shape != s.shape:
         raise ValueError("probe Hamiltonian and coupling must have equal shapes")
     return ProbeModel(
-        kind=kind,
+        kind="custom",
         hamiltonian=h,
         coupling=s,
         params={"dim": h.shape[0]},
         dim_exponent=dim_exponent,
         decomp=eigendecompose(h),
     )
-
-
-def load_operator_pair(path: str | Path) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """Read {"H": [[re, im], ...] row-major, "S": [...], "dim": d} from JSON.
-
-    Entries are [re, im] pairs; returns (H, S, dim_exponent or None).  Parsing
-    is strict: ``dim`` must be a positive integer, every entry a pair of
-    finite real numbers, and ``dim_exponent``, if given, a finite number (no
-    bool or string passes for a number).  A violation raises ValueError
-    naming the file and the key.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected an object, got {type(data).__name__}")
-
-    def is_number(x) -> bool:
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-    def is_finite(x) -> bool:
-        # NaN fails the comparison, and an int too large for a float is
-        # refused without converting it
-        return abs(x) <= sys.float_info.max
-
-    d = data.get("dim")
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError(f"{path}: dim: expected a positive integer, got {d!r}")
-
-    def build(key: str) -> np.ndarray:
-        flat = data.get(key)
-        if not isinstance(flat, list):
-            raise ValueError(f"{path}: {key}: expected a list of [re, im] entries, got {flat!r}")
-        if len(flat) != d * d:
-            raise ValueError(f"{path}: {key}: expected {d * d} [re, im] entries, got {len(flat)}")
-        for i, z in enumerate(flat):
-            if not (isinstance(z, list) and len(z) == 2 and all(map(is_number, z))):
-                raise ValueError(f"{path}: {key}[{i}]: expected a pair of real numbers, got {z!r}")
-            if not all(map(is_finite, z)):
-                raise ValueError(f"{path}: {key}[{i}]: non-finite entry {z!r}")
-        arr = np.array([complex(re, im) for re, im in flat], dtype=complex)
-        return arr.reshape(d, d)
-
-    mu = data.get("dim_exponent")
-    if mu is not None and not (is_number(mu) and is_finite(mu)):
-        raise ValueError(f"{path}: dim_exponent: expected a finite number, got {mu!r}")
-    return build("H"), build("S"), (None if mu is None else float(mu))
-
-
-def paired_bath_exponent(dim_exponent: float | None) -> float:
-    """The bath ``dim_exponent`` a = 1 - 2 mu that keeps J * S^2 an energy
-    squared for a probe coupling of energy dimension mu (1 when mu is None)."""
-    return 1.0 if dim_exponent is None else 1.0 - 2.0 * dim_exponent
-
-
-def validate_dim_exponent(dim_exponent: float | None, bath: ContinuumBath) -> None:
-    """Check the bath's dimension exponent against a probe coupling dimension."""
-    if dim_exponent is None:
-        return
-    expected = paired_bath_exponent(dim_exponent)
-    if abs(bath.dim_exponent - expected) > 1e-12:
-        raise ValueError(
-            f"bath dim_exponent {bath.dim_exponent} incompatible with probe "
-            f"coupling dimension {dim_exponent} (expected {expected})"
-        )
 
 
 # ----------------------------------------------------------------------------

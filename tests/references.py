@@ -40,6 +40,13 @@ from fctherm.models import SIGMA_X, SIGMA_Z
 from fctherm.oracle import _reduced_thermal_and_dbeta
 
 
+def random_hermitian(d: int, seed: int) -> np.ndarray:
+    """A d x d complex Hermitian matrix with Gaussian entries, fixed by ``seed``."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (m + m.conj().T)
+
+
 def gamma_grid(lo: float = DEFAULT_SCALING.min, hi: float = DEFAULT_SCALING.max) -> np.ndarray:
     """Log-spaced couplings for an order fit: the default scaling window, or
     as many points between ``lo`` and ``hi``."""
@@ -128,14 +135,14 @@ def reference_two_qubit_models() -> dict[str, ReferenceModel]:
     pi_up = np.diag([1.0, 0.0])
     dephasing = ReferenceModel(
         name="dephasing",
-        probe=probe_custom(SIGMA_Z, SIGMA_Z, dim_exponent=0.0, kind="qubit-z"),
+        probe=probe_custom(SIGMA_Z, SIGMA_Z, dim_exponent=0.0),
         bath=DiscreteBath(SIGMA_Z, SIGMA_Z),
         coeffs=_dephasing_coeffs,
         coherence_axis="z",
     )
     dissipative = ReferenceModel(
         name="dissipative",
-        probe=probe_custom(SIGMA_Z, SIGMA_X, dim_exponent=0.0, kind="qubit-x"),
+        probe=probe_custom(SIGMA_Z, SIGMA_X, dim_exponent=0.0),
         bath=DiscreteBath(SIGMA_Z, pi_up),
         coeffs=_dissipative_coeffs,
         coherence_axis="x",

@@ -335,7 +335,7 @@ def test_exit_2_on_non_finite_operator_entry(tmp_path, config_dir, capsys, secti
     cfg = write_config(tmp_path, doc)
     assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
     err = capsys.readouterr().err
-    assert "failed to materialise model" in err and "non-finite" in err
+    assert f"{bad}: H[0]: must be finite" in err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -360,8 +360,12 @@ def _set(key, value, index=None):
     (_set("dim_exponent", "0"), "dim_exponent"),
     (_set("dim_exponent", False), "dim_exponent"),
     (_set("dim_exponent", math.inf), "dim_exponent"),
+    # the run config's number rule: an int too large for a float is refused
+    (_set("H", [int("9" * 400), 0.0], 2), "H[2]"),
+    (_set("dim_exponent", int("9" * 400)), "dim_exponent"),
 ], ids=["dim-float", "dim-str", "dim-bool", "dim-zero", "entry-bool", "entry-str",
-        "entry-triple", "entries-not-a-list", "exponent-str", "exponent-bool", "exponent-inf"])
+        "entry-triple", "entries-not-a-list", "exponent-str", "exponent-bool", "exponent-inf",
+        "entry-huge-int", "exponent-huge-int"])
 def test_exit_2_on_loosely_typed_operator_file(tmp_path, config_dir, capsys, edit, key):
     # each of these once parsed: 2.9, "2" and true as a dimension, true as an
     # entry, "0" as an exponent

@@ -9,11 +9,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fctherm import ConfigError, GridSpec, RunConfig, load_config, parse_config
+from fctherm import (
+    ConfigError,
+    GridSpec,
+    RunConfig,
+    load_config,
+    load_operator_pair,
+    parse_config,
+    probe_custom,
+)
 from fctherm import config
 from fctherm.cli import main
 from fctherm.models import DEFAULT_FREQ_NODES
 from fctherm.perturbation import DEFAULT_TIME_NODES
+
+# a 400-digit integer: JSON allows it, and float() of it overflows
+HUGE = int("9" * 400)
 
 BASE = {
     "probe": {"kind": "qubit", "params": {"epsilon": 1.0, "theta": 0.5}},
@@ -84,14 +95,27 @@ def cfg_with(**patch) -> dict:
             lambda d: d.update(scaling={"gamma_min": 0.1, "gamma_max": 0.1}),
             "scaling: gamma_max must exceed gamma_min",
         ),
+        # each of these once escaped as an OverflowError (exit 3)
+        (lambda d: d.update(gamma=HUGE), "gamma: must be finite"),
+        (lambda d: d["probe"]["params"].update(theta=HUGE), "probe.params.theta: must be finite"),
+        (lambda d: d["bath"].update(Omega=HUGE), "bath.Omega: must be finite"),
+        (lambda d: d.update(sweep={"axis": "gamma", "values": [HUGE]}),
+         "sweep.values[0]: must be finite"),
+        (lambda d: d.update(scaling={"gamma_max": HUGE}), "scaling.gamma_max: must be finite"),
+        (lambda d: d.update(tolerances={"order_floor_factor": HUGE}),
+         "tolerances.order_floor_factor: must be finite"),
     ],
 )
-def test_parse_errors_name_the_field(mutate, fragment):
+def test_parse_errors_name_the_field(tmp_path, capsys, mutate, fragment):
     doc = cfg_with()
     mutate(doc)
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert fragment in str(err.value), str(err.value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_theta_sweep_requires_qubit_probe():
@@ -326,6 +350,32 @@ def test_mismatched_exponent_without_a_probe_build(tmp_path, config_dir, probe, 
         load_config(path)
 
 
+@pytest.mark.parametrize("bath", [{"a": 7.0}, {}], ids=["any-a", "default-a"])
+def test_custom_probe_without_a_coupling_dimension_pairs_with_any_exponent(tmp_path, config_dir,
+                                                                            bath):
+    ops = json.loads((config_dir / "probe_qubit_z.json").read_text())
+    del ops["dim_exponent"]
+    (tmp_path / "probe.json").write_text(json.dumps(ops))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg_with(
+        probe={"kind": "custom-matrix-file", "params": {"path": "probe.json"}},
+        bath={"kind": "ohmic", "s": 1.0, "Omega": 10.0, **bath})))
+    cfg = load_config(path)
+    assert cfg.probe_dim_exponent() is None
+    assert cfg.build_bath().dim_exponent == bath.get("a", 1.0)
+
+
+def test_a_programming_error_while_building_models_is_not_a_config_error(monkeypatch):
+    # only a ValueError from a model's own checks is reported as a
+    # configuration problem; anything else keeps its traceback
+    def broken(**params):
+        raise KeyError("epsilon")
+
+    monkeypatch.setattr(config, "probe_qubit", broken)
+    with pytest.raises(KeyError, match="epsilon"):
+        parse_config(cfg_with())
+
+
 def test_build_bath_reads_the_coupling_dimension_without_a_probe(monkeypatch):
     cfgs = [parse_config(cfg_with(probe=probe)) for probe in (
         BASE["probe"], {"kind": "oscillator", "params": {"omega0": 1.0}})]
@@ -455,11 +505,73 @@ def test_load_config_wraps_io_and_json_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)
+    # not UTF-8, and an integer literal past Python's digit limit: each once
+    # escaped as a plain ValueError (exit 3)
+    for text in (b"\xff\xfe{}", b'{"gamma": ' + b"9" * 5000 + b"}"):
+        bad.write_bytes(text)
+        with pytest.raises(ConfigError, match="bad.json: invalid JSON"):
+            load_config(bad)
 
 
 def test_missing_matrix_file_is_a_config_error(tmp_path):
     doc = cfg_with(bath={"kind": "discrete-file", "path": "nowhere.json"})
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="failed to materialise"):
+    with pytest.raises(ConfigError, match="nowhere.json: cannot read"):
         load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# operator files
+# ---------------------------------------------------------------------------
+
+
+def test_probe_custom_and_operator_file_round_trip(tmp_path):
+    h = np.array([[0.4, 0.1 - 0.2j], [0.1 + 0.2j, -0.4]])
+    s = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
+    payload = {
+        "dim": 2,
+        "H": [[z.real, z.imag] for z in h.reshape(-1)],
+        "S": [[z.real, z.imag] for z in s.reshape(-1)],
+        "dim_exponent": 0.0,
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(payload))
+    h2, s2, mu = load_operator_pair(path)
+    assert np.array_equal(h2, h) and np.array_equal(s2, s)
+    assert mu == 0.0
+    probe = probe_custom(h2, s2, dim_exponent=mu)
+    assert probe.kind == "custom"
+    assert probe.dim == 2
+
+    bad = dict(payload, S=payload["S"][:3])
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match="expected 4"):  # a ConfigError is a ValueError
+        load_operator_pair(path)
+
+
+def test_load_operator_pair_without_exponent(tmp_path):
+    payload = {
+        "dim": 1,
+        "H": [[1.0, 0.0]],
+        "S": [[0.5, 0.0]],
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(payload))
+    _, _, mu = load_operator_pair(path)
+    assert mu is None
+    # a misspelt exponent is refused, not read as an absent one
+    path.write_text(json.dumps(dict(payload, dim_exponnt=0.0)))
+    with pytest.raises(ConfigError, match=r"pair.json: unknown field\(s\) dim_exponnt"):
+        load_operator_pair(path)
+
+
+@pytest.mark.parametrize("text, message", [("{not json", "invalid JSON"),
+                                           ("[[1.0, 0.0]]", "expected an object, got list")],
+                         ids=["not-json", "list"])
+def test_operator_file_must_hold_one_json_object(tmp_path, text, message):
+    path = tmp_path / "pair.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message) as err:
+        load_operator_pair(path)
+    assert str(path) in str(err.value)

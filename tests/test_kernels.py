@@ -7,12 +7,7 @@ import pytest
 
 from fctherm import _kernels as K
 from fctherm import quad_imaginary_time
-
-
-def random_hermitian(d: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (m + m.conj().T)
+from references import random_hermitian
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,7 @@ from fctherm import (
 )
 from fctherm import linalg
 from fctherm.linalg import MAX_LAGUERRE_NODES, _laggauss, _leggauss, _phase_gauge
-
-
-def random_hermitian(d: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (m + m.conj().T)
+from references import random_hermitian
 
 
 # ---------------------------------------------------------------------------

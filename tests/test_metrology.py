@@ -429,11 +429,17 @@ def test_high_T_asymptote_closed_forms():
 
 
 def test_high_T_asymptote_unknown_probe_raises():
-    from fctherm import probe_custom
-
     free = probe_custom(np.diag([0.0, 1.0]).astype(complex), np.eye(2, dtype=complex))
-    with pytest.raises(ValueError, match="probe kind"):
-        high_T_asymptote(free, ContinuumBath(1.0, 1.0), 0.01)
+    # a custom probe is "custom" even when built from a qubit's own matrices,
+    # which once claimed kind="qubit" and failed on its missing epsilon
+    qubit = probe_qubit(1.0, 0.3)
+    twin = probe_custom(qubit.hamiltonian, qubit.coupling, dim_exponent=qubit.dim_exponent)
+    for probe in (free, twin):
+        assert probe.kind == "custom"
+        with pytest.raises(ValueError, match="probe kind 'custom'"):
+            high_T_asymptote(probe, ContinuumBath(1.0, 1.0), 0.01)
+    with pytest.raises(TypeError):
+        probe_custom(qubit.hamiltonian, qubit.coupling, kind="qubit")
 
 
 def test_rederived_asymptote_is_half_the_pinned_form():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from fctherm import (
     bath_correlation,
     bath_mode,
     bath_qubit,
-    load_operator_pair,
     oscillator_levels,
     probe_correlation,
     probe_custom,
@@ -32,7 +30,7 @@ from fctherm import (
     x_matrix,
 )
 from fctherm import _kernels, models
-from fctherm.models import SIGMA_X, validate_dim_exponent
+from fctherm.models import SIGMA_X
 from references import continuum_bath_tables
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -359,54 +357,6 @@ def test_probe_oscillator_truncation_guards():
     assert p.coupling[0, 1] == pytest.approx(math.sqrt(0.5))
 
 
-def test_probe_custom_and_operator_file_round_trip(tmp_path):
-    h = np.array([[0.4, 0.1 - 0.2j], [0.1 + 0.2j, -0.4]])
-    s = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-    payload = {
-        "dim": 2,
-        "H": [[z.real, z.imag] for z in h.reshape(-1)],
-        "S": [[z.real, z.imag] for z in s.reshape(-1)],
-        "dim_exponent": 0.0,
-    }
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(payload))
-    h2, s2, mu = load_operator_pair(path)
-    assert np.array_equal(h2, h) and np.array_equal(s2, s)
-    assert mu == 0.0
-    probe = probe_custom(h2, s2, dim_exponent=mu)
-    assert probe.kind == "custom"
-    assert probe.dim == 2
-
-    bad = dict(payload, S=payload["S"][:3])
-    path.write_text(json.dumps(bad))
-    with pytest.raises(ValueError, match="expected 4"):
-        load_operator_pair(path)
-
-
-def test_load_operator_pair_without_exponent(tmp_path):
-    payload = {
-        "dim": 1,
-        "H": [[1.0, 0.0]],
-        "S": [[0.5, 0.0]],
-    }
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(payload))
-    _, _, mu = load_operator_pair(path)
-    assert mu is None
-
-
-def test_validate_pairing_dimension_bookkeeping():
-    qubit = probe_qubit(1.0, 0.3)
-    osc = probe_oscillator(1.0, beta_design=1.0)
-    validate_dim_exponent(qubit.dim_exponent, ContinuumBath(1.0, 100.0, dim_exponent=1.0))
-    validate_dim_exponent(osc.dim_exponent, ContinuumBath(1.0, 100.0, dim_exponent=2.0))
-    with pytest.raises(ValueError, match="incompatible"):
-        validate_dim_exponent(qubit.dim_exponent, ContinuumBath(1.0, 100.0, dim_exponent=2.0))
-    # probes that opt out of dimensional bookkeeping always pass
-    free = probe_custom(SZ, SZ, dim_exponent=None)
-    validate_dim_exponent(free.dim_exponent, ContinuumBath(1.0, 100.0, dim_exponent=7.0))
-
-
 def test_discrete_bath_shape_validation():
     with pytest.raises(ValueError, match="equal shapes"):
         DiscreteBath(SZ, np.eye(3, dtype=complex))
@@ -415,17 +365,6 @@ def test_discrete_bath_shape_validation():
 def test_probe_custom_shape_validation():
     with pytest.raises(ValueError, match="equal shapes"):
         probe_custom(SZ, np.eye(3))
-
-
-@pytest.mark.parametrize("text, message", [("{not json", "invalid JSON"),
-                                           ("[[1.0, 0.0]]", "expected an object, got list")],
-                         ids=["not-json", "list"])
-def test_operator_file_must_hold_one_json_object(tmp_path, text, message):
-    path = tmp_path / "pair.json"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=message) as err:
-        load_operator_pair(path)
-    assert str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +563,13 @@ def test_theta_sweep_builds_one_correlator_per_beta(cold_caches, monkeypatch):
     assert evaluated == terms == list(_BETAS)
     # one record of the probe levels' Gibbs data per beta
     assert models._thermal_levels.cache_info().misses == len(_BETAS)
-    # yet every point still evaluates its 4 + 4 level sums
+    # yet every point still evaluates its 4 + 4 level sums, on tables built
+    # once per beta: one gap pair on the u-rule, and a sigma pair on it, plus
+    # the sigma pair at u = 0, which both beta share
     points = len(_BETAS) * len(_THETAS)
     assert calls == {"gap_integrals": 4 * points, "sigma_nodes": 4 * points}
+    assert _kernels._gap_tables.cache_info().misses == len(_BETAS)
+    assert _kernels._sigma_tables.cache_info().misses == len(_BETAS) + 1
 
 
 def test_theta_sweep_rows_do_not_depend_on_their_neighbours(cold_caches):
@@ -679,17 +622,6 @@ def test_shared_probe_arrays_are_read_only(cold_caches):
             array.flat[0] = 0.0
     qubit.coupling[0, 0] = 0.5  # the qubit coupling depends on theta: the probe's own
     assert probe_qubit(1.0, 0.3).coupling[0, 0] == pytest.approx(math.cos(0.3))
-
-
-def test_theta_sweep_calls_each_kernel_four_times_per_point(cold_caches, monkeypatch):
-    calls = _count_kernel_calls(monkeypatch)
-    for theta in _THETAS:
-        _sweep_point(2.0, theta)
-    # every point still evaluates its 4 + 4 level sums, on tables built once
-    # per beta: one gap pair on the u-rule, and sigma pairs on it and at u = 0
-    assert calls == {"gap_integrals": 4 * len(_THETAS), "sigma_nodes": 4 * len(_THETAS)}
-    assert _kernels._gap_tables.cache_info().misses == 1
-    assert _kernels._sigma_tables.cache_info().misses == 2
 
 
 # ---------------------------------------------------------------------------

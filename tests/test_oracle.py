@@ -28,13 +28,13 @@ from fctherm import (
 )
 from fctherm.linalg import gibbs_populations
 from fctherm.oracle import _reduced_thermal_and_dbeta
-from references import exact_sld, gamma_grid, partial_trace_bath, reference_two_qubit_models
-
-
-def random_hermitian(d: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (m + m.conj().T)
+from references import (
+    exact_sld,
+    gamma_grid,
+    partial_trace_bath,
+    random_hermitian,
+    reference_two_qubit_models,
+)
 
 
 # ---------------------------------------------------------------------------
