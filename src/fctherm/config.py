@@ -83,6 +83,12 @@ def _expect_int(value, path: str, minimum: int | None = None, maximum: int | Non
     return int(value)
 
 
+def _expect_path(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a path string, got {value!r}")
+    return value
+
+
 def _expect_choice(value, path: str, choices: tuple[str, ...]) -> str:
     if value not in choices:
         raise ConfigError(f"{path}: expected one of {', '.join(choices)}; got {value!r}")
@@ -306,6 +312,7 @@ def _parse_probe(raw) -> tuple[str, dict]:
         _reject_unknown(params, "probe.params", ("path",))
         if "path" not in params:
             raise ConfigError("probe.params.path: required for custom-matrix-file")
+        _expect_path(params["path"], "probe.params.path")
     return kind, dict(params)
 
 
@@ -314,20 +321,18 @@ def _parse_bath(raw) -> tuple[str, dict]:
     kind = _expect_choice(raw.get("kind"), "bath.kind", BATH_KINDS)
     if kind == "ohmic":
         _reject_unknown(raw, "bath", ("kind", "s", "Omega", "a"))
+        params = {}
         for key in ("s", "Omega"):
             if key not in raw:
                 raise ConfigError(f"bath.{key}: required for an ohmic-family bath")
-        params = {
-            "s": _expect_number(raw["s"], "bath.s", positive=True),
-            "Omega": _expect_number(raw["Omega"], "bath.Omega", positive=True),
-        }
+            params[key] = _expect_number(raw[key], f"bath.{key}", positive=True)
         if "a" in raw:
             params["a"] = _expect_number(raw["a"], "bath.a")
         return kind, params
     _reject_unknown(raw, "bath", ("kind", "path"))
     if "path" not in raw:
         raise ConfigError("bath.path: required for a discrete-file bath")
-    return kind, {"path": raw["path"]}
+    return kind, {"path": _expect_path(raw["path"], "bath.path")}
 
 
 def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
@@ -370,8 +375,8 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
         _expect_number(value, f"tolerances.{key}")
 
     output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output: expected a path string, got {output!r}")
+    if output is not None:
+        _expect_path(output, "output")
 
     sweep = None
     if "sweep" in raw:
@@ -390,7 +395,7 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
             )
             sweep = SweepSpec(axis=axis, values=values)
         else:
-            _reject_unknown(sw, "sweep", ("axis", "min", "max", "n", "spacing"))
+            # _parse_grid refuses any key but the grid's own
             grid_raw = {k: v for k, v in sw.items() if k != "axis"}
             grid = _parse_grid(grid_raw, "sweep", positive_min=(axis == "gamma"))
             sweep = SweepSpec(axis=axis, grid=grid)

@@ -71,6 +71,15 @@ def cfg_with(**patch) -> dict:
         ),
         (lambda d: d.update(bath={"kind": "discrete-file"}),
          "bath.path: required for a discrete-file bath"),
+        # a non-string path is refused where it is parsed, before any file is read
+        (lambda d: d.update(probe={"kind": "custom-matrix-file", "params": {"path": 3}}),
+         "probe.params.path: expected a path string"),
+        (lambda d: d.update(probe={"kind": "custom-matrix-file", "params": {"path": None}}),
+         "probe.params.path: expected a path string"),
+        (lambda d: d.update(bath={"kind": "discrete-file", "path": 3}),
+         "bath.path: expected a path string"),
+        (lambda d: d.update(bath={"kind": "discrete-file", "path": None}),
+         "bath.path: expected a path string"),
         (lambda d: d["beta_grid"].pop("n"), "beta_grid.n: required"),
         (lambda d: d["beta_grid"].update(n=0), "beta_grid.n: must be >= 1"),
         (lambda d: d["beta_grid"].update(min=5.0), "beta_grid: max must be >= min"),
@@ -89,6 +98,8 @@ def cfg_with(**patch) -> dict:
         (lambda d: d.update(output=7), "output: expected a path string"),
         (lambda d: d.update(sweep={"axis": "phi", "values": [1.0]}), "sweep.axis"),
         (lambda d: d.update(sweep={"axis": "gamma", "values": []}), "sweep.values"),
+        (lambda d: d.update(sweep={"axis": "gamma", "min": 0.01, "max": 0.1, "n": 3, "step": 1}),
+         "sweep: unknown field(s) step"),
         (lambda d: d.update(sweep={"axis": "gamma", "values": [0.1, -0.2]}), "sweep.values[1]"),
         (lambda d: d.update(scaling={"n": 4}), "scaling.n: must be >= 5"),
         (
