@@ -230,8 +230,8 @@ class RunConfig:
             paired = 1.0 if mu is None else 1.0 - 2.0 * mu
             a = self.bath_params.get("a", paired)
             if mu is not None and abs(a - paired) > 1e-12:
-                raise ValueError(f"bath dim_exponent {a} incompatible with probe coupling "
-                                 f"dimension {mu} (expected {paired})")
+                raise ConfigError(f"bath.a: {a} is incompatible with probe coupling "
+                                  f"dimension {mu} (expected {paired})")
             return ContinuumBath(
                 s=self.bath_params["s"], cutoff=self.bath_params["Omega"], dim_exponent=a
             )
@@ -461,9 +461,11 @@ def _read_json(path: str | Path) -> dict:
     """The JSON object in the file at ``path``; a file that cannot be read or
     decoded, or holds anything else, raises ConfigError naming the file."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+        raw = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a path with an embedded NUL
         raise ConfigError(f"{path}: cannot read: {exc}") from exc
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return _expect_mapping(data, str(path))

@@ -327,9 +327,16 @@ def high_T_asymptote(probe: ProbeModel, bath: ContinuumBath, beta: float) -> flo
     with int J/w dw = cutoff^a Gamma(s).  The limit needs beta * cutoff << 1,
     not just a hot probe: at beta * cutoff = 1 and beta * epsilon = 0.01 the
     kernel integral is 5 % (qubit) and 10 % (oscillator) below it.
+
+    A probe of any other kind, or a qubit whose ``params`` lack ``epsilon``
+    or ``theta``, raises ValueError.
     """
     weight = bath.cutoff**bath.dim_exponent * math.gamma(bath.s)
     if probe.kind == "qubit":
+        missing = [k for k in ("epsilon", "theta") if k not in probe.params]
+        if missing:
+            raise ValueError(f"no high-temperature closed form for a qubit probe "
+                             f"without {' and '.join(missing)}")
         eps = probe.params["epsilon"]
         th = probe.params["theta"]
         return -2.0 * math.sin(th) ** 2 * eps**2 * weight * beta**3 / (3.0 * math.pi)

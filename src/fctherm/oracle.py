@@ -10,7 +10,7 @@ the two is a genuine cross-check rather than a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     SpectralDecomposition,
+    _read_only,
     eigendecompose,
     gibbs_populations,
     qfi_from_sld,
@@ -37,11 +38,18 @@ MAX_JOINT_DIM = 4096  # brute-force diagonalisation budget
 
 @dataclass
 class JointModel:
-    """Probe and discrete environment combined into one closed system."""
+    """Probe and discrete environment combined into one closed system.
+
+    ``decomp`` is diagonalised once, block by block (see
+    :func:`_block_eigendecompose`); the reduced state and its beta-derivative
+    at the last beta asked are kept, so ``exact_fishers`` and ``exact_mfg`` at
+    one beta share them.
+    """
 
     probe: ProbeModel
     bath: DiscreteBath
     gamma: float
+    _reduced: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.probe.dim * self.bath.hamiltonian.shape[0]
@@ -65,7 +73,7 @@ class JointModel:
 
     @cached_property
     def decomp(self) -> SpectralDecomposition:
-        return eigendecompose(self.hamiltonian)
+        return _block_eigendecompose(self.hamiltonian)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,6 +82,63 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     general-rank bookkeeping."""
     d = a.shape[0] * b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
+
+
+def _connected_blocks(h: np.ndarray) -> list[np.ndarray]:
+    """Index sets, each ascending, of the connected components of the nonzero
+    pattern of ``h``, in the order of their smallest index; the components of
+    one index go together as one (diagonal) block.
+
+    Labels start as the indices; each pass hooks the root of every edge's
+    larger label onto the smaller, then jumps pointers log2(d) times, enough
+    for every label to reach its root, so each component ends labelled by its
+    smallest index.  An edge whose two ends share a label stays joined and is
+    dropped.
+    """
+    d = h.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(h != 0), d)
+    label = np.arange(d)
+    jumps = range((d - 1).bit_length())
+    while True:
+        a, b = label[rows], label[cols]
+        cross = a != b
+        if not cross.any():
+            break
+        rows, cols, a, b = rows[cross], cols[cross], a[cross], b[cross]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        for _ in jumps:
+            label = label[label]
+    single = np.bincount(label, minlength=d)[label] == 1
+    if single.any():
+        label = np.where(single, np.argmax(single), label)
+    index = np.argsort(label, kind="stable")
+    return np.split(index, np.flatnonzero(np.diff(label[index])) + 1)
+
+
+def _block_eigendecompose(h: np.ndarray) -> SpectralDecomposition:
+    """``eigendecompose(h)`` one connected block of ``h`` at a time.
+
+    A coupling that conserves a quantum number (an x (x) x coupling conserves
+    the total parity) leaves the joint Hamiltonian block-diagonal up to a
+    permutation, and LAPACK's cubic cost falls with the block size.  Each
+    block goes through :func:`eigendecompose`, with all its checks; the
+    eigenvalues are merged by a stable sort, and each block's eigenvectors
+    are scattered into one d x d matrix that is exactly zero outside the
+    block.  A matrix that is one block, or diagonal, makes the one call on
+    the whole matrix.
+    """
+    blocks = _connected_blocks(h)
+    if len(blocks) == 1:
+        return eigendecompose(h)
+    parts = [eigendecompose(h.take(ix, axis=0).take(ix, axis=1)) for ix in blocks]
+    evals = np.concatenate([part.evals for part in parts])
+    order = np.argsort(evals, kind="stable")
+    evecs = np.zeros(h.shape, dtype=np.result_type(*(part.evecs for part in parts)))
+    start = 0
+    for ix, part in zip(blocks, parts):
+        evecs[ix, start:start + ix.size] = part.evecs
+        start += ix.size
+    return SpectralDecomposition(evals=evals[order], evecs=evecs.take(order, axis=1))
 
 
 def _reduced_weighted(joint: JointModel, weights: np.ndarray) -> np.ndarray:
@@ -92,21 +157,31 @@ def _reduced_weighted(joint: JointModel, weights: np.ndarray) -> np.ndarray:
 
 
 def _reduced_thermal_and_dbeta(joint: JointModel, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced state and its exact inverse-temperature derivative.
+    """Reduced state and its exact inverse-temperature derivative, read-only;
+    the pair of the last beta asked is kept on the joint.
 
     The joint eigenvectors do not depend on beta, so only the Gibbs weights
     move: d p_k / d beta = p_k (<H> - E_k).  Energies are measured from the
     ground level, which leaves the weights unchanged and keeps <H> - E_k free
     of cancellation against a large spectral offset.
     """
-    e = joint.decomp.evals - joint.decomp.evals.min()
-    p = gibbs_populations(e, beta)
-    dp = p * (np.dot(p, e) - e)
-    return _reduced_weighted(joint, p), _reduced_weighted(joint, dp)
+    kept = joint._reduced
+    if kept is None or kept[0] != beta:
+        e = joint.decomp.evals - joint.decomp.evals.min()
+        p = gibbs_populations(e, beta)
+        dp = p * (np.dot(p, e) - e)
+        kept = joint._reduced = (beta, *_read_only(_reduced_weighted(joint, p),
+                                                   _reduced_weighted(joint, dp)))
+    return kept[1], kept[2]
 
 
 def exact_mfg(joint: JointModel, beta: float, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
-    """Exact reduced thermal state tr_env exp(-beta H)/Z of the joint model."""
+    """Exact reduced thermal state tr_env exp(-beta H)/Z of the joint model;
+    the one ``exact_fishers`` left on the joint when it was asked at this beta
+    (the same populations, so the same bits)."""
+    kept = joint._reduced
+    if kept is not None and kept[0] == beta:
+        return DensityOperator(kept[1], tol)
     return DensityOperator(_reduced_weighted(joint, gibbs_populations(joint.decomp.evals, beta)), tol)
 
 

@@ -339,10 +339,14 @@ def test_ohmic_exponent_defaults_from_probe_dimension():
     assert osc_cfg.build_bath().dim_exponent == 2.0
 
 
-def test_mismatched_exponent_is_a_config_error():
+def test_mismatched_exponent_is_a_config_error(tmp_path, capsys):
     doc = cfg_with(bath={"kind": "ohmic", "s": 1.0, "Omega": 100.0, "a": 2.0})
-    with pytest.raises(ConfigError, match="failed to materialise"):
+    with pytest.raises(ConfigError, match=r"^bath\.a: 2\.0 is incompatible"):
         parse_config(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert "bath.a: 2.0 is incompatible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -357,7 +361,7 @@ def test_mismatched_exponent_without_a_probe_build(tmp_path, config_dir, probe, 
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg_with(probe=probe,
                                         bath={"kind": "ohmic", "s": 1.0, "Omega": 10.0, "a": a})))
-    with pytest.raises(ConfigError, match="failed to materialise.*dim_exponent"):
+    with pytest.raises(ConfigError, match=r"^bath\.a: .* incompatible with probe coupling"):
         load_config(path)
 
 
@@ -512,6 +516,10 @@ def test_each_operator_file_is_read_once_per_run(monkeypatch, tmp_path, config_d
 def test_load_config_wraps_io_and_json_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
+    # a path with an embedded NUL cannot name a file: a read error, not a
+    # JSON one
+    with pytest.raises(ConfigError, match="cannot read: embedded null byte"):
+        load_config(tmp_path / "nul\0.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -440,6 +441,13 @@ def test_high_T_asymptote_unknown_probe_raises():
             high_T_asymptote(probe, ContinuumBath(1.0, 1.0), 0.01)
     with pytest.raises(TypeError):
         probe_custom(qubit.hamiltonian, qubit.coupling, kind="qubit")
+    # a hand-built qubit probe without its parameters gets the documented
+    # ValueError naming what it lacks, not a KeyError
+    for params, name in (({}, "epsilon and theta"), ({"epsilon": 1.0}, "theta"),
+                         ({"theta": 0.3}, "epsilon")):
+        bare = dataclasses.replace(qubit, params=params)
+        with pytest.raises(ValueError, match=f"qubit probe without {name}$"):
+            high_T_asymptote(bare, ContinuumBath(1.0, 1.0), 0.01)
 
 
 def test_rederived_asymptote_is_half_the_pinned_form():

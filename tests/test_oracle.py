@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fctherm import (
     DensityOperator,
     DiscreteBath,
     JointModel,
+    TruncationWarning,
     bath_correlation,
     bath_mode,
     bath_qubit,
@@ -18,6 +20,7 @@ from fctherm import (
     exact_fishers,
     exact_mfg,
     gibbs_state,
+    load_config,
     oracle,
     order_fit,
     probe_custom,
@@ -121,6 +124,172 @@ def test_reduced_thermal_equals_partial_trace_of_joint_gibbs_state(joint, evecs_
         assert np.max(np.abs(exact_mfg(joint, beta).matrix - full)) < 1e-14
 
 
+# ---------------------------------------------------------------------------
+# block-wise joint decomposition and the kept reduced state
+# ---------------------------------------------------------------------------
+
+
+def _benchmark_model(seed: int):
+    """The benchmark's oracle model: a 10-level oscillator probe and a
+    10-level mode with a seeded frequency in [0.42, 0.48], at two seeded
+    beta in [0.8, 1.4]."""
+    rng = np.random.default_rng(seed)
+    omega_b = float(rng.uniform(0.42, 0.48))
+    betas = sorted(float(b) for b in rng.uniform(0.8, 1.4, 2))
+    return probe_oscillator(1.0, n_trunc=10), bath_mode(omega_b, n_levels=10), betas
+
+
+def _config_model(config_dir, name: str):
+    """A bundled scaling config's probe, built as ``scaling`` builds it, and bath."""
+    cfg = load_config(config_dir / f"{name}.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        probe = cfg.build_probe(beta=cfg.beta_grid.min)
+    return probe, cfg.build_bath(), [cfg.beta_grid.min]
+
+
+def _unequal_blocks_model():
+    """Probe levels 0 and 1 mix through the Hamiltonian and level 2 couples
+    alone, while level 3 does not couple: blocks of 4 and 2 joint levels, and
+    the two uncoupled ones, (3, 0) and (3, 1), as one diagonal block."""
+    h = np.diag([0.0, 0.8, 1.9, 2.6])
+    h[0, 1] = h[1, 0] = 0.3
+    probe = probe_custom(h, np.diag([1.0, 0.5, -0.7, 0.0]))
+    bath = DiscreteBath(np.diag([0.0, 0.6]), np.array([[0.2, 1.0], [1.0, -0.4]]))
+    return probe, bath, [0.7, 1.5]
+
+
+# (name, build, gamma, block sizes in the order of their smallest index)
+BLOCK_MODELS = [
+    ("benchmark-seed-71", lambda _: _benchmark_model(71), 0.05, [50, 50]),
+    ("benchmark-seed-73", lambda _: _benchmark_model(73), 0.1, [50, 50]),
+    ("scaling-oscillator-mode", lambda d: _config_model(d, "scaling_oscillator_mode"), 0.1,
+     [84, 84]),
+    ("unequal-blocks", lambda _: _unequal_blocks_model(), 0.2, [4, 2, 2]),
+    ("sigma_y-coupling", lambda _: (probe_custom(SZ, SY), DiscreteBath(0.6 * SZ, SX), [0.5, 2.0]),
+     0.3, [2, 2]),
+    ("one-component", lambda _: (probe_qubit(1.0, np.pi / 4.0), bath_qubit(1.0), [1.0]), 0.1,
+     [4]),
+    ("zero-coupling", lambda _: _benchmark_model(72), 0.0, [100]),
+]
+
+
+def _dense_joint(probe, bath, gamma: float) -> JointModel:
+    """A joint model whose decomposition is one LAPACK call on the whole matrix."""
+    joint = JointModel(probe, bath, gamma)
+    vars(joint)["decomp"] = eigendecompose(joint.hamiltonian)
+    return joint
+
+
+@pytest.mark.parametrize("name, build, gamma, sizes", BLOCK_MODELS,
+                         ids=[m[0] for m in BLOCK_MODELS])
+def test_block_decomposition_matches_the_dense_one(config_dir, monkeypatch, name, build, gamma,
+                                                   sizes):
+    probe, bath, betas = build(config_dir)
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return eigendecompose(matrix)
+
+    monkeypatch.setattr(oracle, "eigendecompose", counted)
+    joint = JointModel(probe, bath, gamma)
+    h = joint.hamiltonian
+    dec = joint.decomp
+    monkeypatch.undo()
+    assert [m.shape[0] for m in calls] == sizes
+    if len(sizes) == 1:
+        # one component, or none coupled: one call on the whole matrix
+        assert np.array_equal(calls[0], h)
+    else:
+        # each block's eigenvectors sit in its own rows, exact zeros elsewhere
+        assert dec._order is None
+        for ix in oracle._connected_blocks(h):
+            rest = np.setdiff1d(np.arange(h.shape[0]), ix)
+            cols = np.flatnonzero(np.any(dec.evecs[ix] != 0, axis=0))
+            assert cols.size == ix.size
+            assert not dec.evecs[np.ix_(rest, cols)].any()
+    dense = _dense_joint(probe, bath, gamma)
+    assert dec.evecs.dtype == dense.decomp.evecs.dtype
+    assert np.all(np.diff(dec.evals) >= 0)
+    scale = max(1.0, float(np.max(np.abs(h))))
+    assert np.max(np.abs(dec.evals - dense.decomp.evals)) <= 1e-13 * scale
+    unitarity = dec.evecs.conj().T @ dec.evecs - np.eye(dec.dim)
+    assert np.max(np.abs(unitarity)) <= 1e-13
+    for beta in betas:
+        rho, drho = _reduced_thermal_and_dbeta(joint, beta)
+        rho_d, drho_d = _reduced_thermal_and_dbeta(dense, beta)
+        assert np.max(np.abs(rho - rho_d)) <= 1e-14, beta
+        assert np.max(np.abs(drho - drho_d)) <= 1e-14, beta
+        for got, want in zip(exact_fishers(joint, beta), exact_fishers(dense, beta)):
+            assert abs(got - want) <= 1e-12 * abs(want), beta
+
+
+def _components_by_search(h: np.ndarray) -> list[list[int]]:
+    """Connected components of the nonzero pattern by a plain depth-first
+    search, listed as ``_connected_blocks`` lists them."""
+    d = h.shape[0]
+    seen, comps = set(), []
+    for start in range(d):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for j in range(d):
+                if (h[i, j] != 0 or h[j, i] != 0) and j not in comp:
+                    comp.add(j)
+                    stack.append(j)
+        seen |= comp
+        comps.append(sorted(comp))
+    singles = [c[0] for c in comps if len(c) == 1]
+    comps = [c for c in comps if len(c) > 1] + ([singles] if singles else [])
+    return sorted(comps)
+
+
+def test_connected_blocks_match_a_plain_search():
+    # some entries are set on one side of the diagonal only: each still joins
+    # its two levels, so the block's own Hermiticity check sees it
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        d = int(rng.integers(1, 40))
+        h = np.diag(rng.standard_normal(d))
+        for _ in range(int(rng.integers(0, 2 * d))):
+            i, j = rng.integers(0, d, 2)
+            h[i, j] = rng.standard_normal()
+            if rng.random() < 0.8:
+                h[j, i] = h[i, j]
+        assert [b.tolist() for b in oracle._connected_blocks(h)] == _components_by_search(h)
+    h = np.diag(np.arange(4.0))
+    h[3, 1] = 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        oracle._block_eigendecompose(h)
+
+
+def test_exact_fishers_then_exact_mfg_share_one_reduced_state(monkeypatch):
+    probe, bath, (beta, other) = _benchmark_model(71)
+    products = []
+    original = oracle._reduced_weighted
+
+    def counted(joint, weights):
+        products.append(weights.size)
+        return original(joint, weights)
+
+    monkeypatch.setattr(oracle, "_reduced_weighted", counted)
+    joint = JointModel(probe, bath, 0.05)
+    exact_fishers(joint, beta)
+    rho = exact_mfg(joint, beta)
+    assert len(products) == 2
+    # the kept state is read-only and the one a fresh joint computes, to the bit
+    kept, _ = _reduced_thermal_and_dbeta(joint, beta)
+    assert len(products) == 2 and not kept.flags.writeable
+    fresh = JointModel(probe, bath, 0.05)
+    assert np.array_equal(rho.matrix, exact_mfg(fresh, beta).matrix)
+    # another beta is computed afresh, not read from the kept one
+    assert np.array_equal(exact_mfg(joint, other).matrix, exact_mfg(fresh, other).matrix)
+    assert len(products) == 5
+
+
 def test_exact_mfg_at_zero_coupling_is_bare():
     probe, bath = probe_qubit(1.0, 0.9), bath_qubit(1.0)
     beta = 1.2
@@ -218,7 +387,8 @@ def test_exact_fishers_ordering_and_positivity():
 def test_exact_state_derivative_matches_central_difference(probe, bath, gamma, beta):
     jm = JointModel(probe, bath, gamma)
     rho, drho = _reduced_thermal_and_dbeta(jm, beta)
-    assert np.array_equal(rho, exact_mfg(jm, beta).matrix)
+    # the state exact_mfg computes on a joint that kept none
+    assert np.array_equal(rho, exact_mfg(JointModel(probe, bath, gamma), beta).matrix)
     h = 1e-5 * beta
     fd = (exact_mfg(jm, beta + h).matrix - exact_mfg(jm, beta - h).matrix) / (2.0 * h)
     assert np.max(np.abs(drho - fd)) <= 1e-8 * np.max(np.abs(fd))
