@@ -38,6 +38,10 @@ SLD_TRACE_TOL = 1e-10           # max |tr drho| in sld_solve, relative to max(1,
 # window [0, THERMAL_SPLIT / beta]; beyond it exp(-beta w) < exp(-THERMAL_SPLIT).
 THERMAL_SPLIT = 30.0
 
+# Every quad_imaginary_time rule on [0, beta] is its own mirror about beta/2
+# to within this many ulps of beta: |(beta - u_j) - u_{n-1-j}| <= it.
+_MIRROR_ULPS = 4
+
 
 def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate a non-empty, square, finite, Hermitian array and return it in
@@ -272,16 +276,20 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
-def _laggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre nodes and weights, built once per n."""
-    return _read_only(*laguerre.laggauss(n))
+def _laggauss(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes x, weights w and the weight factor e^{x}, built
+    once per n."""
+    x, w = laguerre.laggauss(n)
+    return _read_only(x, w, np.exp(x))
 
 
 def _legendre_panels(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-node Gauss-Legendre rule on every panel
-    [a_k, b_k], panel after panel: the one place Legendre nodes are mapped."""
+    [a_k, b_k], panel after panel: the one place Legendre nodes are mapped.
+    ``a`` and ``b`` are both scalars (one panel) or both 1-D arrays."""
     x, w = _leggauss(n)
-    a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
+    if np.ndim(a):
+        a, b = a[:, None], b[:, None]
     half = 0.5 * (b - a)
     return (half * x + 0.5 * (a + b)).ravel(), (half * w).ravel()
 
@@ -297,8 +305,8 @@ def _laguerre(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-node Gauss-Laguerre rule on [0, inf) with
     decay rate 1/scale, e^{x} folded into the weights: the one place Laguerre
     nodes are mapped."""
-    x, w = _laggauss(n)
-    return scale * x, scale * w * np.exp(x)
+    x, w, ex = _laggauss(n)
+    return scale * x, scale * w * ex
 
 
 def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule:
@@ -356,6 +364,12 @@ def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> Quad
     beta/2, and places a small Gauss-Legendre rule on each panel, so every
     intermediate scale between layer and beta is resolved.  With no layer (or
     one comparable to beta) it reduces to the plain rule.
+
+    Either way the rule is mirror-symmetric about beta/2, a stated guarantee:
+    read backwards, its nodes are beta - u_j to within ``_MIRROR_ULPS`` ulps
+    of beta, the rounding that forming beta - u_j itself costs.  A bath
+    correlator reads C(beta - u_j) off node n-1-j (README "Numerical design
+    notes").
 
     The rule depends on (n, beta, layer) alone, and the expansion, the
     integral route and every theta of a sweep ask for the same one: it is

@@ -31,6 +31,7 @@ from . import _kernels
 from .errors import TruncationWarning
 from .linalg import (
     CACHE_SIZE,
+    _MIRROR_ULPS,
     QuadratureRule,
     SpectralDecomposition,
     _read_only,
@@ -401,11 +402,13 @@ class _NodeTerms:
     2 (phi + tail dphi), which the integral-route F2 reads, and the
     ``expansion``'s (w phi, w tail phi, w dphi, w tail dphi,
     w (phi + tail dphi)), the four gap-integral coefficients and the
-    diagonal's kernel."""
+    diagonal's kernel.  phi and dphi come from the correlator's
+    ``_on_rule``, which may read C(beta - u_j) off node n-1-j, as every
+    ``quad_imaginary_time`` rule is mirror-symmetric about beta/2."""
 
     def __init__(self, rule: QuadratureRule, corr: CorrelationFn):
         self.rule = rule
-        phi, dphi = (np.asarray(c, dtype=float) for c in corr.value_and_dbeta(rule.nodes))
+        phi, dphi = (np.asarray(c, dtype=float) for c in corr._on_rule(rule))
         tail = corr.beta - rule.nodes
         both = phi + tail * dphi
         self.tail_phi, self.f2_dphi = _read_only(tail * phi, 2.0 * both)
@@ -444,6 +447,21 @@ class CorrelationFn:
     def value_and_dbeta(self, u):
         """``(value(u), dbeta(u))``; overridden where the two share work."""
         return self.value(u), self.dbeta(u)
+
+    def _in_range(self, u) -> np.ndarray:
+        """``u`` as a float array, refused with a ValueError naming u and beta
+        unless every entry lies in [0, beta] (NaN and inf too)."""
+        u = np.asarray(u, dtype=float)
+        outside = ~((u >= 0.0) & (u <= self.beta))
+        if outside.any():
+            raise ValueError(f"imaginary time u = {float(u[outside].flat[0])!r} lies "
+                             f"outside [0, beta] at beta = {self.beta!r}")
+        return u
+
+    def _on_rule(self, rule: QuadratureRule):
+        """(C, dC/dbeta) on the nodes of ``rule``, which lie in [0, beta] by
+        construction: the source of :class:`_NodeTerms`."""
+        return self.value_and_dbeta(rule.nodes)
 
     def rule_terms(self, rule: QuadratureRule) -> _NodeTerms:
         """The correlator's node terms on ``rule`` (see :class:`_NodeTerms`);
@@ -506,7 +524,9 @@ class EigenbasisCorrelation(CorrelationFn):
 class OscillatorCorrelation(CorrelationFn):
     """Closed-form position autocorrelation of a unit-mass harmonic mode (a
     bath mode in ``snr_kernel``).  ``omega0``, positive and finite,
-    may be a column of frequencies, shape (n, 1), giving one row per mode."""
+    may be a column of frequencies, shape (n, 1), giving one row per mode.
+    Each method refuses a u outside [0, beta] (ValueError); the node terms
+    of a rule skip that check."""
 
     def __init__(self, omega0, beta: float):
         super().__init__(beta)
@@ -516,21 +536,30 @@ class OscillatorCorrelation(CorrelationFn):
         self._q = _decay(-self.beta * w)  # e^{-beta omega0} < 1
 
     def value(self, u):
-        w, b = self.omega0, self.beta
-        u = np.asarray(u, dtype=float)
-        return (_decay(-u * w) + _decay(-(b - u) * w)) / (2.0 * w * (1.0 - self._q))
+        return self._value(self._in_range(u))
 
     def dbeta(self, u):
-        w, b = self.omega0, self.beta
-        u = np.asarray(u, dtype=float)
-        pair = _decay(-(b - u) * w) + _decay(-(b + u) * w)
-        return -0.5 * pair / (1.0 - self._q) ** 2
+        return self._dbeta(self._in_range(u))
 
     def d2beta(self, u):
+        w, q = self.omega0, self._q
+        return 0.5 * w * self._pair(self._in_range(u)) * (1.0 + q) / (1.0 - q) ** 3
+
+    def _value(self, u: np.ndarray):
         w, b = self.omega0, self.beta
-        u = np.asarray(u, dtype=float)
-        pair = _decay(-(b - u) * w) + _decay(-(b + u) * w)
-        return 0.5 * w * pair * (1.0 + self._q) / (1.0 - self._q) ** 3
+        return (_decay(-u * w) + _decay(-(b - u) * w)) / (2.0 * w * (1.0 - self._q))
+
+    def _dbeta(self, u: np.ndarray):
+        return -0.5 * self._pair(u) / (1.0 - self._q) ** 2
+
+    def _pair(self, u: np.ndarray):
+        """e^{-(beta - u) omega0} + e^{-(beta + u) omega0}, which both
+        beta-derivatives carry."""
+        w, b = self.omega0, self.beta
+        return _decay(-(b - u) * w) + _decay(-(b + u) * w)
+
+    def _on_rule(self, rule: QuadratureRule):
+        return self._value(rule.nodes), self._dbeta(rule.nodes)
 
 
 class ContinuumBathCorrelation(CorrelationFn):
@@ -541,10 +570,20 @@ class ContinuumBathCorrelation(CorrelationFn):
 
     It depends on (bath, beta, n_omega) alone, so :func:`bath_correlation`
     hands out one shared object per such key: its frequency ``rule`` and
-    every array it holds or returns are read-only.  The constructor forms the
-    per-beta frequency weights and the pair at u = 0 (<B^2>, d<B^2>/dbeta);
-    ``rule_terms`` keeps the node terms of the last imaginary-time rule, so
-    every row at one beta shares one table of value and dbeta on its nodes.
+    every array it holds or returns are read-only.
+
+    Every evaluation is one table E[j, k] = e^{-s_j w_k} times the
+    constructor's n_omega x 3 weights W = [v, d e^{-beta w}, d], with v and d
+    the value and dbeta frequency weights of the two lines above.  With
+    G = E W, value(u) = G(u, 0) + G(beta - u, 0) and
+    dbeta(u) = -(G(u, 1) + G(beta - u, 2)).  For arbitrary u the rows s are
+    u and beta - u; on an imaginary-time rule they are the nodes alone, as
+    every ``quad_imaginary_time`` rule is mirror-symmetric about beta/2 and
+    beta - u_j is node n-1-j (README "Numerical design notes").  ``value``
+    and ``dbeta`` refuse a u outside [0, beta] (ValueError); the
+    constructor's pair at u = 0 (<B^2>, d<B^2>/dbeta) and the node terms of
+    a rule skip that check.  ``rule_terms`` keeps the node terms of the last
+    rule, so every row at one beta shares one table on its nodes.
     """
 
     mean = 0.0  # a continuum coupling field has zero thermal mean by construction
@@ -557,12 +596,13 @@ class ContinuumBathCorrelation(CorrelationFn):
         w = self._w = self.rule.nodes
         jw = spectral_density(bath, w) * self.rule.weights / np.pi
         em = self._em = _decay(-self.beta * w)  # e^{-beta w}
-        self._value_weights = jw / (1.0 - em)
-        self._dbeta_weights = jw * w / (1.0 - em) ** 2
-        _read_only(w, self.rule.weights, em, self._value_weights, self._dbeta_weights)
-        # at u = 0, e^{-u w} = 1 and e^{-(beta-u) w} = e^{-beta w}
-        self._at_zero = (float((1.0 + em) @ self._value_weights),
-                         float(-(em + em) @ self._dbeta_weights))
+        v = jw / (1.0 - em)
+        d = jw * w / (1.0 - em) ** 2
+        dem = d * em
+        dem[dem < np.finfo(float).tiny] = 0.0  # a subnormal moves no sum, and slows the product
+        self._weights = np.stack((v, dem, d), axis=1)
+        _read_only(w, self.rule.weights, em, self._weights)
+        self._at_zero = self._mirrored(np.zeros(()))
 
     def value(self, u):
         return self.value_and_dbeta(u)[0]
@@ -572,24 +612,44 @@ class ContinuumBathCorrelation(CorrelationFn):
 
     def value_and_dbeta(self, u):
         """``value`` and ``dbeta`` at ``u``: the constructor's pair at u = 0,
-        else a new evaluation."""
+        else a new evaluation of u and beta - u."""
         u = np.asarray(u, dtype=float)
         if not u.ndim and u == 0.0:
             return self._at_zero
-        return self._evaluate(u)
+        return self._mirrored(self._in_range(u))
 
-    def _evaluate(self, u: np.ndarray):
-        """``value`` and ``dbeta`` from two exponential tables, built in one
-        buffer: e^{-u w} and e^{-(beta-u) w} serve both, and e^{-(beta+u) w}
-        is e^{-u w} e^{-beta w}."""
-        near, far = _decay(np.multiply.outer(-np.stack((u, self.beta - u)), self._w))
-        val = (near + far) @ self._value_weights
-        near *= self._em
-        near += far
-        dval = -(near @ self._dbeta_weights)
-        if val.ndim:
+    def _table(self, s: np.ndarray) -> np.ndarray:
+        """G = E W with E[j, k] = e^{-s_j w_k}, shape (s.size, 3)."""
+        return _decay(np.multiply.outer(-s, self._w)) @ self._weights
+
+    @staticmethod
+    def _sums(near: np.ndarray, far: np.ndarray):
+        """``value`` and ``dbeta`` from the rows of G at u (``near``) and at
+        beta - u (``far``)."""
+        return near[:, 0] + far[:, 0], -(near[:, 1] + far[:, 2])
+
+    def _mirrored(self, u: np.ndarray):
+        """``value`` and ``dbeta`` from one table on the rows u, then beta - u."""
+        flat = u.ravel()
+        g = self._table(np.concatenate((flat, self.beta - flat)))
+        val, dval = (c.reshape(u.shape) for c in self._sums(g[:flat.size], g[flat.size:]))
+        if u.ndim:
             return _read_only(val, dval)
         return float(val), float(dval)
+
+    def _on_rule(self, rule: QuadratureRule):
+        """``value`` and ``dbeta`` from one table on the nodes alone, read
+        forwards for u_j and backwards for beta - u_j.  A rule that is not its
+        own mirror about beta/2 to ``_MIRROR_ULPS`` ulps of beta is refused
+        (ValueError), as is one with a node below 0."""
+        u = rule.nodes
+        drift = float(np.max(np.abs((self.beta - u) - u[::-1])))
+        if not (drift <= _MIRROR_ULPS * np.spacing(self.beta) and u.min() >= 0.0):
+            raise ValueError(f"rule is not mirror-symmetric on [0, beta] at beta = {self.beta!r}: "
+                             f"max |(beta - u_j) - u_(n-1-j)| = {drift:.3e}, "
+                             f"least node {float(u.min())!r}")
+        g = self._table(u)
+        return self._sums(g, g[::-1])
 
 
 def probe_correlation(probe: ProbeModel, beta: float) -> EigenbasisCorrelation:

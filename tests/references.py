@@ -197,20 +197,29 @@ def x_matrix_fd_dbeta(probe: ProbeModel, bath, beta: float,
     return (4.0 * d2 - d1) / 3.0
 
 
-def continuum_bath_tables(corr: ContinuumBathCorrelation, u) -> tuple:
-    """``value`` and ``dbeta`` of a continuum bath correlator at ``u``, from
-    two exponential tables with every exponent, however negative, passed to
-    np.exp: e^{-u w} and e^{-(beta-u) w} serve both, and e^{-(beta+u) w} is
-    e^{-u w} e^{-beta w}."""
-    u = np.asarray(u, dtype=float)
+def continuum_bath_rows(corr: ContinuumBathCorrelation, s) -> np.ndarray:
+    """The table G = E W of a continuum bath correlator on the rows ``s``,
+    with E[j, k] = e^{-s_j w_k} and W = [v, d e^{-beta w}, d] its value and
+    dbeta frequency weights, and every exponent, however negative, passed
+    to np.exp."""
     w, beta = corr.rule.nodes, corr.beta
     jw = spectral_density(corr.bath, w) * corr.rule.weights / np.pi
     em = np.exp(-beta * w)
-    near = np.exp(-np.multiply.outer(u, w))
-    far = np.exp(-np.multiply.outer(beta - u, w))
-    val = (near + far) @ (jw / (1.0 - em))
-    dval = -(far + near * em) @ (jw * w / (1.0 - em) ** 2)
-    return (val, dval) if val.ndim else (float(val), float(dval))
+    v, d = jw / (1.0 - em), jw * w / (1.0 - em) ** 2
+    return np.exp(-np.multiply.outer(s, w)) @ np.stack((v, d * em, d), axis=1)
+
+
+def continuum_bath_tables(corr: ContinuumBathCorrelation, u) -> tuple:
+    """``value`` and ``dbeta`` of a continuum bath correlator at ``u``, from
+    the rows u and beta - u of :func:`continuum_bath_rows`:
+    value = G(u, 0) + G(beta - u, 0), dbeta = -(G(u, 1) + G(beta - u, 2))."""
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    m = flat.size
+    g = continuum_bath_rows(corr, np.concatenate((flat, corr.beta - flat)))
+    val = (g[:m, 0] + g[m:, 0]).reshape(u.shape)
+    dval = -(g[:m, 1] + g[m:, 2]).reshape(u.shape)
+    return (val, dval) if u.ndim else (float(val), float(dval))
 
 
 def plain_decay(x) -> np.ndarray:

@@ -490,11 +490,10 @@ def test_memoised_base_rules_are_read_only():
         rule.weights[:] = -1.0
     assert np.array_equal(quad_finite(7, 0.0, 2.0).nodes, ref_leg)
     assert np.array_equal(quad_semiinfinite(9, scale=3.0).nodes, ref_lag)
-    for x, w in (_leggauss(7), _laggauss(9)):
+    # Laguerre nodes, weights and their cached e^{x} factor
+    for array in (*_leggauss(7), *_laggauss(9)):
         with pytest.raises(ValueError, match="read-only"):
-            x[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            w[0] = 0.0
+            array[0] = 0.0
 
 
 def test_quad_thermal_frequency_warm_branch():
@@ -634,6 +633,24 @@ def test_graded_rule_absorbs_a_sliver_last_panel():
                         exact = beta ** (j + 1) / (j + 1)
                         got = rule.integrate(rule.nodes**j)
                         assert abs(got - exact) <= 1e-13 * exact, (beta, k, layer, n, j)
+
+
+def test_every_imaginary_time_rule_is_its_own_mirror(cold_caches):
+    # read backwards, the nodes are beta - u_j to the bound a continuum bath
+    # correlator checks before it reads C(beta - u_j) off node n-1-j; the
+    # two sliver layers take the merged last panel
+    cases = []
+    for beta in np.geomspace(1e-3, 1e4, 8):
+        beta = float(beta)
+        top = beta / (8.0 * 4.0**2)
+        cases += [(beta, layer) for layer in (
+            None, 1e-5, 1e-2, 0.2, beta / 100.0, beta / 8.0 * (1.0 - 1e-9),
+            float(np.nextafter(top, 0.0)), top * (1.0 - 1e-12))]
+    for n in range(1, 257):  # n outermost: each node count's base rule is built once
+        for beta, layer in cases:
+            u = quad_imaginary_time(n, beta, layer).nodes
+            drift = np.max(np.abs((beta - u) - u[::-1]))
+            assert drift <= linalg._MIRROR_ULPS * np.spacing(beta), (n, beta, layer)
 
 
 def test_graded_rule_builds_only_the_rule_it_returns(monkeypatch, built_rules):

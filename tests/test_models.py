@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from fctherm import (
 )
 from fctherm import _kernels, models
 from fctherm.models import SIGMA_X
-from references import continuum_bath_tables
+from references import continuum_bath_rows, continuum_bath_tables
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PROJ_UP = np.diag([1.0, 0.0]).astype(complex)
@@ -250,6 +251,86 @@ def test_continuum_correlator_refuses_second_derivative():
         corr.d2beta(0.3)
 
 
+@pytest.mark.parametrize("u", [-0.5, 2.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_closed_form_correlators_refuse_u_outside_zero_to_beta(u):
+    # unchecked, a continuum value(-0.5) was inf and its dbeta NaN,
+    # value(nan) was NaN, and a unit mode's value(-0.5) a finite, wrong 1.48
+    continuum = bath_correlation(ContinuumBath(1.0, 100.0), 1.0)
+    oscillator = OscillatorCorrelation(1.2, 1.0)
+    methods = (continuum.value, continuum.dbeta, continuum.value_and_dbeta,
+               oscillator.value, oscillator.dbeta, oscillator.d2beta)
+    named = re.escape(f"u = {u!r}") + r".*" + re.escape("beta = 1.0")
+    for method in methods:
+        for arg in (u, np.array([0.3, u]), np.array([[u], [0.3]])):
+            with pytest.raises(ValueError, match=named):
+                method(arg)
+    # both ends of [0, beta] are inside
+    for method in methods:
+        for got in np.atleast_1d(method(np.array([0.0, 1.0]))):
+            assert np.all(np.isfinite(got))
+
+
+def _mpmath_bath_sums(corr: ContinuumBathCorrelation, u: np.ndarray, mp) -> tuple:
+    """C_B(u) and dC_B/dbeta(u) as the library's discrete frequency sum, at
+    its own float nodes and weights taken as exact, summed with 30 digits
+    at the exact beta - u."""
+    bath, beta = corr.bath, mp.mpf(corr.beta)
+    scale = mp.mpf(bath.cutoff) ** (mp.mpf(bath.dim_exponent) - mp.mpf(bath.s))
+    terms = []
+    for w, weight in zip(corr.rule.nodes, corr.rule.weights):
+        w = mp.mpf(w)
+        jw = scale * w ** mp.mpf(bath.s) * mp.exp(-w / mp.mpf(bath.cutoff)) * mp.mpf(weight) / mp.pi
+        em = mp.exp(-beta * w)
+        terms.append((w, jw / (1 - em), jw * w / (1 - em) ** 2, em))
+    val, dval = [], []
+    for x in u:
+        x = mp.mpf(x)
+        val.append(mp.fsum(v * (mp.exp(-x * w) + mp.exp(-(beta - x) * w)) for w, v, _, _ in terms))
+        dval.append(-mp.fsum(d * (mp.exp(-(beta - x) * w) + mp.exp(-x * w) * em)
+                             for w, _, d, em in terms))
+    return np.array(val, dtype=float), np.array(dval, dtype=float)
+
+
+@pytest.mark.parametrize("beta_cutoff", [3.0, 25.0, 40.0, 500.0])  # THERMAL_SPLIT is 30
+def test_mirrored_rule_terms_match_a_30_digit_frequency_sum(cold_caches, beta_cutoff):
+    # the reference sums the same discrete frequency rule, so only rounding
+    # is compared: the float sums, exponentials, and node n-1-j read for
+    # beta - u_j.  The bound, 1e-12 of each value, was fixed before the run;
+    # the mirror's part grows as eps * beta * cutoff
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 30
+    cutoff = 100.0
+    beta = beta_cutoff / cutoff
+    corr = ContinuumBathCorrelation(ContinuumBath(1.0, cutoff, 2.0), beta)
+    rule = quad_imaginary_time(32, beta, corr.layer_width)
+    phi, dphi = corr._on_rule(rule)
+    ref_phi, ref_dphi = _mpmath_bath_sums(corr, rule.nodes, mp)
+    for got, ref in ((phi, ref_phi), (dphi, ref_dphi)):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_rule_terms_refuse_a_rule_that_is_not_its_own_mirror(cold_caches):
+    beta = 2.0
+    corr = bath_correlation(ContinuumBath(1.0, 100.0), beta)
+    rule = quad_imaginary_time(64, beta, corr.layer_width)
+    kept = corr.rule_terms(rule)
+    moved = rule.nodes.copy()
+    moved[3] += 8 * np.spacing(beta)
+    lopsided = (
+        models.QuadratureRule(moved, rule.weights, "moved"),
+        quad_imaginary_time(64, 0.9 * beta, corr.layer_width),  # another beta
+        models.QuadratureRule(rule.nodes - 0.1, rule.weights, "shifted"),
+        models.QuadratureRule(np.array([-0.5, 2.5]), np.array([1.0, 1.0]), "outside"),
+    )
+    for bad in lopsided:
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            corr.rule_terms(bad)
+        assert corr._terms is kept  # a refused rule replaces no terms
+    # a node one ulp of beta off is within the bound
+    moved[3] = rule.nodes[3] + np.spacing(beta)
+    corr.rule_terms(models.QuadratureRule(moved, rule.weights, "ulp"))
+
+
 def test_continuum_correlator_layer_width():
     corr = bath_correlation(ContinuumBath(1.0, 80.0), 2.0)
     assert corr.layer_width == pytest.approx(1.0 / 80.0)
@@ -429,8 +510,8 @@ def _term_arrays(terms) -> list:
 def test_cached_correlator_hands_out_read_only_arrays(cold_caches, beta):
     corr = bath_correlation(ContinuumBath(1.0, 100.0), beta)
     u = np.linspace(0.0, beta, 9)
-    exposed = [corr.rule.nodes, corr.rule.weights, corr._w, corr._em, corr._value_weights,
-               corr._dbeta_weights, *corr.value_and_dbeta(u), corr.value(u), corr.dbeta(u)]
+    exposed = [corr.rule.nodes, corr.rule.weights, corr._w, corr._em, corr._weights,
+               *corr.value_and_dbeta(u), corr.value(u), corr.dbeta(u)]
     # what rows at one beta share: the bath correlators' rule terms and the
     # probe levels' Gibbs record with its pair factors
     rule = quad_imaginary_time(64, beta, corr.layer_width)
@@ -455,7 +536,8 @@ def _holds_no_subnormal(*arrays) -> bool:
 def test_continuum_tables_match_the_plain_exponential_reference(cold_caches, s, cutoff):
     # exponents below -700 give an exact 0 in place of np.exp's near- or
     # sub-normal value; every sum they join keeps its bits, on both frequency
-    # rules (beta * cutoff on both sides of THERMAL_SPLIT) and at u = 0
+    # rules (beta * cutoff on both sides of THERMAL_SPLIT), at u = 0 and on
+    # a rule's nodes read forwards and backwards
     cut = 0
     for beta in np.geomspace(0.01, 60.0, 13):
         corr = ContinuumBathCorrelation(ContinuumBath(s, cutoff, 2.0), beta)
@@ -463,13 +545,17 @@ def test_continuum_tables_match_the_plain_exponential_reference(cold_caches, s, 
         assert np.all(corr._em[gone] == 0.0) and np.all(corr._em[~gone] > 0.0)
         cut += int(np.count_nonzero(gone))
         for n_u in (32, 64, 128):
-            u = quad_imaginary_time(n_u, beta, corr.layer_width).nodes
+            rule = quad_imaginary_time(n_u, beta, corr.layer_width)
+            u = rule.nodes
             got, ref = corr.value_and_dbeta(u), continuum_bath_tables(corr, u)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (beta, n_u)
-            assert _holds_no_subnormal(*got)
+            g = continuum_bath_rows(corr, u)
+            on_rule = corr._on_rule(rule)
+            mirrored = (g[:, 0] + g[::-1, 0], -(g[:, 1] + g[::-1, 2]))
+            assert all(np.array_equal(a, b) for a, b in zip(on_rule, mirrored)), (beta, n_u)
+            assert _holds_no_subnormal(*got, *on_rule)
         assert corr.value_and_dbeta(0.0) == continuum_bath_tables(corr, 0.0), beta
-        assert _holds_no_subnormal(corr._em, corr._value_weights, corr._dbeta_weights,
-                                   np.array(corr.value_and_dbeta(0.0)))
+        assert _holds_no_subnormal(corr._em, corr._weights, np.array(corr.value_and_dbeta(0.0)))
     assert cut  # the grid reaches the cut
 
 
@@ -535,15 +621,15 @@ def _count_kernel_calls(monkeypatch) -> dict:
 
 def test_theta_sweep_builds_one_correlator_per_beta(cold_caches, monkeypatch):
     built, evaluated, terms = [], [], []
-    init, evaluate = ContinuumBathCorrelation.__init__, ContinuumBathCorrelation._evaluate
+    init, table = ContinuumBathCorrelation.__init__, ContinuumBathCorrelation._table
 
     def counting_init(self, bath, beta, *args):
         built.append(beta)
         init(self, bath, beta, *args)
 
-    def counting_evaluate(self, u):
+    def counting_table(self, s):
         evaluated.append(self.beta)
-        return evaluate(self, u)
+        return table(self, s)
 
     class CountingTerms(models._NodeTerms):
         def __init__(self, rule, corr):
@@ -551,16 +637,17 @@ def test_theta_sweep_builds_one_correlator_per_beta(cold_caches, monkeypatch):
             super().__init__(rule, corr)
 
     monkeypatch.setattr(ContinuumBathCorrelation, "__init__", counting_init)
-    monkeypatch.setattr(ContinuumBathCorrelation, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(ContinuumBathCorrelation, "_table", counting_table)
     monkeypatch.setattr(models, "_NodeTerms", CountingTerms)
     calls = _count_kernel_calls(monkeypatch)
     for beta in _BETAS:  # beta-major, as `sweep` orders its grid
         for theta in _THETAS:
             _sweep_point(beta, theta)
-    assert built == list(_BETAS)
-    # per beta, one table on the imaginary-time nodes and one set of rule
-    # terms from it; the pair at u = 0 is the constructor's
-    assert evaluated == terms == list(_BETAS)
+    assert built == terms == list(_BETAS)
+    # per beta, two exponential tables: the constructor's at u = 0, and one
+    # on the imaginary-time nodes, from which the one set of rule terms reads
+    # both u and beta - u
+    assert evaluated == [beta for beta in _BETAS for _ in range(2)]
     # one record of the probe levels' Gibbs data per beta
     assert models._thermal_levels.cache_info().misses == len(_BETAS)
     # yet every point still evaluates its 4 + 4 level sums, on tables built

@@ -195,17 +195,15 @@ def per_pair_reference(exp):
 def four_product_reference(exp):
     """pi X and pi dX/dbeta with each level-pair sum formed by its own product:
     a2 = (S o G^T) S and a2d beside a1 = S (S o G) and a1d, and both halves of
-    each midpoint sum, on the expansion's own nodes, bath correlator and
-    diagonal, weighted by the same one-sided table c[n, m] = p_n e^{beta gap}
-    = p_m and its mirror, factored as c = lo * t.  x_matrix forms a2 and a2d
-    as the adjoints of a1 and a1d."""
-    u, w = exp.rule.nodes, exp.rule.weights
-    phi, dphi = (np.asarray(c, dtype=float) for c in exp.bath_corr.value_and_dbeta(u))
+    each midpoint sum, on the expansion's own nodes, bath correlator node
+    terms and diagonal, weighted by the same one-sided table
+    c[n, m] = p_n e^{beta gap} = p_m and its mirror, factored as c = lo * t.
+    x_matrix forms a2 and a2d as the adjoints of a1 and a1d."""
+    u = exp.rule.nodes
     e, s, beta, p = exp.evals, exp.probe_corr.coupling_eig, exp.beta, exp.populations
-    g_phi, g_phi_w, g_dphi, g_dphi_w = (
-        _kernels.gap_integrals(e, u, c)
-        for c in (w * phi, w * (beta - u) * phi, w * dphi, w * (beta - u) * dphi)
-    )
+    # w phi, w (beta - u) phi, w dphi, w (beta - u) dphi
+    coefficients = exp.bath_corr.rule_terms(exp.rule).expansion[:4]
+    g_phi, g_phi_w, g_dphi, g_dphi_w = (_kernels.gap_integrals(e, u, c) for c in coefficients)
     gap = e[:, None] - e[None, :]
     near = np.abs(beta * gap) < MIDPOINT_BETA_GAP
     safe_gap = np.where(near, 1.0, gap)
