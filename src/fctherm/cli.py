@@ -81,26 +81,11 @@ _REPORT_CELLS = (
 CSV_COLUMNS = tuple(header for header, _ in _REPORT_CELLS)
 
 
-def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]], workers: int) -> list[MetrologyReport]:
-    """Evaluate (beta, gamma, theta) points, preserving input order.  The
-    config's one bath serves every point; the probe is built per point (its
-    truncation follows beta, its angle theta).  With workers, the points go
-    out in contiguous chunks, each pickled once with one copy of the config,
-    so a worker unpickles the config (and its bath) once per chunk and its
-    per-beta caches hit across a chunk's inner-axis points.  Each worker gets
-    about four chunks, not one: an oscillator's rows shrink as beta rises, so
-    with one beta-major run each, the workers holding the cold, small rows
-    sit idle while the first works through the hot ones.  The pool is
-    imported here: it imports multiprocessing, which a serial run never needs."""
-    if workers <= 1:
-        return [_compute_report(cfg, b, g, t) for b, g, t in points]
-    from concurrent.futures import ProcessPoolExecutor
-    from itertools import repeat
-    betas, gammas, thetas = zip(*points)
-    chunksize = -(-len(points) // (4 * workers))  # ceil
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_report, repeat(cfg), betas, gammas, thetas,
-                             chunksize=chunksize))
+def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]]) -> list[MetrologyReport]:
+    """Evaluate (beta, gamma, theta) points in input order.  The config's one
+    bath serves every point; the probe is built per point (its truncation
+    follows beta, its angle theta)."""
+    return [_compute_report(cfg, b, g, t) for b, g, t in points]
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> None:
@@ -130,9 +115,9 @@ def _print_report_table(reports: list[MetrologyReport]) -> None:
         )
 
 
-def cmd_report(cfg: RunConfig, out: str | None, workers: int) -> int:
+def cmd_report(cfg: RunConfig, out: str | None) -> int:
     points = [(float(b), cfg.gamma, None) for b in cfg.beta_grid.points()]
-    reports = _run_grid(cfg, points, workers)
+    reports = _run_grid(cfg, points)
     _print_report_table(reports)
     target = _write_reports(cfg, out, reports)
     if target:
@@ -140,7 +125,7 @@ def cmd_report(cfg: RunConfig, out: str | None, workers: int) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out: str | None, workers: int) -> int:
+def cmd_sweep(cfg: RunConfig, out: str | None) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep: section required for the sweep subcommand")
     axis = cfg.sweep.axis
@@ -152,7 +137,7 @@ def cmd_sweep(cfg: RunConfig, out: str | None, workers: int) -> int:
                 points.append((float(beta), v, None))
             else:
                 points.append((float(beta), cfg.gamma, v))
-    reports = _run_grid(cfg, points, workers)
+    reports = _run_grid(cfg, points)
     target = _write_reports(cfg, out, reports)
     print(f"sweep over beta x {axis}: {cfg.beta_grid.n} x {len(inner)} = {len(reports)} rows"
           + (f", written to {target}" if target else ""))
@@ -269,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="CSV output path (overrides config)")
-        p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+        # every run is serial; the flag stays, accepting only 1, for callers that pass it
+        p.add_argument("--workers", type=int, default=1, help="worker processes: only 1 is accepted")
     return parser
 
 
@@ -277,12 +263,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.workers < 1:
-            raise ConfigError("--workers: must be >= 1")
+        if args.workers != 1:
+            raise ConfigError(f"--workers: only 1 is accepted (rows run in one process), got {args.workers}")
         if args.command == "report":
-            return cmd_report(cfg, args.out, args.workers)
+            return cmd_report(cfg, args.out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, args.workers)
+            return cmd_sweep(cfg, args.out)
         return cmd_scaling(cfg, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

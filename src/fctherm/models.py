@@ -133,10 +133,6 @@ class DiscreteBath:
         object.__setattr__(self, "coupling", b)
         _read_only(h, b)
 
-    def __reduce__(self):
-        # unpickled arrays are writeable: a copy is built afresh through __post_init__
-        return DiscreteBath, (self.hamiltonian, self.coupling)
-
     @cached_property
     def decomp(self) -> SpectralDecomposition:
         return _shared_spectrum(self.hamiltonian)[-1]

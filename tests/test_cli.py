@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import gc
 import json
 import math
@@ -119,62 +118,6 @@ def test_warm_caches_give_a_fresh_process_bytes(tmp_path, config_dir, in_process
     assert fresh.read_bytes() == (in_process_passes[0] / f"{command}-{name}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("run", ["report-qubit-ohmic", "sweep-qubit-transverse",
-                                 "report-operator-files"])
-def test_parallel_rows_match_serial_exactly(tmp_path, config_dir, cold_caches, run):
-    # each worker process keeps its own rule, correlator and kernel caches,
-    # and rebuilds the config's models from its pickled copy of the config
-    # (the last run reads its probe and its discrete bath from operator
-    # files), so no row may depend on which process evaluated its point.
-    # The pool runs first, so both runs start from empty caches
-    if run == "report-qubit-ohmic":
-        command, cfg = "report", write_config(tmp_path, QUBIT_OHMIC)
-    elif run == "sweep-qubit-transverse":
-        command, cfg = "sweep", str(config_dir / "report_qubit_transverse.json")
-    else:
-        command, cfg = "report", write_config(tmp_path, {
-            "probe": {"kind": "custom-matrix-file",
-                      "params": {"path": str(config_dir / "probe_qubit_x.json")}},
-            "bath": {"kind": "discrete-file", "path": str(config_dir / "bath_qubit_x.json")},
-            "gamma": 0.05, "beta_grid": {"min": 0.2, "max": 5.0, "n": 12, "spacing": "log"}})
-    outs = {workers: tmp_path / f"workers-{workers}.csv" for workers in (2, 1)}
-    for workers, out in outs.items():
-        assert main([command, "--config", cfg, "--out", str(out), "--workers", str(workers)]) == 0
-    assert outs[1].read_bytes() == outs[2].read_bytes()
-
-
-@pytest.mark.parametrize("workers", [2, 3, 5])
-def test_parallel_rows_go_out_in_about_four_chunks_per_worker(tmp_path, monkeypatch, workers):
-    # each chunk carries one pickled copy of the config, so a worker rebuilds
-    # the config's models once per chunk, not once per row; a few chunks per
-    # worker, not one, keep the pool balancing rows of unequal cost
-    maps = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            rows = list(map(fn, *iterables))
-            maps.append((self.max_workers, len(rows), chunksize))
-            return rows
-
-    # the CLI imports the pool only when a run asks for workers
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    doc = dict(QUBIT_OHMIC, beta_grid={"min": 0.5, "max": 2.0, "n": 50, "spacing": "log"})
-    assert main(["report", "--config", write_config(tmp_path, doc),
-                 "--workers", str(workers)]) == 0
-    [(pool_size, rows, chunksize)] = maps
-    assert pool_size == workers and rows == 50
-    assert chunksize == math.ceil(rows / (4 * workers)) > 1
-
-
 def test_zero_coupling_report_collapses_to_local_bound(tmp_path):
     doc = dict(QUBIT_OHMIC, gamma=0.0)
     cfg = write_config(tmp_path, doc)
@@ -272,9 +215,31 @@ def test_exit_2_on_missing_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_exit_2_on_bad_worker_count(tmp_path):
-    cfg = write_config(tmp_path, QUBIT_OHMIC)
-    assert main(["report", "--config", cfg, "--workers", "0"]) == 2
+_RUNS = {"report": dict(QUBIT_OHMIC),
+         "sweep": dict(QUBIT_OHMIC, sweep={"axis": "gamma", "min": 0.05, "max": 0.1, "n": 2}),
+         "scaling": "scaling_dephasing.json"}
+
+
+@pytest.mark.parametrize("workers", ["0", "2"])
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_exit_2_on_bad_worker_count(tmp_path, config_dir, capsys, command, workers):
+    doc = _RUNS[command]
+    cfg = write_config(tmp_path, doc) if isinstance(doc, dict) else str(config_dir / doc)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_one_worker_writes_the_bytes_of_a_run_without_the_flag(tmp_path, config_dir, command):
+    # the benchmark passes --workers 1 to every subcommand
+    doc = _RUNS[command]
+    cfg = write_config(tmp_path, doc) if isinstance(doc, dict) else str(config_dir / doc)
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    assert main([command, "--config", cfg, "--out", str(plain)]) == 0
+    assert main([command, "--config", cfg, "--out", str(flagged), "--workers", "1"]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
 
 
 # the Jacobi convergence knob went with the Jacobi solver, the step-halving
