@@ -179,7 +179,10 @@ class DensityOperator:
 
 def gibbs_populations(evals: np.ndarray, beta: float) -> np.ndarray:
     """Thermal populations of a given spectrum, from shifted energies so the
-    largest Boltzmann factor is exactly 1."""
+    largest Boltzmann factor is exactly 1.  ``beta`` must be finite and >= 0
+    (ValueError otherwise); beta == 0 gives equal populations."""
+    if not 0.0 <= beta < np.inf:  # NaN too
+        raise ValueError(f"inverse temperature beta must be finite and >= 0, got {beta}")
     e = np.asarray(evals, dtype=float)
     q = np.exp(-beta * (e - e.min()))
     return q / q.sum()
@@ -189,10 +192,8 @@ def gibbs_state(
     decomp: SpectralDecomposition, beta: float, tol: Tolerances = DEFAULT_TOL
 ) -> DensityOperator:
     """Thermal state exp(-beta H)/Z of the Hamiltonian with spectral
-    decomposition ``decomp``.  ``beta`` must be >= 0; beta == 0 gives the
-    maximally mixed state."""
-    if beta < 0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
+    decomposition ``decomp``.  ``beta`` must be finite and >= 0 (see
+    :func:`gibbs_populations`); beta == 0 gives the maximally mixed state."""
     rho = decomp.from_eigenbasis(np.diag(gibbs_populations(decomp.evals, beta)))
     rho = 0.5 * (rho + rho.conj().T)
     return DensityOperator(rho, tol)

@@ -148,7 +148,7 @@ def _i2(corr: EigenbasisCorrelation, px_nn: np.ndarray, pdx_nn: np.ndarray) -> f
     in every caller: numpy hands a strided and a contiguous vector to
     different BLAS dot loops, whose sums round apart (README "Only the
     lowest pair")."""
-    de = corr.evals - corr.mean_energy
+    de = corr.thermal.centred
     return float(np.dot(de**2, px_nn) - 2.0 * np.dot(de, pdx_nn))
 
 
@@ -237,8 +237,10 @@ def snr_bound(
     A_01 from the 2 x 2 block.  A bath
     coupling with a nonzero thermal mean is refused by that setup
     (:class:`NonzeroMeanError`, a ValueError), so every report describes a
-    zero-mean environment.
+    zero-mean environment.  A non-finite ``gamma`` raises ValueError.
     """
+    if not np.isfinite(gamma):
+        raise ValueError(f"coupling gamma must be finite, got {gamma}")
     setup = _point_setup(probe, bath, beta, n_u, n_omega, tol)
     probe_corr, bath_corr = setup.probe_corr, setup.bath_corr
     f0, f2 = qfi_perturbative_integral(probe, bath, beta, n_u, n_omega, probe_corr=probe_corr)

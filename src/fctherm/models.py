@@ -350,21 +350,28 @@ def _decay(x) -> np.ndarray:
 
 class _ThermalLevels:
     """The Gibbs data of a spectrum at ``beta``, whatever the coupling: the
-    ``populations`` p, ``mean_energy`` <E>, ``dpopulations`` = -p (E - <E>),
-    ``energy_var`` Var(E), ``d2populations`` = p ((E - <E>)^2 - Var(E)), and
-    per block size k the lowest pair's factors.  The ``_thermal_levels`` LRU
-    cache keeps one read-only record per (levels' bytes, beta)."""
+    ``populations`` p, ``mean_energy`` <E>, the ``centred`` energies E - <E>,
+    ``dpopulations`` = -p (E - <E>), ``energy_var`` Var(E), ``d2populations``
+    = p ((E - <E>)^2 - Var(E)), and per block size k the lowest pair's
+    factors.  The ``_thermal_levels`` LRU cache keeps one read-only record
+    per (levels' bytes, beta).
+
+    E - <E> is formed from levels measured from the ground level, as the
+    oracle does, so an energy offset of the spectrum does not cancel against
+    <E> in it: the centred energies, and every figure read from them, are the
+    same bits at any offset that shifts each level exactly."""
 
     def __init__(self, levels: bytes, beta: float):
         self.beta = beta
         self.evals = e = np.frombuffer(levels)
         p = self.populations = gibbs_populations(e, beta)
         self.mean_energy = float(np.dot(p, e))
-        centred = e - self.mean_energy
+        above_ground = e - e.min()
+        centred = self.centred = above_ground - float(np.dot(p, above_ground))
         self.dpopulations = -p * centred
         self.energy_var = float(np.dot(p, centred**2))
         self.d2populations = p * (centred**2 - self.energy_var)
-        _read_only(p, self.dpopulations, self.d2populations)
+        _read_only(p, centred, self.dpopulations, self.d2populations)
         self._pairs: dict = {}
 
     def pair_factors(self, k: int) -> tuple[np.ndarray, ...]:

@@ -391,9 +391,14 @@ def test_gibbs_state_beta_zero_is_maximally_mixed():
     assert np.max(np.abs(rho.matrix - np.eye(4) / 4.0)) < 1e-13
 
 
-def test_gibbs_state_rejects_negative_beta():
-    with pytest.raises(ValueError, match=">= 0"):
-        gibbs_state(eigendecompose(np.diag([0.0, 1.0])), -0.1)
+@pytest.mark.parametrize("beta", [-0.1, -np.inf, np.inf, np.nan])
+def test_gibbs_refuses_beta_out_of_domain(beta):
+    # gibbs_populations is the one check: every Gibbs weight goes through it
+    levels = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        gibbs_populations(levels, beta)
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        gibbs_state(eigendecompose(np.diag(levels)), beta)
 
 
 def test_density_operator_validation():

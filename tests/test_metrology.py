@@ -170,6 +170,13 @@ def test_spectral_kernel_route_needs_a_continuum_bath():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_snr_bound_refuses_non_finite_gamma(gamma):
+    # it used to return NaN or infinite snr_sq_pert and validity_ratio
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        snr_bound(probe_qubit(1.0, 0.7), ContinuumBath(1.0, 5.0), gamma, 1.3)
+
+
 def test_snr_bound_field_consistency():
     probe, bath = probe_qubit(1.0, np.pi / 4.0), bath_qubit(1.0)
     rep = snr_bound(probe, bath, gamma=0.05, beta=1.3)

@@ -98,6 +98,22 @@ def test_joint_dimension_limit():
         JointModel(probe, big, 0.01)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_joint_model_refuses_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        JointModel(probe_qubit(1.0, 0.7), bath_qubit(1.3), gamma)
+
+
+@pytest.mark.parametrize("beta", [-1.0, np.inf, np.nan])
+def test_exact_references_refuse_beta_out_of_domain(beta):
+    # a negative beta used to return finite Fishers, and inf NaN ones
+    joint = JointModel(probe_qubit(1.0, 0.7), bath_qubit(1.3), 0.1)
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        exact_fishers(joint, beta)
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        exact_mfg(joint, beta)
+
+
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)

@@ -41,6 +41,7 @@ from fctherm import (
     qfi_perturbative_integral,
     quad_imaginary_time,
     sld_solve,
+    snr_bound,
     x_matrix,
     xi_via_spectral_kernel,
 )
@@ -244,3 +245,28 @@ def test_assembled_state_qfi_is_invariant_under_shift_rotation_and_sign(case):
         moved = assembled_qfi(h2, s2, bath, beta)
         moved_bound = max(bound, INVARIANCE_RTOL * assembled_scale(h2, s2, bath, beta))
         assert abs(moved - base) <= moved_bound, (name, base, moved)
+
+
+@st.composite
+def offset_cases(draw):
+    """(levels, S, bath, beta, c): 2-5 levels on a 1/64 grid in [0, 10], a
+    dense coupling and an integer offset c up to 1e9, so that every level of
+    diag(levels) + c is exact and H + c is exactly a diagonal matrix."""
+    d = draw(st.integers(2, 5))
+    levels = np.array(draw(st.lists(st.integers(0, 640), min_size=d, max_size=d))) / 64.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = hermitian_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    bath = ContinuumBath(s=float(rng.uniform(0.5, 3.0)), cutoff=float(10.0 ** rng.uniform(0.0, 2.0)))
+    return levels, s, bath, draw(st.floats(0.1, 5.0)), draw(st.integers(-10**9, 10**9))
+
+
+@PROPERTY_SETTINGS
+@given(offset_cases())
+def test_an_exact_energy_offset_moves_no_bit(case):
+    # the levels, measured from the ground level, are the same bits at any
+    # offset, so any move of a figure would be the library's own rounding
+    levels, s, bath, beta, c = case
+    reports = [snr_bound(probe_custom(np.diag(levels + shift), s), bath, 0.1, beta, N_U, N_OMEGA)
+               for shift in (0.0, float(c))]
+    figures = [(r.f0, r.f2, r.i2, r.x01, r.alpha01) for r in reports]
+    assert figures[1] == figures[0], (c, figures)
