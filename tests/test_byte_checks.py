@@ -14,8 +14,7 @@ copies in ``tests/golden``, so the one-thread outputs are compared with them
 too.  These comparisons need no stored copy, so they also run where the
 sha256 test is skipped.  A dense 128-level probe, whose
 products pass OpenBLAS's threading threshold where no bundled config's do,
-is reported at the default thread count and on one thread.  The worker
-counts are compared in ``test_cli.py``.
+is reported at the default thread count and on one thread.
 """
 
 from __future__ import annotations

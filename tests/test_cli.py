@@ -220,11 +220,16 @@ _RUNS = {"report": dict(QUBIT_OHMIC),
          "scaling": "scaling_dephasing.json"}
 
 
+def run_config(tmp_path, config_dir, command):
+    """A small config path for ``command``: written from _RUNS, or bundled."""
+    doc = _RUNS[command]
+    return write_config(tmp_path, doc) if isinstance(doc, dict) else str(config_dir / doc)
+
+
 @pytest.mark.parametrize("workers", ["0", "2"])
 @pytest.mark.parametrize("command", sorted(_RUNS))
 def test_exit_2_on_bad_worker_count(tmp_path, config_dir, capsys, command, workers):
-    doc = _RUNS[command]
-    cfg = write_config(tmp_path, doc) if isinstance(doc, dict) else str(config_dir / doc)
+    cfg = run_config(tmp_path, config_dir, command)
     out = tmp_path / "out.csv"
     assert main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == 2
     assert "--workers" in capsys.readouterr().err
@@ -234,8 +239,7 @@ def test_exit_2_on_bad_worker_count(tmp_path, config_dir, capsys, command, worke
 @pytest.mark.parametrize("command", sorted(_RUNS))
 def test_one_worker_writes_the_bytes_of_a_run_without_the_flag(tmp_path, config_dir, command):
     # the benchmark passes --workers 1 to every subcommand
-    doc = _RUNS[command]
-    cfg = write_config(tmp_path, doc) if isinstance(doc, dict) else str(config_dir / doc)
+    cfg = run_config(tmp_path, config_dir, command)
     plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
     assert main([command, "--config", cfg, "--out", str(plain)]) == 0
     assert main([command, "--config", cfg, "--out", str(flagged), "--workers", "1"]) == 0
