@@ -48,10 +48,11 @@ def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     the one dtype every later step keeps: a contiguous float64 copy when its
     imaginary part is all zero, complex128 otherwise.
 
-    Every operator enters the library through here (probe and bath
-    operators, decompositions, density operators, state derivatives), so no
-    later step meets an empty spectrum, and a real-symmetric model runs
-    LAPACK's real-symmetric solver and real GEMMs from then on.  The copy is
+    Every operator but a built-in probe's Hamiltonian, which is diagonal by
+    construction, enters through here (probe and bath operators,
+    decompositions, density operators, state derivatives), so no later step
+    meets an empty spectrum, and a real-symmetric model runs LAPACK's
+    real-symmetric solver and real GEMMs from then on.  The copy is
     contiguous because numpy's matmul does not hand a strided view (such as
     the real part of a complex array) to BLAS.
     """
@@ -123,6 +124,34 @@ def _phase_gauge(evecs: np.ndarray) -> np.ndarray:
     return evecs
 
 
+def _checked(w, v, order, uni: float, rec: float, scale: float) -> SpectralDecomposition:
+    """The decomposition (w, v, order) once its unitarity deviation ``uni``
+    and reconstruction deviation ``rec`` pass their guards; ``scale`` is
+    max(1, max|H|).  ValueError otherwise."""
+    if uni > EIG_UNITARITY_TOL:
+        raise ValueError(f"eigenvector matrix not unitary: deviation {uni:.3e}")
+    if rec > EIG_RECONSTRUCTION_TOL * scale:
+        raise ValueError(f"spectral reconstruction failed: deviation {rec:.3e}")
+    return SpectralDecomposition(evals=w, evecs=v, _order=order)
+
+
+def _diagonal_decomposition(diag: np.ndarray) -> SpectralDecomposition:
+    """Decomposition of a matrix whose off-diagonal entries are all exactly
+    zero, from its diagonal ``diag`` (in the matrix's dtype, entries finite):
+    the stably sorted real diagonal and the unit vectors ``eye[:, order]``,
+    with both checks of :func:`eigendecompose` in closed form.
+
+    :func:`eigendecompose` calls it after its input checks; the built-in
+    probes call it on their levels, which they check for finiteness
+    themselves (a NaN would pass the reconstruction check)."""
+    order = np.argsort(diag.real, kind="stable")
+    w = diag.real[order]
+    v = np.eye(w.size, dtype=diag.dtype)[:, order]
+    uni = 0.0 if np.array_equal(np.sort(order), np.arange(w.size)) else np.inf
+    rec = float(np.max(np.abs(diag[order] - w)))
+    return _checked(w, v, order, uni, rec, max(1.0, float(np.max(np.abs(diag)))))
+
+
 def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Diagonalise a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
@@ -130,32 +159,20 @@ def eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     :func:`require_hermitian`), so its ``evecs`` are float64; otherwise they
     are complex128.  A matrix whose off-diagonal entries are all exactly zero
     needs no solver: its eigenvalues are the stably sorted diagonal and its
-    eigenvectors the matching unit vectors.
+    eigenvectors the matching unit vectors (:func:`_diagonal_decomposition`).
 
     Raises ValueError if the input is not Hermitian or if the result fails the
     unitarity / reconstruction checks.
     """
     a = require_hermitian(matrix)
     diag = np.diagonal(a)
-    scale = max(1.0, float(np.max(np.abs(a))))
     if np.count_nonzero(a) == np.count_nonzero(diag):
-        # unit vectors eye[:, order]: both checks below in closed form
-        order = np.argsort(diag.real, kind="stable")
-        w = diag.real[order]
-        v = np.eye(w.size, dtype=a.dtype)[:, order]
-        uni = 0.0 if np.array_equal(np.sort(order), np.arange(w.size)) else np.inf
-        rec = float(np.max(np.abs(diag[order] - w)))
-    else:
-        w, v = np.linalg.eigh(a)  # ascending eigenvalues
-        v = _phase_gauge(v)
-        order = None
-        uni = float(np.max(np.abs(v.conj().T @ v - np.eye(w.size))))
-        rec = float(np.max(np.abs((v * w) @ v.conj().T - a)))
-    if uni > EIG_UNITARITY_TOL:
-        raise ValueError(f"eigenvector matrix not unitary: deviation {uni:.3e}")
-    if rec > EIG_RECONSTRUCTION_TOL * scale:
-        raise ValueError(f"spectral reconstruction failed: deviation {rec:.3e}")
-    return SpectralDecomposition(evals=w, evecs=v, _order=order)
+        return _diagonal_decomposition(diag)
+    w, v = np.linalg.eigh(a)  # ascending eigenvalues
+    v = _phase_gauge(v)
+    uni = float(np.max(np.abs(v.conj().T @ v - np.eye(w.size))))
+    rec = float(np.max(np.abs((v * w) @ v.conj().T - a)))
+    return _checked(w, v, None, uni, rec, max(1.0, float(np.max(np.abs(a)))))
 
 
 @dataclass
@@ -334,8 +351,8 @@ def quad_thermal_frequency(n: int, cutoff: float, beta: float) -> QuadratureRule
     """
     if n < 1:
         raise ValueError("need at least one node")
-    if not beta > 0:  # NaN too
-        raise ValueError("beta must be positive")
+    if not 0 < beta < np.inf:  # NaN too
+        raise ValueError("beta must be positive and finite")
     if beta * cutoff <= THERMAL_SPLIT:
         # single-scale regime; the Laguerre weight factor caps the node count
         return quad_semiinfinite(min(n, MAX_LAGUERRE_NODES), scale=cutoff)
@@ -379,8 +396,8 @@ def quad_imaginary_time(n: int, beta: float, layer: float | None = None) -> Quad
     """
     if n < 1:
         raise ValueError("need at least one node")
-    if not beta > 0:  # NaN too
-        raise ValueError("beta must be positive")
+    if not 0 < beta < np.inf:  # NaN too
+        raise ValueError("beta must be positive and finite")
     if layer is None or not 0.0 < layer < 0.125 * beta:
         rule = quad_finite(n, 0.0, beta)
         _read_only(rule.nodes, rule.weights)

@@ -331,8 +331,11 @@ def high_T_asymptote(probe: ProbeModel, bath: ContinuumBath, beta: float) -> flo
     kernel integral is 5 % (qubit) and 10 % (oscillator) below it.
 
     A probe of any other kind, or a qubit whose ``params`` lack ``epsilon``
-    or ``theta``, raises ValueError.
+    or ``theta``, raises ValueError, as does a beta that is not positive and
+    finite.
     """
+    if not 0 < beta < np.inf:  # NaN too
+        raise ValueError("beta must be positive and finite")
     weight = bath.cutoff**bath.dim_exponent * math.gamma(bath.s)
     if probe.kind == "qubit":
         missing = [k for k in ("epsilon", "theta") if k not in probe.params]

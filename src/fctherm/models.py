@@ -34,6 +34,7 @@ from .linalg import (
     _MIRROR_ULPS,
     QuadratureRule,
     SpectralDecomposition,
+    _diagonal_decomposition,
     _read_only,
     eigendecompose,
     gibbs_populations,
@@ -60,9 +61,18 @@ def _level_count(n, name: str, least: int) -> int:
     return int(n)
 
 
-def _ladder(omega: float, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+def _ladder(omega: float, n_levels: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Truncated harmonic mode: H = omega (n + 1/2) and the unit-mass position
-    x = (a + a^dag) / sqrt(2 omega), both on the lowest ``n_levels`` Fock states."""
+    x = (a + a^dag) / sqrt(2 omega), both on the lowest ``n_levels`` Fock states.
+    A frequency that is not positive and finite, or a top level that is not
+    finite, is refused (ValueError naming ``name``) from Python floats,
+    before numpy forms the ladder and warns."""
+    if not 0 < omega < np.inf:  # NaN too
+        raise ValueError(f"{name}: oscillator frequency must be positive and finite, "
+                         f"got {omega!r}")
+    if not float(omega) * (n_levels - 0.5) < np.inf:
+        raise ValueError(f"{name} has a non-finite level: omega = {omega!r} "
+                         f"on {n_levels} levels")
     k = np.arange(n_levels)
     h = np.diag(omega * (k + 0.5))
     x = np.zeros((n_levels, n_levels))
@@ -102,9 +112,10 @@ class ContinuumBath:
 
 
 def spectral_density(bath: ContinuumBath, omega):
-    """Evaluate J(omega) for a continuum bath (elementwise, omega >= 0)."""
+    """Evaluate J(omega) for a continuum bath (elementwise; every omega finite
+    and >= 0, ValueError otherwise)."""
     w = np.asarray(omega, dtype=float)
-    if np.any(w < 0):
+    if not ((w >= 0.0) & (w < np.inf)).all():  # NaN too
         raise ValueError("spectral density is defined on omega >= 0")
     return bath.cutoff ** (bath.dim_exponent - bath.s) * w**bath.s * np.exp(-w / bath.cutoff)
 
@@ -135,7 +146,9 @@ class DiscreteBath:
 
     @cached_property
     def decomp(self) -> SpectralDecomposition:
-        return _shared_spectrum(self.hamiltonian)[-1]
+        decomp = eigendecompose(self.hamiltonian)
+        _read_only(decomp.evals, decomp.evecs, decomp._order)
+        return decomp
 
 
 def bath_qubit(omega_b: float = 1.0) -> DiscreteBath:
@@ -145,7 +158,7 @@ def bath_qubit(omega_b: float = 1.0) -> DiscreteBath:
 
 def bath_mode(omega_b: float = 1.0, n_levels: int = 20) -> DiscreteBath:
     """Single truncated bosonic mode with position-like coupling."""
-    h, x = _ladder(omega_b, _level_count(n_levels, "n_levels", 1))
+    h, x = _ladder(omega_b, _level_count(n_levels, "n_levels", 1), "bath Hamiltonian")
     return DiscreteBath(h, x)
 
 
@@ -180,23 +193,29 @@ class ProbeModel:
         return self.decomp.dim
 
 
-def _shared_spectrum(h: np.ndarray, *operators: np.ndarray) -> tuple:
-    """``(h, *operators, eigendecompose(h))`` with every array read-only, for
-    the per-Hamiltonian caches of the built-in probes and a discrete bath's
-    ``decomp``."""
-    decomp = eigendecompose(h)
+def _level_spectrum(h: np.ndarray, *operators: np.ndarray) -> tuple:
+    """``(h, *operators, decomp)`` with every array read-only, for the
+    per-Hamiltonian caches of the built-in probes, whose ``h`` is diagonal by
+    construction: ``decomp`` comes from its levels in closed form, with
+    ``eigendecompose``'s unitarity and reconstruction checks, once a
+    non-finite level is refused.  ``h`` skips ``require_hermitian``: its only
+    entries that are not exact zeros are those levels."""
+    levels = np.diagonal(h)
+    if not np.isfinite(levels).all():
+        raise ValueError("probe Hamiltonian has a non-finite level")
+    decomp = _diagonal_decomposition(levels)
     _read_only(h, *operators, decomp.evals, decomp.evecs, decomp._order)
     return (h, *operators, decomp)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _qubit_spectrum(epsilon: float) -> tuple:
-    return _shared_spectrum(0.5 * epsilon * SIGMA_Z)
+    return _level_spectrum(0.5 * epsilon * SIGMA_Z)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _oscillator_spectrum(omega0: float, n_trunc: int) -> tuple:
-    return _shared_spectrum(*_ladder(omega0, n_trunc))
+    return _level_spectrum(*_ladder(omega0, n_trunc, "probe Hamiltonian"))
 
 
 def probe_qubit(epsilon: float = 1.0, theta: float = 0.0) -> ProbeModel:

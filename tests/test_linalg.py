@@ -257,20 +257,23 @@ def test_eigendecompose_diagonal_input_skips_lapack(monkeypatch, dtype):
     assert np.max(np.abs(dec_near.evals - dec.evals)) < 1e-15
 
 
-def test_eigendecompose_diagonal_input_keeps_its_checks(monkeypatch):
+def test_eigendecompose_diagonal_input_keeps_its_checks(monkeypatch, cold_caches):
     diag = np.diag([2.0, -1.0, 0.5]).astype(complex)
     with pytest.raises(ValueError, match="not Hermitian"):
         eigendecompose(diag + 1e-6j * np.eye(3))
     with pytest.raises(ValueError, match="square"):
         eigendecompose(np.zeros((2, 3)))
-    with monkeypatch.context() as m:
-        m.setattr(linalg, "EIG_UNITARITY_TOL", -1.0)
-        with pytest.raises(ValueError, match="not unitary"):
-            eigendecompose(diag)
-    with monkeypatch.context() as m:
-        m.setattr(linalg, "EIG_RECONSTRUCTION_TOL", -1.0)
-        with pytest.raises(ValueError, match="reconstruction failed"):
-            eigendecompose(diag)
+    # the built-in probes build their spectra from their levels, through the
+    # same closed-form checks
+    builders = (lambda: eigendecompose(diag), lambda: probe_qubit(1.0, 0.3),
+                lambda: probe_oscillator(1.0, 12))
+    for tol, message in (("EIG_UNITARITY_TOL", "not unitary"),
+                         ("EIG_RECONSTRUCTION_TOL", "reconstruction failed")):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, tol, -1.0)
+            for build in builders:
+                with pytest.raises(ValueError, match=message):
+                    build()
     # a complex diagonal whose imaginary part is within the hermiticity
     # tolerance keeps complex unit eigenvectors, as LAPACK's complex solver does
     dec = eigendecompose(diag + 1e-14j * np.eye(3))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from fctherm import (
     bath_correlation,
     bath_mode,
     bath_qubit,
+    eigendecompose,
+    high_T_asymptote,
     oscillator_levels,
     probe_correlation,
     probe_custom,
@@ -30,7 +33,7 @@ from fctherm import (
     spectral_density,
     x_matrix,
 )
-from fctherm import _kernels, models
+from fctherm import _kernels, linalg, models
 from fctherm.models import SIGMA_X
 from references import continuum_bath_rows, continuum_bath_tables
 
@@ -51,8 +54,11 @@ def test_continuum_bath_validation():
     for s, cutoff in ((math.nan, 1.0), (1.0, math.nan)):  # NaN passes "<= 0"
         with pytest.raises(ValueError, match="positive"):
             ContinuumBath(s=s, cutoff=cutoff)
-    with pytest.raises(ValueError, match="omega >= 0"):
-        spectral_density(ContinuumBath(1.0, 1.0), np.array([-0.1, 0.5]))
+    for bad in (-0.1, math.nan, math.inf, -math.inf):  # NaN and inf pass "< 0"
+        with pytest.raises(ValueError, match="omega >= 0"):
+            spectral_density(ContinuumBath(1.0, 5.0), np.array([bad, 0.5]))
+        with pytest.raises(ValueError, match="omega >= 0"):
+            spectral_density(ContinuumBath(1.0, 5.0), bad)
 
 
 @pytest.mark.parametrize(
@@ -147,17 +153,23 @@ def test_truncated_mode_approaches_closed_boson_correlator():
         assert rel < tol, (beta, rel)
 
 
-def test_every_correlator_refuses_nonpositive_beta():
+def test_every_correlator_refuses_nonpositive_beta(cold_caches):
+    # the quadrature rules and the high-temperature asymptote share the rule
     probe = probe_qubit(1.0, 0.7)
     builders = (
         lambda b: OscillatorCorrelation(1.0, b),
         lambda b: EigenbasisCorrelation(probe.decomp, probe.coupling, b),
         lambda b: ContinuumBathCorrelation(ContinuumBath(1.0, 10.0), b),
+        lambda b: quad_imaginary_time(8, b),
+        lambda b: quad_imaginary_time(64, b, 0.01),
+        lambda b: quad_thermal_frequency(8, 5.0, b),
+        lambda b: high_T_asymptote(probe, ContinuumBath(1.0, 5.0), b),
     )
     for build in builders:
-        for beta in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="beta must be positive"):
+        for beta in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
                 build(beta)
+    assert quad_imaginary_time.cache_info().currsize == 0  # a refusal leaves no entry
 
 
 def test_oscillator_correlator_refuses_nonpositive_frequency():
@@ -409,6 +421,17 @@ def test_bath_mode_refuses_fewer_than_one_level(n_levels):
 def test_bath_mode_refuses_a_non_integral_level_count(n_levels):
     with pytest.raises(ValueError, match="n_levels"):
         bath_mode(1.0, n_levels)
+
+
+@pytest.mark.parametrize("omega_b", [0.0, -1.0, np.nan, np.inf])
+def test_bath_mode_refuses_a_frequency_that_is_not_positive_and_finite(omega_b):
+    # x = (a + a^dag) / sqrt(2 omega) would divide by zero or take the root
+    # of a negative, and numpy would warn before any check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="bath Hamiltonian: oscillator frequency must be "
+                                             "positive and finite"):
+            bath_mode(omega_b, 3)
 
 
 def test_level_counts_accept_integral_floats_and_numpy_integers():
@@ -709,6 +732,71 @@ def test_shared_probe_arrays_are_read_only(cold_caches):
             array.flat[0] = 0.0
     qubit.coupling[0, 0] = 0.5  # the qubit coupling depends on theta: the probe's own
     assert probe_qubit(1.0, 0.3).coupling[0, 0] == pytest.approx(math.cos(0.3))
+
+
+def _assert_same_read_only_decomp(probe):
+    """The built-in probe's closed-form ``decomp`` is what ``eigendecompose``
+    gives for its Hamiltonian, in every bit and dtype, and read-only."""
+    got, want = probe.decomp, eigendecompose(probe.hamiltonian)
+    for name in ("evals", "evecs", "_order"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable, name
+    assert got.evecs.dtype == np.float64 and got._order.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("omega0", [1e-3, 1.0, 37.5])
+@pytest.mark.parametrize("n_trunc", [2, 40, 163, 1024])
+def test_oscillator_spectrum_is_the_eigendecomposition_bit_for_bit(cold_caches, omega0, n_trunc):
+    _assert_same_read_only_decomp(probe_oscillator(omega0, n_trunc))
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 1.0, 1e9])
+def test_qubit_spectrum_is_the_eigendecomposition_bit_for_bit(cold_caches, epsilon):
+    probe = probe_qubit(epsilon, 0.4)
+    _assert_same_read_only_decomp(probe)
+    assert np.array_equal(probe.decomp._order, [1, 0])  # eye[:, [1, 0]]: -eps/2 first
+
+
+def test_built_in_probes_skip_the_dense_checked_path(cold_caches, monkeypatch):
+    # the levels are known, so no matrix goes through require_hermitian or
+    # eigendecompose; the closed-form unitarity and reconstruction checks run
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (linalg, models):
+        for name in ("eigendecompose", "require_hermitian"):
+            monkeypatch.setattr(module, name, counting(getattr(linalg, name)))
+    assert probe_oscillator(1.0, beta_design=0.1).dim == 162
+    probe_qubit(1.0, 0.7)
+    assert calls == []
+    probe_custom(np.diag([0.5, -0.5]), SIGMA_X)  # a custom probe keeps every check
+    assert calls.count("eigendecompose") == 1 and "require_hermitian" in calls
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: probe_oscillator(1e308, 3), "probe Hamiltonian"),
+    (lambda: probe_oscillator(1e306, 1000), "probe Hamiltonian"),
+    (lambda: bath_mode(1e308, 3), "bath Hamiltonian"),
+], ids=["probe", "probe-many-levels", "bath-mode"])
+def test_an_overflowing_ladder_is_refused_before_it_is_formed(cold_caches, build, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        with pytest.raises(ValueError, match=f"{name} has a non-finite level"):
+            build()
+    assert models._oscillator_spectrum.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_level_is_refused_before_the_closed_form(bad):
+    # a NaN level would pass the closed-form reconstruction check
+    with pytest.raises(ValueError, match="probe Hamiltonian has a non-finite level"):
+        models._level_spectrum(np.diag([0.5, bad]))
 
 
 # ---------------------------------------------------------------------------
