@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ from .errors import (
     CouplingTooStrongError,
     FcthermError,
     NonzeroMeanError,
-    TruncationWarning,
 )
 from .linalg import gibbs_state
 from .metrology import MetrologyReport, _f2_integral, snr_bound
@@ -55,6 +53,9 @@ def _fmt(x: float) -> str:
 
 
 def _compute_report(cfg: RunConfig, beta: float, gamma: float, theta: float | None) -> MetrologyReport:
+    """One report or sweep row.  The config's one bath serves every row; the
+    probe is built per row (its truncation follows beta, its angle theta), and
+    perfbench's traced pass counts rows by these ``build_probe`` calls."""
     probe = cfg.build_probe(beta=beta, theta=theta)
     return snr_bound(probe, cfg.build_bath(), gamma, beta, cfg.n_u, cfg.n_omega, cfg.tolerances())
 
@@ -79,13 +80,6 @@ _REPORT_CELLS = (
     ("assumption2_ok", lambda r: "true"),  # x_matrix raises on a nonzero bath mean first
 )
 CSV_COLUMNS = tuple(header for header, _ in _REPORT_CELLS)
-
-
-def _run_grid(cfg: RunConfig, points: list[tuple[float, float, float | None]]) -> list[MetrologyReport]:
-    """Evaluate (beta, gamma, theta) points in input order.  The config's one
-    bath serves every point; the probe is built per point (its truncation
-    follows beta, its angle theta)."""
-    return [_compute_report(cfg, b, g, t) for b, g, t in points]
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]) -> None:
@@ -117,7 +111,7 @@ def _print_report_table(reports: list[MetrologyReport]) -> None:
 
 def cmd_report(cfg: RunConfig, out: str | None) -> int:
     points = [(float(b), cfg.gamma, None) for b in cfg.beta_grid.points()]
-    reports = _run_grid(cfg, points)
+    reports = [_compute_report(cfg, b, g, t) for b, g, t in points]
     _print_report_table(reports)
     target = _write_reports(cfg, out, reports)
     if target:
@@ -137,7 +131,7 @@ def cmd_sweep(cfg: RunConfig, out: str | None) -> int:
                 points.append((float(beta), v, None))
             else:
                 points.append((float(beta), cfg.gamma, v))
-    reports = _run_grid(cfg, points)
+    reports = [_compute_report(cfg, b, g, t) for b, g, t in points]
     target = _write_reports(cfg, out, reports)
     print(f"sweep over beta x {axis}: {cfg.beta_grid.n} x {len(inner)} = {len(reports)} rows"
           + (f", written to {target}" if target else ""))
@@ -179,12 +173,7 @@ def cmd_scaling(cfg: RunConfig, out: str | None) -> int:
     bath = cfg.build_bath()
     if not isinstance(bath, DiscreteBath):
         raise ConfigError("scaling: requires a discrete-file bath (exact reference needed)")
-    # One probe serves every beta, built at the hottest, where a truncation is
-    # tightest; the oracle and the expansion share it, so truncation error
-    # cancels from every comparison and the warning would be false.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        probe = cfg.build_probe(beta=cfg.beta_grid.min)
+    probe = cfg._design_probe()  # one probe serves every beta
     tol = cfg.tolerances()
     betas = [float(b) for b in cfg.beta_grid.points()]
     gammas = cfg.scaling.points()

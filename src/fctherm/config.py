@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -167,7 +167,7 @@ class RunConfig:
 
     @cached_property
     def _tolerances(self) -> Tolerances:
-        return DEFAULT_TOL.replaced(**self.tolerance_overrides)
+        return replace(DEFAULT_TOL, **self.tolerance_overrides)
 
     def _resolve(self, path: str) -> str:
         p = Path(path)
@@ -205,6 +205,16 @@ class RunConfig:
             return probe_oscillator(**params, beta_design=beta,
                                     tail=self.tolerances().tail_population)
         return self._custom_probe
+
+    def _design_probe(self) -> ProbeModel:
+        """The probe at the hottest grid point, ``beta_grid.min``, where a
+        truncation is tightest, with its truncation warning silenced: loading
+        builds it only to check it, and ``scaling`` runs the oracle and the
+        expansion on this one probe, so truncation error cancels from every
+        comparison.  Built anew on each call, not kept on the config."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            return self.build_probe(beta=self.beta_grid.min)
 
     def probe_dim_exponent(self) -> float | None:
         """Energy dimension of the probe coupling, read without building the probe."""
@@ -429,7 +439,7 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
     # surface as configuration problems, not numerical ones; the probe is
     # checked at the hottest grid point, where a fixed truncation is tightest.
     # Its truncation warning is left to the commands, which build the probe
-    # again at that point and know whether truncation error can matter.
+    # again and know whether truncation error can matter.
     try:
         tol = cfg.tolerances()
         if probe_kind == "oscillator" and probe_params.get("n_trunc") is None:
@@ -442,9 +452,7 @@ def parse_config(raw: dict, base_dir: str | None = None) -> RunConfig:
                     f"{beta_grid.min} needs {levels} levels, more than "
                     f"{MAX_OSCILLATOR_LEVELS}; raise beta_grid.min or omega0"
                 )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            cfg.build_probe(beta=beta_grid.min)
+        cfg._design_probe()
         cfg.build_bath()
     except ConfigError:
         raise

@@ -313,9 +313,12 @@ def _legendre_panels(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quad_finite(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with n nodes on [a, b]; exact for degree <= 2n-1."""
+    """Gauss-Legendre rule with n nodes on a finite [a, b]; exact for degree <= 2n-1."""
     if n < 1:
         raise ValueError("need at least one node")
+    for name, end in (("a", a), ("b", b)):
+        if not -np.inf < end < np.inf:  # NaN too
+            raise ValueError(f"{name} must be finite, got {end!r}")
     return QuadratureRule(*_legendre_panels(n, a, b), kind="gauss-legendre")
 
 
@@ -424,7 +427,8 @@ def quad_semiinfinite(n: int, scale: float = 1.0) -> QuadratureRule:
 
     The substitution x = omega / scale makes the rule exact for
     p(omega) * exp(-omega/scale) with p of degree <= 2n-1.  The e^{x} factor
-    folded into the weights caps the node count (see MAX_LAGUERRE_NODES).
+    folded into the weights caps the node count (see MAX_LAGUERRE_NODES).  A
+    ``scale`` that is not positive and finite raises ValueError naming it.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -433,6 +437,6 @@ def quad_semiinfinite(n: int, scale: float = 1.0) -> QuadratureRule:
             f"{n} Laguerre nodes would overflow the e^x weight factor; "
             f"maximum is {MAX_LAGUERRE_NODES}"
         )
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < np.inf:  # NaN too
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     return QuadratureRule(*_laguerre(n, scale), kind="gauss-laguerre")

@@ -332,10 +332,12 @@ def high_T_asymptote(probe: ProbeModel, bath: ContinuumBath, beta: float) -> flo
 
     A probe of any other kind, or a qubit whose ``params`` lack ``epsilon``
     or ``theta``, raises ValueError, as does a beta that is not positive and
-    finite.
+    finite; any ``bath`` but a ``ContinuumBath`` raises TypeError.
     """
     if not 0 < beta < np.inf:  # NaN too
         raise ValueError("beta must be positive and finite")
+    if not isinstance(bath, ContinuumBath):
+        raise TypeError("the high-temperature asymptote needs a continuum bath")
     weight = bath.cutoff**bath.dim_exponent * math.gamma(bath.s)
     if probe.kind == "qubit":
         missing = [k for k in ("epsilon", "theta") if k not in probe.params]

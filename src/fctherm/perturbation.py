@@ -144,21 +144,19 @@ def _midpoint(s_eig: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
 @dataclass
 class _PointSetup:
     """Per-point work every block of the expansion shares: the correlators,
-    the u-rule, the diagonal X_nn and dX_nn/dbeta (all levels), and the node
-    weights of the four gap integrals the off-diagonal pair sums read
-    (w C_B, w (beta - u) C_B, w dC_B/dbeta, w (beta - u) dC_B/dbeta), the
-    bath correlator's ``rule_terms``, shared by every point at its beta.  The
-    tables themselves are the block's: it needs only k of their d columns."""
+    the u-rule, the diagonal X_nn and dX_nn/dbeta (all levels), and the bath
+    correlator's ``rule_terms(rule).expansion`` record, shared by every point
+    at its beta: the node weights of the four gap integrals the off-diagonal
+    pair sums read (w C_B, w (beta - u) C_B, w dC_B/dbeta,
+    w (beta - u) dC_B/dbeta) and the diagonal's kernel.  The tables
+    themselves are the block's: it needs only k of their d columns."""
 
     rule: QuadratureRule
     probe_corr: EigenbasisCorrelation
     bath_corr: CorrelationFn
     x_diag: np.ndarray
     dx_diag: np.ndarray
-    c_phi: np.ndarray
-    c_phi_w: np.ndarray
-    c_dphi: np.ndarray
-    c_dphi_w: np.ndarray
+    terms: tuple[np.ndarray, ...]
 
 
 def _point_setup(
@@ -174,7 +172,8 @@ def _point_setup(
             "with p1_operator or centre the coupling operator"
         )
     rule = quad_imaginary_time(n_u, beta, bath_corr.layer_width)
-    c_phi, c_phi_w, c_dphi, c_dphi_w, kern = bath_corr.rule_terms(rule).expansion
+    terms = bath_corr.rule_terms(rule).expansion
+    _, c_phi_w, _, _, kern = terms
     probe_corr = probe_correlation(probe, beta)
     sigma = probe_corr.sigma(rule.nodes)
     # probe correlator and its beta-derivative as level sums
@@ -185,8 +184,7 @@ def _point_setup(
     centred = sigma - phi_s[None, :]
     x_diag = centred @ c_phi_w
     dx_diag = centred @ kern - float(np.dot(c_phi_w, dphi_s))
-    return _PointSetup(rule, probe_corr, bath_corr, x_diag, dx_diag,
-                       c_phi, c_phi_w, c_dphi, c_dphi_w)
+    return _PointSetup(rule, probe_corr, bath_corr, x_diag, dx_diag, terms)
 
 
 def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,10 +198,11 @@ def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
     s_eig, e, u = corr.coupling_eig, corr.evals, setup.rule.nodes
     # G[a, b] ~ e^{u (E_b - E_a)}, b < k; all four are made whether or not a
     # near pair reads the (beta - u)-weighted two
-    g_phi = _kernels.gap_integrals(e, u, setup.c_phi, k)
-    g_phi_w = _kernels.gap_integrals(e, u, setup.c_phi_w, k)
-    g_dphi = _kernels.gap_integrals(e, u, setup.c_dphi, k)
-    g_dphi_w = _kernels.gap_integrals(e, u, setup.c_dphi_w, k)
+    c_phi, c_phi_w, c_dphi, c_dphi_w, _ = setup.terms
+    g_phi = _kernels.gap_integrals(e, u, c_phi, k)
+    g_phi_w = _kernels.gap_integrals(e, u, c_phi_w, k)
+    g_dphi = _kernels.gap_integrals(e, u, c_dphi, k)
+    g_dphi_w = _kernels.gap_integrals(e, u, c_dphi_w, k)
     p = corr.populations[:k]
 
     # off-diagonal via gap-resolved integrals and matrix products; the

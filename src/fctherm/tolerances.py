@@ -10,7 +10,7 @@ reason to move them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,8 @@ class Tolerances:
     tail_population: float = 1e-8     # oscillator truncation: top-level population
     assumption_mean: float = 1e-12    # |<B>| threshold for the zero-mean assumption
 
-    def replaced(self, **kwargs: float) -> "Tolerances":
-        """Return a copy with the named fields overridden."""
-        return replace(self, **kwargs)
 
-
-#: Names accepted by :meth:`Tolerances.replaced` (used by config validation).
+#: The field names a config's ``tolerances`` section may set.
 TOLERANCE_FIELDS = tuple(f.name for f in fields(Tolerances))
 
 DEFAULT_TOL = Tolerances()

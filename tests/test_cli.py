@@ -17,6 +17,7 @@ import pytest
 
 from fctherm import (
     DEFAULT_TOL,
+    RunConfig,
     TruncationWarning,
     bath_mode,
     cli,
@@ -635,3 +636,67 @@ def test_scaling_fit_reads_the_order_of_synthetic_power_laws():
         "F - F_pert": ("skipped (first-order term present; expansion refused)", None),
         "state distance": ("PASS", SLOPE_WINDOWS["first_order_state"]),
     }
+
+
+# ---------------------------------------------------------------------------
+# per-point calls the benchmark counts
+# ---------------------------------------------------------------------------
+
+# perfbench's traced CLI pass counts a point each time its opener is called
+# outside every other traced layer: ``RunConfig.build_probe`` for a report or
+# sweep row, ``exact_fishers`` for a scaling (beta, gamma) point.  A row loop
+# that calls the opener elsewhere still writes the right CSV, but the traced
+# run then counts the wrong number of points.
+_ENCLOSING = ("load_config", "snr_bound", "exact_fishers")
+
+
+def _record_openers(monkeypatch):
+    """Patch ``RunConfig.build_probe`` and, in every fctherm module holding
+    them, the ``_ENCLOSING`` functions; return the list to which each call of
+    ``build_probe`` or ``exact_fishers`` appends (name, enclosing calls)."""
+    stack, calls = [], []
+
+    def recording(original, name):
+        def wrapper(*args, **kwargs):
+            if name in ("build_probe", "exact_fishers"):
+                calls.append((name, tuple(stack)))
+            stack.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    monkeypatch.setattr(RunConfig, "build_probe", recording(RunConfig.build_probe, "build_probe"))
+    modules = [m for n, m in list(sys.modules.items()) if n == "fctherm" or n.startswith("fctherm.")]
+    for name in _ENCLOSING:
+        original = getattr(sys.modules["fctherm"], name)
+        wrapped = recording(original, name)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["report", "sweep"])
+def test_report_and_sweep_build_the_probe_once_per_row_at_top_level(tmp_path, monkeypatch, command):
+    doc = dict(QUBIT_OHMIC, sweep={"axis": "theta", "values": [4.71238898038469, 0.7853981633974483]})
+    cfg = write_config(tmp_path, doc)
+    calls = _record_openers(monkeypatch)
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == (3 if command == "report" else 6)
+    assert calls.count(("build_probe", ())) == len(rows)
+    # the one other build is the config's own check while it loads: none
+    # runs inside snr_bound
+    assert [c for c in calls if c[1]] == [("build_probe", ("load_config",))]
+
+
+def test_scaling_calls_exact_fishers_once_per_point_at_top_level(tmp_path, config_dir, monkeypatch):
+    cfg = two_beta_spin_boson(tmp_path, config_dir)
+    calls = _record_openers(monkeypatch)
+    assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    fishers = [stack for name, stack in calls if name == "exact_fishers"]
+    assert fishers == [()] * (2 * 8)  # 2 beta x 8 couplings

@@ -457,6 +457,13 @@ def test_high_T_asymptote_unknown_probe_raises():
             high_T_asymptote(bare, ContinuumBath(1.0, 1.0), 0.01)
 
 
+def test_high_T_asymptote_refuses_a_discrete_bath():
+    # the closed form reads the bath's cutoff and exponent, which a discrete
+    # bath lacks
+    with pytest.raises(TypeError, match="continuum bath"):
+        high_T_asymptote(probe_qubit(1.0, 0.7), bath_qubit(1.0), 1.0)
+
+
 def test_rederived_asymptote_is_half_the_pinned_form():
     # the formerly tabulated qubit constant -4 sin^2(theta) eps^2 Omega Gamma(s)
     # beta^3 / (3 pi) was twice the small-beta limit of the kernel integral

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from fctherm import (
     DensityOperator,
     DiscreteBath,
     JointModel,
-    TruncationWarning,
     bath_correlation,
     bath_mode,
     bath_qubit,
@@ -158,10 +156,7 @@ def _benchmark_model(seed: int):
 def _config_model(config_dir, name: str):
     """A bundled scaling config's probe, built as ``scaling`` builds it, and bath."""
     cfg = load_config(config_dir / f"{name}.json")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        probe = cfg.build_probe(beta=cfg.beta_grid.min)
-    return probe, cfg.build_bath(), [cfg.beta_grid.min]
+    return cfg._design_probe(), cfg.build_bath(), [cfg.beta_grid.min]
 
 
 def _unequal_blocks_model():
