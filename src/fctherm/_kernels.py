@@ -9,14 +9,14 @@ Both factor into exponentials of one level index times one node, so each is
 one GEMM between two node x level (or level x node) exponential tables.
 
 The tables depend on the levels and the nodes alone, not on the coefficients
-or the coupling weights.  One point's expansion setup
-(``perturbation._point_setup``, shared by x_matrix and snr_bound) asks one
-sigma_nodes, and its level-pair block (``perturbation._pair_block``) four
-gap_integrals, on the same (levels, u-rule); snr_bound's integral route and
-its <S^2> ask three more sigma_nodes.  A block of the lowest k levels reads
-only the leading k columns of G, so gap_integrals takes ``k`` and forms a
-(d x n_u)(n_u x k) product on a column slice of the kept table: d x 2 for
-snr_bound, the full d x d for x_matrix.  Each
+or the coupling weights.  One point's expansion (``perturbation.x_matrix``,
+which snr_bound calls) asks one sigma_nodes, and each level-pair block it
+forms (``MeanForceExpansion.block``) four gap_integrals, on the same
+(levels, u-rule); snr_bound's integral route and its <S^2> ask three more
+sigma_nodes.  A block of the lowest k levels reads only the leading k
+columns of G, so gap_integrals takes ``k`` and forms a (d x n_u)(n_u x k)
+product on a column slice of the kept table: d x 2 for snr_bound, the full
+d x d for ``pi_x``.  Each
 kernel's table pair is therefore an ``lru_cache`` of ``CACHE_SIZE`` entries
 keyed on the bytes of the 1-D float64 levels and nodes, and read-only; each
 call still does its own coefficient product and GEMM, and its result is byte

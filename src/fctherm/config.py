@@ -241,7 +241,11 @@ class RunConfig:
             return ContinuumBath(
                 s=self.bath_params["s"], cutoff=self.bath_params["Omega"], dim_exponent=a
             )
-        h, b, _ = load_operator_pair(self._resolve(self.bath_params["path"]))
+        path = self._resolve(self.bath_params["path"])
+        h, b, mu = load_operator_pair(path)
+        if mu is not None:
+            raise ConfigError(f"{path}: dim_exponent: a bath operator file takes none; "
+                              "only a probe's coupling has an energy dimension here")
         return DiscreteBath(h, b)
 
     # -- serialisation ------------------------------------------------------

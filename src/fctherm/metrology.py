@@ -24,10 +24,10 @@ signal-to-noise ratio is therefore measurement-achievable:  (dT/T)^-2 <=
 beta^2 F = C + gamma^2 xi with C the bare heat-capacity-like term and
 xi = beta^2 F2.
 
-Since I2 reads only diagonals, :func:`snr_bound` builds no full expansion:
-it takes I2 from the diagonal and evaluates the level-pair sums and A on
-the lowest two levels only, for the reported X01 = (pi X)_01 / p_0 (the one
-division by a population) and A_01.
+Since I2 reads only diagonals, it forms no level-pair block, and
+:func:`snr_bound` forms only the block of the lowest two levels
+(``MeanForceExpansion.block(2)``), for the reported X01 = (pi X)_01 / p_0
+(the one division by a population) and A_01.
 """
 
 from __future__ import annotations
@@ -53,14 +53,7 @@ from .models import (
     probe_correlation,
     spectral_density,
 )
-from .perturbation import (
-    DEFAULT_TIME_NODES,
-    MeanForceExpansion,
-    _pair_block,
-    _point_setup,
-    _sld,
-    x_matrix,
-)
+from .perturbation import DEFAULT_TIME_NODES, MeanForceExpansion, _sld, x_matrix
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -121,7 +114,7 @@ def qfi_perturbative_sum(
     Only the diagonal of A enters, and A_nn = dX_nn (see
     :func:`sld_second_order`), so this is :func:`cfi_energy_perturbative` on
     the expansion at ``beta``: the identity F2 = I2, not a separate
-    discretisation.
+    discretisation, and no level-pair block is formed.
     """
     return cfi_energy_perturbative(x_matrix(probe, bath, beta, n_u, n_omega, tol))
 
@@ -136,20 +129,19 @@ def cfi_energy_perturbative(expansion: MeanForceExpansion) -> tuple[float, float
     with the levels, populations and Var(H) read from the expansion's probe
     correlator.  Equal to the quantum coefficient at this order: the coupling
     correction to the optimal bound is achieved by the bare energy
-    measurement.
+    measurement.  The diagonals p_n X_nn and p_n dX_nn/dbeta come from
+    ``x_diag`` and ``dx_diag``, so no level-pair block is formed, and are
+    summed as the strided columns of one (d x 2) array: numpy hands a strided
+    and a contiguous vector to different BLAS dot loops, which round apart.
     """
     corr = expansion.probe_corr
-    px_nn, pdx_nn = np.real(np.diag(expansion.pi_x)), np.real(np.diag(expansion.pi_dx))
-    return corr.energy_var, _i2(corr, px_nn, pdx_nn)
-
-
-def _i2(corr: EigenbasisCorrelation, px_nn: np.ndarray, pdx_nn: np.ndarray) -> float:
-    """I2 from the diagonals of pi X and pi dX/dbeta.  Both are strided views
-    in every caller: numpy hands a strided and a contiguous vector to
-    different BLAS dot loops, whose sums round apart (README "Only the
-    lowest pair")."""
+    p = corr.populations
+    diagonals = np.empty((p.size, 2))
+    np.multiply(p, expansion.x_diag, out=diagonals[:, 0])
+    np.multiply(p, expansion.dx_diag, out=diagonals[:, 1])
     de = corr.thermal.centred
-    return float(np.dot(de**2, px_nn) - 2.0 * np.dot(de, pdx_nn))
+    return corr.energy_var, float(np.dot(de**2, diagonals[:, 0])
+                                  - 2.0 * np.dot(de, diagonals[:, 1]))
 
 
 def cfi_energy_general(
@@ -229,31 +221,28 @@ def snr_bound(
 ) -> MetrologyReport:
     """Optimal relative-error bound (dT/T)^-2 <= beta^2 F to second order.
 
-    Only the populations and the lowest coherence are read, so the
-    expansion's per-point setup (correlators, u-rule, diagonal, gap-integral
-    node weights) is built as for :func:`x_matrix`, but its level-pair sums,
-    their d x 2 gap tables and the SLD coefficient A are evaluated on the
-    lowest two levels alone: I2 from the diagonal, X01 = (pi X)_01 / p_0 and
-    A_01 from the 2 x 2 block.  A bath
-    coupling with a nonzero thermal mean is refused by that setup
+    Only the populations and the lowest coherence are read, so of the
+    expansion :func:`x_matrix` returns, the level-pair sums, their d x 2 gap
+    tables and the SLD coefficient A are evaluated on the lowest two levels
+    alone: I2 from the diagonal (:func:`cfi_energy_perturbative`),
+    X01 = (pi X)_01 / p_0 and A_01 from the 2 x 2 block.  A bath coupling
+    with a nonzero thermal mean is refused by :func:`x_matrix`
     (:class:`NonzeroMeanError`, a ValueError), so every report describes a
-    zero-mean environment.  A non-finite ``gamma`` raises ValueError.
+    zero-mean environment.  A ``gamma`` that is not finite and real raises
+    ValueError.
     """
-    if not np.isfinite(gamma):
-        raise ValueError(f"coupling gamma must be finite, got {gamma}")
-    setup = _point_setup(probe, bath, beta, n_u, n_omega, tol)
-    probe_corr, bath_corr = setup.probe_corr, setup.bath_corr
+    if not (np.isrealobj(gamma) and np.isfinite(gamma)):
+        raise ValueError(f"coupling gamma must be finite real, got {gamma}")
+    expansion = x_matrix(probe, bath, beta, n_u, n_omega, tol)
+    probe_corr = expansion.probe_corr
     f0, f2 = qfi_perturbative_integral(probe, bath, beta, n_u, n_omega, probe_corr=probe_corr)
-    p = probe_corr.populations
-    diagonals = np.empty((p.size, 2))  # two strided columns, as np.diag gives
-    np.multiply(p, setup.x_diag, out=diagonals[:, 0])
-    np.multiply(p, setup.dx_diag, out=diagonals[:, 1])
-    i2 = _i2(probe_corr, diagonals[:, 0], diagonals[:, 1])
+    _, i2 = cfi_energy_perturbative(expansion)
     mean_sq_s = float(probe_corr.value(0.0))
-    mean_sq_b = float(bath_corr.value(0.0))
+    mean_sq_b = float(expansion.bath_corr.value(0.0))
+    p = probe_corr.populations
     x01 = a01 = 0j
     if p.size > 1:
-        pi_x, pi_dx = _pair_block(setup, 2)
+        pi_x, pi_dx = expansion.block(2)
         alpha = _sld(p[:2], probe_corr.evals[:2], pi_x, pi_dx)
         x01, a01 = complex(pi_x[0, 1] / p[0]), complex(alpha[0, 1])
     return MetrologyReport(

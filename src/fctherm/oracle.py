@@ -43,7 +43,8 @@ class JointModel:
     ``decomp`` is diagonalised once, block by block (see
     :func:`_block_eigendecompose`); the reduced state and its beta-derivative
     at the last beta asked are kept, so ``exact_fishers`` and ``exact_mfg`` at
-    one beta share them.  A non-finite ``gamma`` raises ValueError.
+    one beta share them.  A ``gamma`` that is not finite and real raises
+    ValueError.
     """
 
     probe: ProbeModel
@@ -52,8 +53,8 @@ class JointModel:
     _reduced: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma):
-            raise ValueError(f"coupling gamma must be finite, got {self.gamma}")
+        if not (np.isrealobj(self.gamma) and np.isfinite(self.gamma)):
+            raise ValueError(f"coupling gamma must be finite real, got {self.gamma}")
         d = self.probe.dim * self.bath.hamiltonian.shape[0]
         if d > MAX_JOINT_DIM:
             raise ValueError(

@@ -20,11 +20,13 @@ needs the correction with its populations, and since p_n e^{beta (E_n - E_m)}
 = p_m no factor e^{+beta gap} is ever formed.  The probe's level data
 (rotated coupling, populations, sigma_n) come from one EigenbasisCorrelation
 per point, and C_B from one bath correlator built from a bath specification,
-never passed in; the expansion carries both.  The per-point setup (the
-correlators, the u-rule, the diagonal and the node weights of the
-gap integrals) is separate from the level-pair sums, which can be evaluated
-on the block of the lowest k levels: x_matrix takes k = d, snr_bound k = 2.
-A block's gap-integral tables are d x k, the columns its pair sums read.
+never passed in; the expansion carries both.  x_matrix returns the
+per-point setup (the correlators, the u-rule, the diagonal and the node
+weights of the gap integrals) as the expansion; its level-pair sums are
+evaluated only when read, on the block of the lowest k levels
+(``MeanForceExpansion.block``): ``pi_x`` reads k = d, snr_bound k = 2, and
+I2, which reads only the diagonal, no block at all.  A block's gap-integral
+tables are d x k, the columns its pair sums read.
 
 What does not depend on the coupling is built once per beta and shared by
 every point there: the Gibbs data and pair factors of the probe levels
@@ -38,7 +40,9 @@ handled by :func:`p1_operator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,23 +66,34 @@ DEFAULT_TIME_NODES = 64  # imaginary-time rule size
 class MeanForceExpansion:
     """Second-order reduced-state expansion in the probe eigenbasis.
 
-    ``pi_x`` is the state correction pi X, exactly Hermitian, and ``pi_dx``
-    is pi dX/dbeta (not d(pi X)/dbeta, which adds (dpi/dbeta) X); both are
-    float64 when the probe's eigenvectors and coupling are real (every
-    built-in probe), complex128 otherwise.  ``probe_corr`` is the probe
-    correlator the expansion was assembled from; it supplies the inverse
-    temperature, the levels, the populations and the basis the state is
-    rotated back with.  ``bath_corr`` is the bath correlator C_B it was
-    assembled against, built for the same beta.  ``tol`` holds the
-    thresholds the expansion was built under, which :meth:`at_coupling`
-    applies too.
+    The record is the per-point setup every block of the expansion shares.
+    ``probe_corr`` is the probe correlator the expansion was assembled from;
+    it supplies the inverse temperature, the levels, the populations and the
+    basis the state is rotated back with.  ``bath_corr`` is the bath
+    correlator C_B it was assembled against, built for the same beta, and
+    ``rule`` the u-rule.  ``x_diag`` and ``dx_diag`` are the diagonal X_nn
+    and dX_nn/dbeta on every level.  ``terms`` is the bath correlator's
+    ``rule_terms(rule).expansion`` record, shared by every point at its beta:
+    the node weights of the four gap integrals the off-diagonal pair sums
+    read (w C_B, w (beta - u) C_B, w dC_B/dbeta, w (beta - u) dC_B/dbeta) and
+    the diagonal's kernel.  ``tol`` holds the thresholds the expansion was
+    built under, which :meth:`at_coupling` applies too.
+
+    :meth:`block` evaluates the level-pair sums on the lowest k levels.
+    ``pi_x`` is the state correction pi X on every level, exactly Hermitian,
+    and ``pi_dx`` is pi dX/dbeta (not d(pi X)/dbeta, which adds
+    (dpi/dbeta) X); both are float64 when the probe's eigenvectors and
+    coupling are real (every built-in probe), complex128 otherwise.  They are
+    one all-levels block, formed on the first read and kept; the copies
+    :meth:`at_coupling` returns share it.
     """
 
-    pi_x: np.ndarray                 # state correction pi X, probe eigenbasis
-    pi_dx: np.ndarray                # pi times the analytic dX/dbeta (same basis)
     rule: QuadratureRule
     probe_corr: EigenbasisCorrelation
     bath_corr: CorrelationFn
+    x_diag: np.ndarray               # X_nn, every level
+    dx_diag: np.ndarray              # dX_nn/dbeta, every level
+    terms: tuple[np.ndarray, ...]    # the bath's node terms on ``rule``
     tol: Tolerances = DEFAULT_TOL
     gamma: float | None = None
     state: DensityOperator | None = None  # assembled state, original basis
@@ -96,16 +111,65 @@ class MeanForceExpansion:
     def populations(self) -> np.ndarray:
         return self.probe_corr.populations
 
+    @cached_property
+    def _full(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.block(self.evals.size)
+
+    @property
+    def pi_x(self) -> np.ndarray:
+        return self._full[0]
+
+    @property
+    def pi_dx(self) -> np.ndarray:
+        return self._full[1]
+
+    def block(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(pi X, pi dX/dbeta) on the block of the lowest k <= d levels.  The
+        four gap tables are d x k, G[a, b] for b < k.  Entry for entry the
+        block is the full matrices' own arithmetic; only the tables'
+        (d x n_u)(n_u x k) products and the pair sums' (k x d)(d x k)
+        products may round apart from the full products' columns and block,
+        and at k = d they are those products."""
+        corr = self.probe_corr
+        s_eig, e, u = corr.coupling_eig, corr.evals, self.rule.nodes
+        # G[a, b] ~ e^{u (E_b - E_a)}, b < k; all four are made whether or not a
+        # near pair reads the (beta - u)-weighted two
+        c_phi, c_phi_w, c_dphi, c_dphi_w, _ = self.terms
+        g_phi = _kernels.gap_integrals(e, u, c_phi, k)
+        g_phi_w = _kernels.gap_integrals(e, u, c_phi_w, k)
+        g_dphi = _kernels.gap_integrals(e, u, c_dphi, k)
+        g_dphi_w = _kernels.gap_integrals(e, u, c_dphi_w, k)
+        p = corr.populations[:k]
+
+        # off-diagonal via gap-resolved integrals and matrix products; the
+        # difference form (p_m a1 - p_n a2)/D cancels two sums equal to O(beta D),
+        # so near pairs take the midpoint form, exact to O((beta D)^2) (README);
+        # p_n e^{beta gap} = lo * t, so pi X is Hermitian bit for bit
+        near, safe_gap, lo, t = corr.thermal.pair_factors(k)
+
+        # G is real and S Hermitian, so a2 = (S o G^T) S = (S (S o G))^dag (README)
+        a1, a1d = _pair_sum(s_eig, g_phi, k), _pair_sum(s_eig, g_dphi, k)
+        pi_x = lo * ((t * a1 - t.T * a1.conj().T) / safe_gap)
+        pi_dx = lo * ((t * a1d - t.T * a1d.conj().T) / safe_gap + t * a1)
+        if near.any():
+            root_pp = np.sqrt(np.multiply.outer(p, p))  # p_n e^{beta gap / 2}
+            pi_x = np.where(near, root_pp * _midpoint(s_eig, g_phi_w, k), pi_x)
+            pi_dx = np.where(near, root_pp * _midpoint(s_eig, g_dphi_w, k) + lo * (t * a1),
+                             pi_dx)
+        np.fill_diagonal(pi_x, p * self.x_diag[:k])
+        np.fill_diagonal(pi_dx, p * self.dx_diag[:k])
+        return pi_x, pi_dx
+
     def at_coupling(self, gamma: float) -> MeanForceExpansion:
         """A copy carrying the assembled state pi + gamma^2 pi X at ``gamma``.
 
         pi X does not depend on the coupling, so one expansion serves every
-        gamma; it is never modified here.  It is Hermitian bit for bit, so
-        the state needs no symmetrising in the eigenbasis; the rotation back
-        to the original basis is symmetrised, as BLAS need not round U A U^dag
-        symmetrically.  Raises :class:`CouplingTooStrongError` when the state
-        has an eigenvalue below ``tol.psd_mean_force`` (the expansion left its
-        regime).
+        gamma; it is never modified here, and the copy shares it.  It is
+        Hermitian bit for bit, so the state needs no symmetrising in the
+        eigenbasis; the rotation back to the original basis is symmetrised,
+        as BLAS need not round U A U^dag symmetrically.  Raises
+        :class:`CouplingTooStrongError` when the state has an eigenvalue below
+        ``tol.psd_mean_force`` (the expansion left its regime).
         """
         tol = self.tol
         rho_eig = np.diag(self.populations) + gamma**2 * self.pi_x
@@ -122,7 +186,10 @@ class MeanForceExpansion:
                 f"second-order state has eigenvalue {mn:.3e} < {tol.psd_mean_force:.1e}; "
                 f"coupling gamma={gamma} is too strong at beta={self.beta}"
             )
-        return replace(self, gamma=gamma, state=state, trace_renormalised=renormalised)
+        # a shallow copy keeps the formed block; dataclasses.replace would not
+        out = copy.copy(self)
+        out.gamma, out.state, out.trace_renormalised = gamma, state, renormalised
+        return out
 
 
 def _pair_sum(s_eig: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
@@ -141,29 +208,28 @@ def _midpoint(s_eig: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-@dataclass
-class _PointSetup:
-    """Per-point work every block of the expansion shares: the correlators,
-    the u-rule, the diagonal X_nn and dX_nn/dbeta (all levels), and the bath
-    correlator's ``rule_terms(rule).expansion`` record, shared by every point
-    at its beta: the node weights of the four gap integrals the off-diagonal
-    pair sums read (w C_B, w (beta - u) C_B, w dC_B/dbeta,
-    w (beta - u) dC_B/dbeta) and the diagonal's kernel.  The tables
-    themselves are the block's: it needs only k of their d columns."""
+def x_matrix(
+    probe: ProbeModel,
+    bath,
+    beta: float,
+    n_u: int = DEFAULT_TIME_NODES,
+    n_omega: int = DEFAULT_FREQ_NODES,
+    tol: Tolerances = DEFAULT_TOL,
+) -> MeanForceExpansion:
+    """The second-order expansion at ``beta``: its per-point setup, from which
+    pi X and pi times the analytic dX/dbeta are formed when first read.
 
-    rule: QuadratureRule
-    probe_corr: EigenbasisCorrelation
-    bath_corr: CorrelationFn
-    x_diag: np.ndarray
-    dx_diag: np.ndarray
-    terms: tuple[np.ndarray, ...]
-
-
-def _point_setup(
-    probe: ProbeModel, bath, beta: float, n_u: int, n_omega: int, tol: Tolerances
-) -> _PointSetup:
-    """The expansion's per-point setup at ``beta``; refuses a bath with a
-    nonzero thermal mean (see :func:`x_matrix`)."""
+    ``bath`` is a bath specification (``ContinuumBath`` or ``DiscreteBath``);
+    its correlator is built here at ``beta`` with ``n_omega`` frequency nodes
+    and carried as the expansion's ``bath_corr``.  The expansion is derived
+    under a zero-mean environment coupling; a bath whose coupling operator has
+    a thermal mean above ``tol.assumption_mean`` is refused with
+    :class:`NonzeroMeanError`, because the reduced state then picks up a
+    first-order term that this routine cannot represent (see
+    :func:`p1_operator`).  This is the one place the assumption is checked.
+    No gap table is formed here: the diagonal needs none, and
+    :meth:`MeanForceExpansion.block` forms the d x k tables of its block.
+    """
     bath_corr = bath_correlation(bath, beta, n_omega)
     if abs(bath_corr.mean) > tol.assumption_mean:
         raise NonzeroMeanError(
@@ -184,70 +250,7 @@ def _point_setup(
     centred = sigma - phi_s[None, :]
     x_diag = centred @ c_phi_w
     dx_diag = centred @ kern - float(np.dot(c_phi_w, dphi_s))
-    return _PointSetup(rule, probe_corr, bath_corr, x_diag, dx_diag, terms)
-
-
-def _pair_block(setup: _PointSetup, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pi X, pi dX/dbeta) on the block of the lowest k <= d levels.  The
-    four gap tables are d x k, G[a, b] for b < k.  Entry for entry the block
-    is the full matrices' own arithmetic; only the tables' (d x n_u)(n_u x k)
-    products and the pair sums' (k x d)(d x k) products may round apart from
-    the full products' columns and block, and at k = d they are those
-    products."""
-    corr = setup.probe_corr
-    s_eig, e, u = corr.coupling_eig, corr.evals, setup.rule.nodes
-    # G[a, b] ~ e^{u (E_b - E_a)}, b < k; all four are made whether or not a
-    # near pair reads the (beta - u)-weighted two
-    c_phi, c_phi_w, c_dphi, c_dphi_w, _ = setup.terms
-    g_phi = _kernels.gap_integrals(e, u, c_phi, k)
-    g_phi_w = _kernels.gap_integrals(e, u, c_phi_w, k)
-    g_dphi = _kernels.gap_integrals(e, u, c_dphi, k)
-    g_dphi_w = _kernels.gap_integrals(e, u, c_dphi_w, k)
-    p = corr.populations[:k]
-
-    # off-diagonal via gap-resolved integrals and matrix products; the
-    # difference form (p_m a1 - p_n a2)/D cancels two sums equal to O(beta D),
-    # so near pairs take the midpoint form, exact to O((beta D)^2) (README);
-    # p_n e^{beta gap} = lo * t, so pi X is Hermitian bit for bit
-    near, safe_gap, lo, t = corr.thermal.pair_factors(k)
-
-    # G is real and S Hermitian, so a2 = (S o G^T) S = (S (S o G))^dag (README)
-    a1, a1d = _pair_sum(s_eig, g_phi, k), _pair_sum(s_eig, g_dphi, k)
-    pi_x = lo * ((t * a1 - t.T * a1.conj().T) / safe_gap)
-    pi_dx = lo * ((t * a1d - t.T * a1d.conj().T) / safe_gap + t * a1)
-    if near.any():
-        root_pp = np.sqrt(np.multiply.outer(p, p))  # p_n e^{beta gap / 2}
-        pi_x = np.where(near, root_pp * _midpoint(s_eig, g_phi_w, k), pi_x)
-        pi_dx = np.where(near, root_pp * _midpoint(s_eig, g_dphi_w, k) + lo * (t * a1),
-                         pi_dx)
-    np.fill_diagonal(pi_x, p * setup.x_diag[:k])
-    np.fill_diagonal(pi_dx, p * setup.dx_diag[:k])
-    return pi_x, pi_dx
-
-
-def x_matrix(
-    probe: ProbeModel,
-    bath,
-    beta: float,
-    n_u: int = DEFAULT_TIME_NODES,
-    n_omega: int = DEFAULT_FREQ_NODES,
-    tol: Tolerances = DEFAULT_TOL,
-) -> MeanForceExpansion:
-    """Second-order state correction pi X and pi times the analytic dX/dbeta.
-
-    ``bath`` is a bath specification (``ContinuumBath`` or ``DiscreteBath``);
-    its correlator is built here at ``beta`` with ``n_omega`` frequency nodes
-    and carried as the expansion's ``bath_corr``.  The expansion is derived
-    under a zero-mean environment coupling; a bath whose coupling operator has
-    a thermal mean above ``tol.assumption_mean`` is refused with
-    :class:`NonzeroMeanError`, because the reduced state then picks up a
-    first-order term that this routine cannot represent (see
-    :func:`p1_operator`).  The per-point setup that makes this check is the
-    one place the assumption is checked; ``snr_bound`` shares it.
-    """
-    setup = _point_setup(probe, bath, beta, n_u, n_omega, tol)
-    pi_x, pi_dx = _pair_block(setup, setup.probe_corr.evals.size)
-    return MeanForceExpansion(pi_x, pi_dx, setup.rule, setup.probe_corr, setup.bath_corr, tol)
+    return MeanForceExpansion(rule, probe_corr, bath_corr, x_diag, dx_diag, terms, tol)
 
 
 def mfg_second_order(

@@ -559,6 +559,19 @@ def test_load_operator_pair_without_exponent(tmp_path):
         load_operator_pair(path)
 
 
+def test_a_bath_operator_file_refuses_dim_exponent(tmp_path, capsys, config_dir):
+    # the key used to be read and dropped, and the run exited 0
+    for name in ("scaling_spin_boson.json", "bath_qubit_x.json"):
+        (tmp_path / name).write_text((config_dir / name).read_text())
+    bath_file = tmp_path / "bath_qubit_x.json"
+    bath_file.write_text(json.dumps(dict(json.loads(bath_file.read_text()), dim_exponent=7.0)))
+    out = tmp_path / "out.csv"
+    assert main(["scaling", "--config", str(tmp_path / "scaling_spin_boson.json"),
+                 "--out", str(out)]) == 2
+    assert f"{bath_file}: dim_exponent:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [("{not json", "invalid JSON"),
                                            ("[[1.0, 0.0]]", "expected an object, got list")],
                          ids=["not-json", "list"])

@@ -170,10 +170,11 @@ def test_spectral_kernel_route_needs_a_continuum_bath():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.1j, 0.1 + 0j])
 def test_snr_bound_refuses_non_finite_gamma(gamma):
-    # it used to return NaN or infinite snr_sq_pert and validity_ratio
-    with pytest.raises(ValueError, match="gamma must be finite"):
+    # it used to return NaN or infinite snr_sq_pert and validity_ratio, and
+    # at 0.1j an snr_sq_pert above C_S (gamma^2 = -0.01 flips the correction)
+    with pytest.raises(ValueError, match="gamma must be finite real"):
         snr_bound(probe_qubit(1.0, 0.7), ContinuumBath(1.0, 5.0), gamma, 1.3)
 
 
@@ -279,12 +280,11 @@ def test_snr_bound_block_takes_the_midpoint_form_for_a_near_pair(monkeypatch):
 
 def test_snr_bound_builds_no_full_expansion(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("snr_bound reached a full-matrix routine")
+        raise AssertionError("snr_bound reached the all-levels block")
 
-    for module in (perturbation, metrology):
-        for name in ("x_matrix", "sld_second_order"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    # sld_second_order and every other full-matrix reader go through these
+    for name in ("pi_x", "pi_dx"):
+        monkeypatch.setattr(perturbation.MeanForceExpansion, name, property(refuse))
     rep = snr_bound(probe_oscillator(1.0, beta_design=0.3), ContinuumBath(1.0, 100.0, 2.0),
                     0.1, 0.3)
     assert np.isfinite(rep.i2) and np.isfinite(rep.alpha01)
@@ -305,8 +305,50 @@ def test_snr_bound_gap_tables_cover_the_two_columns_its_block_reads(monkeypatch)
     snr_bound(probe, bath, 0.1, 1.0)
     assert shapes == [(40, 2)] * 4
     shapes.clear()
-    x_matrix(probe, bath, 1.0)
+    x_matrix(probe, bath, 1.0).pi_x
     assert shapes == [(40, 40)] * 4
+
+
+def test_the_all_levels_block_is_formed_on_first_read_and_once(monkeypatch):
+    shapes, expansions = [], []
+    gap_integrals, build = perturbation._kernels.gap_integrals, metrology.x_matrix
+
+    def gap_spy(*args, **kwargs):
+        out = gap_integrals(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    def build_spy(*args, **kwargs):
+        expansions.append(build(*args, **kwargs))
+        return expansions[-1]
+
+    monkeypatch.setattr(perturbation._kernels, "gap_integrals", gap_spy)
+    probe = probe_oscillator(1.0, n_trunc=40, beta_design=1.0)
+    bath = ContinuumBath(1.0, 100.0, 2.0)
+    exp = x_matrix(probe, bath, 1.0)
+    assert shapes == []
+    pi_x = exp.pi_x
+    assert shapes == [(40, 40)] * 4
+    assert exp.pi_x is pi_x
+    exp.pi_dx, sld_second_order(exp)
+    copies = [exp.at_coupling(g) for g in np.linspace(0.001, 0.008, 8)]
+    assert copies[-1].pi_x is pi_x and copies[-1].gamma == 0.008
+    assert shapes == [(40, 40)] * 4
+
+    shapes.clear()
+    monkeypatch.setattr(metrology, "x_matrix", build_spy)
+    snr_bound(probe, bath, 0.1, 1.0)
+    assert len(expansions) == 1 and shapes == [(40, 2)] * 4
+
+
+@pytest.mark.parametrize("beta", [18.0, 18.1])
+def test_level_sum_route_stays_finite_on_a_cold_wide_probe(beta):
+    # the full d x d gap tables overflowed here (numpy RuntimeWarnings) while
+    # every value returned was finite; I2 reads the diagonal alone
+    probe, bath = probe_oscillator(1.0, 40), ContinuumBath(1.0, 100.0, 2.0)
+    _, i2 = qfi_perturbative_sum(probe, bath, beta, 64, 128)
+    rep = snr_bound(probe, bath, 0.1, beta, 64, 128)
+    assert np.isfinite(i2) and i2.hex() == rep.i2.hex()
 
 
 # ---------------------------------------------------------------------------

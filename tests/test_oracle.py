@@ -96,9 +96,10 @@ def test_joint_dimension_limit():
         JointModel(probe, big, 0.01)
 
 
-@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.1j, 0.1 + 0j])
 def test_joint_model_refuses_non_finite_gamma(gamma):
-    with pytest.raises(ValueError, match="gamma must be finite"):
+    # exact_fishers used to fail at 0.1j with "matrix is not Hermitian"
+    with pytest.raises(ValueError, match="gamma must be finite real"):
         JointModel(probe_qubit(1.0, 0.7), bath_qubit(1.3), gamma)
 
 
